@@ -1,0 +1,181 @@
+"""Time the graph layer of two checkouts side by side and write a BENCH json.
+
+    python3 scripts/bench_graph_layer.py --before OLD --after NEW --out BENCH_2.json
+
+OLD and NEW are checkouts of this repository (each one's ``src`` is put on
+PYTHONPATH; the tier-1 suite and perfbench run inside it).  Every measurement
+runs in a fresh process, and the two checkouts alternate (the one that goes
+first switches every round), so a slow spell of the host lands on both.
+A row's value is the median over rounds; each primitive is itself the median
+of a few in-process repeats (the t = 5 and 9 constructions: the best of five
+runs of 20,000 calls).  Rows:
+
+* primitives: ``sample_gnp(4096, 0.2)``, ``Graph`` validation at t = 1024,
+  2048, 4096, ``serialize_graph`` and ``parse_graph`` at t = 2048,
+  ``Coloring.swapped()`` at n = 400, and ``Graph`` construction at t = 5 and 9;
+* the tier-1 suite's wall time;
+* each perfbench workload's end-to-end metrics (``--seconds 30``), as the
+  median over the seeds in ``WORKLOAD_SEEDS`` (90417 is the held-out one).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+import timeit
+from pathlib import Path
+
+WORKLOADS = ("dense_sampling", "search_sweep", "exact_oracle")
+WORKLOAD_METRICS = ("ops_per_s", "op_p50_s", "op_tail_s", "found_frac", "ok_frac",
+                    "peak_rss_mb", "setup_s")
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"]
+PRIMITIVE_ROUNDS = 3
+TIER1_ROUNDS = 1
+WORKLOAD_SEEDS = (1, 90417, 3)
+
+
+def _median_time(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def primitives() -> dict:
+    """Seconds per call of each graph-layer primitive, in this process."""
+    from ramseykit.graphs import Graph, parse_graph, serialize_graph
+    from ramseykit.randomlab import sample_coloring, sample_gnp
+
+    out = {"sample_gnp(4096, 0.2)": _median_time(lambda: sample_gnp(4096, 0.2, 1), 3)}
+    for t in (1024, 2048, 4096):
+        rows = sample_gnp(t, 0.2, 1).rows
+        out[f"Graph validation, t={t}"] = _median_time(lambda: Graph(t, rows), 3)
+    g = sample_gnp(2048, 0.2, 1)
+    text = serialize_graph(g)
+    out["serialize_graph, t=2048"] = _median_time(lambda: serialize_graph(g), 5)
+    out["parse_graph, t=2048"] = _median_time(lambda: parse_graph(text), 5)
+    c = sample_coloring(400, 0.5, 1)
+    out["Coloring.swapped(), n=400"] = _median_time(c.swapped, 9)
+    for t in (5, 9):
+        rows = sample_gnp(t, 0.5, 1).rows
+        calls = 20_000
+        best = min(timeit.repeat(lambda: Graph(t, rows), number=calls, repeat=5))
+        out[f"Graph construction, t={t}, G(t, 1/2)"] = best / calls
+    return out
+
+
+def _in_checkout(root: Path, cmd: list[str], timeout: float) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k != "RAMSEYKIT_WORKERS"}
+    env["PYTHONPATH"] = str(root / "src")
+    return subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
+                          timeout=timeout, check=True)
+
+
+def _alternate(roots: dict, rounds: int, measure, first: int = 0) -> dict:
+    """{label: [one value per round]}, the first label switching every round."""
+    labels = list(roots)
+    got = {label: [] for label in labels}
+    for r in range(first, first + rounds):
+        for label in labels[r % 2:] + labels[:r % 2]:
+            got[label].append(measure(roots[label]))
+            print(f"  {label}: {got[label][-1]}", file=sys.stderr, flush=True)
+    return got
+
+
+def _measure_primitives(root: Path) -> dict:
+    proc = _in_checkout(root, [sys.executable, str(Path(__file__).resolve()),
+                               "--primitives"], 900)
+    return json.loads(proc.stdout)
+
+
+def _measure_tier1(root: Path) -> dict:
+    start = time.perf_counter()
+    proc = _in_checkout(root, TIER1, 1800)
+    wall = time.perf_counter() - start
+    passed = re.search(r"(\d+) passed", proc.stdout)
+    return {"wall_s": wall, "passed": int(passed.group(1)) if passed else 0}
+
+
+def _measure_workload(root: Path, workload: str, seed: int) -> dict:
+    proc = _in_checkout(root, [sys.executable, "perfbench/run.py", "--workload", workload,
+                               "--seed", str(seed), "--seconds", "30"], 1800)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {k: result["metrics"][k]["value"] for k in WORKLOAD_METRICS}
+
+
+def _row(name: str, unit: str, per_label: dict) -> dict:
+    row = {"name": name, "unit": unit}
+    for label, values in per_label.items():
+        row[label] = statistics.median(values)
+    return row
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--before", type=Path, help="checkout measured as 'before'")
+    p.add_argument("--after", type=Path, help="checkout measured as 'after'")
+    p.add_argument("--out", type=Path, help="BENCH json to write")
+    p.add_argument("--primitives", action="store_true", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.primitives:
+        print(json.dumps(primitives()))
+        return 0
+    if not (args.before and args.after and args.out):
+        p.error("--before, --after and --out are required")
+    roots = {"before": args.before.resolve(), "after": args.after.resolve()}
+    rows = []
+
+    print("primitives", file=sys.stderr)
+    runs = _alternate(roots, PRIMITIVE_ROUNDS, _measure_primitives)
+    for name in runs["before"][0]:
+        rows.append(_row(name, "s", {label: [r[name] for r in v] for label, v in runs.items()}))
+
+    print("tier-1", file=sys.stderr)
+    runs = _alternate(roots, TIER1_ROUNDS, _measure_tier1)
+    rows.append(_row("tier-1 wall time", "s",
+                     {label: [r["wall_s"] for r in v] for label, v in runs.items()}))
+    rows.append(_row("tier-1 tests passed", "count",
+                     {label: [r["passed"] for r in v] for label, v in runs.items()}))
+
+    for workload in WORKLOADS:
+        per_seed = {label: [] for label in roots}
+        for k, seed in enumerate(WORKLOAD_SEEDS):
+            print(f"{workload} seed {seed}", file=sys.stderr)
+            runs = _alternate(roots, 1, lambda root: _measure_workload(root, workload, seed),
+                              first=k)
+            for label, values in runs.items():
+                per_seed[label] += values
+        for metric in WORKLOAD_METRICS:
+            unit = "1/s" if metric == "ops_per_s" else "MB" if metric == "peak_rss_mb" \
+                else "frac" if metric.endswith("_frac") else "s"
+            row = _row(f"{workload} {metric}", unit,
+                       {label: [r[metric] for r in v] for label, v in per_seed.items()})
+            row["per_seed"] = {label: [r[metric] for r in v] for label, v in per_seed.items()}
+            rows.append(row)
+
+    import numpy
+
+    record = {
+        "env": {"python": platform.python_version(), "numpy": numpy.__version__,
+                "nproc": os.cpu_count(), "machine": platform.machine()},
+        "method": __doc__.split("\n\n", 1)[1].strip(),
+        "rounds": {"primitives": PRIMITIVE_ROUNDS, "tier1": TIER1_ROUNDS,
+                   "workload_seeds": list(WORKLOAD_SEEDS)},
+        "rows": rows,
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

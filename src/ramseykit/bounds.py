@@ -35,6 +35,9 @@ THEOREMS = (
     "lower",
 )
 
+# Theorems whose formula takes no density, or an optional one.
+RHO_OPTIONAL = ("edges-form", "base-case")
+
 
 @dataclass(frozen=True)
 class BoundReport:

@@ -4,7 +4,9 @@ Every JSON payload embeds a manifest (subcommand, normalized flags, seeds,
 input file hashes, tool and generator versions); re-running a manifest
 reproduces the output byte-for-byte.  Exhausted/NotFound are successful
 completions (exit 0) -- the report is the result.  Exit 1 = usage error,
-exit 2 = malformed input.
+including a request an exact oracle refuses as beyond its feasibility guard
+(``OracleRefusal``, e.g. ``oracle ramsey --nmax 11``); exit 2 = malformed
+input.  Every failure prints one line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -69,14 +71,38 @@ def _hash_file(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _require(args: argparse.Namespace, context: str, *flags: str):
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise UsageError(f"{context} requires --{flag}")
+
+
+_SHORTHAND_FORMS = {"random": "random:<n>:<p>:<seed>", "mono": "mono:<n>:<R|B>"}
+
+
+def _coloring_shorthand(spec: str) -> Coloring:
+    kind, *fields = spec.split(":")
+    try:
+        if kind == "random":
+            n, p, seed = fields
+            n, p, seed = int(n), parse_rho(p), int(seed)
+        else:
+            n, color = fields
+            n = int(n)
+            if color not in (RED, BLUE):
+                raise ValueError(f"unknown color {color!r}")
+    except (ValueError, ZeroDivisionError):  # field count, number or colour
+        raise UsageError(f"coloring shorthand must be {_SHORTHAND_FORMS[kind]}, "
+                         f"got {spec!r}") from None
+    if kind == "random":
+        return randomlab.sample_coloring(n, p, seed)
+    return Coloring.monochromatic(n, color)
+
+
 def _load_coloring(spec: str) -> tuple[Coloring, Optional[str]]:
     """Coloring from a file, or shorthands random:<n>:<p>:<seed> / mono:<n>:<R|B>."""
-    if spec.startswith("random:"):
-        _, n, p, seed = spec.split(":")
-        return randomlab.sample_coloring(int(n), parse_rho(p), int(seed)), None
-    if spec.startswith("mono:"):
-        _, n, color = spec.split(":")
-        return Coloring.monochromatic(int(n), color), None
+    if spec.startswith(("random:", "mono:")):
+        return _coloring_shorthand(spec), None
     path = Path(spec)
     if not path.exists():
         raise InputError(f"coloring file not found: {spec}")
@@ -145,22 +171,41 @@ def _emit_csv(header: list[str], rows: list[list], out: Optional[str]):
 # --------------------------------------------------------------------------
 
 
+def _densities(args) -> list:
+    """The --rho comma list, each p/q as a Fraction and otherwise a float.
+
+    [None] when it is absent and the theorem needs no density.
+    """
+    if args.rho:
+        return [Fraction(r) if "/" in r else float(r) for r in args.rho.split(",")]
+    if args.theorem in bounds_mod.RHO_OPTIONAL:
+        return [None]
+    raise UsageError(f"--rho is required for theorem {args.theorem}")
+
+
+def _emit_bounds_grid(args) -> int:
+    """One CSV row per (t, rho) cell of the --t grid and the --rho list."""
+    rhos = _densities(args)
+    rows = []
+    for t in sorted(_grid(args.t)):
+        for r in rhos:
+            rep = bounds_mod.evaluate(args.theorem, t=t, rho=r, s=args.s, m=args.m)
+            for one in rep if isinstance(rep, tuple) else (rep,):
+                rows.append([args.theorem, t, "" if r is None else str(r),
+                             f"{one.log2_bound:.12g}", one.preconditions_met])
+    _emit_csv(["theorem", "t", "rho", "log2_bound", "preconditions_met"], rows, args.out)
+    return 0
+
+
 def _cmd_bounds(args) -> int:
-    rho = Fraction(args.rho) if args.rho and "/" in args.rho else (
-        float(args.rho) if args.rho else None)
     if args.grid or args.format == "csv":
-        ts = _grid(args.t)
-        rhos = [Fraction(r) if "/" in r else float(r) for r in args.rho.split(",")]
-        rows = []
-        for t in sorted(ts):
-            for r in rhos:
-                rep = bounds_mod.evaluate(args.theorem, t=t, rho=r, s=args.s, m=args.m)
-                reps = rep if isinstance(rep, tuple) else (rep,)
-                for one in reps:
-                    rows.append([args.theorem, t, str(r), f"{one.log2_bound:.12g}",
-                                 one.preconditions_met])
-        _emit_csv(["theorem", "t", "rho", "log2_bound", "preconditions_met"], rows, args.out)
-        return 0
+        return _emit_bounds_grid(args)
+    if args.t_int is None:
+        raise UsageError("a grid of --t needs --grid")
+    rhos = _densities(args)
+    if len(rhos) != 1:
+        raise UsageError("a comma list of --rho needs --grid")
+    rho = rhos[0]
     rep = bounds_mod.evaluate(args.theorem, t=args.t_int, rho=rho, s=args.s, m=args.m)
     result = [r.to_json() for r in rep] if isinstance(rep, tuple) else rep.to_json()
     _emit_json({"schema": SCHEMA, "manifest": _manifest(args, {}), "result": result},
@@ -337,20 +382,10 @@ def _sweep_search_cell(cell):
 def _cmd_sweep(args) -> int:
     workers = int(os.environ.get("RAMSEYKIT_WORKERS", "1"))
     if args.kind == "bounds":
-        ts = _grid(args.t)
-        rhos = [Fraction(r) if "/" in r else float(r) for r in args.rho.split(",")]
-        rows = []
-        for t in sorted(ts):
-            for r in rhos:
-                rep = bounds_mod.evaluate(args.theorem, t=t, rho=r, s=args.s, m=args.m)
-                reps = rep if isinstance(rep, tuple) else (rep,)
-                for one in reps:
-                    rows.append([args.theorem, t, str(r), f"{one.log2_bound:.12g}",
-                                 one.preconditions_met])
-        _emit_csv(["theorem", "t", "rho", "log2_bound", "preconditions_met"],
-                  rows, args.out)
-        return 0
+        _require(args, "sweep --kind bounds", "theorem", "t")
+        return _emit_bounds_grid(args)
     if args.kind == "search":
+        _require(args, "sweep --kind search", "pattern", "n")
         ns = _grid(args.n)
         seeds = _grid(args.seeds)
         rho = parse_rho(args.rho) if args.rho else None
@@ -499,13 +534,16 @@ def run(argv: list[str]) -> int:
     except UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")
         return 1
+    except oracle_mod.OracleRefusal as e:
+        sys.stderr.write(f"usage error: oracle refused: {e}\n")
+        return 1
     except InputError as e:
         sys.stderr.write(f"input error: {e}\n")
         return 2
     except GraphFormatError as e:
         sys.stderr.write(f"input error: {e}\n")
         return 2
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, ZeroDivisionError, FileNotFoundError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -4,16 +4,32 @@ Undirected simple graphs on dense 0-indexed vertices, adjacency stored as
 packed bit rows (one Python int per vertex).  Two-colorings of complete
 graphs store the Red class as bit rows; Blue is the complement.  All types
 are immutable after construction and safe to share across workers.
+
+Whole-graph work (the symmetry check, parsing, serializing) goes through
+numpy bool matrices: ``bit_matrix`` unpacks rows into one and ``pack_rows``
+packs one back.  A graph on up to 4096 vertices is handled as one t x t
+matrix, a larger one in blocks of rows, so no matrix exceeds 16 MB.  That
+work still takes time quadratic in t, so graphs and colorings have at most
+``MAX_VERTICES`` vertices, and the parsers check a declared vertex count
+before they build anything.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 RED = "R"
 BLUE = "B"
+
+# Most vertices of a graph or coloring.  Validating a graph at the limit
+# takes about 2 s and 50 MB (one core of a 2-vCPU x86-64 host).
+MAX_VERTICES = 1 << 14
 
 
 class GraphFormatError(ValueError):
@@ -41,6 +57,44 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def check_vertex_count(t: int) -> None:
+    """Refuse more than MAX_VERTICES vertices before work quadratic in t starts."""
+    if t > MAX_VERTICES:
+        raise ValueError(f"{t} vertices exceed the limit of {MAX_VERTICES}")
+
+
+# Entries of the largest bool matrix built at once: graphs on up to 4096
+# vertices are one t x t block, larger ones are cut into blocks of rows.
+_BLOCK_ENTRIES = 1 << 24
+
+
+def _row_blocks(t: int) -> Iterator[tuple[int, int]]:
+    """Row ranges lo..hi-1 that cover 0..t-1, each of at most _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES // max(t, 1))
+    for lo in range(0, t, step):
+        yield lo, min(lo + step, t)
+
+
+def bit_matrix(t: int, rows: Sequence[int]) -> np.ndarray:
+    """Bool len(rows) x t matrix whose entry [i, u] is bit u of ``rows[i]``.
+
+    Every row must lie in [0, 2**t).
+    """
+    width = (t + 7) // 8
+    # rows of graphs on at most 8 vertices are single bytes
+    raw = bytes(rows) if width == 1 else b"".join([r.to_bytes(width, "little") for r in rows])
+    packed = np.ndarray((len(rows), width), np.uint8, raw)
+    return np.unpackbits(packed, 1, t, "little").view(bool)  # axis, count, bitorder
+
+
+def pack_rows(adj: np.ndarray) -> tuple[int, ...]:
+    """Per-vertex bit rows of a bool matrix: bit u of row v is ``adj[v, u]``."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return tuple(int.from_bytes(data[v * width:(v + 1) * width], "little")
+                 for v in range(len(packed)))
+
+
 def opposite(color: str) -> str:
     if color == RED:
         return BLUE
@@ -59,21 +113,23 @@ class Graph:
     def __post_init__(self):
         if self.t < 0:
             raise ValueError("vertex count must be nonnegative")
+        check_vertex_count(self.t)
         if len(self.rows) != self.t:
             raise ValueError("row count does not match vertex count")
-        full = (1 << self.t) - 1
         for v, row in enumerate(self.rows):
-            if row & ~full:
+            if row >> self.t:  # a bit at or above t, or a negative row
                 raise ValueError(f"row {v} has out-of-range bits")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(self.t):
-            for u in bits_of(self.rows[v]):
-                if not self.rows[u] >> v & 1:
-                    raise ValueError(f"adjacency not symmetric at {{{u},{v}}}")
+        # one block: compare it with its transpose; larger graphs, and a
+        # mismatch, go block by block
+        a = bit_matrix(self.t, self.rows) if self.t * self.t <= _BLOCK_ENTRIES else None
+        if a is None or a.tobytes() != a.T.tobytes():
+            _check_symmetric(self.t, self.rows)
 
     @classmethod
     def from_edges(cls, t: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        check_vertex_count(t)
         rows = [0] * t
         for u, v in edges:
             if u == v:
@@ -86,6 +142,7 @@ class Graph:
 
     @classmethod
     def complete(cls, t: int) -> "Graph":
+        check_vertex_count(t)
         full = (1 << t) - 1
         return cls(t, tuple(full ^ (1 << v) for v in range(t)))
 
@@ -140,6 +197,19 @@ class Graph:
         return Graph(len(vertices), tuple(rows))
 
 
+def _check_symmetric(t: int, rows: Sequence[int]) -> None:
+    """Raise at the first entry, in row-major order, where row v has u but row
+    u lacks v; one block of rows at a time."""
+    for lo, hi in _row_blocks(t):
+        a = bit_matrix(t, rows[lo:hi])
+        cut = (1 << (hi - lo)) - 1
+        at = bit_matrix(hi - lo, [row >> lo & cut for row in rows]).T  # columns lo..hi-1
+        bad = at < a
+        if bad.any():
+            v, u = np.argwhere(bad)[0]
+            raise ValueError(f"adjacency not symmetric at {{{u},{lo + v}}}")
+
+
 def graph_stats(g: Graph) -> dict:
     """Summary statistics; density is an exact rational (t >= 2 required)."""
     if g.t < 2:
@@ -184,12 +254,15 @@ class Coloring:
             raise ValueError("no self-pairs in a coloring")
         return RED if self.red_rows[u] >> v & 1 else BLUE
 
+    def _class_rows(self, color: str) -> tuple[int, ...]:
+        return tuple(self.row(v, color) for v in range(self.n))
+
     def class_graph(self, color: str) -> Graph:
-        return Graph(self.n, tuple(self.row(v, color) for v in range(self.n)))
+        return Graph(self.n, self._class_rows(color))
 
     def swapped(self) -> "Coloring":
         """The coloring with Red and Blue exchanged."""
-        return Coloring.from_red_graph(self.class_graph(BLUE))
+        return Coloring(self.n, self._class_rows(BLUE))
 
 
 @dataclass(frozen=True)
@@ -260,7 +333,7 @@ def density_pair(host, X: Iterable[int], Y: Iterable[int], color: Optional[str] 
 
 
 def parse_graph(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
+    lines = text.strip().splitlines()
     if not lines:
         raise GraphFormatError("empty input", 1)
     head = lines[0].split()
@@ -272,32 +345,78 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError("non-integer header fields", 1) from None
     if t < 1 or m < 0:
         raise GraphFormatError("t must be >= 1 and m >= 0", 1)
+    if t > MAX_VERTICES:
+        raise GraphFormatError(f"t must be at most {MAX_VERTICES}", 1)
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}", 1)
-    rows = [0] * t
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFormatError("expected '<u> <v>'", i)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError("non-integer endpoint", i) from None
-        if not (0 <= u < v < t):
-            if u == v:
-                raise GraphFormatError(f"self-loop {u}", i)
-            raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < t", i)
-        if rows[u] >> v & 1:
-            raise GraphFormatError(f"duplicate edge ({u},{v})", i)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
+    us, vs = array("q"), array("q")
+    push_u, push_v = us.append, vs.append
+    try:
+        for i, ln in enumerate(islice(lines, 1, None), start=2):
+            try:
+                text_u, text_v = ln.split()
+            except ValueError:
+                raise GraphFormatError("expected '<u> <v>'", i) from None
+            try:
+                u, v = int(text_u), int(text_v)
+            except ValueError:
+                raise GraphFormatError("non-integer endpoint", i) from None
+            if not (0 <= u < v < t):
+                if u == v:
+                    raise GraphFormatError(f"self-loop {u}", i)
+                raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < t", i)
+            push_u(u)
+            push_v(v)
+    except GraphFormatError as e:
+        # a duplicate on an earlier line is the first error
+        raise (_first_duplicate(us, vs) or e) from None
+    del lines  # free the line strings before the matrices exist
+    eu, ev = np.frombuffer(us, np.int64), np.frombuffer(vs, np.int64)
+    rows: list[int] = []
+    distinct = 0
+    for lo, hi in _row_blocks(t):
+        a = np.zeros((hi - lo, t), dtype=bool)  # rows lo..hi-1
+        upper = (lo <= eu) & (eu < hi)
+        a[eu[upper] - lo, ev[upper]] = True
+        distinct += np.count_nonzero(a)
+        lower = (lo <= ev) & (ev < hi)
+        a[ev[lower] - lo, eu[lower]] = True
+        rows.extend(pack_rows(a))
+        del a  # the validator below builds its own
+    if distinct != m:
+        raise _first_duplicate(us, vs)
     return Graph(t, tuple(rows))
 
 
+def _first_duplicate(us: array, vs: array) -> Optional[GraphFormatError]:
+    """The error for the first edge line that repeats an earlier one, if any."""
+    eu, ev = np.frombuffer(us, np.int64), np.frombuffer(vs, np.int64)
+    order = np.lexsort((np.arange(len(eu)), ev, eu))  # equal edges in line order
+    su, sv = eu[order], ev[order]
+    repeats = order[1:][(su[1:] == su[:-1]) & (sv[1:] == sv[:-1])]
+    if not len(repeats):
+        return None
+    j = int(repeats.min())
+    return GraphFormatError(f"duplicate edge ({us[j]},{vs[j]})", j + 2)
+
+
+# Edges per formatted chunk: bounds the line pieces alive at once.
+_SERIALIZE_CHUNK = 1 << 16
+
+
 def serialize_graph(g: Graph) -> str:
-    lines = [f"t {g.t} m {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    heads = np.array([f"{u} " for u in range(g.t)], dtype=object)
+    tails = np.array([f"{v}\n" for v in range(g.t)], dtype=object)
+    chunks = [f"t {g.t} m {g.m}\n"]
+    for lo, hi in _row_blocks(g.t):
+        # edges {u, v}, u < v, with u in lo..hi-1, in row-major order
+        us, vs = np.nonzero(np.triu(bit_matrix(g.t, g.rows[lo:hi]), lo + 1))
+        us += lo
+        for i in range(0, len(us), _SERIALIZE_CHUNK):
+            part = slice(i, i + _SERIALIZE_CHUNK)
+            lines = np.stack((heads[us[part]], tails[vs[part]]), axis=1)
+            chunks.append("".join(lines.ravel().tolist()))
+    return "".join(chunks)
 
 
 def pair_order(n: int) -> list[tuple[int, int]]:
@@ -310,25 +429,22 @@ def parse_coloring(text: str) -> Coloring:
     if not lines:
         raise GraphFormatError("empty input", 1)
     head = lines[0].split()
-    if len(head) == 4 and head[0] == "n" and head[2] == "hex":
-        try:
-            n = int(head[1])
-        except ValueError:
-            raise GraphFormatError("non-integer vertex count", 1) from None
-        return _coloring_from_hex(n, head[3])
-    if len(head) != 2 or head[0] != "n":
+    compact = len(head) == 4 and head[0] == "n" and head[2] == "hex"
+    if not compact and (len(head) != 2 or head[0] != "n"):
         raise GraphFormatError("expected header 'n <n>' or 'n <n> hex <string>'", 1)
     try:
         n = int(head[1])
     except ValueError:
         raise GraphFormatError("non-integer vertex count", 1) from None
-    pairs = pair_order(n)
-    if len(lines) - 1 != len(pairs):
-        raise GraphFormatError(
-            f"expected {len(pairs)} pair lines, found {len(lines) - 1}", 1
-        )
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"n must be at most {MAX_VERTICES}", 1)
+    if compact:
+        return _coloring_from_hex(n, head[3])
+    npairs = max(n, 0) * (max(n, 0) - 1) // 2
+    if len(lines) - 1 != npairs:
+        raise GraphFormatError(f"expected {npairs} pair lines, found {len(lines) - 1}", 1)
     rows = [0] * n
-    for i, (ln, (pu, pv)) in enumerate(zip(lines[1:], pairs), start=2):
+    for i, (ln, (pu, pv)) in enumerate(zip(lines[1:], pair_order(n)), start=2):
         parts = ln.split()
         if len(parts) != 3 or parts[2] not in (RED, BLUE):
             raise GraphFormatError("expected '<u> <v> <R|B>'", i)
@@ -344,8 +460,7 @@ def parse_coloring(text: str) -> Coloring:
 
 
 def _coloring_from_hex(n: int, hexstr: str) -> Coloring:
-    pairs = pair_order(n)
-    nbits = len(pairs)
+    nbits = max(n, 0) * (max(n, 0) - 1) // 2
     width = max(1, (nbits + 3) // 4)
     if len(hexstr) != width:
         raise GraphFormatError(f"hex string must have {width} digits", 1)
@@ -359,7 +474,7 @@ def _coloring_from_hex(n: int, hexstr: str) -> Coloring:
     if nbits and value & ((1 << (total - nbits)) - 1):
         raise GraphFormatError("padding bits must be zero", 1)
     rows = [0] * n
-    for i, (u, v) in enumerate(pairs):
+    for i, (u, v) in enumerate(pair_order(n)):
         if value >> (total - 1 - i) & 1:
             rows[u] |= 1 << v
             rows[v] |= 1 << u

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Coloring, Graph, bits_of, mask_of
+from .graphs import Coloring, Graph, bits_of, check_vertex_count, mask_of, pack_rows
 
 GENERATOR_VERSION = "philox-4x64-v1"
 
@@ -40,12 +40,6 @@ def chernoff_tail(n: int, p: float, theta: float) -> float:
     return math.exp(-(theta ** 2) * p * n / 4)
 
 
-def _pack_rows(adj: np.ndarray) -> tuple[int, ...]:
-    """Pack a boolean adjacency matrix into per-vertex bit rows."""
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-
-
 def _sample_pair_bits(count: int, p: float, seed: int) -> np.ndarray:
     return _rng(seed).random(count) < p
 
@@ -62,16 +56,18 @@ def sample_gnp(t: int, rho: float, seed: int) -> Graph:
     """G(t, rho): each pair independently an edge with probability rho."""
     if not 0 <= rho <= 1:
         raise ValueError("rho must lie in [0, 1]")
+    check_vertex_count(t)
     bits = _sample_pair_bits(t * (t - 1) // 2, rho, seed)
-    return Graph(t, _pack_rows(_adjacency_from_bits(t, bits)))
+    return Graph(t, pack_rows(_adjacency_from_bits(t, bits)))
 
 
 def sample_coloring(n: int, p_red: float, seed: int) -> Coloring:
     """Random coloring of K_n: each pair independently Red with probability p_red."""
     if not 0 <= p_red <= 1:
         raise ValueError("p_red must lie in [0, 1]")
+    check_vertex_count(n)
     bits = _sample_pair_bits(n * (n - 1) // 2, p_red, seed)
-    return Coloring(n, _pack_rows(_adjacency_from_bits(n, bits)))
+    return Coloring(n, pack_rows(_adjacency_from_bits(n, bits)))
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,19 @@ class TestBounds:
         assert cli.run(["bounds", "--theorem", "main-dense", "--t", "4",
                         "--rho", "0"]) == 2
 
+    def test_grid_multi_rho(self, capsys):
+        code, out = run_capture(capsys, ["bounds", "--theorem", "main-dense",
+                                         "--t", "16:64:16", "--rho", "1/16,1/64",
+                                         "--grid"])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(r[1], r[2]) for r in rows] == [
+            (str(t), rho) for t in (16, 32, 48, 64) for rho in ("1/16", "1/64")]
+
+    def test_missing_rho_is_usage_error(self, capsys):
+        assert cli.run(["bounds", "--theorem", "main-dense", "--t", "64"]) == 1
+        assert "--rho" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_ramsey_k3(self, capsys):
@@ -180,3 +193,32 @@ class TestReproducibility:
         assert out1 == out2
         if argv[0] != "sweep" and "--grid" not in argv:
             json.loads(out1)  # valid JSON envelope
+
+
+class TestFailuresAreOneLine:
+    PROBES = [
+        ["search", "--coloring", "mono:6:X", "--pattern", "k3"],
+        ["search", "--coloring", "mono:6", "--pattern", "k3"],
+        ["search", "--coloring", "random:10:0.5", "--pattern", "k3"],
+        ["search", "--coloring", "random:10:0.5:1:2", "--pattern", "k3"],
+        ["oracle", "find", "--coloring", "random:ten:0.5:1", "--pattern", "k3",
+         "--color", "R"],
+        ["sweep", "--kind", "search"],
+        ["sweep", "--kind", "search", "--pattern", "k3"],
+        ["sweep", "--kind", "bounds", "--t", "8:16:8", "--rho", "1/4"],
+        ["oracle", "ramsey", "--h1", "k3", "--h2", "k3", "--nmax", "11"],
+        ["bounds", "--theorem", "main-dense", "--t", "64"],
+        ["bounds", "--theorem", "main-dense", "--t", "8:16:8", "--grid"],
+        ["bounds", "--theorem", "main-dense", "--t", "8:16:8", "--rho", "1/4"],
+        ["bounds", "--theorem", "main-dense", "--t", "64", "--rho", "1/0"],
+        ["search", "--coloring", "mono:50000:B", "--pattern", "k3"],
+        ["search", "--coloring", "mono:6:R", "--pattern", "e50000"],
+    ]
+
+    @pytest.mark.parametrize("argv", PROBES, ids=" ".join)
+    def test_exit_code_and_no_traceback(self, capsys, argv):
+        code = cli.run(argv)
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1

@@ -1,23 +1,31 @@
-import pytest
+import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+import pytest
 
+from hypothesis import given, settings, strategies as st
+
+from ramseykit import graphs
 from ramseykit.graphs import (
     BLUE,
+    MAX_VERTICES,
     RED,
     BoundedGraphWitness,
     Coloring,
     Graph,
     GraphFormatError,
+    bit_matrix,
     density_pair,
     graph_stats,
+    pack_rows,
     pair_order,
     parse_coloring,
     parse_graph,
     serialize_coloring,
     serialize_graph,
 )
+from ramseykit.randomlab import sample_gnp
 
 
 def random_graph(draw, max_t=10):
@@ -197,3 +205,282 @@ class TestBoundedWitness:
         star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
         with pytest.raises(ValueError):
             BoundedGraphWitness(star, 1, frozenset())
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the scalar big-int implementations that the
+# bit-matrix validator, parser and serializer replaced.  The references live
+# here only, as oracles: same errors, same messages, same line numbers.
+# ---------------------------------------------------------------------------
+
+
+def ref_bits_of(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def ref_validate(t, rows):
+    if t < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if len(rows) != t:
+        raise ValueError("row count does not match vertex count")
+    full = (1 << t) - 1
+    for v, row in enumerate(rows):
+        if row & ~full:
+            raise ValueError(f"row {v} has out-of-range bits")
+        if row >> v & 1:
+            raise ValueError(f"self-loop at vertex {v}")
+    for v in range(t):
+        for u in ref_bits_of(rows[v]):
+            if not rows[u] >> v & 1:
+                raise ValueError(f"adjacency not symmetric at {{{u},{v}}}")
+
+
+def ref_parse_graph(text):
+    """(t, rows) of a graph text, or the GraphFormatError it raises."""
+    lines = [ln.strip() for ln in text.strip().splitlines()]
+    if not lines:
+        raise GraphFormatError("empty input", 1)
+    head = lines[0].split()
+    if len(head) != 4 or head[0] != "t" or head[2] != "m":
+        raise GraphFormatError("expected header 't <t> m <m>'", 1)
+    try:
+        t, m = int(head[1]), int(head[3])
+    except ValueError:
+        raise GraphFormatError("non-integer header fields", 1) from None
+    if t < 1 or m < 0:
+        raise GraphFormatError("t must be >= 1 and m >= 0", 1)
+    if len(lines) - 1 != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}", 1)
+    rows = [0] * t
+    for i, ln in enumerate(lines[1:], start=2):
+        parts = ln.split()
+        if len(parts) != 2:
+            raise GraphFormatError("expected '<u> <v>'", i)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError("non-integer endpoint", i) from None
+        if not (0 <= u < v < t):
+            if u == v:
+                raise GraphFormatError(f"self-loop {u}", i)
+            raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < t", i)
+        if rows[u] >> v & 1:
+            raise GraphFormatError(f"duplicate edge ({u},{v})", i)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return t, tuple(rows)
+
+
+def ref_serialize_graph(t, rows):
+    edges = [(u, v) for u in range(t) for v in ref_bits_of(rows[u] >> (u + 1) << (u + 1))]
+    lines = [f"t {t} m {len(edges)}"]
+    lines.extend(f"{u} {v}" for u, v in edges)
+    return "\n".join(lines) + "\n"
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except GraphFormatError as e:
+        return ("format", str(e), e.line)
+    except ValueError as e:
+        return ("value", str(e))
+
+
+@st.composite
+def raw_rows(draw):
+    """Rows of a symmetric graph, then damaged: asymmetric pairs, loops,
+    bits at or above t, negative rows."""
+    t = draw(st.integers(0, 70))
+    pairs = [(u, v) for u in range(t) for v in range(u + 1, t)]
+    bits = draw(st.integers(0, 2 ** len(pairs) - 1))
+    rows = [0] * t
+    for i, (u, v) in enumerate(pairs):
+        if bits >> i & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    for _ in range(draw(st.integers(0, 3)) if t else 0):
+        v = draw(st.integers(0, t - 1))
+        kind = draw(st.sampled_from(["flip", "loop", "high", "negative"]))
+        if kind == "flip":
+            rows[v] ^= 1 << draw(st.integers(0, t - 1))
+        elif kind == "loop":
+            rows[v] |= 1 << v
+        elif kind == "high":
+            rows[v] |= 1 << draw(st.integers(t, t + 70))
+        else:
+            rows[v] = -draw(st.integers(1, 2 ** (t + 1)))
+    return t, tuple(rows)
+
+
+def mutate_line(draw, line, u, v):
+    kind = draw(st.sampled_from(
+        ["swap", "loop", "word", "float", "three", "spaces", "plus", "one"]))
+    if kind == "swap":
+        return f"{v} {u}"
+    if kind == "loop":
+        return f"{u} {u}"
+    if kind == "word":
+        return f"{u} x"
+    if kind == "float":
+        return f"{u}.5 {v}"
+    if kind == "three":
+        return f"{line} 0"
+    if kind == "spaces":
+        return f"  {u} \t {v}  "
+    if kind == "plus":
+        return f"+{u} {v}"
+    return f"{u}"
+
+
+@st.composite
+def graph_texts(draw):
+    """Serialized graphs, some with duplicate lines or damaged edge lines."""
+    g = random_graph(draw, max_t=draw(st.integers(2, 40)))
+    pairs = g.edges()
+    edges = ref_serialize_graph(g.t, g.rows).splitlines()[1:]
+    for _ in range(draw(st.integers(0, 3)) if edges else 0):
+        i = draw(st.integers(0, len(edges) - 1))
+        if draw(st.booleans()):
+            edges.insert(draw(st.integers(0, len(edges))), edges[i])
+        else:
+            u, v = draw(st.sampled_from(pairs))
+            edges[i] = mutate_line(draw, edges[i], u, v)
+    return "\n".join([f"t {g.t} m {len(edges)}"] + edges) + "\n"
+
+
+class TestBitMatrixDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_rows())
+    def test_validator_matches_reference(self, case):
+        t, rows = case
+        new = outcome(lambda: Graph(t, rows).rows)
+        assert new == outcome(lambda: ref_validate(t, rows) or rows)
+
+    def test_first_asymmetric_pair_named(self):
+        # row 1 has 3 (but row 3 lacks 1) before row 2 has 0 (row 0 lacks 2)
+        rows = (0b0000, 0b1000, 0b0001, 0b0000)
+        message = outcome(ref_validate, 4, rows)[1]
+        assert message == "adjacency not symmetric at {3,1}"
+        assert outcome(Graph, 4, rows) == ("value", message)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_texts())
+    def test_parse_matches_reference(self, text):
+        new = outcome(lambda: (lambda g: (g.t, g.rows))(parse_graph(text)))
+        assert new == outcome(ref_parse_graph, text)
+
+    def test_earlier_duplicate_reported_before_later_format_error(self):
+        text = "t 4 m 4\n0 1\n1 2\n0 1\n2 x\n"
+        assert outcome(parse_graph, text) == outcome(ref_parse_graph, text)
+        assert outcome(parse_graph, text)[2] == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300), st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+           st.integers(0, 2 ** 16))
+    def test_serialize_matches_reference(self, t, rho, seed):
+        g = sample_gnp(t, rho, seed)
+        assert serialize_graph(g) == ref_serialize_graph(g.t, g.rows)
+
+    @given(st.composite(random_graph)(max_t=70))
+    def test_pack_inverts_bit_matrix(self, g):
+        a = bit_matrix(g.t, g.rows)
+        assert a.dtype == bool and a.shape == (g.t, g.t)
+        assert pack_rows(a) == g.rows
+
+
+@contextmanager
+def row_blocks_of(entries):
+    """Cut whole-graph work into row blocks of at most ``entries`` entries, as
+    it is for graphs above 4096 vertices."""
+    saved, graphs._BLOCK_ENTRIES = graphs._BLOCK_ENTRIES, entries
+    try:
+        yield
+    finally:
+        graphs._BLOCK_ENTRIES = saved
+
+
+class TestRowBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(raw_rows(), st.integers(1, 300))
+    def test_validator_matches_reference(self, case, entries):
+        t, rows = case
+        with row_blocks_of(entries):
+            new = outcome(lambda: Graph(t, rows).rows)
+        assert new == outcome(lambda: ref_validate(t, rows) or rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph_texts(), st.integers(1, 300))
+    def test_parse_matches_reference(self, text, entries):
+        with row_blocks_of(entries):
+            new = outcome(lambda: (lambda g: (g.t, g.rows))(parse_graph(text)))
+        assert new == outcome(ref_parse_graph, text)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 120), st.sampled_from([0.05, 0.5, 1.0]),
+           st.integers(0, 2 ** 16), st.integers(1, 600))
+    def test_serialize_matches_reference(self, t, rho, seed, entries):
+        g = sample_gnp(t, rho, seed)
+        with row_blocks_of(entries):
+            text = serialize_graph(g)
+        assert text == ref_serialize_graph(g.t, g.rows)
+
+    def test_working_memory_is_one_block(self):
+        text = "t 4096 m 2\n0 4095\n17 18\n"
+        with row_blocks_of(1 << 18):  # 64 rows of 4096
+            tracemalloc.start()
+            try:
+                out = serialize_graph(parse_graph(text))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out == text
+        assert peak < 4 << 20  # one 4096 x 4096 matrix alone is 16 MB
+
+
+class TestVertexLimit:
+    def test_graph_header_refused_on_line_1(self):
+        with pytest.raises(GraphFormatError, match=f"t must be at most {MAX_VERTICES}") as e:
+            parse_graph("t 50000 m 0\n")
+        assert e.value.line == 1
+
+    def test_coloring_header_checked_before_pairs_are_listed(self):
+        with pytest.raises(GraphFormatError, match=f"n must be at most {MAX_VERTICES}"):
+            parse_coloring("n 50000 hex 0\n")
+        pairs = MAX_VERTICES * (MAX_VERTICES - 1) // 2
+        with pytest.raises(GraphFormatError, match=f"expected {pairs} pair lines, found 0"):
+            parse_coloring(f"n {MAX_VERTICES}\n")
+        with pytest.raises(GraphFormatError, match="hex string must have"):
+            parse_coloring(f"n {MAX_VERTICES} hex 0\n")
+
+    @pytest.mark.parametrize("build", [
+        lambda n: Graph(n, (0,) * n),
+        Graph.empty,
+        Graph.complete,
+        lambda n: Graph.from_edges(n, [(0, 1)]),
+        lambda n: sample_gnp(n, 0.5, 1),
+        lambda n: Coloring.monochromatic(n, RED),
+        lambda n: Coloring.monochromatic(n, BLUE),
+    ])
+    def test_builders_refuse_before_building(self, build):
+        with pytest.raises(ValueError, match=f"exceed the limit of {MAX_VERTICES}"):
+            build(MAX_VERTICES + 1)
+
+
+class TestSwappedValidatesOnce:
+    def test_one_validation(self, monkeypatch):
+        c = Coloring.from_red_graph(Graph.from_edges(6, [(0, 1), (2, 5), (3, 4)]))
+        checked = []
+        validate = Graph.__post_init__
+        monkeypatch.setattr(Graph, "__post_init__",
+                            lambda self: checked.append(self.t) or validate(self))
+        c.swapped()
+        assert checked == [6]
+
+    @given(st.composite(random_graph)(max_t=40))
+    def test_swapped_is_blue_class(self, g):
+        c = Coloring.from_red_graph(g)
+        assert c.swapped().red_rows == c.class_graph(BLUE).rows
