@@ -1,6 +1,6 @@
 """Time the graph layer of two checkouts side by side and write a BENCH json.
 
-    python3 scripts/bench_graph_layer.py --before OLD --after NEW --out BENCH_2.json
+    python3 scripts/bench_graph_layer.py --before OLD --after NEW --out BENCH_3.json
 
 OLD and NEW are checkouts of this repository (each one's ``src`` is put on
 PYTHONPATH; the tier-1 suite and perfbench run inside it).  Every measurement
@@ -11,8 +11,9 @@ of a few in-process repeats (the t = 5 and 9 constructions: the best of five
 runs of 20,000 calls).  Rows:
 
 * primitives: ``sample_gnp(4096, 0.2)``, ``Graph`` validation at t = 1024,
-  2048, 4096, ``serialize_graph`` and ``parse_graph`` at t = 2048,
-  ``Coloring.swapped()`` at n = 400, and ``Graph`` construction at t = 5 and 9;
+  2048, 4096, ``serialize_graph`` at t = 2048, ``parse_graph`` at t = 1024,
+  2048, 4096 (G(t, 0.2) each), ``Coloring.swapped()`` at n = 400, and
+  ``Graph`` construction at t = 5 and 9;
 * the tier-1 suite's wall time;
 * each perfbench workload's end-to-end metrics (``--seconds 30``), as the
   median over the seeds in ``WORKLOAD_SEEDS`` (90417 is the held-out one).
@@ -61,9 +62,10 @@ def primitives() -> dict:
         rows = sample_gnp(t, 0.2, 1).rows
         out[f"Graph validation, t={t}"] = _median_time(lambda: Graph(t, rows), 3)
     g = sample_gnp(2048, 0.2, 1)
-    text = serialize_graph(g)
     out["serialize_graph, t=2048"] = _median_time(lambda: serialize_graph(g), 5)
-    out["parse_graph, t=2048"] = _median_time(lambda: parse_graph(text), 5)
+    for t in (1024, 2048, 4096):
+        text = serialize_graph(sample_gnp(t, 0.2, 1))
+        out[f"parse_graph, t={t}"] = _median_time(lambda: parse_graph(text), 5)
     c = sample_coloring(400, 0.5, 1)
     out["Coloring.swapped(), n=400"] = _median_time(c.swapped, 9)
     for t in (5, 9):

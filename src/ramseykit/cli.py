@@ -42,7 +42,7 @@ from .graphs import (
     serialize_coloring,
     serialize_graph,
 )
-from .patterns import load_pattern, parse_rho
+from .patterns import load_pattern, parse_rho, read_pattern
 from .search import (
     SearchConfig,
     find_mono_H,
@@ -67,8 +67,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _hash_file(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _digest(data: Optional[bytes]) -> Optional[str]:
+    """Manifest hash of the bytes an input was parsed from (None: no file)."""
+    return None if data is None else hashlib.sha256(data).hexdigest()
 
 
 def _require(args: argparse.Namespace, context: str, *flags: str):
@@ -106,21 +107,21 @@ def _load_coloring(spec: str) -> tuple[Coloring, Optional[str]]:
     path = Path(spec)
     if not path.exists():
         raise InputError(f"coloring file not found: {spec}")
+    data = path.read_bytes()
     try:
-        return parse_coloring(path.read_text()), _hash_file(spec)
+        return parse_coloring(data.decode()), _digest(data)
     except GraphFormatError as e:
         raise InputError(f"{spec}: {e}") from None
 
 
 def _load_graph_arg(spec: str) -> tuple[Graph, Optional[str]]:
     try:
-        g = load_pattern(spec)
+        g, data = read_pattern(spec)
     except FileNotFoundError as e:
         raise InputError(str(e)) from None
     except GraphFormatError as e:
         raise InputError(f"{spec}: {e}") from None
-    digest = _hash_file(spec) if Path(spec).exists() else None
-    return g, digest
+    return g, _digest(data)
 
 
 def _grid(spec: str) -> list[int]:

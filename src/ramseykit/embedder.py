@@ -180,9 +180,9 @@ def find_sparse_pair_heuristic(host, sigma: float, delta: float,
         improved = True
         while improved and e >= need:
             improved = False
-            xmask, ymask = mask_of(X), mask_of(Y)
-            inside = xmask | ymask
-            for side, mask_other in ((X, ymask), (Y, xmask)):
+            for side, other in ((X, Y), (Y, X)):
+                # masks as they are now, so the Y scan sees the X side's swap
+                mask_other, inside = mask_of(other), mask_of(X) | mask_of(Y)
                 best_gain, best_swap = 0, None
                 for i, v in enumerate(side):
                     dv = (rows[v] & mask_other).bit_count()
@@ -197,9 +197,7 @@ def find_sparse_pair_heuristic(host, sigma: float, delta: float,
                     i, w = best_swap
                     side[i] = w
                     improved = True
-                    xmask, ymask = mask_of(X), mask_of(Y)
-                    inside = xmask | ymask
-                    e = _cross_edges(rows, X, Y)
+                    e = _cross_edges(rows, X, Y)  # lower by exactly best_gain
         if e < need:
             X, Y = sorted(X), sorted(Y)
             return BiDensityWitness(tuple(X), tuple(Y), Fraction(e, s * s), sigma, delta)

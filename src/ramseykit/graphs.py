@@ -7,7 +7,8 @@ are immutable after construction and safe to share across workers.
 
 Whole-graph work (the symmetry check, parsing, serializing) goes through
 numpy bool matrices: ``bit_matrix`` unpacks rows into one and ``pack_rows``
-packs one back.  A graph on up to 4096 vertices is handled as one t x t
+packs one back.  ``parse_graph`` reads the edge lines with numpy too, in
+passes over about 1 MB of the text's bytes.  A graph on up to 4096 vertices is handled as one t x t
 matrix, a larger one in blocks of rows, so no matrix exceeds 16 MB.  That
 work still takes time quadratic in t, so graphs and colorings have at most
 ``MAX_VERTICES`` vertices, and the parsers check a declared vertex count
@@ -16,10 +17,8 @@ before they build anything.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -333,10 +332,19 @@ def density_pair(host, X: Iterable[int], Y: Iterable[int], color: Optional[str] 
 
 
 def parse_graph(text: str) -> Graph:
-    lines = text.strip().splitlines()
-    if not lines:
+    """The graph a text describes, or the GraphFormatError of its first bad
+    line.  Edge lines are read by a numpy pass over the text's bytes, about
+    _TEXT_BLOCK bytes at a time."""
+    body = text.strip()
+    if not body.isascii() or any(c in body for c in "\r\x0b\x0c\x1c\x1d\x1e"):
+        body = "\n".join(body.splitlines())  # every str.splitlines break becomes "\n"
+    if not body:
         raise GraphFormatError("empty input", 1)
-    head = lines[0].split()
+    # one byte per character, so offsets agree: "?" stands for any non-ASCII
+    # character and leaves its line to _edge_line
+    data = body.encode("ascii", "replace")
+    end = body.find("\n")  # of the header line
+    head = body[:end if end >= 0 else None].split()
     if len(head) != 4 or head[0] != "t" or head[2] != "m":
         raise GraphFormatError("expected header 't <t> m <m>'", 1)
     try:
@@ -347,31 +355,15 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError("t must be >= 1 and m >= 0", 1)
     if t > MAX_VERTICES:
         raise GraphFormatError(f"t must be at most {MAX_VERTICES}", 1)
-    if len(lines) - 1 != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}", 1)
-    us, vs = array("q"), array("q")
-    push_u, push_v = us.append, vs.append
-    try:
-        for i, ln in enumerate(islice(lines, 1, None), start=2):
-            try:
-                text_u, text_v = ln.split()
-            except ValueError:
-                raise GraphFormatError("expected '<u> <v>'", i) from None
-            try:
-                u, v = int(text_u), int(text_v)
-            except ValueError:
-                raise GraphFormatError("non-integer endpoint", i) from None
-            if not (0 <= u < v < t):
-                if u == v:
-                    raise GraphFormatError(f"self-loop {u}", i)
-                raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < t", i)
-            push_u(u)
-            push_v(v)
-    except GraphFormatError as e:
-        # a duplicate on an earlier line is the first error
-        raise (_first_duplicate(us, vs) or e) from None
-    del lines  # free the line strings before the matrices exist
-    eu, ev = np.frombuffer(us, np.int64), np.frombuffer(vs, np.int64)
+    found = 0 if end < 0 else data.count(b"\n", end + 1) + 1
+    if found != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {found}", 1)
+    eu, ev = np.empty(m, np.int64), np.empty(m, np.int64)
+    if m:  # the edge lines follow the header's newline
+        read = 0
+        for lo, hi in _text_blocks(data, end + 1):
+            read = _read_edge_lines(body, data, lo, hi, t, eu, ev, read)
+    del body, data  # free the text before the matrices exist
     rows: list[int] = []
     distinct = 0
     for lo, hi in _row_blocks(t):
@@ -384,20 +376,103 @@ def parse_graph(text: str) -> Graph:
         rows.extend(pack_rows(a))
         del a  # the validator below builds its own
     if distinct != m:
-        raise _first_duplicate(us, vs)
+        raise _first_duplicate(eu, ev)
+    del eu, ev  # free the endpoints before the validator's matrices exist
     return Graph(t, tuple(rows))
 
 
-def _first_duplicate(us: array, vs: array) -> Optional[GraphFormatError]:
+# Bytes of text read in one pass: bounds the per-byte and per-token arrays.
+_TEXT_BLOCK = 1 << 20
+# Longest endpoint the byte pass converts: 18 digits always fit in int64.
+_MAX_DIGITS = 18
+
+
+def _text_blocks(data: bytes, start: int) -> Iterator[tuple[int, int]]:
+    """Byte ranges lo..hi-1 of whole lines, about _TEXT_BLOCK bytes each, that
+    cover data[start:]; each hi is a newline or the end of ``data``."""
+    while start <= len(data):
+        end = data.find(b"\n", start + _TEXT_BLOCK)
+        end = len(data) if end < 0 else end
+        yield start, end
+        start = end + 1
+
+
+def _read_edge_lines(text: str, data: bytes, lo: int, hi: int, t: int,
+                     us: np.ndarray, vs: np.ndarray, k: int) -> int:
+    """Read the edge lines in text[lo:hi] into us[k:] and vs[k:]; return the
+    number of edge lines read so far.  ``data`` holds one byte per character
+    of ``text``.
+
+    One numpy pass over the bytes reads every line made of two digit runs
+    separated by blanks.  ``_edge_line`` reads the rest -- a line holding any
+    other byte or a run of more than _MAX_DIGITS digits -- and the first line
+    that fails a check, where it raises.
+    """
+    b = np.frombuffer(data, np.uint8, hi - lo, lo)
+    digit = b - 48 < 10  # bytes below "0" wrap past 9
+    plain = b == 10
+    breaks = np.flatnonzero(plain)  # line j ends at breaks[j]
+    n = len(breaks) + 1
+    plain |= b == 32
+    plain |= b == 9
+    plain |= digit
+    odd = np.searchsorted(breaks, np.flatnonzero(~plain))  # lines holding other bytes
+    # +1 where a digit run starts, -1 just past its end
+    step = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts = np.flatnonzero(step == 1)
+    width = np.flatnonzero(step == -1) - starts
+    last = starts + width - 1
+    # every token's value at once, one decimal place per step
+    val = np.zeros(len(starts) + 1, np.int64)  # a spare for lines with fewer tokens
+    val[:-1] = b[last] - 48
+    for p in range(1, min(int(width.max(initial=0)), _MAX_DIGITS)):
+        more = np.flatnonzero(width > p)
+        val[more] += (b[last[more] - p] - 48).astype(np.int64) * 10 ** p
+    first = np.concatenate(([0], np.searchsorted(starts, breaks)))  # each line's first token
+    count = np.diff(first, append=len(starts))
+    u, v = val[first], val.take(first + 1, mode="clip")
+    unread = (count != 2) | (u >= v) | (v >= t)
+    unread[odd] = True
+    unread[np.searchsorted(breaks, starts[width > _MAX_DIGITS])] = True
+    us[k:k + n], vs[k:k + n] = u, v
+    for j in np.flatnonzero(unread).tolist():
+        a = lo + (breaks[j - 1] + 1 if j else 0)
+        z = lo + breaks[j] if j < n - 1 else hi
+        try:
+            us[k + j], vs[k + j] = _edge_line(text[a:z], k + j + 2, t)
+        except GraphFormatError as e:
+            # a duplicate on an earlier line is the first error
+            raise (_first_duplicate(us[:k + j], vs[:k + j]) or e) from None
+    return k + n
+
+
+def _edge_line(line: str, i: int, t: int) -> tuple[int, int]:
+    """Endpoints of edge line ``i``, or its GraphFormatError: the one
+    definition of a valid edge line."""
+    try:
+        text_u, text_v = line.split()
+    except ValueError:
+        raise GraphFormatError("expected '<u> <v>'", i) from None
+    try:
+        u, v = int(text_u), int(text_v)
+    except ValueError:
+        raise GraphFormatError("non-integer endpoint", i) from None
+    if not (0 <= u < v < t):
+        if u == v:
+            raise GraphFormatError(f"self-loop {u}", i)
+        raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < t", i)
+    return u, v
+
+
+def _first_duplicate(eu: np.ndarray, ev: np.ndarray) -> Optional[GraphFormatError]:
     """The error for the first edge line that repeats an earlier one, if any."""
-    eu, ev = np.frombuffer(us, np.int64), np.frombuffer(vs, np.int64)
     order = np.lexsort((np.arange(len(eu)), ev, eu))  # equal edges in line order
     su, sv = eu[order], ev[order]
     repeats = order[1:][(su[1:] == su[:-1]) & (sv[1:] == sv[:-1])]
     if not len(repeats):
         return None
     j = int(repeats.min())
-    return GraphFormatError(f"duplicate edge ({us[j]},{vs[j]})", j + 2)
+    return GraphFormatError(f"duplicate edge ({eu[j]},{ev[j]})", j + 2)
 
 
 # Edges per formatted chunk: bounds the line pieces alive at once.
@@ -448,7 +523,10 @@ def parse_coloring(text: str) -> Coloring:
         parts = ln.split()
         if len(parts) != 3 or parts[2] not in (RED, BLUE):
             raise GraphFormatError("expected '<u> <v> <R|B>'", i)
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError("non-integer endpoint", i) from None
         if (u, v) != (pu, pv):
             raise GraphFormatError(
                 f"pair ({u},{v}) out of order; expected ({pu},{pv})", i

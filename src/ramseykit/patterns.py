@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from typing import Optional
 
 from .graphs import Graph, parse_graph
 
@@ -52,18 +53,26 @@ def parse_rho(text: str) -> float:
 
 def load_pattern(spec: str) -> Graph:
     """Resolve a shorthand, gnp spec, or file path to a Graph."""
+    return read_pattern(spec)[0]
+
+
+def read_pattern(spec: str) -> tuple[Graph, Optional[bytes]]:
+    """The Graph ``spec`` names, and the bytes it was parsed from when
+    ``spec`` is a file path (None for a shorthand, which wins over a file of
+    the same name)."""
     m = _SHORTHAND.match(spec)
     if m:
-        return named_graph(m.group(1), int(m.group(2)))
+        return named_graph(m.group(1), int(m.group(2))), None
     m = _GNP.match(spec)
     if m:
         from .randomlab import sample_gnp
 
-        return sample_gnp(int(m.group(1)), parse_rho(m.group(2)), int(m.group(3)))
+        return sample_gnp(int(m.group(1)), parse_rho(m.group(2)), int(m.group(3))), None
     path = Path(spec)
     if not path.exists():
         raise FileNotFoundError(
             f"{spec!r} is neither a pattern shorthand (k3, p4, c5, s4, m2, e3, "
             f"gnp:t:rho:seed) nor an existing file"
         )
-    return parse_graph(path.read_text())
+    data = path.read_bytes()
+    return parse_graph(data.decode()), data

@@ -1,9 +1,18 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from ramseykit import cli
-from ramseykit.graphs import parse_coloring, parse_graph, serialize_coloring
+from ramseykit.graphs import (
+    RED,
+    Coloring,
+    parse_coloring,
+    parse_graph,
+    serialize_coloring,
+    serialize_graph,
+)
 from ramseykit.patterns import named_graph
 
 
@@ -213,12 +222,55 @@ class TestFailuresAreOneLine:
         ["bounds", "--theorem", "main-dense", "--t", "64", "--rho", "1/0"],
         ["search", "--coloring", "mono:50000:B", "--pattern", "k3"],
         ["search", "--coloring", "mono:6:R", "--pattern", "e50000"],
+        ["search", "--coloring", "BAD_COLORING_FILE", "--pattern", "k3"],
     ]
 
+    @pytest.fixture
+    def bad_coloring(self, tmp_path):
+        path = tmp_path / "bad.coloring"
+        path.write_text("n 3\n0 1 R\n0 x R\n1 2 B\n")  # line 3: endpoint "x"
+        return str(path)
+
     @pytest.mark.parametrize("argv", PROBES, ids=" ".join)
-    def test_exit_code_and_no_traceback(self, capsys, argv):
+    def test_exit_code_and_no_traceback(self, capsys, bad_coloring, argv):
+        argv = [bad_coloring if a == "BAD_COLORING_FILE" else a for a in argv]
         code = cli.run(argv)
         err = capsys.readouterr().err
         assert code in (1, 2)
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_bad_coloring_endpoint_names_file_and_line(self, capsys, bad_coloring):
+        assert cli.run(["search", "--coloring", bad_coloring, "--pattern", "k3"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: {bad_coloring}: line 3: non-integer endpoint\n"
+
+
+class TestInputFiles:
+    def test_each_file_read_once_and_its_bytes_hashed(self, capsys, tmp_path, monkeypatch):
+        coloring = tmp_path / "c.coloring"
+        coloring.write_text(serialize_coloring(Coloring.monochromatic(6, RED)))
+        pattern = tmp_path / "p.graph"
+        pattern.write_text(serialize_graph(named_graph("k", 3)))
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda self: reads.append(self.name) or read_bytes(self))
+        code, out = run_capture(capsys, ["search", "--coloring", str(coloring),
+                                         "--pattern", str(pattern)])
+        assert code == 0
+        assert sorted(reads) == ["c.coloring", "p.graph"]
+        assert json.loads(out)["manifest"]["input_hashes"] == {
+            "coloring": hashlib.sha256(coloring.read_bytes()).hexdigest(),
+            "pattern": hashlib.sha256(pattern.read_bytes()).hexdigest(),
+        }
+
+    def test_shorthand_wins_over_a_file_of_that_name(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "k3").write_text("t 2 m 1\n0 1\n")
+        code, out = run_capture(capsys, ["search", "--coloring", "mono:6:R",
+                                         "--pattern", "k3"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["result"]["outcome"] == "found_mono"
+        assert payload["manifest"]["input_hashes"] == {}  # nothing was read

@@ -1,10 +1,11 @@
 import math
+import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseykit import embedder, oracle
+from ramseykit import cli, embedder, oracle
 from ramseykit.graphs import BLUE, RED, Coloring, Graph, density_pair
 from ramseykit.patterns import named_graph
 from ramseykit.randomlab import sample_gnp
@@ -148,6 +149,44 @@ class TestSparsePairHeuristic:
                 assert density_pair(host, w.X, w.Y) == w.density
                 assert w.density < Fraction(1, 10)
         assert found >= 18
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(6, 40), st.sampled_from([0.1, 0.3, 0.5, 0.8]),
+           st.sampled_from([0.1, 0.2, 0.3, 0.5]), st.integers(0, 2 ** 16))
+    def test_every_swap_lowers_cross_edges(self, n, rho, sigma, seed):
+        # delta = 0: the climb runs until no swap helps; tries = 1: after the
+        # first count, every count of cross edges follows a swap.  The check
+        # runs inside the climb, so a climb that cycles stops at once.
+        g = sample_gnp(n, rho, seed)
+        counts = []
+        cross_edges = embedder._cross_edges
+
+        def counted(*args):
+            counts.append(cross_edges(*args))
+            assert len(counts) == 1 or counts[-1] < counts[-2], counts
+            return counts[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embedder, "_cross_edges", counted)
+            embedder.find_sparse_pair_heuristic(g, sigma, 0.0, tries=1, seed=seed)
+
+    def test_vs_clique_search_returns(self, capsys):
+        # this climb once cycled forever: the Y side's swap was scored
+        # against the X set from before the X side's swap
+        def stuck(*_):
+            raise TimeoutError("the sparse-pair climb did not return")
+
+        saved = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(30)
+        try:
+            code = cli.run(["search", "--coloring", "random:40:0.25:5", "--pattern",
+                            "gnp:10:0.5:1", "--mode", "vs-clique", "--rho", "0.3",
+                            "--seed", "5"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, saved)
+        assert code == 0
+        assert '"outcome": "exhausted"' in capsys.readouterr().out
 
     def test_deterministic(self):
         g = sample_gnp(40, 0.2, 3)

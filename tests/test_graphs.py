@@ -316,9 +316,16 @@ def raw_rows(draw):
     return t, tuple(rows)
 
 
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                             "\u0665\u0666\u0667\u0668\u0669")
+
+
 def mutate_line(draw, line, u, v):
+    """A valid edge line written oddly, or a damaged one."""
     kind = draw(st.sampled_from(
-        ["swap", "loop", "word", "float", "three", "spaces", "plus", "one"]))
+        ["swap", "loop", "word", "float", "three", "spaces", "plus", "one", "crlf",
+         "zeros", "underscore", "unicode", "wide", "overflow", "negative", "blank",
+         "em_space", "form_feed", "unit_separator"]))
     if kind == "swap":
         return f"{v} {u}"
     if kind == "loop":
@@ -333,12 +340,35 @@ def mutate_line(draw, line, u, v):
         return f"  {u} \t {v}  "
     if kind == "plus":
         return f"+{u} {v}"
+    if kind == "crlf":
+        return f"{line}\r"  # joined with "\n", this line ends in CRLF
+    if kind == "zeros":
+        return f"0{u} 00{v}"
+    if kind == "underscore":
+        return f"{u} {v // 10}_{v % 10}"  # the same number: int("2_3") == 23
+    if kind == "unicode":
+        return line.translate(ARABIC_INDIC)
+    if kind == "wide":
+        return f"{u} {v:020d}"  # 20 digits, still v
+    if kind == "overflow":
+        return f"{u} {10 ** 19 + v}"  # past int64
+    if kind == "negative":
+        return f"-1 {v}"
+    if kind == "blank":
+        return ""
+    if kind == "em_space":
+        return f"{u}\u2003{v}"
+    if kind == "form_feed":
+        return f"{u}\x0c{v}"  # str.splitlines breaks the line here
+    if kind == "unit_separator":
+        return f"{u}\x1f{v}"  # whitespace to str.split, not a line break
     return f"{u}"
 
 
 @st.composite
 def graph_texts(draw):
-    """Serialized graphs, some with duplicate lines or damaged edge lines."""
+    """Serialized graphs, some with duplicate lines or damaged edge lines,
+    some with CRLF line endings throughout."""
     g = random_graph(draw, max_t=draw(st.integers(2, 40)))
     pairs = g.edges()
     edges = ref_serialize_graph(g.t, g.rows).splitlines()[1:]
@@ -349,7 +379,8 @@ def graph_texts(draw):
         else:
             u, v = draw(st.sampled_from(pairs))
             edges[i] = mutate_line(draw, edges[i], u, v)
-    return "\n".join([f"t {g.t} m {len(edges)}"] + edges) + "\n"
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return newline.join([f"t {g.t} m {len(edges)}"] + edges) + newline
 
 
 class TestBitMatrixDifferential:
@@ -378,6 +409,19 @@ class TestBitMatrixDifferential:
         assert outcome(parse_graph, text) == outcome(ref_parse_graph, text)
         assert outcome(parse_graph, text)[2] == 4
 
+    @pytest.mark.parametrize("line", [
+        "0 2\r", "00 002", "0 1_2", "\u0660 \u0662", f"0 {2:020d}", f"0 {10 ** 19}",
+        "-1 2", "", "   ", "0\u20032", "0\x0c2", "0\x1f2", "+0 2", "0 2 0", "0 x", "2 0",
+        "1 1", "0 4", "0 2", "0 1",
+    ])
+    @pytest.mark.parametrize("where", [0, 1, 3])  # first, middle and last edge line
+    def test_odd_line_matches_reference(self, line, where):
+        edges = ["0 1", "1 2", "2 3"]
+        edges.insert(where, line)
+        text = "t 4 m 4\n" + "\n".join(edges) + "\n"
+        new = outcome(lambda: (lambda g: (g.t, g.rows))(parse_graph(text)))
+        assert new == outcome(ref_parse_graph, text)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 300), st.sampled_from([0.0, 0.05, 0.5, 1.0]),
            st.integers(0, 2 ** 16))
@@ -393,14 +437,17 @@ class TestBitMatrixDifferential:
 
 
 @contextmanager
-def row_blocks_of(entries):
+def row_blocks_of(entries, text_bytes=None):
     """Cut whole-graph work into row blocks of at most ``entries`` entries, as
-    it is for graphs above 4096 vertices."""
-    saved, graphs._BLOCK_ENTRIES = graphs._BLOCK_ENTRIES, entries
+    it is for graphs above 4096 vertices, and optionally read graph text in
+    blocks of about ``text_bytes`` bytes."""
+    saved = graphs._BLOCK_ENTRIES, graphs._TEXT_BLOCK
+    graphs._BLOCK_ENTRIES = entries
+    graphs._TEXT_BLOCK = text_bytes or saved[1]
     try:
         yield
     finally:
-        graphs._BLOCK_ENTRIES = saved
+        graphs._BLOCK_ENTRIES, graphs._TEXT_BLOCK = saved
 
 
 class TestRowBlocks:
@@ -413,9 +460,9 @@ class TestRowBlocks:
         assert new == outcome(lambda: ref_validate(t, rows) or rows)
 
     @settings(max_examples=150, deadline=None)
-    @given(graph_texts(), st.integers(1, 300))
-    def test_parse_matches_reference(self, text, entries):
-        with row_blocks_of(entries):
+    @given(graph_texts(), st.integers(1, 300), st.integers(1, 64))
+    def test_parse_matches_reference(self, text, entries, text_bytes):
+        with row_blocks_of(entries, text_bytes):
             new = outcome(lambda: (lambda g: (g.t, g.rows))(parse_graph(text)))
         assert new == outcome(ref_parse_graph, text)
 
@@ -439,6 +486,18 @@ class TestRowBlocks:
                 tracemalloc.stop()
         assert out == text
         assert peak < 4 << 20  # one 4096 x 4096 matrix alone is 16 MB
+
+    def test_parse_peak_memory(self):
+        g = sample_gnp(2048, 0.2, 1)
+        text = serialize_graph(g)  # 3.7 MB, 419k edge lines
+        tracemalloc.start()
+        try:
+            rows = parse_graph(text).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == g.rows
+        assert peak < 40 << 20
 
 
 class TestVertexLimit:
