@@ -75,6 +75,13 @@ def _check_t(t: int) -> None:
         raise ValueError(f"t must be >= 2, got {t}")
 
 
+def _rho_at_most(rho: Rho, q: int) -> bool:
+    """The precondition rho <= 1/q: exact for a Fraction, in floats otherwise."""
+    if isinstance(rho, Fraction):
+        return rho <= Fraction(1, q)
+    return float(rho) <= 1 / q
+
+
 def log2_ratio(rho: Rho) -> float:
     """log2(2/rho)."""
     return 1.0 - math.log2(float(rho))
@@ -89,8 +96,7 @@ def bound_main_dense(t: int, rho: Rho) -> BoundReport:
         "main-dense",
         {"t": t, "rho": rho},
         value,
-        {"rho_le_1_16": Fraction(rho) <= Fraction(1, 16) if isinstance(rho, Fraction)
-         else r <= 1 / 16},
+        {"rho_le_1_16": _rho_at_most(rho, 16)},
     )
 
 
@@ -103,8 +109,7 @@ def bound_clique_maxdeg(t: int, rho: Rho) -> BoundReport:
         "clique-maxdeg",
         {"t": t, "rho": rho},
         value,
-        {"rho_le_1_16": Fraction(rho) <= Fraction(1, 16) if isinstance(rho, Fraction)
-         else r <= 1 / 16},
+        {"rho_le_1_16": _rho_at_most(rho, 16)},
     )
 
 
@@ -117,8 +122,7 @@ def bound_clique_dense(t: int, rho: Rho) -> BoundReport:
         "clique-dense",
         {"t": t, "rho": rho},
         value,
-        {"rho_le_1_50": Fraction(rho) <= Fraction(1, 50) if isinstance(rho, Fraction)
-         else r <= 1 / 50},
+        {"rho_le_1_50": _rho_at_most(rho, 50)},
     )
 
 
@@ -151,8 +155,7 @@ def bound_random_graph(t: int, rho: Rho) -> BoundReport:
         value,
         {
             "rho_ge_threshold": r >= threshold,
-            "rho_le_1_100": Fraction(rho) <= Fraction(1, 100) if isinstance(rho, Fraction)
-            else r <= 1 / 100,
+            "rho_le_1_100": _rho_at_most(rho, 100),
         },
         {"threshold": threshold},
     )

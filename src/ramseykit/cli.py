@@ -38,6 +38,7 @@ from .graphs import (
     Coloring,
     Graph,
     GraphFormatError,
+    decode_text,
     parse_coloring,
     serialize_coloring,
     serialize_graph,
@@ -109,7 +110,7 @@ def _load_coloring(spec: str) -> tuple[Coloring, Optional[str]]:
         raise InputError(f"coloring file not found: {spec}")
     data = path.read_bytes()
     try:
-        return parse_coloring(data.decode()), _digest(data)
+        return parse_coloring(decode_text(data)), _digest(data)
     except GraphFormatError as e:
         raise InputError(f"{spec}: {e}") from None
 
@@ -148,12 +149,15 @@ def _manifest(args: argparse.Namespace, hashes: dict[str, str]) -> dict:
     }
 
 
-def _emit_json(payload: dict, out: Optional[str]):
+def _emit_result(args: argparse.Namespace, hashes: dict[str, str], result) -> int:
+    """Write the JSON payload envelope: schema tag, manifest and result."""
+    payload = {"schema": SCHEMA, "manifest": _manifest(args, hashes), "result": result}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _emit_csv(header: list[str], rows: list[list], out: Optional[str]):
@@ -209,9 +213,7 @@ def _cmd_bounds(args) -> int:
     rho = rhos[0]
     rep = bounds_mod.evaluate(args.theorem, t=args.t_int, rho=rho, s=args.s, m=args.m)
     result = [r.to_json() for r in rep] if isinstance(rep, tuple) else rep.to_json()
-    _emit_json({"schema": SCHEMA, "manifest": _manifest(args, {}), "result": result},
-               args.out)
-    return 0
+    return _emit_result(args, {}, result)
 
 
 def _cmd_embed(args) -> int:
@@ -247,9 +249,7 @@ def _cmd_embed(args) -> int:
         "part_size": res.part_size,
         "hypothesis_held": res.hypothesis_held,
     }
-    _emit_json({"schema": SCHEMA, "manifest": _manifest(args, hashes),
-                "result": result}, args.out)
-    return 0
+    return _emit_result(args, hashes, result)
 
 
 def _search_config(args, pattern: Graph) -> SearchConfig:
@@ -279,9 +279,7 @@ def _cmd_search(args) -> int:
     if not args.trace_full:
         result["trace"] = result["trace"][-5:]
         result["trace_truncated"] = True
-    _emit_json({"schema": SCHEMA, "manifest": _manifest(args, hashes),
-                "result": result}, args.out)
-    return 0
+    return _emit_result(args, hashes, result)
 
 
 def _cmd_random(args) -> int:
@@ -298,9 +296,7 @@ def _cmd_random(args) -> int:
         if gh:
             hashes["graph"] = gh
         cert = randomlab.judicious_partition(g, args.max_tries, args.seed)
-        _emit_json({"schema": SCHEMA, "manifest": _manifest(args, hashes),
-                    "result": cert.to_json()}, args.out)
-        return 0
+        return _emit_result(args, hashes, cert.to_json())
     if args.random_op == "spread":
         g, gh = _load_graph_arg(args.graph)
         if gh:
@@ -308,9 +304,7 @@ def _cmd_random(args) -> int:
         rep = randomlab.verify_degree_spread(g, args.delta, args.eps,
                                              parse_rho(args.rho), args.mode,
                                              args.budget, args.seed)
-        _emit_json({"schema": SCHEMA, "manifest": _manifest(args, hashes),
-                    "result": rep.to_json()}, args.out)
-        return 0
+        return _emit_result(args, hashes, rep.to_json())
     if args.random_op == "chernoff":
         bound = randomlab.chernoff_tail(args.n, args.p, args.theta)
         result = {"n": args.n, "p": args.p, "theta": args.theta, "bound": bound,
@@ -319,9 +313,7 @@ def _cmd_random(args) -> int:
             result["empirical"] = randomlab.empirical_binomial_tail(
                 args.n, args.p, args.theta, args.empirical, args.seed)
             result["samples"] = args.empirical
-        _emit_json({"schema": SCHEMA, "manifest": _manifest(args, hashes),
-                    "result": result}, args.out)
-        return 0
+        return _emit_result(args, hashes, result)
     raise UsageError(f"unknown random operation {args.random_op!r}")
 
 
@@ -335,9 +327,7 @@ def _cmd_oracle(args) -> int:
         result = {"found": emb is not None}
         if emb is not None:
             result["embedding"] = list(emb.image)
-        _emit_json({"schema": SCHEMA, "manifest": _manifest(args, hashes),
-                    "result": result}, args.out)
-        return 0
+        return _emit_result(args, hashes, result)
     if args.oracle_op == "ramsey":
         h1, h1h = _load_graph_arg(args.h1)
         h2, h2h = _load_graph_arg(args.h2)
@@ -348,9 +338,7 @@ def _cmd_oracle(args) -> int:
         if cert.witness is not None:
             result["witness_at"] = cert.witness_n
             result["witness"] = serialize_coloring(cert.witness, compact=True).strip()
-        _emit_json({"schema": SCHEMA, "manifest": _manifest(args, hashes),
-                    "result": result}, args.out)
-        return 0
+        return _emit_result(args, hashes, result)
     if args.oracle_op == "certify-lower":
         pattern, ph = _load_graph_arg(args.pattern)
         if ph:
@@ -362,9 +350,7 @@ def _cmd_oracle(args) -> int:
                   "generator_version": randomlab.GENERATOR_VERSION}
         if witness is not None:
             result["witness"] = serialize_coloring(witness, compact=True).strip()
-        _emit_json({"schema": SCHEMA, "manifest": _manifest(args, hashes),
-                    "result": result}, args.out)
-        return 0
+        return _emit_result(args, hashes, result)
     raise UsageError(f"unknown oracle operation {args.oracle_op!r}")
 
 

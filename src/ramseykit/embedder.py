@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .graphs import Coloring, Embedding, Graph, bits_of, mask_of
+from .graphs import Embedding, Graph, bits_of, mask_of, rows_of
 from . import oracle
 
 
@@ -92,14 +92,6 @@ class TooLarge:
 BiDensityResult = Union[Certified, BiDensityWitness, TooLarge]
 
 
-def _rows_for(host, color: Optional[str]) -> tuple[int, list[int]]:
-    if isinstance(host, Coloring):
-        if color is None:
-            raise ValueError("a color is required for a Coloring host")
-        return host.n, [host.row(v, color) for v in range(host.n)]
-    return host.t, list(host.rows)
-
-
 def check_bidense_exact(host, sigma: float, delta: float, color: Optional[str] = None,
                         budget: int = 10 ** 9) -> BiDensityResult:
     """Exact bi-(sigma, delta)-density check via minimal-size pair enumeration.
@@ -110,7 +102,8 @@ def check_bidense_exact(host, sigma: float, delta: float, color: Optional[str] =
     dismissed in O(n) after the counting pass.  The returned witness is
     the lexicographically first violating (X, Y).
     """
-    n, rows = _rows_for(host, color)
+    rows = rows_of(host, color)
+    n = len(rows)
     s = max(1, math.ceil(sigma * n))
     if 2 * s > n:
         raise ValueError(f"need 2*ceil(sigma*n) <= n, got s={s}, n={n}")
@@ -167,7 +160,8 @@ def find_sparse_pair_heuristic(host, sigma: float, delta: float,
     """
     import numpy as np
 
-    n, rows = _rows_for(host, color)
+    rows = rows_of(host, color)
+    n = len(rows)
     s = max(1, math.ceil(sigma * n))
     if 2 * s > n:
         return None
@@ -243,7 +237,8 @@ def embed_greedy(pattern: Graph, host, delta: float, color: Optional[str] = None
     independently before return; getting stuck is a normal result carried
     in the FailureReport, not an error.
     """
-    n_host, rows = _rows_for(host, color)
+    rows = rows_of(host, color)
+    n_host = len(rows)
     k = pattern.max_degree + 1
     if host_partition is None:
         N = n_host // k

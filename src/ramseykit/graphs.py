@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -187,13 +188,18 @@ class Graph:
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph, relabelled to 0..k-1 in the order given."""
-        idx = {v: i for i, v in enumerate(vertices)}
-        rows = [0] * len(vertices)
-        for v, i in idx.items():
-            for u in bits_of(self.rows[v]):
-                if u in idx:
-                    rows[i] |= 1 << idx[u]
-        return Graph(len(vertices), tuple(rows))
+        return Graph(len(vertices), _induced_rows(self.rows, vertices))
+
+
+def _induced_rows(rows: Sequence[int], vertices: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the subgraph induced on ``vertices``; vertices[i] becomes i."""
+    idx = {v: i for i, v in enumerate(vertices)}
+    inside = mask_of(idx)
+    out = [0] * len(vertices)
+    for v, i in idx.items():
+        for u in bits_of(rows[v] & inside):
+            out[i] |= 1 << idx[u]
+    return tuple(out)
 
 
 def _check_symmetric(t: int, rows: Sequence[int]) -> None:
@@ -242,26 +248,38 @@ class Coloring:
             return cls.from_red_graph(Graph.complete(n))
         return cls(n, (0,) * n)
 
-    def row(self, v: int, color: str) -> int:
+    def rows(self, color: str) -> tuple[int, ...]:
+        """Bit rows of the ``color`` class; the blue ones are built on first use."""
         if color == RED:
-            return self.red_rows[v]
+            return self.red_rows
+        if color == BLUE:
+            return self._blue_rows
+        raise ValueError(f"unknown color {color!r}")
+
+    @cached_property
+    def _blue_rows(self) -> tuple[int, ...]:
         full = (1 << self.n) - 1
-        return full & ~self.red_rows[v] & ~(1 << v)
+        return tuple(full ^ row ^ (1 << v) for v, row in enumerate(self.red_rows))
+
+    def row(self, v: int, color: str) -> int:
+        return self.rows(color)[v]
 
     def color_of(self, u: int, v: int) -> str:
         if u == v:
             raise ValueError("no self-pairs in a coloring")
         return RED if self.red_rows[u] >> v & 1 else BLUE
 
-    def _class_rows(self, color: str) -> tuple[int, ...]:
-        return tuple(self.row(v, color) for v in range(self.n))
-
     def class_graph(self, color: str) -> Graph:
-        return Graph(self.n, self._class_rows(color))
+        return Graph(self.n, self.rows(color))
 
     def swapped(self) -> "Coloring":
         """The coloring with Red and Blue exchanged."""
-        return Coloring(self.n, self._class_rows(BLUE))
+        return Coloring(self.n, self.rows(BLUE))
+
+    def induced(self, vertices: Sequence[int]) -> "Coloring":
+        """Coloring of the pairs within ``vertices``, relabelled to 0..k-1 in
+        the order given."""
+        return Coloring(len(vertices), _induced_rows(self.red_rows, vertices))
 
 
 @dataclass(frozen=True)
@@ -298,6 +316,15 @@ class BoundedGraphWitness:
                 )
 
 
+def rows_of(host, color: Optional[str] = None) -> tuple[int, ...]:
+    """Bit rows of a Graph, or of the ``color`` class of a Coloring."""
+    if isinstance(host, Coloring):
+        if color is None:
+            raise ValueError("a color is required for a Coloring host")
+        return host.rows(color)
+    return host.rows
+
+
 def density_pair(host, X: Iterable[int], Y: Iterable[int], color: Optional[str] = None) -> Fraction:
     """Edge density e(X,Y)/(|X||Y|) between disjoint nonempty vertex sets.
 
@@ -309,12 +336,7 @@ def density_pair(host, X: Iterable[int], Y: Iterable[int], color: Optional[str] 
         raise ValueError("density_pair requires nonempty sets")
     if set(xs) & set(ys):
         raise ValueError("density_pair requires disjoint sets")
-    if isinstance(host, Coloring):
-        if color is None:
-            raise ValueError("a color is required when the host is a Coloring")
-        rows = [host.row(v, color) for v in range(host.n)]
-    else:
-        rows = list(host.rows)
+    rows = rows_of(host, color)
     ymask = mask_of(ys)
     e = sum((rows[x] & ymask).bit_count() for x in xs)
     return Fraction(e, len(xs) * len(ys))
@@ -329,6 +351,15 @@ def density_pair(host, X: Iterable[int], Y: Iterable[int], color: Optional[str] 
 #           upper-triangle bits (1 = Red, lexicographic pair order, first pair
 #           in the most significant bit) into hex.
 # ---------------------------------------------------------------------------
+
+
+def decode_text(data: bytes) -> str:
+    """The text of a graph or coloring file, or the GraphFormatError of the
+    first line that is not valid UTF-8."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as e:
+        raise GraphFormatError("not valid UTF-8", data.count(b"\n", 0, e.start) + 1) from None
 
 
 def parse_graph(text: str) -> Graph:

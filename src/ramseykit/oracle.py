@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .graphs import (
     BLUE,
@@ -22,7 +22,11 @@ from .graphs import (
     Graph,
     bits_of,
     mask_of,
+    rows_of,
 )
+
+if TYPE_CHECKING:  # embedder imports this module
+    from .embedder import BiDensityWitness
 
 DEFAULT_NMAX_GUARD = 10
 BIDENSE_BRUTE_MAX_N = 12
@@ -30,14 +34,6 @@ BIDENSE_BRUTE_MAX_N = 12
 
 class OracleRefusal(RuntimeError):
     """The requested computation exceeds the oracle's feasibility guard."""
-
-
-def _host_rows(host, color: Optional[str]) -> tuple[int, tuple[int, ...]]:
-    if isinstance(host, Coloring):
-        if color is None:
-            raise ValueError("a color is required for a Coloring host")
-        return host.n, tuple(host.row(v, color) for v in range(host.n))
-    return host.t, host.rows
 
 
 def verify_embedding(pattern: Graph, host, mapping, color: Optional[str] = None):
@@ -56,7 +52,8 @@ def verify_embedding(pattern: Graph, host, mapping, color: Optional[str] = None)
         image = list(mapping)
         if len(image) != pattern.t:
             raise ValueError("mapping must be total on the pattern vertices")
-    n, rows = _host_rows(host, color)
+    rows = rows_of(host, color)
+    n = len(rows)
     seen: dict[int, int] = {}
     for v, w in enumerate(image):
         if not 0 <= w < n:
@@ -137,10 +134,10 @@ def find_mono_subgraph_exact(host, pattern: Graph, color: Optional[str] = None) 
     or None if no copy exists.  Practical for patterns up to ~10 vertices
     against hosts up to ~60.
     """
-    n, rows = _host_rows(host, color)
-    if pattern.t > n:
+    rows = rows_of(host, color)
+    if pattern.t > len(rows):
         return None
-    image = _embed_backtrack(pattern, rows, n)
+    image = _embed_backtrack(pattern, rows, len(rows))
     if image is None:
         return None
     return Embedding(pattern, image)
@@ -162,8 +159,8 @@ def find_clique_exact(host, size: int, color: Optional[str] = None,
     ``within`` restricts the search to a vertex subset.  Returns the
     lexicographic-first clique as a sorted vertex list, or None.
     """
-    n, rows = _host_rows(host, color)
-    allowed = mask_of(within) if within is not None else (1 << n) - 1
+    rows = rows_of(host, color)
+    allowed = mask_of(within) if within is not None else (1 << len(rows)) - 1
     if size <= 0:
         return []
 
@@ -296,17 +293,8 @@ def lower_bound_certificate_random(pattern: Graph, n: int, tries: int, seed: int
     return None
 
 
-@dataclass(frozen=True)
-class BruteforceWitness:
-    X: tuple[int, ...]
-    Y: tuple[int, ...]
-    density: object  # Fraction
-    sigma: float
-    delta: float
-
-
 def check_bidense_bruteforce(host, sigma: float, delta: float,
-                             color: Optional[str] = None) -> Optional[BruteforceWitness]:
+                             color: Optional[str] = None) -> Optional[BiDensityWitness]:
     """All-sizes reference check of the bi-(sigma, delta)-density condition.
 
     Enumerates every disjoint pair of vertex sets with both sizes >=
@@ -315,7 +303,10 @@ def check_bidense_bruteforce(host, sigma: float, delta: float,
     """
     from fractions import Fraction
 
-    n, rows = _host_rows(host, color)
+    from .embedder import BiDensityWitness
+
+    rows = rows_of(host, color)
+    n = len(rows)
     if n > BIDENSE_BRUTE_MAX_N:
         raise OracleRefusal(f"brute-force bi-density check limited to n <= {BIDENSE_BRUTE_MAX_N}")
     s = max(1, math.ceil(sigma * n))
@@ -329,5 +320,5 @@ def check_bidense_bruteforce(host, sigma: float, delta: float,
                     e = sum((rows[y] & xmask).bit_count() for y in Y)
                     d = Fraction(e, kx * ky)
                     if d < delta:
-                        return BruteforceWitness(tuple(X), tuple(Y), d, sigma, delta)
+                        return BiDensityWitness(tuple(X), tuple(Y), d, sigma, delta)
     return None

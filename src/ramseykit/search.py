@@ -176,7 +176,7 @@ def common_neighborhood_pigeonhole(coloring: Coloring, S: Sequence[int], B: Sequ
         raise ValueError(f"l={l} exceeds |S|={len(S)}")
     if l < 0:
         raise ValueError("l must be nonnegative")
-    rows = [coloring.row(v, color) for v in range(coloring.n)]
+    rows = coloring.rows(color)
 
     def common(ts: Sequence[int]) -> list[int]:
         mask = mask_of(B)
@@ -224,32 +224,42 @@ def split_high_degree(g: Graph, degree_cap: float) -> SplitResult:
     return SplitResult(g.induced(kept), removed, kept)
 
 
-def _induced_coloring(coloring: Coloring, vertices: Sequence[int]) -> tuple[Coloring, list[int]]:
-    verts = sorted(vertices)
-    idx = {v: i for i, v in enumerate(verts)}
-    rows = [0] * len(verts)
-    for v, i in idx.items():
-        for u in bits_of(coloring.red_rows[v]):
-            if u in idx:
-                rows[i] |= 1 << idx[u]
-    return Coloring(len(verts), tuple(rows)), verts
-
-
 def _verify_clique(coloring: Coloring, vertices: Sequence[int], color: str) -> bool:
     vs = list(vertices)
     return all(coloring.color_of(u, v) == color
                for i, u in enumerate(vs) for v in vs[i + 1:])
 
 
-def _embed_into_clique(pattern: Graph, clique: Sequence[int]) -> Embedding:
-    return Embedding(pattern, tuple(sorted(clique)[: pattern.t]))
+def _clique_image(pattern: Graph, clique: Sequence[int]) -> list[int]:
+    """``pattern`` mapped onto the lowest pattern.t vertices of a clique."""
+    return sorted(clique)[: pattern.t]
 
 
-def _find_pattern_in_color(coloring: Coloring, pattern: Graph, color: str,
-                           within: Sequence[int], config: SearchConfig,
-                           events: list) -> Optional[Embedding]:
-    """Red-side attempt restricted to ``within``: exact at small scale, greedy above."""
-    sub, verts = _induced_coloring(coloring, within)
+def _reattach(kept: Sequence[int], core_image: Sequence[int], removed: Sequence[int],
+              pivots: Sequence[int]) -> list[int]:
+    """Image of a pattern whose core, the vertices ``kept`` in that order,
+    maps to ``core_image`` and whose ``removed`` vertices go to the pivots."""
+    image = [-1] * (len(kept) + len(removed))
+    for orig, w in zip(kept, core_image):
+        image[orig] = w
+    for orig, pv in zip(removed, pivots):
+        image[orig] = pv
+    return image
+
+
+def _found_mono(coloring: Coloring, pattern: Graph, image: Sequence[int], color: str,
+                events: list) -> SearchOutcome:
+    """The found_mono outcome mapping pattern vertex i to image[i], verified."""
+    out = SearchOutcome("found_mono", embedding=Embedding(pattern, tuple(image)),
+                        color=color, trace=tuple(events))
+    _assert_outcome_valid(coloring, pattern, out)
+    return out
+
+
+def _find_pattern_in_color(sub: Coloring, verts: Sequence[int], pattern: Graph, color: str,
+                           config: SearchConfig, events: list) -> Optional[Embedding]:
+    """Red-side attempt in ``sub``, the coloring induced on ``verts``: exact
+    at small scale, greedy above."""
     if pattern.t > sub.n:
         return None
     if sub.n <= config.base_n:
@@ -282,8 +292,6 @@ def find_red_H_or_blue_clique(coloring: Coloring, pattern: Graph, s: int,
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    if not pattern.isolated_free and pattern.m > 0:
-        pass  # isolated vertices are tolerated: they embed anywhere unused
     events: list[dict] = []
     universe = sorted(within) if within is not None else list(range(coloring.n))
 
@@ -302,7 +310,9 @@ def _rb_search(coloring: Coloring, pattern: Graph, s: int, config: SearchConfig,
         return SearchOutcome("exhausted", trace=tuple(events), reason="empty set")
 
     # (1) red pattern attempt.
-    emb = _find_pattern_in_color(coloring, pattern, RED, universe, config, events)
+    verts = sorted(universe)
+    sub = coloring.induced(verts)
+    emb = _find_pattern_in_color(sub, verts, pattern, RED, config, events)
     if emb is not None:
         return SearchOutcome("found_red_h", embedding=emb, color=RED, trace=tuple(events))
 
@@ -318,7 +328,6 @@ def _rb_search(coloring: Coloring, pattern: Graph, s: int, config: SearchConfig,
                              reason="exhaustive clique search empty")
 
     # (2) sparse red pair, then the blue-degree filter.
-    sub, verts = _induced_coloring(coloring, universe)
     witness = find_sparse_pair_heuristic(sub, config.sigma, config.rho, RED,
                                          tries=config.heuristic_tries,
                                          seed=config.seed + depth)
@@ -430,7 +439,6 @@ def find_mono_H(coloring: Coloring, pattern: Graph, config: SearchConfig) -> Sea
         seen.add(c)
         out = _mono_via_pivots(coloring, pattern, split, chase, c, config, events)
         if out is not None:
-            _assert_outcome_valid(coloring, pattern, out)
             return out
     return SearchOutcome("exhausted", trace=tuple(events),
                          reason="chase pivots insufficient in both colors")
@@ -455,8 +463,7 @@ def _mono_via_pivots(coloring: Coloring, pattern: Graph, split: SplitResult,
     pivots = chase.pivots_of(c)
     events.append({"event": "pivot_attempt", "color": c, "pivots": len(pivots)})
     if len(pivots) >= t:
-        emb = _embed_into_clique(pattern, pivots)
-        return SearchOutcome("found_mono", embedding=emb, color=c, trace=tuple(events))
+        return _found_mono(coloring, pattern, _clique_image(pattern, pivots), c, events)
     final = sorted(chase.final_set)
     if len(pivots) < len(split.removed) or len(final) < max(split.subgraph.t, 1):
         return None
@@ -464,17 +471,11 @@ def _mono_via_pivots(coloring: Coloring, pattern: Graph, split: SplitResult,
     sub_out = _rb_search(view, split.subgraph, t, config, final, 0, events)
     if sub_out.kind == "found_blue_clique":
         # K_t in the opposite color contains the whole pattern.
-        emb = _embed_into_clique(pattern, sub_out.clique)
-        return SearchOutcome("found_mono", embedding=emb, color=opposite(c),
-                             trace=tuple(events))
+        return _found_mono(coloring, pattern, _clique_image(pattern, sub_out.clique),
+                           opposite(c), events)
     if sub_out.kind == "found_red_h":
-        image = [-1] * t
-        for i, orig in enumerate(split.kept):
-            image[orig] = sub_out.embedding.image[i]
-        for orig, pv in zip(sorted(split.removed), pivots):
-            image[orig] = pv
-        emb = Embedding(pattern, tuple(image))
-        return SearchOutcome("found_mono", embedding=emb, color=c, trace=tuple(events))
+        image = _reattach(split.kept, sub_out.embedding.image, sorted(split.removed), pivots)
+        return _found_mono(coloring, pattern, image, c, events)
     return None
 
 
@@ -507,66 +508,37 @@ def find_random_graph_mono(coloring: Coloring, pattern: Graph,
     rho = config.rho
 
     stop_pivots = max(q, math.ceil(math.sqrt(t)), 1)
-    chase_red = neighborhood_chase(coloring, range(n), rho, stop_pivots, max(t - 1, 1))
-    events.append({"event": "chase_red", "string": chase_red.string,
-                   "final_size": len(chase_red.final_set)})
-    if chase_red.string.count(BLUE) >= t - 1 and chase_red.final_set:
-        clique = chase_red.pivots_of(BLUE) + [min(chase_red.final_set)]
-        emb = _embed_into_clique(pattern, clique)
-        out = SearchOutcome("found_mono", embedding=emb, color=BLUE, trace=tuple(events))
-        _assert_outcome_valid(coloring, pattern, out)
-        return out
-    red_pivots = chase_red.pivots_of(RED)
-    if len(red_pivots) >= t:
-        emb = _embed_into_clique(pattern, red_pivots)
-        out = SearchOutcome("found_mono", embedding=emb, color=RED, trace=tuple(events))
-        _assert_outcome_valid(coloring, pattern, out)
-        return out
-    if len(red_pivots) < stop_pivots or not chase_red.final_set:
-        return SearchOutcome("exhausted", trace=tuple(events),
-                             reason="red chase emptied before pivot quota")
-
-    swapped = coloring.swapped()
-    chase_blue = neighborhood_chase(swapped, sorted(chase_red.final_set), rho,
-                                    stop_pivots, max(t - 1, 1))
-    events.append({"event": "chase_blue", "string": chase_blue.string,
-                   "final_size": len(chase_blue.final_set)})
-    if chase_blue.string.count(BLUE) >= t - 1 and chase_blue.final_set:
-        clique = chase_blue.pivots_of(BLUE) + [min(chase_blue.final_set)]
-        emb = _embed_into_clique(pattern, clique)
-        out = SearchOutcome("found_mono", embedding=emb, color=RED, trace=tuple(events))
-        _assert_outcome_valid(coloring, pattern, out)
-        return out
-    blue_pivots = chase_blue.pivots_of(RED)  # red in the swapped view = blue here
-    if len(blue_pivots) >= t:
-        emb = _embed_into_clique(pattern, blue_pivots)
-        out = SearchOutcome("found_mono", embedding=emb, color=BLUE, trace=tuple(events))
-        _assert_outcome_valid(coloring, pattern, out)
-        return out
-    if len(blue_pivots) < stop_pivots or not chase_blue.final_set:
-        return SearchOutcome("exhausted", trace=tuple(events),
-                             reason="blue chase emptied before pivot quota")
+    anchors: dict[str, list[int]] = {}
+    survivors: Sequence[int] = range(n)
+    for c, name in ((RED, "red"), (BLUE, "blue")):
+        # chase in the view where ``c`` is red; its blue letters are the other colour
+        view = coloring if c == RED else coloring.swapped()
+        chase = neighborhood_chase(view, survivors, rho, stop_pivots, max(t - 1, 1))
+        events.append({"event": f"chase_{name}", "string": chase.string,
+                       "final_size": len(chase.final_set)})
+        if chase.string.count(BLUE) >= t - 1 and chase.final_set:
+            clique = chase.pivots_of(BLUE) + [min(chase.final_set)]
+            return _found_mono(coloring, pattern, _clique_image(pattern, clique),
+                               opposite(c), events)
+        anchors[c] = chase.pivots_of(RED)
+        if len(anchors[c]) >= t:
+            return _found_mono(coloring, pattern, _clique_image(pattern, anchors[c]), c, events)
+        if len(anchors[c]) < stop_pivots or not chase.final_set:
+            return SearchOutcome("exhausted", trace=tuple(events),
+                                 reason=f"{name} chase emptied before pivot quota")
+        survivors = sorted(chase.final_set)
 
     if core is None:
         return SearchOutcome("exhausted", trace=tuple(events),
                              reason="all vertices exceptional and no K_t pivot clique")
 
-    W = sorted(chase_blue.final_set)
-    found = _two_sided(coloring, W, core, core, config, 0, events)
+    found = _two_sided(coloring, survivors, core, core, config, 0, events)
     if found is None:
         return SearchOutcome("exhausted", trace=tuple(events),
                              reason="two-sided recursion exhausted")
     color, core_emb = found
-    anchors = red_pivots if color == RED else blue_pivots
-    image = [-1] * t
-    for i, orig in enumerate(kept):
-        image[orig] = core_emb.image[i]
-    for orig, pv in zip(exceptional, anchors):
-        image[orig] = pv
-    emb = Embedding(pattern, tuple(image))
-    out = SearchOutcome("found_mono", embedding=emb, color=color, trace=tuple(events))
-    _assert_outcome_valid(coloring, pattern, out)
-    return out
+    image = _reattach(kept, core_emb.image, exceptional, anchors[color])
+    return _found_mono(coloring, pattern, image, color, events)
 
 
 def _two_sided(coloring: Coloring, W: list[int], blue_target: Graph, red_target: Graph,
@@ -581,7 +553,8 @@ def _two_sided(coloring: Coloring, W: list[int], blue_target: Graph, red_target:
                    "blue_t": blue_target.t, "red_t": red_target.t})
     if depth > config.max_depth or len(W) < 1:
         return None
-    sub, verts = _induced_coloring(coloring, W)
+    verts = sorted(W)
+    sub = coloring.induced(verts)
 
     if sub.n <= config.base_n:
         for color, target in ((RED, red_target), (BLUE, blue_target)):

@@ -200,3 +200,20 @@ class TestEvaluateDispatch:
         assert in_range == pytest.approx(formula)
         out_of_range = bounds.bound_main_dense(64, Fraction(1, 2)).log2_bound
         assert out_of_range == pytest.approx(15 * math.sqrt(0.5) * 2 * 64)
+
+
+class TestDensityFlags:
+    CASES = [
+        (bounds.bound_main_dense, "rho_le_1_16", 16),
+        (bounds.bound_clique_maxdeg, "rho_le_1_16", 16),
+        (bounds.bound_clique_dense, "rho_le_1_50", 50),
+        (bounds.bound_random_graph, "rho_le_1_100", 100),
+    ]
+
+    @pytest.mark.parametrize("bound, flag, q", CASES, ids=lambda c: getattr(c, "__name__", c))
+    def test_flag_holds_at_the_boundary_and_fails_past_it(self, bound, flag, q):
+        # exact for a Fraction, in floats for a float
+        assert bound(64, Fraction(1, q)).preconditions[flag]
+        assert bound(64, 1 / q).preconditions[flag]
+        assert not bound(64, Fraction(1, q) + Fraction(1, 10 ** 9)).preconditions[flag]
+        assert not bound(64, 1 / q + 1e-12).preconditions[flag]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -201,7 +202,9 @@ class TestReproducibility:
         assert code1 == code2 == 0
         assert out1 == out2
         if argv[0] != "sweep" and "--grid" not in argv:
-            json.loads(out1)  # valid JSON envelope
+            payload = json.loads(out1)
+            assert set(payload) == {"schema", "manifest", "result"}
+            assert payload["schema"] == cli.SCHEMA
 
 
 class TestFailuresAreOneLine:
@@ -223,6 +226,8 @@ class TestFailuresAreOneLine:
         ["search", "--coloring", "mono:50000:B", "--pattern", "k3"],
         ["search", "--coloring", "mono:6:R", "--pattern", "e50000"],
         ["search", "--coloring", "BAD_COLORING_FILE", "--pattern", "k3"],
+        ["search", "--coloring", "mono:6:R", "--pattern", "NON_UTF8_GRAPH"],
+        ["search", "--coloring", "NON_UTF8_COLORING", "--pattern", "k3"],
     ]
 
     @pytest.fixture
@@ -231,9 +236,18 @@ class TestFailuresAreOneLine:
         path.write_text("n 3\n0 1 R\n0 x R\n1 2 B\n")  # line 3: endpoint "x"
         return str(path)
 
+    @pytest.fixture
+    def non_utf8(self, tmp_path):
+        graph = tmp_path / "latin1.graph"
+        graph.write_bytes(b"t 3 m 1\n0 \xff\n")  # line 2
+        coloring = tmp_path / "latin1.coloring"
+        coloring.write_bytes(b"n 3\n0 1 R\n0 2 \xffR\n1 2 B\n")  # line 3
+        return {"NON_UTF8_GRAPH": str(graph), "NON_UTF8_COLORING": str(coloring)}
+
     @pytest.mark.parametrize("argv", PROBES, ids=" ".join)
-    def test_exit_code_and_no_traceback(self, capsys, bad_coloring, argv):
-        argv = [bad_coloring if a == "BAD_COLORING_FILE" else a for a in argv]
+    def test_exit_code_and_no_traceback(self, capsys, bad_coloring, non_utf8, argv):
+        files = {"BAD_COLORING_FILE": bad_coloring, **non_utf8}
+        argv = [files.get(a, a) for a in argv]
         code = cli.run(argv)
         err = capsys.readouterr().err
         assert code in (1, 2)
@@ -244,6 +258,16 @@ class TestFailuresAreOneLine:
         assert cli.run(["search", "--coloring", bad_coloring, "--pattern", "k3"]) == 2
         err = capsys.readouterr().err
         assert err == f"input error: {bad_coloring}: line 3: non-integer endpoint\n"
+
+    @pytest.mark.parametrize("flag, name, line", [
+        ("--pattern", "NON_UTF8_GRAPH", 2),
+        ("--coloring", "NON_UTF8_COLORING", 3),
+    ])
+    def test_non_utf8_file_names_file_and_line(self, capsys, non_utf8, flag, name, line):
+        args = {"--coloring": "mono:6:R", "--pattern": "k3", flag: non_utf8[name]}
+        assert cli.run(["search", *(a for pair in args.items() for a in pair)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: {non_utf8[name]}: line {line}: not valid UTF-8\n"
 
 
 class TestInputFiles:
@@ -274,3 +298,22 @@ class TestInputFiles:
         payload = json.loads(out)
         assert payload["result"]["outcome"] == "found_mono"
         assert payload["manifest"]["input_hashes"] == {}  # nothing was read
+
+
+class TestReadmeExamples:
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def cli_block(self) -> list[str]:
+        """The ``ramseykit`` lines of the README's CLI code block."""
+        section = self.README.read_text().split("\n## CLI\n", 1)[1]
+        block = section.split("```\n", 2)[1]
+        return [line for line in block.splitlines() if line.startswith("ramseykit ")]
+
+    def test_every_cli_example_runs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # examples write and read g.graph
+        monkeypatch.delenv("RAMSEYKIT_WORKERS", raising=False)
+        lines = self.cli_block()
+        assert len(lines) >= 10
+        for line in lines:
+            code = cli.run(shlex.split(line)[1:])
+            assert (code, capsys.readouterr().err) == (0, ""), line

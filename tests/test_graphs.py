@@ -195,6 +195,34 @@ class TestColoring:
         c = Coloring.from_red_graph(Graph.from_edges(5, [(0, 2), (1, 4)]))
         assert c.class_graph(RED).m + c.class_graph(BLUE).m == 10
 
+    def test_unknown_color_refused(self):
+        c = Coloring.monochromatic(3, RED)
+        with pytest.raises(ValueError, match="unknown color 'X'"):
+            c.row(0, "X")
+
+    def test_blue_rows_built_once(self):
+        c = Coloring.from_red_graph(Graph.from_edges(4, [(0, 1), (1, 3)]))
+        assert c.rows(BLUE) is c.rows(BLUE)
+        assert c.rows(BLUE) == c.swapped().red_rows
+
+    @given(st.composite(random_graph)(max_t=40), st.randoms(use_true_random=False))
+    def test_induced_matches_reference(self, g, rnd):
+        vertices = rnd.sample(range(g.t), rnd.randint(0, g.t))
+        expect = induced_reference(g.rows, vertices)
+        assert g.induced(vertices).rows == expect
+        assert Coloring.from_red_graph(g).induced(vertices).red_rows == expect
+
+
+def induced_reference(rows, vertices):
+    """Per-edge relabelling: the induced rows, vertices[i] becoming i."""
+    idx = {v: i for i, v in enumerate(vertices)}
+    out = [0] * len(vertices)
+    for v, i in idx.items():
+        for u in graphs.bits_of(rows[v]):
+            if u in idx:
+                out[i] |= 1 << idx[u]
+    return tuple(out)
+
 
 class TestBoundedWitness:
     def test_valid(self):
