@@ -1,6 +1,6 @@
-"""Time the graph layer of two checkouts side by side and write a BENCH json.
+"""Time two checkouts side by side and write a BENCH json.
 
-    python3 scripts/bench_graph_layer.py --before OLD --after NEW --out BENCH_3.json
+    python3 scripts/bench.py --before OLD --after NEW --out BENCH_5.json
 
 OLD and NEW are checkouts of this repository (each one's ``src`` is put on
 PYTHONPATH; the tier-1 suite and perfbench run inside it).  Every measurement
@@ -14,6 +14,11 @@ runs of 20,000 calls).  Rows:
   2048, 4096, ``serialize_graph`` at t = 2048, ``parse_graph`` at t = 1024,
   2048, 4096 (G(t, 0.2) each), ``Coloring.swapped()`` at n = 400, and
   ``Graph`` construction at t = 5 and 9;
+* ``ramsey_number_exact`` on each ``exact_oracle`` anchor of
+  ``perfbench/workloads.py``, on R(3,4) at n_max = 10 and on R(3,5) at
+  n_max = guard = 14, one call per fresh process.  A call that runs past
+  ``ORACLE_TIMEOUT_S`` is stopped; that side records null and the timeout,
+  and is not run again for the row;
 * the tier-1 suite's wall time;
 * each perfbench workload's end-to-end metrics (``--seconds 30``), as the
   median over the seeds in ``WORKLOAD_SEEDS`` (90417 is the held-out one).
@@ -32,6 +37,7 @@ import sys
 import time
 import timeit
 from pathlib import Path
+from typing import Optional
 
 WORKLOADS = ("dense_sampling", "search_sweep", "exact_oracle")
 WORKLOAD_METRICS = ("ops_per_s", "op_p50_s", "op_tail_s", "found_frac", "ok_frac",
@@ -39,8 +45,20 @@ WORKLOAD_METRICS = ("ops_per_s", "op_p50_s", "op_tail_s", "found_frac", "ok_frac
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 PRIMITIVE_ROUNDS = 3
+ORACLE_ROUNDS = 3
+ORACLE_TIMEOUT_S = 150
 TIER1_ROUNDS = 1
 WORKLOAD_SEEDS = (1, 90417, 3)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def oracle_cases() -> list[tuple[str, str, int, int]]:
+    """(h1, h2, n_max, guard) of each ``ramsey_number_exact`` row."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import RAMSEY_ANCHORS
+
+    cases = [(h1, h2, nmax, 10) for h1, h2, nmax, _ in RAMSEY_ANCHORS]
+    return cases + [("k3", "k4", 10, 10), ("k3", "k5", 14, 14)]
 
 
 def _median_time(fn, repeats: int) -> float:
@@ -76,6 +94,17 @@ def primitives() -> dict:
     return out
 
 
+def oracle_call(h1: str, h2: str, n_max: int, guard: int) -> dict:
+    """Seconds of one ``ramsey_number_exact`` call, in this process, and its result."""
+    from ramseykit.oracle import ramsey_number_exact
+    from ramseykit.patterns import load_pattern
+
+    g1, g2 = load_pattern(h1), load_pattern(h2)
+    start = time.perf_counter()
+    cert = ramsey_number_exact(g1, g2, n_max, guard=guard)
+    return {"s": time.perf_counter() - start, "result": f"{cert.kind} {cert.n}"}
+
+
 def _in_checkout(root: Path, cmd: list[str], timeout: float) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "RAMSEYKIT_WORKERS"}
     env["PYTHONPATH"] = str(root / "src")
@@ -84,11 +113,14 @@ def _in_checkout(root: Path, cmd: list[str], timeout: float) -> subprocess.Compl
 
 
 def _alternate(roots: dict, rounds: int, measure, first: int = 0) -> dict:
-    """{label: [one value per round]}, the first label switching every round."""
+    """{label: [one value per round]}, the first label switching every round.
+    A label whose measurement returns None (a timeout) is not measured again."""
     labels = list(roots)
     got = {label: [] for label in labels}
     for r in range(first, first + rounds):
         for label in labels[r % 2:] + labels[:r % 2]:
+            if None in got[label]:
+                continue
             got[label].append(measure(roots[label]))
             print(f"  {label}: {got[label][-1]}", file=sys.stderr, flush=True)
     return got
@@ -97,6 +129,15 @@ def _alternate(roots: dict, rounds: int, measure, first: int = 0) -> dict:
 def _measure_primitives(root: Path) -> dict:
     proc = _in_checkout(root, [sys.executable, str(Path(__file__).resolve()),
                                "--primitives"], 900)
+    return json.loads(proc.stdout)
+
+
+def _measure_oracle(root: Path, case: tuple) -> Optional[dict]:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--oracle-call", *map(str, case)]
+    try:
+        proc = _in_checkout(root, cmd, ORACLE_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
     return json.loads(proc.stdout)
 
 
@@ -128,9 +169,14 @@ def main(argv=None) -> int:
     p.add_argument("--after", type=Path, help="checkout measured as 'after'")
     p.add_argument("--out", type=Path, help="BENCH json to write")
     p.add_argument("--primitives", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--oracle-call", nargs=4, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.primitives:
         print(json.dumps(primitives()))
+        return 0
+    if args.oracle_call:
+        h1, h2, n_max, guard = args.oracle_call
+        print(json.dumps(oracle_call(h1, h2, int(n_max), int(guard))))
         return 0
     if not (args.before and args.after and args.out):
         p.error("--before, --after and --out are required")
@@ -141,6 +187,21 @@ def main(argv=None) -> int:
     runs = _alternate(roots, PRIMITIVE_ROUNDS, _measure_primitives)
     for name in runs["before"][0]:
         rows.append(_row(name, "s", {label: [r[name] for r in v] for label, v in runs.items()}))
+
+    for case in oracle_cases():
+        h1, h2, n_max, guard = case
+        print(f"oracle {case}", file=sys.stderr)
+        runs = _alternate(roots, ORACLE_ROUNDS, lambda root: _measure_oracle(root, case))
+        row = {"name": f"ramsey_number_exact({h1}, {h2}, n_max={n_max}, guard={guard})",
+               "unit": "s"}
+        for label, values in runs.items():
+            done = [v for v in values if v is not None]
+            row[label] = statistics.median(v["s"] for v in done) if len(done) == len(values) \
+                else None
+            row[f"{label}_result"] = done[0]["result"] if done else None
+        if any(row[label] is None for label in runs):
+            row["timeout_s"] = ORACLE_TIMEOUT_S
+        rows.append(row)
 
     print("tier-1", file=sys.stderr)
     runs = _alternate(roots, TIER1_ROUNDS, _measure_tier1)
@@ -171,7 +232,8 @@ def main(argv=None) -> int:
         "env": {"python": platform.python_version(), "numpy": numpy.__version__,
                 "nproc": os.cpu_count(), "machine": platform.machine()},
         "method": __doc__.split("\n\n", 1)[1].strip(),
-        "rounds": {"primitives": PRIMITIVE_ROUNDS, "tier1": TIER1_ROUNDS,
+        "rounds": {"primitives": PRIMITIVE_ROUNDS, "oracle": ORACLE_ROUNDS,
+                   "tier1": TIER1_ROUNDS,
                    "workload_seeds": list(WORKLOAD_SEEDS)},
         "rows": rows,
     }

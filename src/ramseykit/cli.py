@@ -338,6 +338,8 @@ def _cmd_oracle(args) -> int:
         if cert.witness is not None:
             result["witness_at"] = cert.witness_n
             result["witness"] = serialize_coloring(cert.witness, compact=True).strip()
+        if cert.classes is not None:
+            result["classes"] = list(cert.classes)
         return _emit_result(args, hashes, result)
     if args.oracle_op == "certify-lower":
         pattern, ph = _load_graph_arg(args.pattern)

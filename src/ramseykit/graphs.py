@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -36,6 +36,7 @@ class GraphFormatError(ValueError):
     """Malformed graph/coloring text; carries the offending line number."""
 
     def __init__(self, message: str, line: Optional[int] = None):
+        self.detail = message
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -362,6 +363,31 @@ def decode_text(data: bytes) -> str:
         raise GraphFormatError("not valid UTF-8", data.count(b"\n", 0, e.start) + 1) from None
 
 
+def _leading_breaks(text: str) -> int:
+    """Line breaks before the first non-blank character of ``text`` (0 when
+    there is none), counted as ``str.splitlines`` counts them."""
+    lead = len(text) - len(text.lstrip())
+    if lead == len(text):
+        return 0
+    return len((text[:lead] + "x").splitlines()) - 1
+
+
+def _physical_lines(parse):
+    """Number a parser's error lines from the start of the text, as
+    ``decode_text`` does, not from the first non-blank line it strips to."""
+    @wraps(parse)
+    def numbered(text: str):
+        try:
+            return parse(text)
+        except GraphFormatError as e:
+            skipped = _leading_breaks(text)
+            if not skipped or e.line is None:
+                raise
+            raise GraphFormatError(e.detail, e.line + skipped) from None
+    return numbered
+
+
+@_physical_lines
 def parse_graph(text: str) -> Graph:
     """The graph a text describes, or the GraphFormatError of its first bad
     line.  Edge lines are read by a numpy pass over the text's bytes, about
@@ -530,6 +556,7 @@ def pair_order(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
+@_physical_lines
 def parse_coloring(text: str) -> Coloring:
     lines = [ln.strip() for ln in text.strip().splitlines()]
     if not lines:

@@ -1,10 +1,23 @@
 """Ground truth at desk scale.
 
 Exact monochromatic-subgraph search (backtracking over bitset candidate
-sets), exact Ramsey numbers for tiny instances (DFS over edge colorings
-with containment pruning), embedding verification, and randomized
-lower-bound certificates.  Everything here is complete within its guards;
-guards produce explicit refusals, never silent partial answers.
+sets), exact Ramsey numbers for tiny instances, embedding verification,
+and randomized lower-bound certificates.  Everything here is complete
+within its guards; guards produce explicit refusals, never silent partial
+answers.
+
+Exact Ramsey numbers come from vertex extension with isomorph rejection
+(McKay & Radziszowski, "R(4,5)=25", J. Graph Theory 1995; McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998).  A coloring of
+K_n is good when it has no blue pattern1 and no red pattern2.  Goodness is
+hereditary: deleting a vertex of a good K_n leaves a good K_{n-1}.  So
+every good K_n is a good K_{n-1} plus one vertex with some red
+neighbourhood, and a depth-first search that extends one coloring per
+isomorphism class at each level meets every good coloring up to
+isomorphism.  A child can only gain forbidden copies through its new
+vertex, so only those are checked.  Isomorphism classes are told apart by a
+canonical form (equitable refinement plus individualisation, in pure
+Python), which the graphs here, at most about 14 vertices, keep cheap.
 """
 
 from __future__ import annotations
@@ -143,15 +156,6 @@ def find_mono_subgraph_exact(host, pattern: Graph, color: Optional[str] = None) 
     return Embedding(pattern, image)
 
 
-def _contains_with_pair(pattern: Graph, rows: Sequence[int], n: int, u: int, v: int) -> bool:
-    """Does the host contain the pattern using host edge {u,v}?"""
-    for x, y in pattern.edges():
-        for a, b in ((u, v), (v, u)):
-            if _embed_backtrack(pattern, rows, n, {x: a, y: b}) is not None:
-                return True
-    return False
-
-
 def find_clique_exact(host, size: int, color: Optional[str] = None,
                       within: Optional[Sequence[int]] = None) -> Optional[list[int]]:
     """Complete branch-and-bound search for a clique of the given size.
@@ -178,13 +182,153 @@ def find_clique_exact(host, size: int, color: Optional[str] = None,
     return extend([], allowed)
 
 
+def _refine(rows: Sequence[int], cells: list[tuple[int, ...]], queue: list[int]) -> None:
+    """Refine the ordered partition ``cells`` in place until it is equitable.
+
+    Each mask in ``queue`` is used once as a splitter: every cell whose
+    vertices have different numbers of neighbours in it is replaced, where
+    it stands, by its parts in increasing order of that number, and the
+    parts join the queue.  Each final cell was queued when it was made, so
+    the result is equitable.  Every step depends on cells as sets and on
+    their positions only, so relabelling the graph relabels the result.
+    """
+    head = 0
+    n = len(rows)
+    while head < len(queue) and len(cells) < n:
+        splitter = queue[head]
+        head += 1
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            if len(cell) > 1:
+                counts = [(rows[v] & splitter).bit_count() for v in cell]
+                if min(counts) != max(counts):
+                    parts: dict[int, list[int]] = {}
+                    for v, c in zip(cell, counts):
+                        parts.setdefault(c, []).append(v)
+                    split = [tuple(parts[c]) for c in sorted(parts)]
+                    cells[i:i + 1] = split
+                    queue.extend(mask_of(part) for part in split)
+                    i += len(split)
+                    continue
+            i += 1
+
+
+def canonical_rows(rows: Sequence[int],
+                   cells: Optional[list[tuple[int, ...]]] = None) -> tuple[int, ...]:
+    """Canonical form of the graph with bit rows ``rows``.
+
+    Two graphs get the same form iff they are isomorphic (by a bijection
+    that maps each cell of ``cells``, an ordered partition of the
+    vertices, onto the cell at the same position of the other's; by
+    default one cell).  The form is the smallest row tuple over the leaves
+    of the search tree of equitable refinement plus individualisation: a
+    node individualises each vertex of its first smallest non-singleton
+    cell in turn, and a leaf's partition is discrete and numbers the
+    vertices by position.  Automorphisms found at leaves that equal the
+    best one prune the tree: a vertex in the orbit of one already tried,
+    under automorphisms that fix the node's individualised vertices, has an
+    equivalent subtree.
+    """
+    n = len(rows)
+    if n == 0:
+        return ()
+    if cells is None:
+        cells = [tuple(range(n))]
+    best: Optional[tuple[int, ...]] = None  # the smallest relabelled rows so far
+    best_path: tuple[int, ...] = ()  # the individualised vertices of their leaf
+    best_cells: list[tuple[int, ...]] = []  # and its discrete partition
+    autos: list[list[int]] = []  # automorphisms, as vertex images
+
+    def leaf(cells) -> tuple[int, ...]:
+        pos = [0] * n
+        for i, (v,) in enumerate(cells):
+            pos[v] = i
+        return tuple(sum(1 << pos[u] for u in bits_of(rows[v])) for (v,) in cells)
+
+    def visit(cells, queue, path) -> Optional[int]:
+        """Search below a node; the level to jump back to, if any."""
+        nonlocal best, best_path, best_cells
+        _refine(rows, cells, queue)
+        level = len(path)
+        if len(cells) == n:
+            form = leaf(cells)
+            if best is None or form < best:
+                best, best_path, best_cells = form, path, cells
+                return None
+            if form != best:
+                return None
+            # The automorphism maps the best leaf's path onto this one's, so
+            # it fixes their common prefix: the branch where they part is
+            # equivalent to one already searched.
+            gamma = [0] * n
+            for (v,), (w,) in zip(best_cells, cells):
+                gamma[v] = w
+            autos.append(gamma)
+            return next(k for k in range(level) if path[k] != best_path[k])
+        size = min(len(c) for c in cells if len(c) > 1)
+        target = next(i for i, c in enumerate(cells) if len(c) == size)
+        cell = cells[target]
+        tried: list[int] = []
+        for w in cell:
+            if tried and _same_orbit(w, tried, autos, path, n):
+                continue
+            tried.append(w)
+            rest = tuple(v for v in cell if v != w)
+            child = cells[:target] + [(w,), rest] + cells[target + 1:]
+            jump = visit(child, [1 << w], path + (w,))
+            if jump is not None and jump < level:
+                return jump
+        return None
+
+    visit(list(cells), [mask_of(c) for c in cells], ())
+    return best
+
+
+def _same_orbit(w: int, tried: list[int], autos: list[list[int]],
+                fixed: tuple[int, ...], n: int) -> bool:
+    """Is ``w`` in the orbit of a tried vertex under the automorphisms that
+    fix every vertex of ``fixed``?"""
+    parent = list(range(n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for gamma in autos:
+        if all(gamma[v] == v for v in fixed):
+            for v in range(n):
+                a, b = root(v), root(gamma[v])
+                if a != b:
+                    parent[a] = b
+    r = root(w)
+    return any(root(v) == r for v in tried)
+
+
+def _orbit_representatives(pattern: Graph) -> list[int]:
+    """One vertex of each orbit of the pattern's automorphism group: x and y
+    share an orbit iff individualising either gives the same canonical form."""
+    reps, forms = [], set()
+    for x in range(pattern.t):
+        rest = tuple(v for v in range(pattern.t) if v != x)
+        form = canonical_rows(pattern.rows, [(x,), rest] if rest else [(x,)])
+        if form not in forms:
+            forms.add(form)
+            reps.append(x)
+    return reps
+
+
 @dataclass(frozen=True)
 class RamseyCertificate:
     """Outcome of an exact off-diagonal Ramsey computation.
 
     kind "upper": every coloring of K_n contains blue pattern1 or red
     pattern2 (n is the exact Ramsey number when a lower witness at n-1 is
-    attached).  kind "lower": a verified witness coloring at n avoids both.
+    attached), and ``classes[k-1]`` is the number of colorings of K_k, up
+    to isomorphism, that contain neither, for each k < n.  kind "lower": a
+    verified witness coloring at n avoids both.
     """
 
     kind: str
@@ -193,6 +337,7 @@ class RamseyCertificate:
     pattern2: Graph
     witness: Optional[Coloring] = None
     witness_n: Optional[int] = None
+    classes: Optional[tuple[int, ...]] = None
 
     def verify(self) -> bool:
         if self.witness is None:
@@ -202,78 +347,78 @@ class RamseyCertificate:
         return no_blue and no_red
 
 
-def _colex_edges(n: int) -> list[tuple[int, int]]:
-    # Edges grouped by their larger endpoint: all of K_k is decided before
-    # vertex k's edges start, which lets containment pruning bite early.
-    return [(u, v) for v in range(1, n) for u in range(v)]
-
-
-def _avoiding_coloring(pattern1: Graph, pattern2: Graph, n: int,
-                       fix_first_red: bool) -> Optional[Coloring]:
-    """DFS for a coloring of K_n with no blue pattern1 and no red pattern2."""
-    edges = _colex_edges(n)
-    red = [0] * n
-    blue = [0] * n
-
-    def assign(rows, u, v):
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-
-    def unassign(rows, u, v):
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-
-    def dfs(i: int) -> bool:
-        if i == len(edges):
-            return True
-        u, v = edges[i]
-        choices = (RED,) if (i == 0 and fix_first_red) else (RED, BLUE)
-        for c in choices:
-            rows = red if c == RED else blue
-            pat = pattern2 if c == RED else pattern1
-            assign(rows, u, v)
-            # Only the freshly colored edge can create a new forbidden copy.
-            bad = pat.t <= n and pat.m > 0 and _contains_with_pair(pat, rows, n, u, v)
-            if not bad:
-                if dfs(i + 1):
-                    return True
-            unassign(rows, u, v)
-        return False
-
-    # Edgeless forbidden patterns that fit are unavoidable outright.
-    if (pattern1.m == 0 and pattern1.t <= n) or (pattern2.m == 0 and pattern2.t <= n):
-        return None
-    if dfs(0):
-        return Coloring(n, tuple(red))
-    return None
-
-
 def ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int = 8,
                         guard: int = DEFAULT_NMAX_GUARD) -> RamseyCertificate:
     """Smallest n <= n_max forcing a blue pattern1 or red pattern2.
 
-    Returns an "upper" certificate with the exact value and the avoiding
-    witness at n-1, or a "lower" certificate at n_max when the value
-    exceeds the searched range.
+    Returns an "upper" certificate with the exact value, the avoiding
+    witness at n-1 and the class counts below n, or a "lower" certificate
+    at n_max when the value exceeds the searched range.
+
+    The search runs depth first over good colorings -- no blue pattern1,
+    no red pattern2 -- each stored as the canonical form of its red rows.
+    A child of a good K_k adds vertex k with one red neighbourhood S of
+    0..k-1; it is good iff no forbidden copy passes through vertex k, since
+    its K_k is good, and it is expanded only if its form is new at level
+    k+1.  Every good K_{k+1} restricts to a good K_k, and every isomorphism
+    class at level k is expanded, so an exhausted search has met every
+    class at every level: n is one more than the deepest level reached.
     """
     if n_max > guard:
         raise OracleRefusal(
             f"n_max={n_max} exceeds the feasibility guard {guard}; "
             "raise `guard` explicitly to override"
         )
-    # Fixing the first edge Red halves the space; sound only when a color
-    # swap maps the avoidance problem to itself, i.e. identical patterns.
-    symmetric = pattern1.t == pattern2.t and pattern1.rows == pattern2.rows
-    last_witness: Optional[Coloring] = None
-    last_n = None
-    for n in range(1, n_max + 1):
-        witness = _avoiding_coloring(pattern1, pattern2, n, fix_first_red=symmetric and n >= 2)
-        if witness is None:
-            return RamseyCertificate("upper", n, pattern1, pattern2,
-                                     witness=last_witness, witness_n=last_n)
-        last_witness, last_n = witness, n
-    return RamseyCertificate("lower", n_max, pattern1, pattern2,
-                             witness=last_witness, witness_n=last_n)
+    # An edgeless forbidden pattern is in every coloring with enough vertices.
+    fits = min((p.t for p in (pattern1, pattern2) if p.m == 0), default=n_max + 1)
+    reps1, reps2 = _orbit_representatives(pattern1), _orbit_representatives(pattern2)
+    seen: list[set[tuple[int, ...]]] = [set() for _ in range(max(n_max, 0) + 1)]
+    first: list[tuple[int, ...]] = [()]  # the first good coloring met at each level
+
+    def good(red: list[int], k: int) -> bool:
+        """Does the coloring of K_k with red rows ``red`` avoid every
+        forbidden copy through vertex k-1?"""
+        full = (1 << k) - 1
+        blue = [full & ~r & ~(1 << v) for v, r in enumerate(red)]
+        for pattern, reps, rows in ((pattern2, reps2, red), (pattern1, reps1, blue)):
+            if pattern.t <= k and any(_embed_backtrack(pattern, rows, k, {x: k - 1})
+                                      is not None for x in reps):
+                return False
+        return True
+
+    def extend(rows: tuple[int, ...]) -> bool:
+        """Search below a good coloring; True once level n_max is reached."""
+        k = len(rows)
+        if k >= n_max:
+            return True
+        if k + 1 >= fits:
+            return False
+        bit = 1 << k
+        for s in range(1 << k):
+            red = [r | bit if s >> v & 1 else r for v, r in enumerate(rows)]
+            red.append(s)
+            if not good(red, k + 1):
+                continue
+            form = canonical_rows(red)
+            if form in seen[k + 1]:
+                continue
+            seen[k + 1].add(form)
+            if len(first) == k + 1:
+                first.append(form)
+            if extend(form):
+                return True
+        return False
+
+    reached = extend(())
+    deepest = len(first) - 1
+    witness = Coloring(deepest, first[deepest]) if deepest else None
+    witness_n = deepest or None
+    if reached:
+        return RamseyCertificate("lower", n_max, pattern1, pattern2,
+                                 witness=witness, witness_n=witness_n)
+    return RamseyCertificate("upper", deepest + 1, pattern1, pattern2,
+                             witness=witness, witness_n=witness_n,
+                             classes=tuple(len(level) for level in seen[1:deepest + 1]))
 
 
 def lower_bound_certificate_random(pattern: Graph, n: int, tries: int, seed: int,

@@ -528,10 +528,8 @@ def find_random_graph_mono(coloring: Coloring, pattern: Graph,
                                  reason=f"{name} chase emptied before pivot quota")
         survivors = sorted(chase.final_set)
 
-    if core is None:
-        return SearchOutcome("exhausted", trace=tuple(events),
-                             reason="all vertices exceptional and no K_t pivot clique")
-
+    # core is not None: with every vertex exceptional, q = t pivots are the
+    # quota, so the red chase has already returned.
     found = _two_sided(coloring, survivors, core, core, config, 0, events)
     if found is None:
         return SearchOutcome("exhausted", trace=tuple(events),

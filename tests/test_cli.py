@@ -72,6 +72,15 @@ class TestOracle:
         assert result["verified"]
         witness = parse_coloring(result["witness"])
         assert witness.n == 5
+        assert result["classes"] == [1, 2, 2, 3, 1]  # good colorings of K_1..K_5
+
+    def test_lower_certificate_has_no_classes(self, capsys):
+        code, out = run_capture(capsys, ["oracle", "ramsey", "--h1", "k3",
+                                         "--h2", "k3", "--nmax", "4"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert (result["kind"], result["n"], result["witness_at"]) == ("lower", 4, 4)
+        assert "classes" not in result
 
     def test_find(self, capsys):
         code, out = run_capture(capsys, ["oracle", "find",

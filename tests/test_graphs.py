@@ -16,6 +16,7 @@ from ramseykit.graphs import (
     Graph,
     GraphFormatError,
     bit_matrix,
+    decode_text,
     density_pair,
     graph_stats,
     pack_rows,
@@ -131,6 +132,17 @@ class TestSerialization:
         with pytest.raises(GraphFormatError) as e:
             parse_graph("t 2 m 1\n0 0")
         assert "line 2" in str(e.value)
+
+    def test_error_lines_count_leading_blank_lines(self):
+        # numbered as decode_text numbers them, from the first line of the text
+        for parse, text in ((parse_graph, "\n\nt 3 m 1\n0 x\n"),
+                            (parse_coloring, "\n \nn 2\n0 1 X\n")):
+            with pytest.raises(GraphFormatError) as e:
+                parse(text)
+            assert e.value.line == 4
+        with pytest.raises(GraphFormatError) as e:
+            decode_text(b"\n\nt 3 m 1\n0 \xff\n")
+        assert e.value.line == 4
 
     def test_duplicate_edge_error(self):
         with pytest.raises(GraphFormatError):
@@ -267,23 +279,25 @@ def ref_validate(t, rows):
 
 
 def ref_parse_graph(text):
-    """(t, rows) of a graph text, or the GraphFormatError it raises."""
+    """(t, rows) of a graph text, or the GraphFormatError it raises.  Lines
+    are numbered from the start of the text, leading blank lines included."""
     lines = [ln.strip() for ln in text.strip().splitlines()]
     if not lines:
         raise GraphFormatError("empty input", 1)
+    first = next(i for i, ln in enumerate(text.splitlines(), 1) if ln.strip())  # the header's
     head = lines[0].split()
     if len(head) != 4 or head[0] != "t" or head[2] != "m":
-        raise GraphFormatError("expected header 't <t> m <m>'", 1)
+        raise GraphFormatError("expected header 't <t> m <m>'", first)
     try:
         t, m = int(head[1]), int(head[3])
     except ValueError:
-        raise GraphFormatError("non-integer header fields", 1) from None
+        raise GraphFormatError("non-integer header fields", first) from None
     if t < 1 or m < 0:
-        raise GraphFormatError("t must be >= 1 and m >= 0", 1)
+        raise GraphFormatError("t must be >= 1 and m >= 0", first)
     if len(lines) - 1 != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}", 1)
+        raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}", first)
     rows = [0] * t
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in enumerate(lines[1:], start=first + 1):
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError("expected '<u> <v>'", i)
@@ -408,7 +422,8 @@ def graph_texts(draw):
             u, v = draw(st.sampled_from(pairs))
             edges[i] = mutate_line(draw, edges[i], u, v)
     newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
-    return newline.join([f"t {g.t} m {len(edges)}"] + edges) + newline
+    lead = draw(st.sampled_from(["", "", "", newline * 2, " \t" + newline + "  "]))
+    return lead + newline.join([f"t {g.t} m {len(edges)}"] + edges) + newline
 
 
 class TestBitMatrixDifferential:

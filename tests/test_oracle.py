@@ -1,11 +1,26 @@
 import itertools
+import random
+import time
+from typing import Optional
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
+from networkx.generators.atlas import graph_atlas_g
 
 from ramseykit import oracle
 from ramseykit.graphs import BLUE, RED, Coloring, Graph
+from ramseykit.oracle import _embed_backtrack
 from ramseykit.patterns import named_graph
+
+# Exact values from Radziszowski, "Small Ramsey Numbers", EJC Dynamic Survey DS1.
+R_K3_K3 = 6
+R_C4_C4 = 6
+R_C4_K3 = 7
+R_C5_C5 = 9
+R_K3_K4 = 9
+# Colorings of K_n with no blue K3 and no red K4, up to isomorphism, n = 1..8.
+K3_K4_CLASSES = (1, 2, 3, 6, 9, 15, 9, 3)
 
 
 def pentagon_coloring() -> Coloring:
@@ -128,6 +143,201 @@ class TestRamseyExact:
     def test_guard_refusal(self):
         with pytest.raises(oracle.OracleRefusal):
             oracle.ramsey_number_exact(Graph.complete(3), Graph.complete(3), n_max=40)
+
+
+# The edge-by-edge search the oracle used before vertex extension, kept as a
+# differential reference for small n.
+
+def _contains_with_pair(pattern: Graph, rows, n: int, u: int, v: int) -> bool:
+    """Does the host contain the pattern using host edge {u,v}?"""
+    for x, y in pattern.edges():
+        for a, b in ((u, v), (v, u)):
+            if _embed_backtrack(pattern, rows, n, {x: a, y: b}) is not None:
+                return True
+    return False
+
+
+def _colex_edges(n: int) -> list[tuple[int, int]]:
+    # Edges grouped by their larger endpoint: all of K_k is decided before
+    # vertex k's edges start, which lets containment pruning bite early.
+    return [(u, v) for v in range(1, n) for u in range(v)]
+
+
+def _avoiding_coloring(pattern1: Graph, pattern2: Graph, n: int,
+                       fix_first_red: bool) -> Optional[Coloring]:
+    """DFS for a coloring of K_n with no blue pattern1 and no red pattern2."""
+    edges = _colex_edges(n)
+    red = [0] * n
+    blue = [0] * n
+
+    def assign(rows, u, v):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+
+    def unassign(rows, u, v):
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+
+    def dfs(i: int) -> bool:
+        if i == len(edges):
+            return True
+        u, v = edges[i]
+        choices = (RED,) if (i == 0 and fix_first_red) else (RED, BLUE)
+        for c in choices:
+            rows = red if c == RED else blue
+            pat = pattern2 if c == RED else pattern1
+            assign(rows, u, v)
+            # Only the freshly colored edge can create a new forbidden copy.
+            bad = pat.t <= n and pat.m > 0 and _contains_with_pair(pat, rows, n, u, v)
+            if not bad:
+                if dfs(i + 1):
+                    return True
+            unassign(rows, u, v)
+        return False
+
+    # Edgeless forbidden patterns that fit are unavoidable outright.
+    if (pattern1.m == 0 and pattern1.t <= n) or (pattern2.m == 0 and pattern2.t <= n):
+        return None
+    if dfs(0):
+        return Coloring(n, tuple(red))
+    return None
+
+
+def ref_ramsey_number(pattern1: Graph, pattern2: Graph, n_max: int) -> tuple[str, int]:
+    """(kind, n) of the edge-by-edge search."""
+    symmetric = pattern1.t == pattern2.t and pattern1.rows == pattern2.rows
+    for n in range(1, n_max + 1):
+        if _avoiding_coloring(pattern1, pattern2, n, fix_first_red=symmetric and n >= 2) is None:
+            return "upper", n
+    return "lower", n_max
+
+
+def _small_patterns() -> list[Graph]:
+    """Every isolated-free graph on at most 4 vertices, up to isomorphism,
+    then K1, two isolated vertices and K2 plus an isolated vertex."""
+    found = [Graph.from_edges(G.number_of_nodes(), list(G.edges()))
+             for G in graph_atlas_g()
+             if 2 <= G.number_of_nodes() <= 4 and G.number_of_edges()
+             and min(d for _, d in G.degree()) >= 1]
+    return found + [named_graph("k", 1), named_graph("e", 2), Graph.from_edges(3, [(0, 1)])]
+
+
+def _networkx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.t))
+    h.add_edges_from(g.edges())
+    return h
+
+
+@st.composite
+def small_graphs(draw, max_t: int = 9):
+    t = draw(st.integers(1, max_t))
+    pairs = [(u, v) for u in range(t) for v in range(u + 1, t)]
+    return Graph.from_edges(t, [p for p in pairs if draw(st.booleans())])
+
+
+class TestCanonicalForm:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(), st.randoms(use_true_random=False))
+    def test_invariant_under_relabelling(self, g, rnd):
+        perm = list(range(g.t))
+        rnd.shuffle(perm)
+        h = Graph.from_edges(g.t, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert oracle.canonical_rows(h.rows) == oracle.canonical_rows(g.rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda t: st.tuples(small_graphs(t), small_graphs(t))))
+    def test_equal_iff_isomorphic(self, pair):
+        g, h = pair
+        same = oracle.canonical_rows(g.rows) == oracle.canonical_rows(h.rows)
+        assert same == (g.t == h.t and nx.is_isomorphic(_networkx(g), _networkx(h)))
+
+    def test_atlas_classes_get_distinct_forms(self):
+        # every graph on at most 7 vertices, one per isomorphism class, each
+        # also under a seeded relabelling
+        rnd = random.Random(7)
+        forms = set()
+        atlas = [G for G in graph_atlas_g() if G.number_of_nodes()]
+        for G in atlas:
+            t = G.number_of_nodes()
+            perm = list(range(t))
+            rnd.shuffle(perm)
+            g = Graph.from_edges(t, list(G.edges()))
+            h = Graph.from_edges(t, [(perm[u], perm[v]) for u, v in G.edges()])
+            form = oracle.canonical_rows(g.rows)
+            assert oracle.canonical_rows(h.rows) == form
+            forms.add((t, form))
+        assert len(forms) == len(atlas)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(5, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.integers(1, n // 2), min_size=1), st.permutations(range(n)))))
+    def test_circulants_invariant_under_relabelling(self, case):
+        # vertex-transitive graphs, where pruning by automorphisms does the most
+        n, steps, perm = case
+        edges = {tuple(sorted((v, (v + d) % n))) for v in range(n) for d in steps}
+        g = Graph.from_edges(n, sorted(edges))
+        h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+        assert oracle.canonical_rows(h.rows) == oracle.canonical_rows(g.rows)
+
+    def test_form_is_an_isomorphic_copy(self):
+        g = named_graph("c", 7)
+        form = oracle.canonical_rows(g.rows)
+        assert nx.is_isomorphic(_networkx(Graph(7, form)), _networkx(g))
+
+    def test_symmetric_graphs(self):
+        # vertex-transitive graphs with large automorphism groups
+        k44 = Graph.from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)])
+        k44_mixed = Graph.from_edges(8, [(u, v) for u in (0, 2, 4, 6) for v in (1, 3, 5, 7)])
+        assert oracle.canonical_rows(k44.rows) == oracle.canonical_rows(k44_mixed.rows)
+        petersen = nx.petersen_graph()
+        perm = [3, 7, 0, 9, 4, 1, 8, 2, 6, 5]
+        p = Graph.from_edges(10, list(petersen.edges()))
+        q = Graph.from_edges(10, [(perm[u], perm[v]) for u, v in petersen.edges()])
+        prism = Graph.from_edges(10, list(nx.circular_ladder_graph(5).edges()))
+        assert oracle.canonical_rows(p.rows) == oracle.canonical_rows(q.rows)
+        assert oracle.canonical_rows(p.rows) != oracle.canonical_rows(prism.rows)
+
+    def test_orbit_representatives(self):
+        assert oracle._orbit_representatives(named_graph("c", 5)) == [0]
+        assert oracle._orbit_representatives(named_graph("p", 4)) == [0, 1]
+        assert oracle._orbit_representatives(named_graph("s", 3)) == [0, 1]
+        assert oracle._orbit_representatives(Graph.from_edges(3, [(0, 1)])) == [0, 2]
+
+
+class TestRamseyAgainstEdgeSearch:
+    @pytest.mark.parametrize("h1", _small_patterns(), ids=lambda g: f"t{g.t}r{g.rows}")
+    def test_same_kind_and_n(self, h1):
+        for h2 in _small_patterns():
+            cert = oracle.ramsey_number_exact(h1, h2, n_max=7)
+            assert (cert.kind, cert.n) == ref_ramsey_number(h1, h2, 7), (h1, h2)
+            assert cert.verify()
+
+
+class TestRamseyAnchors:
+    @pytest.mark.parametrize("h1, h2, value", [
+        ("k3", "k3", R_K3_K3), ("c4", "c4", R_C4_C4), ("c4", "k3", R_C4_K3),
+        ("k3", "c4", R_C4_K3), ("c5", "c5", R_C5_C5),
+    ])
+    def test_ds1_value(self, h1, h2, value):
+        g1, g2 = (named_graph(s[0], int(s[1:])) for s in (h1, h2))
+        cert = oracle.ramsey_number_exact(g1, g2, n_max=value)
+        assert (cert.kind, cert.n, cert.witness_n) == ("upper", value, value - 1)
+        assert cert.verify() and len(cert.classes) == value - 1
+
+    def test_k3_k4_in_under_a_second_with_class_counts(self):
+        start = time.perf_counter()
+        cert = oracle.ramsey_number_exact(Graph.complete(3), Graph.complete(4), n_max=10)
+        elapsed = time.perf_counter() - start
+        assert (cert.kind, cert.n, cert.witness_n) == ("upper", R_K3_K4, R_K3_K4 - 1)
+        assert cert.classes == K3_K4_CLASSES
+        assert cert.verify()
+        assert elapsed < 1.0
+
+    def test_lower_certificate_carries_no_classes(self):
+        cert = oracle.ramsey_number_exact(Graph.complete(3), Graph.complete(4), n_max=8)
+        assert (cert.kind, cert.n, cert.witness_n, cert.classes) == ("lower", 8, 8, None)
+        assert cert.verify()
 
 
 class TestLowerBoundRandom:
