@@ -2,17 +2,22 @@
 
 Every JSON payload embeds a manifest (subcommand, normalized flags, seeds,
 input file hashes, tool and generator versions); re-running a manifest
-reproduces the output byte-for-byte.  Exhausted/NotFound are successful
-completions (exit 0) -- the report is the result.  Exit 1 = usage error,
-including a request an exact oracle refuses as beyond its feasibility guard
-(``OracleRefusal``, e.g. ``oracle ramsey --nmax 11``); exit 2 = malformed
-input.  Every failure prints one line to stderr, never a traceback.
+reproduces the output byte-for-byte.  ``--out`` is the one flag every
+subcommand takes; CSV output comes from ``bounds --grid`` and ``sweep``, JSON
+from everything else but ``random gnp``, which writes a graph file.
+Exhausted/NotFound are successful completions (exit 0) -- the report is the
+result.  Exit 1 = usage error, including an ``oracle ramsey --nmax`` outside
+1..10 (above 10 the exact oracle refuses it as beyond its feasibility guard,
+``OracleRefusal``); exit 2 = malformed input.  Every failure prints one line
+to stderr, never a traceback.  Each leaf subcommand has one handler,
+and ``run`` builds the parser once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -28,6 +33,7 @@ from . import randomlab
 from .embedder import (
     BiDensityWitness,
     Certified,
+    TooLarge,
     check_bidense_exact,
     embed_greedy,
 )
@@ -46,6 +52,7 @@ from .graphs import (
 from .patterns import load_pattern, parse_rho, read_pattern
 from .search import (
     SearchConfig,
+    SearchOutcome,
     find_mono_H,
     find_random_graph_mono,
     find_red_H_or_blue_clique,
@@ -136,10 +143,22 @@ def _grid(spec: str) -> list[int]:
     return [int(p) for p in spec.split(",")]
 
 
+def _load_inputs(args: argparse.Namespace, **loaders) -> tuple[list, dict[str, str]]:
+    """Each named flag's input, loaded in order by its loader, and the manifest
+    hashes of the ones read from files, keyed by flag."""
+    loaded, hashes = [], {}
+    for flag, load in loaders.items():
+        value, digest = load(getattr(args, flag))
+        loaded.append(value)
+        if digest:
+            hashes[flag] = digest
+    return loaded, hashes
+
+
 def _manifest(args: argparse.Namespace, hashes: dict[str, str]) -> dict:
     flags = {k: (str(v) if isinstance(v, Fraction) else v)
              for k, v in sorted(vars(args).items())
-             if k not in ("func", "out", "format") and v is not None}
+             if k not in ("func", "out") and v is not None}
     return {
         "subcommand": args.subcommand,
         "flags": flags,
@@ -149,30 +168,32 @@ def _manifest(args: argparse.Namespace, hashes: dict[str, str]) -> dict:
     }
 
 
+def _write(out: Optional[str], text: str):
+    """``text`` to the --out file, or to stdout without one."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit_result(args: argparse.Namespace, hashes: dict[str, str], result) -> int:
     """Write the JSON payload envelope: schema tag, manifest and result."""
     payload = {"schema": SCHEMA, "manifest": _manifest(args, hashes), "result": result}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 
 
-def _emit_csv(header: list[str], rows: list[list], out: Optional[str]):
+def _emit_csv(header: list[str], rows: list[list], out: Optional[str]) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    if out:
-        Path(out).write_text(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(out, buf.getvalue())
+    return 0
 
 
 # --------------------------------------------------------------------------
-# Subcommand handlers.
+# Subcommand handlers, one per leaf subcommand.
 # --------------------------------------------------------------------------
 
 
@@ -198,45 +219,36 @@ def _emit_bounds_grid(args) -> int:
             for one in rep if isinstance(rep, tuple) else (rep,):
                 rows.append([args.theorem, t, "" if r is None else str(r),
                              f"{one.log2_bound:.12g}", one.preconditions_met])
-    _emit_csv(["theorem", "t", "rho", "log2_bound", "preconditions_met"], rows, args.out)
-    return 0
+    return _emit_csv(["theorem", "t", "rho", "log2_bound", "preconditions_met"], rows,
+                     args.out)
 
 
 def _cmd_bounds(args) -> int:
-    if args.grid or args.format == "csv":
+    if args.grid:
         return _emit_bounds_grid(args)
-    if args.t_int is None:
+    if ":" in args.t or "," in args.t:
         raise UsageError("a grid of --t needs --grid")
+    args.t_int = int(args.t)  # recorded in the manifest next to --t
     rhos = _densities(args)
     if len(rhos) != 1:
         raise UsageError("a comma list of --rho needs --grid")
-    rho = rhos[0]
-    rep = bounds_mod.evaluate(args.theorem, t=args.t_int, rho=rho, s=args.s, m=args.m)
+    rep = bounds_mod.evaluate(args.theorem, t=args.t_int, rho=rhos[0], s=args.s, m=args.m)
     result = [r.to_json() for r in rep] if isinstance(rep, tuple) else rep.to_json()
     return _emit_result(args, {}, result)
 
 
+_BIDENSE_STATUS = {Certified: "certified", BiDensityWitness: "witness", TooLarge: "too_large"}
+
+
 def _cmd_embed(args) -> int:
-    pattern, ph = _load_graph_arg(args.pattern)
-    hashes = {}
-    if ph:
-        hashes["pattern"] = ph
-    if args.color:
-        host, hh = _load_coloring(args.host)
-    else:
-        host, hh = _load_graph_arg(args.host)
-    if hh:
-        hashes["host"] = hh
+    (pattern, host), hashes = _load_inputs(
+        args, pattern=_load_graph_arg,
+        host=_load_coloring if args.color else _load_graph_arg)
     result: dict = {}
     if args.sigma is not None:
         cert = check_bidense_exact(host, args.sigma, args.delta, color=args.color,
                                    budget=args.budget)
-        if isinstance(cert, Certified):
-            result["bidense"] = {"status": "certified", **cert.to_json()}
-        elif isinstance(cert, BiDensityWitness):
-            result["bidense"] = {"status": "witness", **cert.to_json()}
-        else:
-            result["bidense"] = {"status": "too_large", **cert.to_json()}
+        result["bidense"] = {"status": _BIDENSE_STATUS[type(cert)], **cert.to_json()}
     res = embed_greedy(pattern, host, args.delta, color=args.color)
     if res.ok:
         result["status"] = "embedded"
@@ -252,29 +264,30 @@ def _cmd_embed(args) -> int:
     return _emit_result(args, hashes, result)
 
 
-def _search_config(args, pattern: Graph) -> SearchConfig:
-    rho = parse_rho(args.rho) if args.rho else float(pattern.density)
-    return SearchConfig(rho=rho, seed=args.seed,
-                        max_depth=args.budget if args.budget else 8)
+def _search(coloring: Coloring, pattern: Graph, mode: str, rho: Optional[float],
+            seed: int, max_depth: Optional[int] = None, clique_s: Optional[int] = None,
+            degree_cap: Optional[int] = None) -> SearchOutcome:
+    """One search of ``mode``.  Defaults: rho None is the pattern's density,
+    max_depth None or 0 is SearchConfig's, clique_s None or 0 is the pattern's
+    size and degree_cap None its maximum degree."""
+    config = SearchConfig(rho=float(pattern.density) if rho is None else rho, seed=seed,
+                          max_depth=max_depth or SearchConfig.max_depth)
+    if mode == "mono":
+        return find_mono_H(coloring, pattern, config)
+    if mode == "vs-clique":
+        return find_red_H_or_blue_clique(coloring, pattern, clique_s or pattern.t, config)
+    cap = degree_cap if degree_cap is not None else pattern.max_degree
+    exceptional = frozenset(v for v in range(pattern.t) if pattern.degree(v) > cap)
+    witness = BoundedGraphWitness(pattern, cap, exceptional)
+    return find_random_graph_mono(coloring, pattern, witness, config)
 
 
 def _cmd_search(args) -> int:
-    coloring, ch = _load_coloring(args.coloring)
-    pattern, ph = _load_graph_arg(args.pattern)
-    hashes = {k: v for k, v in (("coloring", ch), ("pattern", ph)) if v}
-    config = _search_config(args, pattern)
-    if args.mode == "mono":
-        outcome = find_mono_H(coloring, pattern, config)
-    elif args.mode == "vs-clique":
-        s = args.clique_s or pattern.t
-        outcome = find_red_H_or_blue_clique(coloring, pattern, s, config)
-    elif args.mode == "random-bounded":
-        cap = args.degree_cap if args.degree_cap is not None else pattern.max_degree
-        exceptional = frozenset(v for v in range(pattern.t) if pattern.degree(v) > cap)
-        witness = BoundedGraphWitness(pattern, cap, exceptional)
-        outcome = find_random_graph_mono(coloring, pattern, witness, config)
-    else:
-        raise UsageError(f"unknown mode {args.mode!r}")
+    (coloring, pattern), hashes = _load_inputs(args, coloring=_load_coloring,
+                                               pattern=_load_graph_arg)
+    rho = parse_rho(args.rho) if args.rho else None
+    outcome = _search(coloring, pattern, args.mode, rho, args.seed, args.budget,
+                      args.clique_s, args.degree_cap)
     result = outcome.to_json()
     if not args.trace_full:
         result["trace"] = result["trace"][-5:]
@@ -282,89 +295,77 @@ def _cmd_search(args) -> int:
     return _emit_result(args, hashes, result)
 
 
-def _cmd_random(args) -> int:
-    hashes = {}
-    if args.random_op == "gnp":
-        g = randomlab.sample_gnp(args.t_int, parse_rho(args.rho), args.seed)
-        if args.out:
-            Path(args.out).write_text(serialize_graph(g))
-            return 0
-        sys.stdout.write(serialize_graph(g))
-        return 0
-    if args.random_op == "partition":
-        g, gh = _load_graph_arg(args.graph)
-        if gh:
-            hashes["graph"] = gh
-        cert = randomlab.judicious_partition(g, args.max_tries, args.seed)
-        return _emit_result(args, hashes, cert.to_json())
-    if args.random_op == "spread":
-        g, gh = _load_graph_arg(args.graph)
-        if gh:
-            hashes["graph"] = gh
-        rep = randomlab.verify_degree_spread(g, args.delta, args.eps,
-                                             parse_rho(args.rho), args.mode,
-                                             args.budget, args.seed)
-        return _emit_result(args, hashes, rep.to_json())
-    if args.random_op == "chernoff":
-        bound = randomlab.chernoff_tail(args.n, args.p, args.theta)
-        result = {"n": args.n, "p": args.p, "theta": args.theta, "bound": bound,
-                  "exponential_base": "e"}
-        if args.empirical:
-            result["empirical"] = randomlab.empirical_binomial_tail(
-                args.n, args.p, args.theta, args.empirical, args.seed)
-            result["samples"] = args.empirical
-        return _emit_result(args, hashes, result)
-    raise UsageError(f"unknown random operation {args.random_op!r}")
+def _cmd_random_gnp(args) -> int:
+    g = randomlab.sample_gnp(args.t_int, parse_rho(args.rho), args.seed)
+    _write(args.out, serialize_graph(g))
+    return 0
 
 
-def _cmd_oracle(args) -> int:
-    hashes = {}
-    if args.oracle_op == "find":
-        coloring, ch = _load_coloring(args.coloring)
-        pattern, ph = _load_graph_arg(args.pattern)
-        hashes = {k: v for k, v in (("coloring", ch), ("pattern", ph)) if v}
-        emb = oracle_mod.find_mono_subgraph_exact(coloring, pattern, args.color)
-        result = {"found": emb is not None}
-        if emb is not None:
-            result["embedding"] = list(emb.image)
-        return _emit_result(args, hashes, result)
-    if args.oracle_op == "ramsey":
-        h1, h1h = _load_graph_arg(args.h1)
-        h2, h2h = _load_graph_arg(args.h2)
-        hashes = {k: v for k, v in (("h1", h1h), ("h2", h2h)) if v}
-        cert = oracle_mod.ramsey_number_exact(h1, h2, args.nmax)
-        result = {"kind": cert.kind, "n": cert.n, "verified": cert.verify(),
-                  "generator_version": randomlab.GENERATOR_VERSION}
-        if cert.witness is not None:
-            result["witness_at"] = cert.witness_n
-            result["witness"] = serialize_coloring(cert.witness, compact=True).strip()
-        if cert.classes is not None:
-            result["classes"] = list(cert.classes)
-        return _emit_result(args, hashes, result)
-    if args.oracle_op == "certify-lower":
-        pattern, ph = _load_graph_arg(args.pattern)
-        if ph:
-            hashes["pattern"] = ph
-        witness = oracle_mod.lower_bound_certificate_random(
-            pattern, args.n, args.tries, args.seed)
-        result = {"kind": "lower" if witness is not None else "not_found",
-                  "n": args.n, "verified": witness is not None,
-                  "generator_version": randomlab.GENERATOR_VERSION}
-        if witness is not None:
-            result["witness"] = serialize_coloring(witness, compact=True).strip()
-        return _emit_result(args, hashes, result)
-    raise UsageError(f"unknown oracle operation {args.oracle_op!r}")
+def _cmd_random_partition(args) -> int:
+    (g,), hashes = _load_inputs(args, graph=_load_graph_arg)
+    cert = randomlab.judicious_partition(g, args.max_tries, args.seed)
+    return _emit_result(args, hashes, cert.to_json())
+
+
+def _cmd_random_spread(args) -> int:
+    (g,), hashes = _load_inputs(args, graph=_load_graph_arg)
+    rep = randomlab.verify_degree_spread(g, args.delta, args.eps, parse_rho(args.rho),
+                                         args.mode, args.budget, args.seed)
+    return _emit_result(args, hashes, rep.to_json())
+
+
+def _cmd_random_chernoff(args) -> int:
+    bound = randomlab.chernoff_tail(args.n, args.p, args.theta)
+    result = {"n": args.n, "p": args.p, "theta": args.theta, "bound": bound,
+              "exponential_base": "e"}
+    if args.empirical:
+        result["empirical"] = randomlab.empirical_binomial_tail(
+            args.n, args.p, args.theta, args.empirical, args.seed)
+        result["samples"] = args.empirical
+    return _emit_result(args, {}, result)
+
+
+def _cmd_oracle_find(args) -> int:
+    (coloring, pattern), hashes = _load_inputs(args, coloring=_load_coloring,
+                                               pattern=_load_graph_arg)
+    emb = oracle_mod.find_mono_subgraph_exact(coloring, pattern, args.color)
+    result = {"found": emb is not None}
+    if emb is not None:
+        result["embedding"] = list(emb.image)
+    return _emit_result(args, hashes, result)
+
+
+def _cmd_oracle_ramsey(args) -> int:
+    if args.nmax < 1:
+        raise UsageError(f"--nmax must be at least 1, got {args.nmax}")
+    (h1, h2), hashes = _load_inputs(args, h1=_load_graph_arg, h2=_load_graph_arg)
+    cert = oracle_mod.ramsey_number_exact(h1, h2, args.nmax)
+    result = {"kind": cert.kind, "n": cert.n, "verified": cert.verify(),
+              "generator_version": randomlab.GENERATOR_VERSION}
+    if cert.witness is not None:
+        result["witness_at"] = cert.witness_n
+        result["witness"] = serialize_coloring(cert.witness, compact=True).strip()
+    if cert.classes is not None:
+        result["classes"] = list(cert.classes)
+    return _emit_result(args, hashes, result)
+
+
+def _cmd_oracle_certify_lower(args) -> int:
+    (pattern,), hashes = _load_inputs(args, pattern=_load_graph_arg)
+    witness = oracle_mod.lower_bound_certificate_random(pattern, args.n, args.tries,
+                                                        args.seed)
+    result = {"kind": "lower" if witness is not None else "not_found",
+              "n": args.n, "verified": witness is not None,
+              "generator_version": randomlab.GENERATOR_VERSION}
+    if witness is not None:
+        result["witness"] = serialize_coloring(witness, compact=True).strip()
+    return _emit_result(args, hashes, result)
 
 
 def _sweep_search_cell(cell):
     n, seed, pattern_spec, mode, rho, p_red = cell
     coloring = randomlab.sample_coloring(n, p_red, seed)
-    pattern = load_pattern(pattern_spec)
-    config = SearchConfig(rho=rho if rho else float(pattern.density), seed=seed)
-    if mode == "mono":
-        outcome = find_mono_H(coloring, pattern, config)
-    else:
-        outcome = find_red_H_or_blue_clique(coloring, pattern, pattern.t, config)
+    outcome = _search(coloring, load_pattern(pattern_spec), mode, rho, seed)
     return [n, seed, pattern_spec, mode, outcome.kind, outcome.color or ""]
 
 
@@ -373,24 +374,21 @@ def _cmd_sweep(args) -> int:
     if args.kind == "bounds":
         _require(args, "sweep --kind bounds", "theorem", "t")
         return _emit_bounds_grid(args)
-    if args.kind == "search":
-        _require(args, "sweep --kind search", "pattern", "n")
-        ns = _grid(args.n)
-        seeds = _grid(args.seeds)
-        rho = parse_rho(args.rho) if args.rho else None
-        cells = sorted((n, s, args.pattern, args.mode, rho, args.p_red)
-                       for n in ns for s in seeds)
-        if workers > 1:
-            from multiprocessing import Pool
+    _require(args, "sweep --kind search", "pattern", "n")
+    ns = _grid(args.n)
+    seeds = _grid(args.seeds)
+    rho = parse_rho(args.rho) if args.rho else None
+    cells = sorted((n, s, args.pattern, args.mode, rho, args.p_red)
+                   for n in ns for s in seeds)
+    if workers > 1:
+        from multiprocessing import Pool
 
-            with Pool(workers) as pool:
-                rows = pool.map(_sweep_search_cell, cells)
-        else:
-            rows = [_sweep_search_cell(c) for c in cells]
-        rows.sort(key=lambda r: (r[0], r[1]))
-        _emit_csv(["n", "seed", "pattern", "mode", "outcome", "color"], rows, args.out)
-        return 0
-    raise UsageError(f"unknown sweep kind {args.kind!r}")
+        with Pool(workers) as pool:
+            rows = pool.map(_sweep_search_cell, cells)
+    else:
+        rows = [_sweep_search_cell(c) for c in cells]
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return _emit_csv(["n", "seed", "pattern", "mode", "outcome", "color"], rows, args.out)
 
 
 # --------------------------------------------------------------------------
@@ -401,28 +399,32 @@ def _cmd_sweep(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="ramseykit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    out = _Parser(add_help=False)
+    out.add_argument("--out")  # the one flag every leaf subcommand takes
 
-    p = sub.add_parser("bounds", help="evaluate a bound formula in log2 domain")
+    def leaf(subparsers, name: str, func, **kwargs) -> _Parser:
+        p = subparsers.add_parser(name, parents=[out], **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    p = leaf(sub, "bounds", _cmd_bounds, help="evaluate a bound formula in log2 domain")
     p.add_argument("--theorem", required=True, choices=bounds_mod.THEOREMS)
     p.add_argument("--t", dest="t", required=True,
                    help="vertex count, or a grid spec with --grid")
     p.add_argument("--rho", help="density as p/q or float (comma list with --grid)")
     p.add_argument("--s", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--grid", action="store_true")
-    p.set_defaults(func=_cmd_bounds)
+    p.add_argument("--grid", action="store_true", help="CSV rows over the --t grid")
 
-    p = sub.add_parser("embed", help="greedy embedding into a host")
+    p = leaf(sub, "embed", _cmd_embed, help="greedy embedding into a host")
     p.add_argument("--pattern", required=True)
     p.add_argument("--host", required=True)
     p.add_argument("--color", choices=[RED, BLUE])
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--sigma", type=float, help="also run the exact bi-density check")
     p.add_argument("--budget", type=int, default=10 ** 9)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("search", help="constructive monochromatic search")
+    p = leaf(sub, "search", _cmd_search, help="constructive monochromatic search")
     p.add_argument("--coloring", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--mode", default="mono",
@@ -430,24 +432,21 @@ def build_parser() -> _Parser:
     p.add_argument("--rho")
     p.add_argument("--clique-s", dest="clique_s", type=int)
     p.add_argument("--degree-cap", dest="degree_cap", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, help="recursion depth (default 8)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace-full", dest="trace_full", action="store_true")
-    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("random", help="samplers and probabilistic checks")
     rsub = p.add_subparsers(dest="random_op", required=True)
-    q = rsub.add_parser("gnp")
+    q = leaf(rsub, "gnp", _cmd_random_gnp)
     q.add_argument("--t", dest="t_int", type=int, required=True)
     q.add_argument("--rho", required=True)
     q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(func=_cmd_random)
-    q = rsub.add_parser("partition")
+    q = leaf(rsub, "partition", _cmd_random_partition)
     q.add_argument("--graph", required=True)
     q.add_argument("--max-tries", dest="max_tries", type=int, default=64)
     q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(func=_cmd_random)
-    q = rsub.add_parser("spread")
+    q = leaf(rsub, "spread", _cmd_random_spread)
     q.add_argument("--graph", required=True)
     q.add_argument("--delta", type=float, required=True)
     q.add_argument("--eps", type=float, required=True)
@@ -455,35 +454,31 @@ def build_parser() -> _Parser:
     q.add_argument("--mode", default="sampled", choices=["sampled", "exhaustive"])
     q.add_argument("--budget", type=int, default=10_000)
     q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(func=_cmd_random)
-    q = rsub.add_parser("chernoff")
+    q = leaf(rsub, "chernoff", _cmd_random_chernoff)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--p", type=float, required=True)
     q.add_argument("--theta", type=float, required=True)
     q.add_argument("--empirical", type=int)
     q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(func=_cmd_random)
 
     p = sub.add_parser("oracle", help="exact desk-scale computations")
     osub = p.add_subparsers(dest="oracle_op", required=True)
-    q = osub.add_parser("find")
+    q = leaf(osub, "find", _cmd_oracle_find)
     q.add_argument("--coloring", required=True)
     q.add_argument("--pattern", required=True)
     q.add_argument("--color", required=True, choices=[RED, BLUE])
-    q.set_defaults(func=_cmd_oracle)
-    q = osub.add_parser("ramsey")
+    q = leaf(osub, "ramsey", _cmd_oracle_ramsey)
     q.add_argument("--h1", required=True)
     q.add_argument("--h2", required=True)
-    q.add_argument("--nmax", type=int, default=8)
-    q.set_defaults(func=_cmd_oracle)
-    q = osub.add_parser("certify-lower")
+    q.add_argument("--nmax", type=int, default=8,
+                   help=f"largest n searched, 1 to {oracle_mod.DEFAULT_NMAX_GUARD}")
+    q = leaf(osub, "certify-lower", _cmd_oracle_certify_lower)
     q.add_argument("--pattern", required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--tries", type=int, default=1000)
     q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("sweep", help="parameter grids, CSV output")
+    p = leaf(sub, "sweep", _cmd_sweep, help="parameter grids, CSV output")
     p.add_argument("--kind", required=True, choices=["bounds", "search"])
     p.add_argument("--theorem", choices=bounds_mod.THEOREMS)
     p.add_argument("--t")
@@ -495,30 +490,19 @@ def build_parser() -> _Parser:
     p.add_argument("--n")
     p.add_argument("--seeds", default="0:4:1")
     p.add_argument("--p-red", dest="p_red", type=float, default=0.5)
-    p.set_defaults(func=_cmd_sweep)
-
-    # --out and --format are accepted by every subcommand, after the final
-    # subcommand word (so nested ones get them instead of their parent)
-    nested = {"random": "random_op", "oracle": "oracle_op"}
-    for name, action in sub.choices.items():
-        if name in nested:
-            for inner in action._subparsers._group_actions[0].choices.values():
-                inner.add_argument("--out")
-                inner.add_argument("--format", choices=["json", "csv"], default="json")
-        else:
-            action.add_argument("--out")
-            action.add_argument("--format", choices=["json", "csv"], default="json")
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser ``run`` uses, built once per process: parse_args leaves it
+    unchanged and returns a fresh Namespace each time."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.subcommand == "bounds":
-            grid_mode = args.grid or args.format == "csv"
-            args.t_int = None if (grid_mode or ":" in args.t or "," in args.t) \
-                else int(args.t)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")

@@ -224,12 +224,12 @@ class EmbedResult:
         return self.embedding is not None
 
 
-def embed_greedy(pattern: Graph, host, delta: float, color: Optional[str] = None,
-                 host_partition: Optional[Sequence[Sequence[int]]] = None) -> EmbedResult:
+def embed_greedy(pattern: Graph, host, delta: float,
+                 color: Optional[str] = None) -> EmbedResult:
     """Greedy candidate-set embedding of ``pattern`` into the host.
 
     The host is truncated to (Delta+1)*N vertices split into Delta+1 equal
-    parts (consecutive blocks by default); pattern vertices are grouped
+    parts of consecutive vertices; pattern vertices are grouped
     into Delta+1 independent sets assigned part-for-part.  Placement order
     is descending pattern degree (ties by index); each vertex takes the
     lowest-index unused candidate v with |N(v) & T_y| >= delta |T_y| for
@@ -240,25 +240,10 @@ def embed_greedy(pattern: Graph, host, delta: float, color: Optional[str] = None
     rows = rows_of(host, color)
     n_host = len(rows)
     k = pattern.max_degree + 1
-    if host_partition is None:
-        N = n_host // k
-        if N < 1:
-            raise ValueError("host too small for max_degree+1 parts")
-        host_partition = [list(range(i * N, (i + 1) * N)) for i in range(k)]
-    else:
-        host_partition = [list(p) for p in host_partition]
-        if len(host_partition) != k:
-            raise ValueError(f"host partition must have {k} parts")
-        sizes = {len(p) for p in host_partition}
-        if len(sizes) != 1:
-            raise ValueError("host partition parts must have equal size")
-        N = sizes.pop()
-        seen: set[int] = set()
-        for p in host_partition:
-            for v in p:
-                if v in seen or not 0 <= v < n_host:
-                    raise ValueError("host partition must be disjoint and in range")
-                seen.add(v)
+    N = n_host // k
+    if N < 1:
+        raise ValueError("host too small for max_degree+1 parts")
+    host_partition = [list(range(i * N, (i + 1) * N)) for i in range(k)]
 
     pattern_parts = greedy_partition(pattern, k)
     if pattern_parts is None:  # greedy with max_degree+1 colors cannot fail

@@ -157,9 +157,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(bits_of(self.rows[v]))
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.t):
@@ -295,9 +292,6 @@ class Embedding:
             raise ValueError("image must map every pattern vertex")
         if len(set(self.image)) != len(self.image):
             raise ValueError("image not injective")
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(enumerate(self.image))
 
 
 @dataclass(frozen=True)

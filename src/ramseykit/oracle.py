@@ -57,10 +57,6 @@ def verify_embedding(pattern: Graph, host, mapping, color: Optional[str] = None)
     """
     if isinstance(mapping, Embedding):
         image = list(mapping.image)
-    elif isinstance(mapping, dict):
-        if set(mapping) != set(range(pattern.t)):
-            raise ValueError("mapping must be total on the pattern vertices")
-        image = [mapping[v] for v in range(pattern.t)]
     else:
         image = list(mapping)
         if len(image) != pattern.t:
@@ -364,6 +360,8 @@ def ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int = 8,
     class at level k is expanded, so an exhausted search has met every
     class at every level: n is one more than the deepest level reached.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if n_max > guard:
         raise OracleRefusal(
             f"n_max={n_max} exceeds the feasibility guard {guard}; "
@@ -372,7 +370,7 @@ def ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int = 8,
     # An edgeless forbidden pattern is in every coloring with enough vertices.
     fits = min((p.t for p in (pattern1, pattern2) if p.m == 0), default=n_max + 1)
     reps1, reps2 = _orbit_representatives(pattern1), _orbit_representatives(pattern2)
-    seen: list[set[tuple[int, ...]]] = [set() for _ in range(max(n_max, 0) + 1)]
+    seen: list[set[tuple[int, ...]]] = [set() for _ in range(n_max + 1)]
     first: list[tuple[int, ...]] = [()]  # the first good coloring met at each level
 
     def good(red: list[int], k: int) -> bool:

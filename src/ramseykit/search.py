@@ -30,24 +30,23 @@ from .graphs import (
 from .randomlab import judicious_partition
 
 
+SIGMA = 0.05             # sparse-pair set size, as a fraction of the vertices searched
+BASE_S = 8               # clique size at or below which the clique search is exhaustive
+BASE_N = 16              # vertex count at or below which subgraph search is exact
+SUBSET_BUDGET = 10 ** 7  # most C(|U|, s) subsets an exact enumeration may visit
+HEURISTIC_TRIES = 40     # restarts of the sparse-pair hill climb
+PARTITION_TRIES = 64     # Las Vegas tries of one judicious bisection
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     rho: float
-    sigma: float = 0.05
-    base_s: int = 8                # exhaustive clique search at or below this size
-    base_n: int = 16               # exact subgraph search at or below this many vertices
-    subset_budget: int = 10 ** 7   # C(|U|, s) cap for exact enumeration modes
-    max_depth: int = 8
-    heuristic_tries: int = 40
-    partition_tries: int = 64
-    l_fraction: Optional[float] = None  # None: 1/2; random-bounded mode overrides
     seed: int = 0
+    max_depth: int = 8  # recursion depth (``search --budget``), not a node count
 
     def __post_init__(self):
         if not 0 < self.rho <= 1:
             raise ValueError("rho must lie in (0, 1]")
-        if self.l_fraction is not None and not 0 < self.l_fraction <= 1:
-            raise ValueError("l_fraction must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -162,8 +161,8 @@ def filter_high_blue_degree(coloring: Coloring, A: Sequence[int], B: Sequence[in
 
 
 def common_neighborhood_pigeonhole(coloring: Coloring, S: Sequence[int], B: Sequence[int],
-                                   l: int, color: str, mode: str = "exact",
-                                   budget: int = 10 ** 7) -> tuple[tuple[int, ...], tuple[int, ...]]:
+                                   l: int, color: str,
+                                   mode: str = "exact") -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Star-counting step: an l-subset T of S with a large common neighborhood in B.
 
     exact: the T maximizing |B'| over all l-subsets (ties lexicographic).
@@ -185,9 +184,9 @@ def common_neighborhood_pigeonhole(coloring: Coloring, S: Sequence[int], B: Sequ
         return sorted(bits_of(mask))
 
     if mode == "exact":
-        if math.comb(len(S), l) > budget:
+        if math.comb(len(S), l) > SUBSET_BUDGET:
             raise ValueError(
-                f"exact mode needs C({len(S)},{l}) <= budget {budget}"
+                f"exact mode needs C({len(S)},{l}) <= budget {SUBSET_BUDGET}"
             )
         best_T, best_B = None, []
         for T in combinations(S, l):
@@ -262,7 +261,7 @@ def _find_pattern_in_color(sub: Coloring, verts: Sequence[int], pattern: Graph, 
     at small scale, greedy above."""
     if pattern.t > sub.n:
         return None
-    if sub.n <= config.base_n:
+    if sub.n <= BASE_N:
         emb = oracle.find_mono_subgraph_exact(sub, pattern, color)
         events.append({"event": "exact_pattern_search", "color": color,
                        "n": sub.n, "found": emb is not None})
@@ -280,8 +279,7 @@ def _find_pattern_in_color(sub: Coloring, verts: Sequence[int], pattern: Graph, 
 
 
 def find_red_H_or_blue_clique(coloring: Coloring, pattern: Graph, s: int,
-                              config: SearchConfig,
-                              within: Optional[Sequence[int]] = None) -> SearchOutcome:
+                              config: SearchConfig) -> SearchOutcome:
     """Hunt a red copy of ``pattern`` or a blue K_s, by sparse-pair descent.
 
     Opportunistic version of the red/blue induction: try a red embedding;
@@ -293,9 +291,7 @@ def find_red_H_or_blue_clique(coloring: Coloring, pattern: Graph, s: int,
     if s < 1:
         raise ValueError("s must be >= 1")
     events: list[dict] = []
-    universe = sorted(within) if within is not None else list(range(coloring.n))
-
-    outcome = _rb_search(coloring, pattern, s, config, universe, 0, events)
+    outcome = _rb_search(coloring, pattern, s, config, list(range(coloring.n)), 0, events)
     if outcome.found:
         _assert_outcome_valid(coloring, pattern, outcome)
     return outcome
@@ -317,7 +313,7 @@ def _rb_search(coloring: Coloring, pattern: Graph, s: int, config: SearchConfig,
         return SearchOutcome("found_red_h", embedding=emb, color=RED, trace=tuple(events))
 
     # Base case / feasible exhaustive blue-clique search.
-    if s <= config.base_s or math.comb(len(universe), min(s, len(universe))) <= config.subset_budget:
+    if s <= BASE_S or math.comb(len(universe), min(s, len(universe))) <= SUBSET_BUDGET:
         clique = oracle.find_clique_exact(coloring, s, BLUE, within=universe)
         events.append({"event": "exhaustive_clique", "s": s,
                        "found": clique is not None})
@@ -328,8 +324,8 @@ def _rb_search(coloring: Coloring, pattern: Graph, s: int, config: SearchConfig,
                              reason="exhaustive clique search empty")
 
     # (2) sparse red pair, then the blue-degree filter.
-    witness = find_sparse_pair_heuristic(sub, config.sigma, config.rho, RED,
-                                         tries=config.heuristic_tries,
+    witness = find_sparse_pair_heuristic(sub, SIGMA, config.rho, RED,
+                                         tries=HEURISTIC_TRIES,
                                          seed=config.seed + depth)
     events.append({"event": "sparse_pair", "found": witness is not None})
     if witness is None:
@@ -358,9 +354,8 @@ def _rb_search(coloring: Coloring, pattern: Graph, s: int, config: SearchConfig,
     S = list(sub_out.clique)
 
     # (4) star-count step: lift through the common blue neighborhood.
-    frac = config.l_fraction if config.l_fraction is not None else 0.5
-    l = min(len(S), max(1, math.ceil(frac * s)))
-    mode = "exact" if math.comb(len(S), l) <= config.subset_budget else "greedy"
+    l = min(len(S), max(1, math.ceil(0.5 * s)))
+    mode = "exact" if math.comb(len(S), l) <= SUBSET_BUDGET else "greedy"
     T, B_prime = common_neighborhood_pigeonhole(coloring, S, B, l, BLUE, mode=mode)
     events.append({"event": "pigeonhole", "l": l, "mode": mode, "B_prime": len(B_prime)})
     if len(B_prime) == 0:
@@ -408,7 +403,7 @@ def find_mono_H(coloring: Coloring, pattern: Graph, config: SearchConfig) -> Sea
     t = pattern.t
     n = coloring.n
 
-    if n <= config.base_n:
+    if n <= BASE_N:
         return _exact_mono(coloring, pattern, events)
 
     rho = float(pattern.density) if pattern.t >= 2 else 1.0
@@ -498,7 +493,7 @@ def find_random_graph_mono(coloring: Coloring, pattern: Graph,
     events: list[dict] = []
     t = pattern.t
     n = coloring.n
-    if n <= config.base_n:
+    if n <= BASE_N:
         return _exact_mono(coloring, pattern, events)
 
     exceptional = sorted(witness.exceptional)
@@ -554,7 +549,7 @@ def _two_sided(coloring: Coloring, W: list[int], blue_target: Graph, red_target:
     verts = sorted(W)
     sub = coloring.induced(verts)
 
-    if sub.n <= config.base_n:
+    if sub.n <= BASE_N:
         for color, target in ((RED, red_target), (BLUE, blue_target)):
             if target.t <= sub.n:
                 emb = oracle.find_mono_subgraph_exact(sub, target, color)
@@ -569,8 +564,8 @@ def _two_sided(coloring: Coloring, W: list[int], blue_target: Graph, red_target:
         if res.ok:
             return RED, Embedding(red_target, tuple(verts[w] for w in res.embedding.image))
 
-    witness = find_sparse_pair_heuristic(sub, config.sigma, config.rho, RED,
-                                         tries=config.heuristic_tries,
+    witness = find_sparse_pair_heuristic(sub, SIGMA, config.rho, RED,
+                                         tries=HEURISTIC_TRIES,
                                          seed=config.seed + 17 * depth)
     events.append({"event": "rb_sparse_pair", "found": witness is not None})
     if witness is None:
@@ -585,7 +580,7 @@ def _two_sided(coloring: Coloring, W: list[int], blue_target: Graph, red_target:
         half = blue_target  # nothing to bisect
         v1 = list(range(blue_target.t))
     else:
-        cert = judicious_partition(blue_target, config.partition_tries,
+        cert = judicious_partition(blue_target, PARTITION_TRIES,
                                    seed=config.seed + depth)
         v1 = sorted(cert.v1) if len(cert.v1) <= len(cert.v2) else sorted(cert.v2)
         if not v1 or len(v1) == blue_target.t:
@@ -602,8 +597,7 @@ def _two_sided(coloring: Coloring, W: list[int], blue_target: Graph, red_target:
     S = list(half_emb.image)
 
     log_ratio = 1 - math.log2(config.rho)
-    frac = config.l_fraction if config.l_fraction is not None else \
-        1 - math.log2(15 / 14) / (2 * log_ratio)
+    frac = 1 - math.log2(15 / 14) / (2 * log_ratio)
     l = min(len(S), max(1, math.ceil(frac * len(S))))
     T, B_prime = common_neighborhood_pigeonhole(coloring, S, B, l, BLUE, mode="greedy")
     events.append({"event": "rb_pigeonhole", "l": l, "B_prime": len(B_prime)})

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -237,6 +240,13 @@ class TestFailuresAreOneLine:
         ["search", "--coloring", "BAD_COLORING_FILE", "--pattern", "k3"],
         ["search", "--coloring", "mono:6:R", "--pattern", "NON_UTF8_GRAPH"],
         ["search", "--coloring", "NON_UTF8_COLORING", "--pattern", "k3"],
+        ["oracle", "ramsey", "--h1", "k3", "--h2", "k3", "--nmax", "-3"],
+        ["oracle", "ramsey", "--h1", "k3", "--h2", "k3", "--nmax", "0"],
+        ["bounds", "--theorem", "main-dense", "--t", "64", "--rho", "1/16",
+         "--format", "csv"],
+        ["embed", "--pattern", "p3", "--host", "gnp:20:0.8:5", "--delta", "0.4",
+         "--seed", "0"],
+        ["sweep", "--kind", "search", "--pattern", "k3", "--n", "20", "--rho", "0"],
     ]
 
     @pytest.fixture
@@ -277,6 +287,54 @@ class TestFailuresAreOneLine:
         assert cli.run(["search", *(a for pair in args.items() for a in pair)]) == 2
         err = capsys.readouterr().err
         assert err == f"input error: {non_utf8[name]}: line {line}: not valid UTF-8\n"
+
+
+class TestSharedParser:
+    """``run`` builds its parser once per process; no call may leak into the next."""
+
+    ARGV = [
+        ["bounds", "--theorem", "main-dense", "--t", "64", "--rho", "1/16"],
+        ["bounds", "--theorem", "main-dense", "--t", "16:64:16", "--rho", "1/16",
+         "--grid", "--out", "OUT"],
+        ["search", "--coloring", "random:40:0.5:7", "--pattern", "c4", "--rho", "0.5"],
+        ["bounds", "--theorem", "main-dense", "--t", "64", "--format", "csv"],
+        ["oracle", "ramsey", "--h1", "k3", "--h2", "k3", "--nmax", "6"],
+        ["sweep", "--kind", "search", "--pattern", "k3", "--n", "10:20:10",
+         "--seeds", "0:1:1"],
+    ]
+
+    @staticmethod
+    def outcome(run, argv, out_file):
+        """(exit code, stdout, stderr, --out file text) of one call."""
+        code, out, err = run([out_file if a == "OUT" else a for a in argv])
+        return code, out, err, Path(out_file).read_text() if "OUT" in argv else None
+
+    def test_in_process_calls_match_fresh_processes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("RAMSEYKIT_WORKERS", raising=False)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+        def fresh(argv):
+            proc = subprocess.run([sys.executable, "-m", "ramseykit.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        def in_process(argv):
+            code = cli.run(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        expected = [self.outcome(fresh, argv, str(tmp_path / f"fresh{i}"))
+                    for i, argv in enumerate(self.ARGV)]
+        assert [e[0] for e in expected] == [0, 0, 0, 1, 0, 0]
+        builds = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        cli._shared_parser.cache_clear()
+        for order in (range(len(self.ARGV)), reversed(range(len(self.ARGV)))):
+            for i in order:
+                got = self.outcome(in_process, self.ARGV[i], str(tmp_path / f"run{i}"))
+                assert got == expected[i], self.ARGV[i]
+        assert len(builds) == 1
 
 
 class TestInputFiles:

@@ -223,11 +223,6 @@ class TestEmbedGreedy:
         assert res.failure.trace
         assert res.failure.stuck_vertex in range(3)
 
-    def test_bad_partition_rejected(self):
-        with pytest.raises(ValueError):
-            embedder.embed_greedy(Graph.complete(2), Graph.complete(10), 0.5,
-                                  host_partition=[[0, 1], [2]])
-
     def test_deterministic(self):
         host = sample_gnp(120, 0.6, 8)
         pattern = sample_gnp(8, 0.4, 2)

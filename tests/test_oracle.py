@@ -140,6 +140,11 @@ class TestRamseyExact:
         assert cert.kind == "lower" and cert.n == 4
         assert cert.verify()
 
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_n_max_below_one_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            oracle.ramsey_number_exact(Graph.complete(3), Graph.complete(3), n_max=n_max)
+
     def test_guard_refusal(self):
         with pytest.raises(oracle.OracleRefusal):
             oracle.ramsey_number_exact(Graph.complete(3), Graph.complete(3), n_max=40)
