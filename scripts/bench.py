@@ -1,6 +1,6 @@
 """Time two checkouts side by side and write a BENCH json.
 
-    python3 scripts/bench.py --before OLD --after NEW --out BENCH_5.json
+    python3 scripts/bench.py --before OLD --after NEW --out BENCH_7.json
 
 OLD and NEW are checkouts of this repository (each one's ``src`` is put on
 PYTHONPATH; the tier-1 suite and perfbench run inside it).  Every measurement
@@ -12,8 +12,10 @@ runs of 20,000 calls).  Rows:
 
 * primitives: ``sample_gnp(4096, 0.2)``, ``Graph`` validation at t = 1024,
   2048, 4096, ``serialize_graph`` at t = 2048, ``parse_graph`` at t = 1024,
-  2048, 4096 (G(t, 0.2) each), ``Coloring.swapped()`` at n = 400, and
-  ``Graph`` construction at t = 5 and 9;
+  2048, 4096 (G(t, 0.2) each), ``Coloring.swapped()`` at n = 400,
+  ``Graph`` construction at t = 5 and 9, and ``check_bidense_exact`` on the
+  hosts of ``BIDENSE_CASES``, each of which certifies (a budget of 10**10
+  admits them in either budget unit, C(n, s) * n counts or C(n, s)**2);
 * ``ramsey_number_exact`` on each ``exact_oracle`` anchor of
   ``perfbench/workloads.py``, on R(3,4) at n_max = 10 and on R(3,5) at
   n_max = guard = 14, one call per fresh process.  A call that runs past
@@ -49,6 +51,8 @@ ORACLE_ROUNDS = 3
 ORACLE_TIMEOUT_S = 150
 TIER1_ROUNDS = 1
 WORKLOAD_SEEDS = (1, 90417, 3)
+# (host, sigma, delta) of each check_bidense_exact row
+BIDENSE_CASES = (("gnp:40:0.9:5", 0.1, 0.3), ("gnp:60:0.95:5", 0.05, 0.3))
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -71,8 +75,10 @@ def _median_time(fn, repeats: int) -> float:
 
 
 def primitives() -> dict:
-    """Seconds per call of each graph-layer primitive, in this process."""
+    """Seconds per call of each primitive, in this process."""
+    from ramseykit.embedder import Certified, check_bidense_exact
     from ramseykit.graphs import Graph, parse_graph, serialize_graph
+    from ramseykit.patterns import load_pattern
     from ramseykit.randomlab import sample_coloring, sample_gnp
 
     out = {"sample_gnp(4096, 0.2)": _median_time(lambda: sample_gnp(4096, 0.2, 1), 3)}
@@ -91,6 +97,12 @@ def primitives() -> dict:
         calls = 20_000
         best = min(timeit.repeat(lambda: Graph(t, rows), number=calls, repeat=5))
         out[f"Graph construction, t={t}, G(t, 1/2)"] = best / calls
+    for host, sigma, delta in BIDENSE_CASES:
+        g = load_pattern(host)
+        if not isinstance(check_bidense_exact(g, sigma, delta, budget=10 ** 10), Certified):
+            raise SystemExit(f"{host} does not certify at sigma {sigma}, delta {delta}")
+        out[f"check_bidense_exact({host}, sigma={sigma}, delta={delta})"] = _median_time(
+            lambda: check_bidense_exact(g, sigma, delta, budget=10 ** 10), 3)
     return out
 
 

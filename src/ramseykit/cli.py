@@ -6,9 +6,11 @@ reproduces the output byte-for-byte.  ``--out`` is the one flag every
 subcommand takes; CSV output comes from ``bounds --grid`` and ``sweep``, JSON
 from everything else but ``random gnp``, which writes a graph file.
 Exhausted/NotFound are successful completions (exit 0) -- the report is the
-result.  Exit 1 = usage error, including an ``oracle ramsey --nmax`` outside
-1..10 (above 10 the exact oracle refuses it as beyond its feasibility guard,
-``OracleRefusal``); exit 2 = malformed input.  Every failure prints one line
+result.  Exit 1 = usage error, including a flag value outside its range
+(``embed --sigma``, ``--delta``, ``--budget``; ``search --budget``,
+``--clique-s``) and an ``oracle ramsey --nmax`` outside 1..10 (above 10 the
+exact oracle refuses it as beyond its feasibility guard, ``OracleRefusal``);
+exit 2 = malformed input.  Every failure prints one line
 to stderr, never a traceback.  Each leaf subcommand has one handler,
 and ``run`` builds the parser once per process.
 """
@@ -241,6 +243,13 @@ _BIDENSE_STATUS = {Certified: "certified", BiDensityWitness: "witness", TooLarge
 
 
 def _cmd_embed(args) -> int:
+    # written as not-inside checks so that NaN fails them too
+    if not 0 < args.delta <= 1:
+        raise UsageError(f"--delta must be in (0, 1], got {args.delta}")
+    if args.sigma is not None and not 0 < args.sigma <= 0.5:
+        raise UsageError(f"--sigma must be in (0, 1/2], got {args.sigma}")
+    if args.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}")
     (pattern, host), hashes = _load_inputs(
         args, pattern=_load_graph_arg,
         host=_load_coloring if args.color else _load_graph_arg)
@@ -268,14 +277,15 @@ def _search(coloring: Coloring, pattern: Graph, mode: str, rho: Optional[float],
             seed: int, max_depth: Optional[int] = None, clique_s: Optional[int] = None,
             degree_cap: Optional[int] = None) -> SearchOutcome:
     """One search of ``mode``.  Defaults: rho None is the pattern's density,
-    max_depth None or 0 is SearchConfig's, clique_s None or 0 is the pattern's
-    size and degree_cap None its maximum degree."""
+    max_depth None is SearchConfig's, clique_s None is the pattern's size and
+    degree_cap None its maximum degree."""
     config = SearchConfig(rho=float(pattern.density) if rho is None else rho, seed=seed,
-                          max_depth=max_depth or SearchConfig.max_depth)
+                          max_depth=SearchConfig.max_depth if max_depth is None else max_depth)
     if mode == "mono":
         return find_mono_H(coloring, pattern, config)
     if mode == "vs-clique":
-        return find_red_H_or_blue_clique(coloring, pattern, clique_s or pattern.t, config)
+        return find_red_H_or_blue_clique(coloring, pattern,
+                                         pattern.t if clique_s is None else clique_s, config)
     cap = degree_cap if degree_cap is not None else pattern.max_degree
     exceptional = frozenset(v for v in range(pattern.t) if pattern.degree(v) > cap)
     witness = BoundedGraphWitness(pattern, cap, exceptional)
@@ -283,6 +293,10 @@ def _search(coloring: Coloring, pattern: Graph, mode: str, rho: Optional[float],
 
 
 def _cmd_search(args) -> int:
+    if args.budget is not None and args.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}")
+    if args.clique_s is not None and args.clique_s < 1:
+        raise UsageError(f"--clique-s must be at least 1, got {args.clique_s}")
     (coloring, pattern), hashes = _load_inputs(args, coloring=_load_coloring,
                                                pattern=_load_graph_arg)
     rho = parse_rho(args.rho) if args.rho else None

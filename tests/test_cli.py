@@ -175,6 +175,28 @@ class TestEmbedCmd:
         assert result["status"] in ("embedded", "failure")
         assert "bidense" in result
 
+    def test_readme_example_yields_witness(self, capsys):
+        # C(60,3) * 60 = 2,053,200 counts fit the default budget
+        code, out = run_capture(capsys, ["embed", "--pattern", "p3", "--host",
+                                         "gnp:60:0.8:5", "--delta", "0.4",
+                                         "--sigma", "0.05"])
+        assert code == 0
+        assert json.loads(out)["result"]["bidense"] == {
+            "status": "witness", "X": [0, 1, 2], "Y": [5, 17, 26], "density": "1/3",
+            "sigma": 0.05, "delta": 0.4}
+
+    def test_budget_in_counts(self, capsys):
+        argv = ["embed", "--pattern", "p3", "--host", "gnp:40:0.9:5", "--delta", "0.3",
+                "--sigma", "0.1", "--budget"]
+        code, out = run_capture(capsys, argv + ["3655600"])  # C(40,4) * 40
+        assert code == 0
+        assert json.loads(out)["result"]["bidense"] == {
+            "status": "certified", "set_size": 4, "sets_checked": 91390,
+            "sigma": 0.1, "delta": 0.3}
+        code, out = run_capture(capsys, argv + ["3655599"])
+        assert json.loads(out)["result"]["bidense"] == {
+            "status": "too_large", "required": 3655600, "budget": 3655599}
+
 
 class TestSweepCmd:
     def test_search_sweep_csv(self, capsys):
@@ -220,6 +242,17 @@ class TestReproducibility:
 
 
 class TestFailuresAreOneLine:
+    # flag values outside the range a subcommand can use: usage errors
+    OUT_OF_RANGE = [
+        *(["embed", "--pattern", "p3", "--host", "gnp:20:0.8:5", "--delta", "0.4", *flag]
+          for flag in (["--sigma", "-1"], ["--sigma", "0"], ["--sigma", "0.6"],
+                       ["--sigma", "nan"], ["--delta", "0"], ["--delta", "1.5"],
+                       ["--delta", "nan"], ["--budget", "0"], ["--budget", "-1"])),
+        *(["search", "--coloring", "random:60:0.25:4", "--pattern", "k3", "--mode",
+           "vs-clique", *flag]
+          for flag in (["--budget", "-1"], ["--budget", "0"], ["--clique-s", "-2"],
+                       ["--clique-s", "0"])),
+    ]
     PROBES = [
         ["search", "--coloring", "mono:6:X", "--pattern", "k3"],
         ["search", "--coloring", "mono:6", "--pattern", "k3"],
@@ -247,6 +280,7 @@ class TestFailuresAreOneLine:
         ["embed", "--pattern", "p3", "--host", "gnp:20:0.8:5", "--delta", "0.4",
          "--seed", "0"],
         ["sweep", "--kind", "search", "--pattern", "k3", "--n", "20", "--rho", "0"],
+        *OUT_OF_RANGE,
     ]
 
     @pytest.fixture
@@ -272,6 +306,13 @@ class TestFailuresAreOneLine:
         assert code in (1, 2)
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
+    def test_out_of_range_flag_is_usage_error(self, capsys, argv):
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: {argv[-2]} must be ")
 
     def test_bad_coloring_endpoint_names_file_and_line(self, capsys, bad_coloring):
         assert cli.run(["search", "--coloring", bad_coloring, "--pattern", "k3"]) == 2

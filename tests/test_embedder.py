@@ -1,14 +1,16 @@
 import math
 import signal
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseykit import cli, embedder, oracle
-from ramseykit.graphs import BLUE, RED, Coloring, Graph, density_pair
+from ramseykit.graphs import BLUE, RED, Coloring, Graph, density_pair, mask_of, rows_of
 from ramseykit.patterns import named_graph
-from ramseykit.randomlab import sample_gnp
+from ramseykit.randomlab import sample_coloring, sample_gnp
 
 
 def k55_minus_matching() -> Graph:
@@ -113,6 +115,132 @@ class TestCheckBidenseExact:
                 if density_pair(g, X, Y) < delta:
                     assert (res.X, res.Y) == (X, Y)
                     return
+
+
+def reference_check_bidense(host, sigma, delta, color=None, budget=10 ** 9):
+    """check_bidense_exact as it was before it ran in numpy blocks: one X-set
+    at a time.  The loop is verbatim; the budget guard charges C(n, s) * n, the
+    unit both now share (the loop charged C(n, s) ** 2)."""
+    rows = rows_of(host, color)
+    n = len(rows)
+    s = max(1, math.ceil(sigma * n))
+    if 2 * s > n:
+        raise ValueError(f"need 2*ceil(sigma*n) <= n, got s={s}, n={n}")
+    if math.comb(n, s) * n > budget:
+        return embedder.TooLarge(math.comb(n, s) * n, budget)
+    need = delta * s * s  # violation iff e(X,Y) < need
+    checked = 0
+    for X in combinations(range(n), s):
+        checked += 1
+        xmask = mask_of(X)
+        outside = [v for v in range(n) if not xmask >> v & 1]
+        cnt = [(rows[v] & xmask).bit_count() for v in outside]
+        floor_sum = sum(sorted(cnt)[:s])
+        if floor_sum < need:
+            y = embedder._lex_first_violating_y(outside, cnt, s, need)
+            e = sum(cnt[outside.index(v)] for v in y)
+            return embedder.BiDensityWitness(X, tuple(y), Fraction(e, s * s), sigma, delta)
+    return embedder.Certified(sigma, delta, s, checked)
+
+
+def bidense_outcome(check, *args, **kwargs):
+    """The result of ``check``, or the ValueError it raised, as a comparable value."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def planted_first_violator(n: int, s: int, rank: int) -> tuple[Graph, tuple]:
+    """K_n minus every edge between A, the rank-th s-set in lexicographic
+    order, and B, the s largest vertices outside A; and A.
+
+    With delta * s * s <= 1 a violating pair needs e(X, Y) = 0, and only
+    X = A (Y = B) and X = B (Y = A) have one, so the first violating X is A
+    whenever A < B.
+    """
+    A = next(islice(combinations(range(n), s), rank, None))
+    B = sorted(v for v in range(n) if v not in A)[-s:]
+    assert A < tuple(B)
+    cut = {(a, b) for a in A for b in B} | {(b, a) for a in A for b in B}
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
+                                if (u, v) not in cut]), A
+
+
+class TestBidenseMatchesPerSetLoop:
+    """check_bidense_exact returns what the per-X-set loop returns: the same
+    type, witness, density, set size, sets_checked and TooLarge fields."""
+
+    SIGMAS = (0.05, 0.1, 0.15, 0.2, 0.25, 1 / 3, 0.5)
+    DELTAS = (0.05, 0.2, 0.4, 0.6, 0.8, 1.0)
+    # keeps the reference loop to about 2,500 X-sets, with room for more
+    # than 1024 of them (n = 24, s = 3 needs 48,576 counts)
+    BUDGET = 60_000
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 24), st.sampled_from([0.2, 0.5, 0.8, 0.95]),
+           st.integers(0, 2 ** 16), st.sampled_from(SIGMAS), st.sampled_from(DELTAS))
+    def test_graph_hosts(self, n, p, seed, sigma, delta):
+        host = sample_gnp(n, p, seed)
+        assert bidense_outcome(embedder.check_bidense_exact, host, sigma, delta,
+                               budget=self.BUDGET) == \
+            bidense_outcome(reference_check_bidense, host, sigma, delta, budget=self.BUDGET)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 24), st.sampled_from([0.1, 0.5, 0.9]), st.integers(0, 2 ** 16),
+           st.sampled_from([RED, BLUE]), st.sampled_from(SIGMAS), st.sampled_from(DELTAS))
+    def test_coloring_hosts(self, n, p, seed, color, sigma, delta):
+        host = sample_coloring(n, p, seed)
+        assert bidense_outcome(embedder.check_bidense_exact, host, sigma, delta, color,
+                               budget=self.BUDGET) == \
+            bidense_outcome(reference_check_bidense, host, sigma, delta, color,
+                            budget=self.BUDGET)
+
+    # Blocks hold 64, 128, 256, 512 and then 1024 X-sets, so their edges fall
+    # at ranks 64, 192, 448, 960 and 1984.  A pair (X, Y) violates iff (Y, X)
+    # does, so the last X-set is never the first violator; rank 2990,
+    # (10, 11, 12, 13) against (14, 15, 16, 17), is the latest one can be.
+    @pytest.mark.parametrize("rank", [0, 63, 64, 191, 192, 447, 448, 959, 960, 1023,
+                                      1024, 1983, 1984, 2990])
+    def test_first_violator_at_rank(self, rank):
+        n, s, sigma, delta = 18, 4, 0.2, 1 / 32  # ceil(0.2 * 18) = 4; need = 1/2
+        g, A = planted_first_violator(n, s, rank)
+        red = Coloring.from_red_graph(g)
+        for host, color in ((g, None), (red, RED), (red.swapped(), BLUE)):
+            got = embedder.check_bidense_exact(host, sigma, delta, color)
+            assert got == reference_check_bidense(host, sigma, delta, color)
+            assert got.X == A and got.density == 0
+
+    def test_certified_walks_every_set(self):
+        host = Graph.complete(18)
+        got = embedder.check_bidense_exact(host, 0.2, 1.0)
+        assert got == reference_check_bidense(host, 0.2, 1.0)
+        assert got.sets_checked == math.comb(18, 4) == 3060
+
+    def test_budget_counts_one_per_set_and_vertex(self):
+        host = sample_gnp(40, 0.9, 5)
+        required = math.comb(40, 4) * 40  # 3,655,600
+        assert embedder.check_bidense_exact(host, 0.1, 0.3, budget=required) == \
+            embedder.Certified(0.1, 0.3, 4, math.comb(40, 4))
+        assert embedder.check_bidense_exact(host, 0.1, 0.3, budget=required - 1) == \
+            embedder.TooLarge(required, required - 1)
+
+    def test_blocks_stay_small_on_large_hosts(self):
+        # s = 1 on 5000 vertices fits the default budget (25 million counts).
+        # Only the rows a block reads are unpacked: a 5000 x 5000 bool matrix
+        # would take 25 MB.
+        for host, expected in (
+                (Graph.empty(5000),
+                 embedder.BiDensityWitness((0,), (1,), Fraction(0), 1 / 5000, 0.5)),
+                (Graph.complete(5000), embedder.Certified(1 / 5000, 0.5, 1, 5000))):
+            tracemalloc.start()
+            try:
+                got = embedder.check_bidense_exact(host, 1 / 5000, 0.5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got == expected
+            assert peak < 2 ** 21, peak
 
 
 class TestSparsePairHeuristic:
