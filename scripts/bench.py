@@ -13,12 +13,17 @@ runs of 20,000 calls).  Rows:
 * primitives: ``sample_gnp(4096, 0.2)``, ``Graph`` validation at t = 1024,
   2048, 4096, ``serialize_graph`` at t = 2048, ``parse_graph`` at t = 1024,
   2048, 4096 (G(t, 0.2) each), ``Coloring.swapped()`` at n = 400,
-  ``Graph`` construction at t = 5 and 9, and ``check_bidense_exact`` on the
+  ``Graph`` construction at t = 5 and 9, ``check_bidense_exact`` on the
   hosts of ``BIDENSE_CASES``, each of which certifies (a budget of 10**10
-  admits them in either budget unit, C(n, s) * n counts or C(n, s)**2);
+  admits them in either budget unit, C(n, s) * n counts or C(n, s)**2),
+  ``lower_bound_certificate_random`` on each case of
+  ``CERTIFY_LOWER_CASES`` (n = R(H, H), so every try runs), and
+  ``find_mono_subgraph_exact`` for K4 in the red class of
+  ``random:40:0.5:1`` (the best of five runs of 2,000 calls);
 * ``ramsey_number_exact`` on each ``exact_oracle`` anchor of
   ``perfbench/workloads.py``, on R(3,4) at n_max = 10 and on R(3,5) at
-  n_max = guard = 14, one call per fresh process.  A call that runs past
+  n_max = guard = 14, one call per fresh process, whose result (kind, n and,
+  for an "upper" result, the class counts) the row keeps.  A call that runs past
   ``ORACLE_TIMEOUT_S`` is stopped; that side records null and the timeout,
   and is not run again for the row;
 * the tier-1 suite's wall time;
@@ -53,6 +58,14 @@ TIER1_ROUNDS = 1
 WORKLOAD_SEEDS = (1, 90417, 3)
 # (host, sigma, delta) of each check_bidense_exact row
 BIDENSE_CASES = (("gnp:40:0.9:5", 0.1, 0.3), ("gnp:60:0.95:5", 0.05, 0.3))
+# (pattern, n) of each lower_bound_certificate_random row, CERTIFY_TRIES tries
+# from seed 1
+CERTIFY_LOWER_CASES = (("k3", 6), ("c4", 6), ("c5", 9))
+CERTIFY_TRIES = 300
+# keys of a BENCH json, of its env, and the optional keys of a row
+RECORD_KEYS = {"env", "method", "rounds", "rows"}
+ENV_KEYS = {"python", "numpy", "nproc", "machine"}
+ROW_EXTRAS = {"per_seed", "before_result", "after_result", "timeout_s"}
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -77,7 +90,8 @@ def _median_time(fn, repeats: int) -> float:
 def primitives() -> dict:
     """Seconds per call of each primitive, in this process."""
     from ramseykit.embedder import Certified, check_bidense_exact
-    from ramseykit.graphs import Graph, parse_graph, serialize_graph
+    from ramseykit.graphs import RED, Graph, parse_graph, serialize_graph
+    from ramseykit.oracle import find_mono_subgraph_exact, lower_bound_certificate_random
     from ramseykit.patterns import load_pattern
     from ramseykit.randomlab import sample_coloring, sample_gnp
 
@@ -103,6 +117,15 @@ def primitives() -> dict:
             raise SystemExit(f"{host} does not certify at sigma {sigma}, delta {delta}")
         out[f"check_bidense_exact({host}, sigma={sigma}, delta={delta})"] = _median_time(
             lambda: check_bidense_exact(g, sigma, delta, budget=10 ** 10), 3)
+    for pattern, n in CERTIFY_LOWER_CASES:
+        h = load_pattern(pattern)
+        out[f"lower_bound_certificate_random({pattern}, n={n}, tries={CERTIFY_TRIES})"] = \
+            _median_time(lambda: lower_bound_certificate_random(h, n, CERTIFY_TRIES, 1), 3)
+    k4, c = load_pattern("k4"), sample_coloring(40, 0.5, 1)
+    calls = 2_000
+    best = min(timeit.repeat(lambda: find_mono_subgraph_exact(c, k4, RED), number=calls,
+                             repeat=5))
+    out["find_mono_subgraph_exact(k4, random:40:0.5:1, R)"] = best / calls
     return out
 
 
@@ -114,7 +137,10 @@ def oracle_call(h1: str, h2: str, n_max: int, guard: int) -> dict:
     g1, g2 = load_pattern(h1), load_pattern(h2)
     start = time.perf_counter()
     cert = ramsey_number_exact(g1, g2, n_max, guard=guard)
-    return {"s": time.perf_counter() - start, "result": f"{cert.kind} {cert.n}"}
+    result = f"{cert.kind} {cert.n}"
+    if cert.classes is not None:
+        result += " classes " + ",".join(map(str, cert.classes))
+    return {"s": time.perf_counter() - start, "result": result}
 
 
 def _in_checkout(root: Path, cmd: list[str], timeout: float) -> subprocess.CompletedProcess:
@@ -166,6 +192,41 @@ def _measure_workload(root: Path, workload: str, seed: int) -> dict:
                                "--seed", str(seed), "--seconds", "30"], 1800)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {k: result["metrics"][k]["value"] for k in WORKLOAD_METRICS}
+
+
+def check_record(record: dict) -> None:
+    """Raise ValueError unless ``record`` has the layout ``main`` writes:
+    ``env``, ``method``, ``rounds`` and ``rows``, each row with a unique name,
+    a unit, and a before and an after value, either of them null only in a
+    row that gives its ``timeout_s``."""
+    def need(ok: bool, what: str):
+        if not ok:
+            raise ValueError(what)
+
+    need(isinstance(record, dict) and set(record) == RECORD_KEYS,
+         f"a record has exactly the keys {sorted(RECORD_KEYS)}")
+    need(isinstance(record["env"], dict) and set(record["env"]) == ENV_KEYS,
+         f"env has exactly the keys {sorted(ENV_KEYS)}")
+    need(isinstance(record["method"], str) and record["method"] != "", "method is text")
+    need(isinstance(record["rounds"], dict) and record["rounds"] != {}, "rounds is a dict")
+    rows = record["rows"]
+    need(isinstance(rows, list) and rows != [], "rows is a nonempty list")
+    names = set()
+    for row in rows:
+        need(isinstance(row, dict), "each row is a dict")
+        name = row.get("name")
+        need(isinstance(name, str) and name not in names, f"row name {name!r} is unique text")
+        names.add(name)
+        need(isinstance(row.get("unit"), str), f"{name}: unit is text")
+        need(set(row) - {"name", "unit", "before", "after"} <= ROW_EXTRAS,
+             f"{name}: keys beyond name, unit, before and after are among {sorted(ROW_EXTRAS)}")
+        for label in ("before", "after"):
+            value = row.get(label, "missing")
+            need(value is None or isinstance(value, (int, float)) and not isinstance(value, bool),
+                 f"{name}: {label} is a number or null")
+        if row["before"] is None or row["after"] is None:
+            need(isinstance(row.get("timeout_s"), (int, float)),
+                 f"{name}: a null value comes with timeout_s")
 
 
 def _row(name: str, unit: str, per_label: dict) -> dict:
@@ -249,6 +310,7 @@ def main(argv=None) -> int:
                    "workload_seeds": list(WORKLOAD_SEEDS)},
         "rows": rows,
     }
+    check_record(record)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

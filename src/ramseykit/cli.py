@@ -8,9 +8,13 @@ from everything else but ``random gnp``, which writes a graph file.
 Exhausted/NotFound are successful completions (exit 0) -- the report is the
 result.  Exit 1 = usage error, including a flag value outside its range
 (``embed --sigma``, ``--delta``, ``--budget``; ``search --budget``,
-``--clique-s``) and an ``oracle ramsey --nmax`` outside 1..10 (above 10 the
-exact oracle refuses it as beyond its feasibility guard, ``OracleRefusal``);
-exit 2 = malformed input.  Every failure prints one line
+``--clique-s``, ``--degree-cap``; ``random spread --budget``; ``oracle
+certify-lower --n``, ``--tries``; a seed that is no Philox key, in [0,
+2**128), whether a ``--seed``, a ``sweep --seeds`` value, a ``random:`` or
+``gnp:`` shorthand's seed, or the seed of any certify-lower try) and an
+``oracle ramsey --nmax`` outside 1..10 (above 10 the exact oracle refuses it
+as beyond its feasibility guard, ``OracleRefusal``); exit 2 = malformed
+input.  Every failure prints one line
 to stderr, never a traceback.  Each leaf subcommand has one handler,
 and ``run`` builds the parser once per process.
 """
@@ -145,12 +149,29 @@ def _grid(spec: str) -> list[int]:
     return [int(p) for p in spec.split(",")]
 
 
+def _check_seed(flag: str, seed: int, count: int = 1) -> None:
+    """Seeds ``seed`` .. ``seed + count - 1`` must all be Philox keys."""
+    if not 0 <= seed <= randomlab.SEED_LIMIT - count:
+        top = "2**128" if count == 1 else f"2**128 - {count - 1}"
+        raise UsageError(f"{flag} must be in [0, {top}), got {seed}")
+
+
+def _seeded(flag: str, load, spec: str):
+    """``load(spec)``, where a shorthand whose seed is no Philox key is a
+    usage error that names ``flag``."""
+    try:
+        return load(spec)
+    except randomlab.SeedError:
+        raise UsageError(f"{flag} must be a shorthand whose seed is in [0, 2**128), "
+                         f"got {spec!r}") from None
+
+
 def _load_inputs(args: argparse.Namespace, **loaders) -> tuple[list, dict[str, str]]:
     """Each named flag's input, loaded in order by its loader, and the manifest
     hashes of the ones read from files, keyed by flag."""
     loaded, hashes = [], {}
     for flag, load in loaders.items():
-        value, digest = load(getattr(args, flag))
+        value, digest = _seeded(f"--{flag}", load, getattr(args, flag))
         loaded.append(value)
         if digest:
             hashes[flag] = digest
@@ -297,6 +318,9 @@ def _cmd_search(args) -> int:
         raise UsageError(f"--budget must be at least 1, got {args.budget}")
     if args.clique_s is not None and args.clique_s < 1:
         raise UsageError(f"--clique-s must be at least 1, got {args.clique_s}")
+    if args.degree_cap is not None and args.degree_cap < 0:
+        raise UsageError(f"--degree-cap must be at least 0, got {args.degree_cap}")
+    _check_seed("--seed", args.seed)
     (coloring, pattern), hashes = _load_inputs(args, coloring=_load_coloring,
                                                pattern=_load_graph_arg)
     rho = parse_rho(args.rho) if args.rho else None
@@ -310,18 +334,23 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_random_gnp(args) -> int:
+    _check_seed("--seed", args.seed)
     g = randomlab.sample_gnp(args.t_int, parse_rho(args.rho), args.seed)
     _write(args.out, serialize_graph(g))
     return 0
 
 
 def _cmd_random_partition(args) -> int:
+    _check_seed("--seed", args.seed)
     (g,), hashes = _load_inputs(args, graph=_load_graph_arg)
     cert = randomlab.judicious_partition(g, args.max_tries, args.seed)
     return _emit_result(args, hashes, cert.to_json())
 
 
 def _cmd_random_spread(args) -> int:
+    if args.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}")
+    _check_seed("--seed", args.seed)
     (g,), hashes = _load_inputs(args, graph=_load_graph_arg)
     rep = randomlab.verify_degree_spread(g, args.delta, args.eps, parse_rho(args.rho),
                                          args.mode, args.budget, args.seed)
@@ -329,6 +358,7 @@ def _cmd_random_spread(args) -> int:
 
 
 def _cmd_random_chernoff(args) -> int:
+    _check_seed("--seed", args.seed)
     bound = randomlab.chernoff_tail(args.n, args.p, args.theta)
     result = {"n": args.n, "p": args.p, "theta": args.theta, "bound": bound,
               "exponential_base": "e"}
@@ -365,6 +395,11 @@ def _cmd_oracle_ramsey(args) -> int:
 
 
 def _cmd_oracle_certify_lower(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
+    if args.tries < 1:
+        raise UsageError(f"--tries must be at least 1, got {args.tries}")
+    _check_seed("--seed", args.seed, args.tries)  # every try's seed, before any draw
     (pattern,), hashes = _load_inputs(args, pattern=_load_graph_arg)
     witness = oracle_mod.lower_bound_certificate_random(pattern, args.n, args.tries,
                                                         args.seed)
@@ -391,6 +426,9 @@ def _cmd_sweep(args) -> int:
     _require(args, "sweep --kind search", "pattern", "n")
     ns = _grid(args.n)
     seeds = _grid(args.seeds)
+    for seed in seeds:
+        _check_seed("--seeds", seed)
+    _seeded("--pattern", load_pattern, args.pattern)
     rho = parse_rho(args.rho) if args.rho else None
     cells = sorted((n, s, args.pattern, args.mode, rho, args.p_red)
                    for n in ns for s in seeds)

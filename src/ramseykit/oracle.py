@@ -6,6 +6,14 @@ and randomized lower-bound certificates.  Everything here is complete
 within its guards; guards produce explicit refusals, never silent partial
 answers.
 
+Every embedding search runs on a plan built once per pattern and list of
+preassigned vertices (``_embed_plan``): the order in which pattern
+vertices are placed and, for each, the earlier ones adjacent to it.  A
+vertex's candidates are then the unused host vertices adjacent to the
+images of those earlier neighbours, one AND per neighbour.  The Ramsey
+oracle plans each orbit representative once per call, and certify-lower
+plans its pattern once per call.
+
 Exact Ramsey numbers come from vertex extension with isomorph rejection
 (McKay & Radziszowski, "R(4,5)=25", J. Graph Theory 1995; McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 1998).  A coloring of
@@ -77,63 +85,79 @@ def verify_embedding(pattern: Graph, host, mapping, color: Optional[str] = None)
     return True, None
 
 
-def _embed_backtrack(pattern: Graph, rows: Sequence[int], n: int,
-                     preassigned: Optional[dict[int, int]] = None) -> Optional[tuple[int, ...]]:
-    """Lexicographic-first embedding of ``pattern`` into the host rows.
+@dataclass(frozen=True)
+class _EmbedPlan:
+    """The search order of ``_embed_backtrack`` for one pattern and one list
+    of preassigned pattern vertices, built once and reused for every host.
 
-    Pattern vertices are processed in descending-degree order (ties by
-    index); each is assigned the smallest host vertex compatible with the
-    incrementally maintained candidate bitsets.
+    ``order[i]`` is the pattern vertex placed at position i: the
+    preassigned vertices first, in the order given, then the rest by
+    descending degree, ties by index.  ``back[i]`` lists the earlier
+    positions adjacent to position i.
     """
-    t = pattern.t
-    order = sorted(range(t), key=lambda v: (-pattern.degree(v), v))
-    preassigned = preassigned or {}
-    # Preassigned vertices go first so their constraints propagate at once.
-    order.sort(key=lambda v: 0 if v in preassigned else 1)
-    full = (1 << n) - 1
-    cand = [full] * t
-    image = [-1] * t
-    used = 0
 
-    for v, w in preassigned.items():
-        if not cand[v] >> w & 1:
+    order: tuple[int, ...]
+    back: tuple[tuple[int, ...], ...]
+
+
+def _embed_plan(pattern: Graph, preassigned: Sequence[int] = ()) -> _EmbedPlan:
+    """The plan that places the pattern vertices ``preassigned`` first."""
+    rest = sorted(set(range(pattern.t)).difference(preassigned),
+                  key=lambda v: (-pattern.degree(v), v))
+    order = (*preassigned, *rest)
+    back = tuple(tuple(j for j in range(i) if pattern.rows[v] >> order[j] & 1)
+                 for i, v in enumerate(order))
+    return _EmbedPlan(order, back)
+
+
+def _embed_backtrack(plan: _EmbedPlan, rows: Sequence[int], n: int,
+                     images: Sequence[int] = ()) -> Optional[tuple[int, ...]]:
+    """Lexicographic-first embedding of the plan's pattern into the host
+    rows, as the image of each pattern vertex, or None.
+
+    ``images[i]`` is the host vertex of the plan's i-th preassigned vertex,
+    which sits at position i.  Position i takes the unused host vertices
+    adjacent to the images of its back positions, lowest first (only its
+    image, if it is preassigned); a position without candidates sends the
+    search back one position.  Positions and candidates come in a fixed
+    order, so the first complete assignment is the lexicographic-first image
+    in that order.  No look-ahead prunes the tree: it would cut only
+    branches that cannot complete, so it could not change the result.
+    """
+    back = plan.back
+    t = len(back)
+    if t == 0:
+        return ()
+    forced = len(images)
+    free = (1 << n) - 1  # host vertices no earlier position uses
+    at = [0] * t  # host vertex of each position
+    left = [0] * t  # candidates of each position not yet tried
+    pos = 0
+    cand = free if not forced else free & 1 << images[0]
+    while True:
+        if cand:
+            low = cand & -cand
+            left[pos] = cand ^ low
+            at[pos] = low.bit_length() - 1
+            pos += 1
+            if pos == t:
+                break
+            free ^= low
+            cand = free
+            for j in back[pos]:
+                cand &= rows[at[j]]
+            if pos < forced:
+                cand &= 1 << images[pos]
+            continue
+        if pos == 0:
             return None
-
-    def place(pos: int, used: int) -> bool:
-        if pos == len(order):
-            return True
-        v = order[pos]
-        forced = preassigned.get(v)
-        options = cand[v] & ~used
-        if forced is not None:
-            options &= 1 << forced
-        for w in bits_of(options):
-            saved = []
-            ok = True
-            for y in bits_of(pattern.rows[v]):
-                if image[y] >= 0:
-                    if not rows[w] >> image[y] & 1:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            for y in bits_of(pattern.rows[v]):
-                if image[y] < 0:
-                    saved.append((y, cand[y]))
-                    cand[y] &= rows[w]
-            if all(cand[y] & ~(used | 1 << w) or image[y] >= 0 or y == v
-                   for y in range(t)):
-                image[v] = w
-                if place(pos + 1, used | 1 << w):
-                    return True
-                image[v] = -1
-            for y, old in saved:
-                cand[y] = old
-        return False
-
-    if place(0, used):
-        return tuple(image)
-    return None
+        pos -= 1
+        free |= 1 << at[pos]
+        cand = left[pos]
+    image = [0] * t
+    for v, w in zip(plan.order, at):
+        image[v] = w
+    return tuple(image)
 
 
 def find_mono_subgraph_exact(host, pattern: Graph, color: Optional[str] = None) -> Optional[Embedding]:
@@ -146,7 +170,7 @@ def find_mono_subgraph_exact(host, pattern: Graph, color: Optional[str] = None) 
     rows = rows_of(host, color)
     if pattern.t > len(rows):
         return None
-    image = _embed_backtrack(pattern, rows, len(rows))
+    image = _embed_backtrack(_embed_plan(pattern), rows, len(rows))
     if image is None:
         return None
     return Embedding(pattern, image)
@@ -369,20 +393,23 @@ def ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int = 8,
         )
     # An edgeless forbidden pattern is in every coloring with enough vertices.
     fits = min((p.t for p in (pattern1, pattern2) if p.m == 0), default=n_max + 1)
-    reps1, reps2 = _orbit_representatives(pattern1), _orbit_representatives(pattern2)
+    plans1, plans2 = ([_embed_plan(p, (x,)) for x in _orbit_representatives(p)]
+                      for p in (pattern1, pattern2))
     seen: list[set[tuple[int, ...]]] = [set() for _ in range(n_max + 1)]
     first: list[tuple[int, ...]] = [()]  # the first good coloring met at each level
 
     def good(red: list[int], k: int) -> bool:
         """Does the coloring of K_k with red rows ``red`` avoid every
         forbidden copy through vertex k-1?"""
+        last = (k - 1,)
+        if pattern2.t <= k and any(_embed_backtrack(plan, red, k, last) is not None
+                                   for plan in plans2):
+            return False
+        if pattern1.t > k:
+            return True
         full = (1 << k) - 1
-        blue = [full & ~r & ~(1 << v) for v, r in enumerate(red)]
-        for pattern, reps, rows in ((pattern2, reps2, red), (pattern1, reps1, blue)):
-            if pattern.t <= k and any(_embed_backtrack(pattern, rows, k, {x: k - 1})
-                                      is not None for x in reps):
-                return False
-        return True
+        blue = [full ^ r ^ (1 << v) for v, r in enumerate(red)]
+        return all(_embed_backtrack(plan, blue, k, last) is None for plan in plans1)
 
     def extend(rows: tuple[int, ...]) -> bool:
         """Search below a good coloring; True once level n_max is reached."""
@@ -421,18 +448,31 @@ def ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int = 8,
 
 def lower_bound_certificate_random(pattern: Graph, n: int, tries: int, seed: int,
                                    p_red: float = 0.5) -> Optional[Coloring]:
-    """Sample colorings of K_n until one avoids monochromatic ``pattern``.
+    """The first of the colorings ``sample_coloring(n, p_red, seed + i)``, i =
+    0 .. tries-1, with no monochromatic ``pattern``, or None.
 
-    The returned coloring is re-verified in both colors.  None proves
+    The colorings are drawn in blocks (``randomlab.sample_red_rows``) and
+    searched as raw rows, red first; only the one returned is built as a
+    ``Coloring``, and it is re-verified in both colors.  Every seed must be a
+    Philox key, which is checked before anything is drawn.  None proves
     nothing (the search is one-sided).
     """
-    from .randomlab import sample_coloring
+    from .randomlab import sample_red_rows
 
-    for i in range(tries):
-        c = sample_coloring(n, p_red, seed + i)
-        if find_mono_subgraph_exact(c, pattern, RED) is None and \
-           find_mono_subgraph_exact(c, pattern, BLUE) is None:
-            return c
+    if tries < 1:
+        raise ValueError(f"tries must be at least 1, got {tries}")
+    plan = _embed_plan(pattern)
+    for red in sample_red_rows(n, p_red, range(seed, seed + tries)):
+        if _embed_backtrack(plan, red, n) is not None:
+            continue
+        full = (1 << n) - 1
+        blue = [full ^ r ^ (1 << v) for v, r in enumerate(red)]
+        if _embed_backtrack(plan, blue, n) is None:
+            witness = Coloring(n, red)
+            if find_mono_subgraph_exact(witness, pattern, RED) is not None or \
+               find_mono_subgraph_exact(witness, pattern, BLUE) is not None:
+                raise AssertionError("unsound certify-lower witness")
+            return witness
     return None
 
 

@@ -5,6 +5,12 @@ caller's seed, so identical seeds reproduce identical objects across runs
 and platforms; ``GENERATOR_VERSION`` is embedded in serialized reports so
 snapshots survive refactors.
 
+Colorings and G(t, rho) come from one sampler, ``sample_red_rows``.  It
+keeps one Philox bit generator per call and, for each seed, resets its key
+to the seed and its counter to zero.  Philox is counter-based, so that
+state alone fixes the stream: it is the stream of a freshly built
+``Philox(key=seed)``, at about a fifth of the cost of building one.
+
 Unit convention: the Chernoff tail uses the natural exponential (the form
 the concentration argument needs); every other logarithm is base 2.
 """
@@ -13,11 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Coloring, Graph, bits_of, check_vertex_count, mask_of, pack_rows
+from .graphs import (
+    _BLOCK_ENTRIES,
+    Coloring,
+    Graph,
+    bit_matrix,
+    bits_of,
+    check_vertex_count,
+    mask_of,
+    pack_rows,
+)
 
 GENERATOR_VERSION = "philox-4x64-v1"
 
@@ -40,34 +55,118 @@ def chernoff_tail(n: int, p: float, theta: float) -> float:
     return math.exp(-(theta ** 2) * p * n / 4)
 
 
-def _sample_pair_bits(count: int, p: float, seed: int) -> np.ndarray:
-    return _rng(seed).random(count) < p
+# Philox keys are 128-bit, so seeds lie in [0, SEED_LIMIT).
+SEED_LIMIT = 1 << 128
+# Entries of the bool matrix of one sampling block (4 MB).  A block draws one
+# float64 per pair it holds, at most _SAMPLE_ENTRIES / 2 of them, so its draws
+# take at most _BLOCK_ENTRIES bytes.
+_SAMPLE_ENTRIES = _BLOCK_ENTRIES // 4
+_ZEROS = np.zeros(4, np.uint64)
 
 
-def _adjacency_from_bits(n: int, bits: np.ndarray) -> np.ndarray:
-    adj = np.zeros((n, n), dtype=bool)
-    iu = np.triu_indices(n, 1)  # lexicographic pair order
-    adj[iu] = bits
-    adj |= adj.T
-    return adj
+class SeedError(ValueError):
+    """A seed that is not a Philox key."""
+
+
+def _rekey(bitgen: np.random.Philox, seed: int) -> None:
+    """Give ``bitgen`` the key ``seed`` and a zero counter and buffer: the
+    state of a fresh ``np.random.Philox(key=seed)``.  Philox is counter-based
+    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
+    so that state fixes the whole stream."""
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS,
+                  "key": np.array([seed & 0xFFFF_FFFF_FFFF_FFFF, seed >> 64], np.uint64)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+
+
+def sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]:
+    """The red rows of ``sample_coloring(n, p, s)`` for each seed s of ``seeds``
+    in turn, drawn lazily: the one sampler behind every coloring and G(t, rho).
+
+    Seed s draws ``np.random.Generator(np.random.Philox(key=s)).random(C(n, 2))``,
+    and pair i, in lexicographic order, is red iff draw i is below p.  One
+    Generator on one re-keyed Philox draws them all, so every coloring is
+    bit-identical to the one a fresh generator gives.
+
+    Seeds are drawn in blocks of 1, 2, 4, ... seeds, so stopping after the
+    i-th seed costs O(i) draws.  A block holds whole n x n matrices, at most
+    ``_SAMPLE_ENTRIES`` entries of them, each with fewer than n^2 / 2 pairs.
+    A seed whose matrix is larger is drawn alone, a block of rows of at most
+    ``_SAMPLE_ENTRIES / 2`` entries at a time, and rows drawn earlier supply
+    the pairs of a block's rows with theirs.  Every seed must be a Philox
+    key, which is checked before anything is drawn.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    check_vertex_count(n)
+    if not 0 <= p <= 1:
+        raise ValueError("p must lie in [0, 1]")
+    if seeds and not (seeds[0] >= 0 and seeds[-1] < SEED_LIMIT):
+        raise SeedError(f"seeds must lie in [0, 2**128), got {seeds[0]} to {seeds[-1]}")
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    pairs = n * (n - 1) // 2
+    fit = _SAMPLE_ENTRIES // max(n * n, 1)  # seeds whose matrices fit one block
+    size = 1
+    i = 0
+    while i < len(seeds):
+        if not fit:
+            _rekey(bitgen, seeds[i])
+            rows: list[int] = []
+            step = _SAMPLE_ENTRIES // (2 * n)
+            for lo in range(0, n, step):
+                hi = min(lo + step, n)
+                count = (hi - lo) * (2 * n - lo - hi - 1) // 2  # pairs {u, v}, lo <= u < hi, u < v
+                rows.extend(_block_rows((gen.random(count) < p)[None], n, lo, hi, rows))
+            yield tuple(rows)
+            i += 1
+            continue
+        block = seeds[i:i + min(size, fit)]
+        draws = np.empty((len(block), pairs))
+        for k, seed in enumerate(block):
+            _rekey(bitgen, seed)
+            gen.random(out=draws[k])
+        rows = _block_rows(draws < p, n, 0, n, ())
+        for k in range(len(block)):
+            yield rows[k * n:(k + 1) * n]
+        i += len(block)
+        size *= 2
+
+
+def _block_rows(red: np.ndarray, n: int, lo: int, hi: int,
+                earlier: Sequence[int]) -> tuple[int, ...]:
+    """Rows lo..hi-1 of each coloring of a block, one coloring after another.
+
+    ``red[k]`` holds the colours of the pairs {u, v}, lo <= u < hi and u < v,
+    of the k-th coloring, in lexicographic order.  When lo > 0 the block holds
+    one coloring, and ``earlier`` are its rows 0..lo-1.
+    """
+    k, rows = len(red), hi - lo
+    upper = np.arange(lo, hi)[:, None] < np.arange(n)  # pair order is row-major
+    a = np.zeros((k * rows, n), dtype=bool)
+    a[np.tile(upper, (k, 1))] = red.ravel()
+    b = a.reshape(k, rows, n)
+    b[:, :, lo:hi] |= b[:, :, lo:hi].transpose(0, 2, 1)
+    if lo:
+        cut = (1 << rows) - 1
+        a[:, :lo] = bit_matrix(rows, [row >> lo & cut for row in earlier]).T
+    return pack_rows(a)
 
 
 def sample_gnp(t: int, rho: float, seed: int) -> Graph:
     """G(t, rho): each pair independently an edge with probability rho."""
     if not 0 <= rho <= 1:
         raise ValueError("rho must lie in [0, 1]")
-    check_vertex_count(t)
-    bits = _sample_pair_bits(t * (t - 1) // 2, rho, seed)
-    return Graph(t, pack_rows(_adjacency_from_bits(t, bits)))
+    return Graph(t, next(sample_red_rows(t, rho, range(seed, seed + 1))))
 
 
 def sample_coloring(n: int, p_red: float, seed: int) -> Coloring:
     """Random coloring of K_n: each pair independently Red with probability p_red."""
     if not 0 <= p_red <= 1:
         raise ValueError("p_red must lie in [0, 1]")
-    check_vertex_count(n)
-    bits = _sample_pair_bits(n * (n - 1) // 2, p_red, seed)
-    return Coloring(n, pack_rows(_adjacency_from_bits(n, bits)))
+    return Coloring(n, next(sample_red_rows(n, p_red, range(seed, seed + 1))))
 
 
 @dataclass(frozen=True)

@@ -251,7 +251,31 @@ class TestFailuresAreOneLine:
         *(["search", "--coloring", "random:60:0.25:4", "--pattern", "k3", "--mode",
            "vs-clique", *flag]
           for flag in (["--budget", "-1"], ["--budget", "0"], ["--clique-s", "-2"],
-                       ["--clique-s", "0"])),
+                       ["--clique-s", "0"], ["--seed", "-1"], ["--seed", str(2 ** 128)])),
+        *(["oracle", "certify-lower", "--pattern", "k3", *flags]
+          for flags in (["--n", "5", "--tries", "0"], ["--n", "5", "--tries", "-5"],
+                        ["--n", "-2"], ["--n", "0"], ["--n", "5", "--seed", "-1"],
+                        ["--n", "5", "--tries", "1", "--seed", str(2 ** 128)],
+                        # the last try's seed, seed + tries - 1, is 2**128
+                        ["--n", "5", "--tries", "10", "--seed", str(2 ** 128 - 9)])),
+        ["random", "gnp", "--t", "8", "--rho", "0.5", "--seed", "-1"],
+        ["random", "partition", "--graph", "gnp:20:0.5:1", "--seed", "-1"],
+        ["random", "chernoff", "--n", "40", "--p", "0.5", "--theta", "0.2",
+         "--empirical", "10", "--seed", str(2 ** 128)],
+        *(["random", "spread", "--graph", "gnp:30:0.3:2", "--delta", "0.2", "--eps", "0.5",
+           "--rho", "0.3", *flag]
+          for flag in (["--budget", "-5"], ["--budget", "0"], ["--seed", "-1"])),
+        *(["search", "--coloring", "random:30:0.5:1", "--pattern", "c4", "--mode",
+           "random-bounded", "--degree-cap", cap] for cap in ("-1", "-5")),
+        # shorthand seeds that are no Philox key
+        ["search", "--pattern", "k3", "--coloring", "random:10:0.5:-1"],
+        ["oracle", "find", "--pattern", "k3", "--color", "R",
+         "--coloring", f"random:10:0.5:{2 ** 128}"],
+        ["embed", "--pattern", "p3", "--delta", "0.4", "--host", f"gnp:10:0.5:{2 ** 128}"],
+        ["oracle", "ramsey", "--h2", "k3", "--h1", f"gnp:4:0.5:{2 ** 128}"],
+        ["sweep", "--kind", "search", "--n", "8", "--pattern", f"gnp:3:0.5:{2 ** 128}"],
+        ["sweep", "--kind", "search", "--n", "8", "--pattern", "k3",
+         "--seeds", f"0:{2 ** 128}:{2 ** 128}"],
     ]
     PROBES = [
         ["search", "--coloring", "mono:6:X", "--pattern", "k3"],

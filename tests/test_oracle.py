@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from typing import Optional
 
 import networkx as nx
@@ -8,10 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
-from ramseykit import oracle
+from ramseykit import oracle, randomlab
 from ramseykit.graphs import BLUE, RED, Coloring, Graph
-from ramseykit.oracle import _embed_backtrack
-from ramseykit.patterns import named_graph
+from ramseykit.oracle import _embed_backtrack, _embed_plan
+from ramseykit.patterns import load_pattern, named_graph
+from ramseykit.randomlab import SEED_LIMIT
+
+from references import reference_certify_lower, reference_embed_backtrack
 
 # Exact values from Radziszowski, "Small Ramsey Numbers", EJC Dynamic Survey DS1.
 R_K3_K3 = 6
@@ -157,7 +161,7 @@ def _contains_with_pair(pattern: Graph, rows, n: int, u: int, v: int) -> bool:
     """Does the host contain the pattern using host edge {u,v}?"""
     for x, y in pattern.edges():
         for a, b in ((u, v), (v, u)):
-            if _embed_backtrack(pattern, rows, n, {x: a, y: b}) is not None:
+            if reference_embed_backtrack(pattern, rows, n, {x: a, y: b}) is not None:
                 return True
     return False
 
@@ -359,6 +363,112 @@ class TestLowerBoundRandom:
         a = oracle.lower_bound_certificate_random(Graph.complete(3), 5, 500, seed=3)
         b = oracle.lower_bound_certificate_random(Graph.complete(3), 5, 500, seed=3)
         assert a.red_rows == b.red_rows
+
+    @pytest.mark.parametrize("tries", [0, -5])
+    def test_tries_below_one_rejected(self, tries):
+        with pytest.raises(ValueError, match="tries must be at least 1"):
+            oracle.lower_bound_certificate_random(Graph.complete(3), 5, tries, 0)
+
+    @pytest.mark.parametrize("seed, tries", [(-1, 1), (SEED_LIMIT, 1), (SEED_LIMIT - 9, 10)])
+    def test_every_seed_checked_before_any_draw(self, monkeypatch, seed, tries):
+        # at n = 2 every coloring avoids K3, so the first try would be a witness
+        keyed = []
+        monkeypatch.setattr(randomlab, "_rekey", lambda bitgen, s: keyed.append(s))
+        with pytest.raises(randomlab.SeedError):
+            oracle.lower_bound_certificate_random(Graph.complete(3), 2, tries, seed)
+        assert keyed == []
+
+    def test_last_philox_key_accepted(self):
+        w = oracle.lower_bound_certificate_random(Graph.complete(3), 2, 10, SEED_LIMIT - 10)
+        assert w is not None and w.red_rows == reference_certify_lower(
+            Graph.complete(3), 2, 10, SEED_LIMIT - 10).red_rows
+
+    def test_memory_at_n_2000(self):
+        # every coloring of K_2000 has a red triangle: three colorings drawn
+        tracemalloc.start()
+        try:
+            assert oracle.lower_bound_certificate_random(Graph.complete(3), 2000, 3, 1) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 16 * 2 ** 20
+
+
+# Seeds at which certify-lower for K3 at n = 5 starts so that its first
+# avoiding coloring is try i, for i on both sides of each edge of the blocks
+# of 1, 2, 4, ... seeds that colorings are drawn in: the seed, the avoiding
+# seed it reaches, and i.
+BLOCK_EDGE_STARTS = [(59 - i, 59, i) for i in (0, 1, 2, 3, 6, 7, 14, 15, 30, 31)] + \
+    [(294 - i, 294, i) for i in (62, 63, 126, 127)] + [(775 - i, 775, i) for i in (254, 255)]
+
+
+def _rows(coloring: Optional[Coloring]):
+    return None if coloring is None else coloring.red_rows
+
+
+class TestCertifyLowerMatchesPerTryLoop:
+    @pytest.mark.parametrize("name, value", [("k2", 2), ("k3", 6), ("c4", 6), ("c5", 9),
+                                             ("p3", 3), ("k4", 18)])
+    def test_same_witness_up_to_the_ramsey_number(self, name, value):
+        pattern = load_pattern(name)
+        for n in range(pattern.t - 1, value + 1):
+            for seed in (0, 97, 2 ** 64 - 5):
+                got = oracle.lower_bound_certificate_random(pattern, n, 40, seed)
+                assert _rows(got) == _rows(reference_certify_lower(pattern, n, 40, seed)), \
+                    (name, n, seed)
+
+    @pytest.mark.parametrize("start, hit, i", BLOCK_EDGE_STARTS)
+    def test_witness_on_each_side_of_a_block_edge(self, monkeypatch, start, hit, i):
+        k3 = Graph.complete(3)
+        want = reference_certify_lower(k3, 5, i + 1, start)
+        assert want is not None and want.red_rows == reference_certify_lower(k3, 5, 1, hit).red_rows
+        keyed = []
+        rekey = randomlab._rekey
+
+        def counted(bitgen, seed):
+            keyed.append(seed)
+            rekey(bitgen, seed)
+
+        monkeypatch.setattr(randomlab, "_rekey", counted)
+        for tries in (i + 1, 300):
+            keyed.clear()
+            assert _rows(oracle.lower_bound_certificate_random(k3, 5, tries, start)) == want.red_rows
+            assert len(keyed) <= 2 * i + 1  # blocks double: O(i) colorings drawn
+        if i:  # one try fewer stops just before the witness
+            assert reference_certify_lower(k3, 5, i, start) is None
+            assert oracle.lower_bound_certificate_random(k3, 5, i, start) is None
+
+
+@st.composite
+def embed_cases(draw):
+    """A pattern on 1-7 vertices, a host on at most 16 and 0-2 preassigned
+    pattern vertices with their host images."""
+    pattern = draw(small_graphs(7))
+    n = draw(st.integers(0, 16))
+    rnd = draw(st.randoms(use_true_random=False))
+    p = draw(st.sampled_from([0.2, 0.5, 0.8, 1.0]))
+    host = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rnd.random() < p])
+    k = draw(st.integers(0, min(2, pattern.t)))
+    pre = draw(st.lists(st.integers(0, pattern.t - 1), min_size=k, max_size=k, unique=True))
+    images = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=k, max_size=k))
+    return pattern, host, pre, images
+
+
+class TestPlannedSearchMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(embed_cases())
+    def test_same_image_or_none(self, case):
+        pattern, host, pre, images = case
+        got = _embed_backtrack(_embed_plan(pattern, pre), host.rows, host.t, images)
+        assert got == reference_embed_backtrack(pattern, host.rows, host.t,
+                                                dict(zip(pre, images)))
+
+    def test_plan_order_and_back_positions(self):
+        # P4 0-1-2-3 with vertex 3 preassigned: 3, then 1 and 2 (degree 2), then 0
+        plan = _embed_plan(named_graph("p", 4), (3,))
+        assert plan.order == (3, 1, 2, 0)
+        assert plan.back == ((), (), (0, 1), (1,))
 
 
 class TestBidenseBruteforce:

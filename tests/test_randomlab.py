@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 from ramseykit import randomlab
 from ramseykit.graphs import Graph, mask_of, serialize_graph
 from ramseykit.patterns import named_graph
+from ramseykit.randomlab import SEED_LIMIT
+
+from references import reference_red_rows
 
 # Frozen on first run against generator philox-4x64-v1; a change here means
 # the sampler's output stream changed and every pinned experiment breaks.
@@ -68,6 +71,40 @@ class TestSamplers:
         pairs = 60 * 59 // 2
         sd = math.sqrt(pairs * 0.25 * 0.75)
         assert abs(g.m - 0.25 * pairs) <= 5 * sd
+
+
+class TestSamplerMatchesGenerator:
+    """Every sampler draws what ``np.random.Generator(np.random.Philox(key=s))
+    .random(C(n, 2)) < p`` draws, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 8, 9, 16, 17, 64, 65, 200])
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, 2 ** 64, SEED_LIMIT - 1])
+    @pytest.mark.parametrize("p", [0, 0.3, 0.5, 1])
+    def test_coloring_and_gnp(self, n, seed, p):
+        want = reference_red_rows(n, p, seed)
+        assert randomlab.sample_coloring(n, p, seed).red_rows == want
+        assert randomlab.sample_gnp(n, p, seed).rows == want
+
+    @pytest.mark.parametrize("n, seeds", [
+        (9, range(5, 40)),  # blocks of 1, 2, 4, 8, 16 and 4 seeds
+        (1200, range(3, 8)),  # two matrices fill a block: blocks of 1, 2 and 2
+        (2100, range(0, 2)),  # a matrix past one block: rows 0-997, 998-1995, then the rest
+        (3000, range(7, 8)),  # four blocks of 699 rows and one of 204
+    ])
+    def test_blocks(self, n, seeds):
+        got = list(randomlab.sample_red_rows(n, 0.3, seeds))
+        assert got == [reference_red_rows(n, 0.3, s) for s in seeds]
+
+    @pytest.mark.parametrize("seed", [-1, SEED_LIMIT])
+    def test_seed_outside_philox_keys(self, seed):
+        with pytest.raises(randomlab.SeedError, match="seeds must lie in"):
+            randomlab.sample_coloring(5, 0.5, seed)
+        with pytest.raises(randomlab.SeedError):
+            randomlab.sample_gnp(5, 0.5, seed)
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            randomlab.sample_coloring(-2, 0.5, 0)
 
 
 def recheck_partition(g: Graph, cert) -> bool:
