@@ -1,6 +1,6 @@
 """Time two checkouts side by side and write a BENCH json.
 
-    python3 scripts/bench.py --before OLD --after NEW --out BENCH_7.json
+    python3 scripts/bench.py --before OLD --after NEW --out BENCH_10.json
 
 OLD and NEW are checkouts of this repository (each one's ``src`` is put on
 PYTHONPATH; the tier-1 suite and perfbench run inside it).  Every measurement
@@ -19,7 +19,15 @@ runs of 20,000 calls).  Rows:
   ``lower_bound_certificate_random`` on each case of
   ``CERTIFY_LOWER_CASES`` (n = R(H, H), so every try runs), and
   ``find_mono_subgraph_exact`` for K4 in the red class of
-  ``random:40:0.5:1`` (the best of five runs of 2,000 calls);
+  ``random:40:0.5:1`` (the best of five runs of 2,000 calls),
+  ``Coloring.induced`` on all vertices and on the even ones of
+  ``random:320:0.25:1`` and on the even ones of ``random:4096:0.5:1``,
+  ``Graph.induced`` of 7 of the 10 vertices of ``gnp:10:0.5:1`` (the best of
+  five runs of 20,000 calls), ``neighborhood_chase`` on ``random:320:0.5:1``
+  (threshold 1/2, 8 letters of each colour at most) and
+  ``find_red_H_or_blue_clique`` on the n = 320 vs-clique input of
+  ``search_sweep`` (``gnp:10:0.5:1`` against a blue K10 in
+  ``random:320:0.25:1``, rho 0.3, seed 1);
 * ``ramsey_number_exact`` on each ``exact_oracle`` anchor of
   ``perfbench/workloads.py``, on R(3,4) at n_max = 10 and on R(3,5) at
   n_max = guard = 14, one call per fresh process, whose result (kind, n and,
@@ -94,6 +102,7 @@ def primitives() -> dict:
     from ramseykit.oracle import find_mono_subgraph_exact, lower_bound_certificate_random
     from ramseykit.patterns import load_pattern
     from ramseykit.randomlab import sample_coloring, sample_gnp
+    from ramseykit.search import SearchConfig, find_red_H_or_blue_clique, neighborhood_chase
 
     out = {"sample_gnp(4096, 0.2)": _median_time(lambda: sample_gnp(4096, 0.2, 1), 3)}
     for t in (1024, 2048, 4096):
@@ -126,6 +135,23 @@ def primitives() -> dict:
     best = min(timeit.repeat(lambda: find_mono_subgraph_exact(c, k4, RED), number=calls,
                              repeat=5))
     out["find_mono_subgraph_exact(k4, random:40:0.5:1, R)"] = best / calls
+    for spec, name, vertices in (("random:320:0.25:1", "all", range(320)),
+                                 ("random:320:0.25:1", "even", range(0, 320, 2)),
+                                 ("random:4096:0.5:1", "even", range(0, 4096, 2))):
+        n, p, seed = spec.split(":")[1:]
+        c, vertices = sample_coloring(int(n), float(p), int(seed)), list(vertices)
+        out[f"Coloring.induced({spec}, {name} vertices)"] = \
+            _median_time(lambda: c.induced(vertices), 5 if c.n < 4096 else 3)
+    g, seven = load_pattern("gnp:10:0.5:1"), [0, 2, 3, 5, 6, 8, 9]
+    calls = 20_000
+    best = min(timeit.repeat(lambda: g.induced(seven), number=calls, repeat=5))
+    out["Graph.induced(gnp:10:0.5:1, 7 vertices)"] = best / calls
+    c = sample_coloring(320, 0.5, 1)
+    out["neighborhood_chase(random:320:0.5:1, 1/2, 8, 8)"] = \
+        _median_time(lambda: neighborhood_chase(c, range(320), 0.5, 8, 8), 9)
+    c, config = sample_coloring(320, 0.25, 1), SearchConfig(rho=0.3, seed=1)
+    out["find_red_H_or_blue_clique(gnp:10:0.5:1, random:320:0.25:1, s=10)"] = \
+        _median_time(lambda: find_red_H_or_blue_clique(c, g, 10, config), 9)
     return out
 
 

@@ -8,7 +8,9 @@ from everything else but ``random gnp``, which writes a graph file.
 Exhausted/NotFound are successful completions (exit 0) -- the report is the
 result.  Exit 1 = usage error, including a flag value outside its range
 (``embed --sigma``, ``--delta``, ``--budget``; ``search --budget``,
-``--clique-s``, ``--degree-cap``; ``random spread --budget``; ``oracle
+``--clique-s``, ``--degree-cap``; ``random partition --max-tries``;
+``random spread --delta``, ``--eps``, ``--rho``, ``--budget``; ``random
+chernoff --n``, ``--p``, ``--theta``, ``--empirical``; ``oracle
 certify-lower --n``, ``--tries``; a seed that is no Philox key, in [0,
 2**128), whether a ``--seed``, a ``sweep --seeds`` value, a ``random:`` or
 ``gnp:`` shorthand's seed, or the seed of any certify-lower try) and an
@@ -341,6 +343,8 @@ def _cmd_random_gnp(args) -> int:
 
 
 def _cmd_random_partition(args) -> int:
+    if args.max_tries < 1:
+        raise UsageError(f"--max-tries must be at least 1, got {args.max_tries}")
     _check_seed("--seed", args.seed)
     (g,), hashes = _load_inputs(args, graph=_load_graph_arg)
     cert = randomlab.judicious_partition(g, args.max_tries, args.seed)
@@ -348,21 +352,36 @@ def _cmd_random_partition(args) -> int:
 
 
 def _cmd_random_spread(args) -> int:
+    rho = parse_rho(args.rho)
+    if not 0 < args.delta <= 1:
+        raise UsageError(f"--delta must be in (0, 1], got {args.delta}")
+    if not args.eps > 0:
+        raise UsageError(f"--eps must be positive, got {args.eps}")
+    if not 0 < rho <= 1:
+        raise UsageError(f"--rho must be in (0, 1], got {args.rho}")
     if args.budget < 1:
         raise UsageError(f"--budget must be at least 1, got {args.budget}")
     _check_seed("--seed", args.seed)
     (g,), hashes = _load_inputs(args, graph=_load_graph_arg)
-    rep = randomlab.verify_degree_spread(g, args.delta, args.eps, parse_rho(args.rho),
+    rep = randomlab.verify_degree_spread(g, args.delta, args.eps, rho,
                                          args.mode, args.budget, args.seed)
     return _emit_result(args, hashes, rep.to_json())
 
 
 def _cmd_random_chernoff(args) -> int:
+    if not 1 <= args.n < 2 ** 63:  # numpy draws binomials of at most 2**63 - 1 trials
+        raise UsageError(f"--n must be in [1, 2**63), got {args.n}")
+    if not 0 < args.p < 1:
+        raise UsageError(f"--p must be in (0, 1), got {args.p}")
+    if not 0 <= args.theta <= 1:
+        raise UsageError(f"--theta must be in [0, 1], got {args.theta}")
+    if args.empirical is not None and args.empirical < 1:
+        raise UsageError(f"--empirical must be at least 1, got {args.empirical}")
     _check_seed("--seed", args.seed)
     bound = randomlab.chernoff_tail(args.n, args.p, args.theta)
     result = {"n": args.n, "p": args.p, "theta": args.theta, "bound": bound,
               "exponential_base": "e"}
-    if args.empirical:
+    if args.empirical is not None:
         result["empirical"] = randomlab.empirical_binomial_tail(
             args.n, args.p, args.theta, args.empirical, args.seed)
         result["samples"] = args.empirical

@@ -5,11 +5,12 @@ packed bit rows (one Python int per vertex).  Two-colorings of complete
 graphs store the Red class as bit rows; Blue is the complement.  All types
 are immutable after construction and safe to share across workers.
 
-Whole-graph work (the symmetry check, parsing, serializing) goes through
-numpy bool matrices: ``bit_matrix`` unpacks rows into one and ``pack_rows``
-packs one back.  ``parse_graph`` reads the edge lines with numpy too, in
-passes over about 1 MB of the text's bytes.  A graph on up to 4096 vertices is handled as one t x t
-matrix, a larger one in blocks of rows, so no matrix exceeds 16 MB.  That
+Whole-graph work (the symmetry check, induced relabelling, parsing,
+serializing) goes through numpy bool matrices: ``bit_matrix`` unpacks rows
+into one and ``pack_rows`` packs one back.  ``parse_graph`` reads the edge
+lines with numpy too, in passes over about 1 MB of the text's bytes.  A graph
+on up to 4096 vertices is handled as one t x t matrix, a larger one in blocks
+of rows, so no matrix exceeds 16 MB.  That
 work still takes time quadratic in t, so graphs and colorings have at most
 ``MAX_VERTICES`` vertices, and the parsers check a declared vertex count
 before they build anything.
@@ -185,18 +186,39 @@ class Graph:
         return all(r for r in self.rows)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
-        """Induced subgraph, relabelled to 0..k-1 in the order given."""
+        """Induced subgraph, relabelled to 0..k-1 in the order given; the
+        graph itself when ``vertices`` is 0..t-1 in order."""
+        if _in_order(vertices, self.t):
+            return self
         return Graph(len(vertices), _induced_rows(self.rows, vertices))
 
 
+def _in_order(vertices: Sequence[int], n: int) -> bool:
+    """Whether ``vertices`` is exactly 0..n-1 in order."""
+    return len(vertices) == n and list(vertices) == list(range(n))
+
+
 def _induced_rows(rows: Sequence[int], vertices: Sequence[int]) -> tuple[int, ...]:
-    """Rows of the subgraph induced on ``vertices``; vertices[i] becomes i."""
-    idx = {v: i for i, v in enumerate(vertices)}
-    inside = mask_of(idx)
-    out = [0] * len(vertices)
-    for v, i in idx.items():
-        for u in bits_of(rows[v] & inside):
-            out[i] |= 1 << idx[u]
+    """Rows of the subgraph induced on ``vertices``; vertices[i] becomes i.
+
+    One numpy relabel: the kept vertices' rows are unpacked with
+    ``bit_matrix``, the kept columns are gathered in the given order, and the
+    result is packed back with ``pack_rows``.  It goes one block of kept rows
+    at a time, so no bool matrix has more than _BLOCK_ENTRIES entries (16 MB).
+    The vertices must be distinct and lie in 0..len(rows)-1; that is checked
+    before any work.
+    """
+    n, k = len(rows), len(vertices)
+    if k and not (0 <= min(vertices) and max(vertices) < n):
+        raise ValueError(f"induced vertices must lie in 0..{n - 1}")
+    if len(set(vertices)) != k:
+        raise ValueError("induced vertices must be distinct")
+    cols = np.array(vertices, dtype=np.intp)
+    step = max(1, _BLOCK_ENTRIES // max(n, 1))
+    out: list[int] = []
+    for lo in range(0, k, step):
+        block = bit_matrix(n, [rows[v] for v in cols[lo:lo + step].tolist()])
+        out.extend(pack_rows(block[:, cols]))
     return tuple(out)
 
 
@@ -276,7 +298,10 @@ class Coloring:
 
     def induced(self, vertices: Sequence[int]) -> "Coloring":
         """Coloring of the pairs within ``vertices``, relabelled to 0..k-1 in
-        the order given."""
+        the order given; the coloring itself when ``vertices`` is 0..n-1 in
+        order."""
+        if _in_order(vertices, self.n):
+            return self
         return Coloring(len(vertices), _induced_rows(self.red_rows, vertices))
 
 

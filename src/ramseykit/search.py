@@ -120,30 +120,37 @@ def neighborhood_chase(coloring: Coloring, start_set: Sequence[int],
     Pivot = lowest-index vertex of the current set; the step restricts to
     the pivot's red neighborhood when it holds at least red_threshold of
     the non-pivot vertices, else to the blue neighborhood.  Stops when
-    either letter count hits its cap or the set empties.
+    either letter count hits its cap or the set empties.  The sets are bit
+    masks while the chase runs.
     """
     if not start_set:
         raise ValueError("start_set must be nonempty")
     if stop_R < 1 or stop_B < 1:
         raise ValueError("stop counts must be >= 1")
-    current = frozenset(start_set)
+    start = frozenset(start_set)
+    if min(start) < 0 or max(start) >= coloring.n:
+        raise ValueError(f"start_set must lie in 0..{coloring.n - 1}")
+    rows = coloring.red_rows
+    current = mask_of(start)
     pivots: list[tuple[int, str]] = []
-    sets: list[frozenset[int]] = []
-    letters: list[str] = []
-    while current and letters.count(RED) < stop_R and letters.count(BLUE) < stop_B:
-        pivot = min(current)
-        rest = current - {pivot}
-        red_nb = frozenset(v for v in rest if coloring.red_rows[pivot] >> v & 1)
-        if len(red_nb) >= red_threshold * len(rest):
+    masks: list[int] = []
+    reds = blues = 0
+    while current and reds < stop_R and blues < stop_B:
+        low = current & -current
+        pivot = low.bit_length() - 1
+        rest = current ^ low
+        red_nb = rest & rows[pivot]
+        if red_nb.bit_count() >= red_threshold * rest.bit_count():
             letter, nxt = RED, red_nb
+            reds += 1
         else:
-            letter, nxt = BLUE, rest - red_nb
+            letter, nxt = BLUE, rest ^ red_nb
+            blues += 1
         pivots.append((pivot, letter))
-        letters.append(letter)
-        sets.append(nxt)
+        masks.append(nxt)
         current = nxt
-    return ChaseState(tuple(pivots), tuple(sets), "".join(letters),
-                      frozenset(start_set), red_threshold)
+    return ChaseState(tuple(pivots), tuple(frozenset(bits_of(m)) for m in masks),
+                      "".join(letter for _, letter in pivots), start, red_threshold)
 
 
 def filter_high_blue_degree(coloring: Coloring, A: Sequence[int], B: Sequence[int],

@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ramseykit.graphs import BLUE, RED, Coloring, Graph, bits_of, rows_of
+from ramseykit.search import ChaseState
 
 
 def reference_red_rows(n: int, p: float, seed: int) -> tuple[int, ...]:
@@ -108,3 +109,39 @@ def reference_certify_lower(pattern: Graph, n: int, tries: int, seed: int,
            reference_find_mono(c, pattern, BLUE) is None:
             return c
     return None
+
+
+# The chase before it ran on bit masks, verbatim but for its name: the
+# reference for ``search.neighborhood_chase``.
+
+def reference_neighborhood_chase(coloring: Coloring, start_set: Sequence[int],
+                                 red_threshold: float, stop_R: int, stop_B: int) -> ChaseState:
+    """Iterated pivoting into majority-color neighborhoods.
+
+    Pivot = lowest-index vertex of the current set; the step restricts to
+    the pivot's red neighborhood when it holds at least red_threshold of
+    the non-pivot vertices, else to the blue neighborhood.  Stops when
+    either letter count hits its cap or the set empties.
+    """
+    if not start_set:
+        raise ValueError("start_set must be nonempty")
+    if stop_R < 1 or stop_B < 1:
+        raise ValueError("stop counts must be >= 1")
+    current = frozenset(start_set)
+    pivots: list[tuple[int, str]] = []
+    sets: list[frozenset[int]] = []
+    letters: list[str] = []
+    while current and letters.count(RED) < stop_R and letters.count(BLUE) < stop_B:
+        pivot = min(current)
+        rest = current - {pivot}
+        red_nb = frozenset(v for v in rest if coloring.red_rows[pivot] >> v & 1)
+        if len(red_nb) >= red_threshold * len(rest):
+            letter, nxt = RED, red_nb
+        else:
+            letter, nxt = BLUE, rest - red_nb
+        pivots.append((pivot, letter))
+        letters.append(letter)
+        sets.append(nxt)
+        current = nxt
+    return ChaseState(tuple(pivots), tuple(sets), "".join(letters),
+                      frozenset(start_set), red_threshold)

@@ -1,12 +1,16 @@
 import hashlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramseykit import cli
 from ramseykit.graphs import (
@@ -260,11 +264,28 @@ class TestFailuresAreOneLine:
                         ["--n", "5", "--tries", "10", "--seed", str(2 ** 128 - 9)])),
         ["random", "gnp", "--t", "8", "--rho", "0.5", "--seed", "-1"],
         ["random", "partition", "--graph", "gnp:20:0.5:1", "--seed", "-1"],
+        *(["random", "partition", "--graph", "gnp:20:0.5:1", "--max-tries", tries]
+          for tries in ("-3", "0")),
         ["random", "chernoff", "--n", "40", "--p", "0.5", "--theta", "0.2",
          "--empirical", "10", "--seed", str(2 ** 128)],
+        *(["random", "chernoff", *flags]
+          for flags in (["--p", "0.5", "--theta", "0.2", "--n", "0"],
+                        ["--p", "0.5", "--theta", "0.2", "--n", "-4"],
+                        ["--p", "0.5", "--theta", "0.2", "--empirical", "5",
+                         "--n", str(2 ** 128)],
+                        *(["--n", "40", "--theta", "0.2", "--p", p]
+                          for p in ("0", "1", "-0.5", "1.5", "nan")),
+                        *(["--n", "40", "--p", "0.5", "--theta", theta]
+                          for theta in ("-0.1", "1.01", "nan")),
+                        *(["--n", "40", "--p", "0.5", "--theta", "0.2", "--empirical", e]
+                          for e in ("0", "-5")))),
         *(["random", "spread", "--graph", "gnp:30:0.3:2", "--delta", "0.2", "--eps", "0.5",
            "--rho", "0.3", *flag]
-          for flag in (["--budget", "-5"], ["--budget", "0"], ["--seed", "-1"])),
+          for flag in (["--budget", "-5"], ["--budget", "0"], ["--seed", "-1"],
+                       ["--delta", "0"], ["--delta", "-0.2"], ["--delta", "1.5"],
+                       ["--delta", "nan"], ["--eps", "0"], ["--eps", "-1"],
+                       ["--eps", "nan"], ["--rho", "0"], ["--rho", "-0.25"],
+                       ["--rho", "3/2"], ["--rho", "nan"])),
         *(["search", "--coloring", "random:30:0.5:1", "--pattern", "c4", "--mode",
            "random-bounded", "--degree-cap", cap] for cap in ("-1", "-5")),
         # shorthand seeds that are no Philox key
@@ -449,3 +470,89 @@ class TestReadmeExamples:
         for line in lines:
             code = cli.run(shlex.split(line)[1:])
             assert (code, capsys.readouterr().err) == (0, ""), line
+
+
+# Flag values of the generated-argv test: per flag, small valid values and
+# odd ones.  The numeric flags' odd values are 0, -1, nan, inf, 2**128 and junk
+# text, but flags that set how much work is done (sizes, tries, budgets) keep
+# to small values and get 2**128 only where it is refused before any work.
+_BIG = str(2 ** 128)
+_ODD = ["0", "-1", "nan", "inf", "x7"]
+_PATTERN = (["k3", "p3", "c4", "gnp:6:0.5:1"], ["gnp:6:0.5:-1", "gnp:6:2:1", "e0", "x7"])
+_COLORING = (["random:20:0.5:1", "random:40:0.25:3", "mono:8:R"],
+             ["random:10:0.5:-1", "random:10:2:1", "mono:8", "x7"])
+_GRAPH = (["gnp:20:0.5:1", "gnp:40:0.2:3"], ["gnp:20:2:1", "gnp:-1:0.5:1", "x7"])
+_SEED = (["0", "7"], ["-1", _BIG, "nan", "x7"])
+_COLOR = (["R", "B"], ["x7"])
+_RHO = (["0.3", "1/2", "1"], [*_ODD, _BIG, "1/0"])
+_REAL = (["0.3", "0.5"], [*_ODD, _BIG])
+_COUNT = (["1", "5"], _ODD)
+_BOUNDS_FLAGS = {"--theorem": (["main-dense", "clique-dense", "edges-form", "lower"], ["x7"]),
+                 "--t": (["8", "64", "8:32:8"], [*_ODD, _BIG]),
+                 "--rho": (["1/4", "0.5", "1/4,1/16"], [*_ODD, _BIG, "1/0"]),
+                 "--s": (["1", "3"], [*_ODD, _BIG]), "--m": (["1", "3"], [*_ODD, _BIG])}
+GENERATED_LEAVES = {
+    ("bounds",): {**_BOUNDS_FLAGS, "--grid": ([None], [None])},
+    ("embed",): {"--pattern": _PATTERN,
+                 "--host": (["gnp:12:0.8:5", "gnp:20:0.5:1", *_COLORING[0]], _COLORING[1]),
+                 "--color": _COLOR, "--delta": (["0.3", "1"], [*_ODD, _BIG]),
+                 "--sigma": (["0.1", "0.25", "0.5"], [*_ODD, _BIG]),
+                 "--budget": (["10", "1000000"], [*_ODD, _BIG])},
+    ("search",): {"--coloring": _COLORING, "--pattern": _PATTERN,
+                  "--mode": (["mono", "vs-clique", "random-bounded"], ["x7"]),
+                  "--rho": (["0.5", "1/4"], [*_ODD, _BIG]),
+                  "--clique-s": (["2", "4"], [*_ODD, _BIG]),
+                  "--degree-cap": (["0", "2"], [*_ODD, _BIG]),
+                  "--budget": (["1", "3"], [*_ODD, _BIG]), "--seed": _SEED,
+                  "--trace-full": ([None], [None])},
+    ("random", "gnp"): {"--t": (["8", "64"], [*_ODD, _BIG]), "--rho": _RHO,
+                        "--seed": _SEED},
+    ("random", "partition"): {"--graph": _GRAPH, "--max-tries": _COUNT,
+                              "--seed": _SEED},
+    ("random", "spread"): {"--graph": _GRAPH, "--delta": _REAL, "--eps": _REAL,
+                           "--rho": _RHO, "--mode": (["sampled", "exhaustive"], ["x7"]),
+                           "--budget": _COUNT, "--seed": _SEED},
+    ("random", "chernoff"): {"--n": (["40", "400"], [*_ODD, _BIG]), "--p": _REAL,
+                             "--theta": (["0.2", "1"], [*_ODD, _BIG]),
+                             "--empirical": (["10", "1000"], _ODD), "--seed": _SEED},
+    ("oracle", "find"): {"--coloring": _COLORING, "--pattern": _PATTERN, "--color": _COLOR},
+    ("oracle", "ramsey"): {"--h1": _PATTERN, "--h2": _PATTERN,
+                           "--nmax": (["3", "6"], [*_ODD, _BIG])},
+    ("oracle", "certify-lower"): {"--pattern": _PATTERN,
+                                  "--n": (["5", "6", "40"], [*_ODD, _BIG]),
+                                  "--tries": _COUNT, "--seed": _SEED},
+    ("sweep",): {"--kind": (["bounds", "search"], ["x7"]), **_BOUNDS_FLAGS,
+                 "--pattern": _PATTERN, "--mode": (["mono", "vs-clique"], ["x7"]),
+                 "--n": (["8", "20", "8:40:16"], [*_ODD, _BIG]),
+                 "--seeds": (["0:2:1", "3"], ["-1", _BIG, "x7"]),
+                 "--p-red": (["0.5", "0.3"], [*_ODD, _BIG])},
+}
+
+
+@st.composite
+def generated_argv(draw):
+    """A leaf subcommand and most of its flags, each with a valid value but at
+    most one, which gets an odd value."""
+    leaf = draw(st.sampled_from(sorted(GENERATED_LEAVES)))
+    flags = GENERATED_LEAVES[leaf]
+    odd = draw(st.sampled_from([None, *flags]))
+    argv = list(leaf)
+    for flag, (valid, bad) in flags.items():
+        if draw(st.integers(0, 9)) == 0:  # sometimes left out, required or not
+            continue
+        value = draw(st.sampled_from(bad if flag == odd else valid))
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+class TestGeneratedArgv:
+    @settings(max_examples=300, deadline=None)
+    @given(generated_argv())
+    def test_exit_code_and_one_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+            os.environ.pop("RAMSEYKIT_WORKERS", None)
+            code = cli.run(argv)
+        assert code in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) <= 1
+        assert "Traceback" not in err.getvalue()

@@ -26,7 +26,7 @@ from ramseykit.graphs import (
     serialize_coloring,
     serialize_graph,
 )
-from ramseykit.randomlab import sample_gnp
+from ramseykit.randomlab import sample_coloring, sample_gnp
 
 
 def random_graph(draw, max_t=10):
@@ -217,12 +217,66 @@ class TestColoring:
         assert c.rows(BLUE) is c.rows(BLUE)
         assert c.rows(BLUE) == c.swapped().red_rows
 
-    @given(st.composite(random_graph)(max_t=40), st.randoms(use_true_random=False))
-    def test_induced_matches_reference(self, g, rnd):
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 130), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+           st.integers(0, 2 ** 16), st.randoms(use_true_random=False),
+           st.one_of(st.none(), st.integers(1, 600)))
+    def test_induced_matches_reference(self, t, rho, seed, rnd, entries):
+        """Relabelling in one block, or, with ``entries`` given, in row blocks of
+        at most that many entries."""
+        g = sample_gnp(t, rho, seed)
         vertices = rnd.sample(range(g.t), rnd.randint(0, g.t))
         expect = induced_reference(g.rows, vertices)
-        assert g.induced(vertices).rows == expect
-        assert Coloring.from_red_graph(g).induced(vertices).red_rows == expect
+        with row_blocks_of(entries or graphs._BLOCK_ENTRIES):
+            assert g.induced(vertices).rows == expect
+            assert Coloring.from_red_graph(g).induced(vertices).red_rows == expect
+
+
+class TestInduced:
+    def test_all_vertices_in_order_is_the_object_itself(self):
+        g = sample_gnp(12, 0.5, 3)
+        c = Coloring.from_red_graph(g)
+        assert g.induced(range(12)) is g
+        assert g.induced(list(range(12))) is g
+        assert c.induced(tuple(range(12))) is c
+        assert g.induced(list(range(11, -1, -1))) is not g  # relabelled
+
+    def test_empty_list_gives_no_rows(self):
+        g = sample_gnp(9, 0.5, 1)
+        assert g.induced([]).rows == ()
+        assert Coloring.from_red_graph(g).induced([]).red_rows == ()
+        assert Graph.empty(0).induced([]).rows == ()
+
+    @pytest.mark.parametrize("vertices, message", [
+        ([0, -1, 2], "must lie in 0..7"),
+        ([0, 8], "must lie in 0..7"),
+        ([2 ** 128], "must lie in 0..7"),
+        ([3, 1, 3], "must be distinct"),  # used to give vertex 3 a zero row
+        ([0, 1, 2, 3, 4, 5, 6, 6], "must be distinct"),
+    ])
+    def test_bad_vertices_refused_before_any_work(self, monkeypatch, vertices, message):
+        g = sample_gnp(8, 0.5, 2)
+        c = Coloring.from_red_graph(g)
+        work = []
+        monkeypatch.setattr(graphs, "bit_matrix", lambda *a: work.append(a))
+        monkeypatch.setattr(Graph, "__post_init__", lambda self: work.append(self))
+        for host in (g, c):
+            with pytest.raises(ValueError, match=message):
+                host.induced(vertices)
+        assert work == []
+
+    def test_peak_memory(self):
+        c = sample_coloring(4096, 0.5, 1)
+        even = range(0, 4096, 2)
+        tracemalloc.start()
+        try:
+            sub = c.induced(even)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(sub.color_of(i, j) == c.color_of(2 * i, 2 * j)
+                   for i, j in [(0, 1), (5, 2047), (1000, 17), (2046, 2047)])
+        assert peak < 48 << 20  # one 4096 x 4096 bool matrix alone is 16 MB
 
 
 def induced_reference(rows, vertices):

@@ -6,6 +6,8 @@ from ramseykit.graphs import BLUE, RED, BoundedGraphWitness, Coloring, Graph
 from ramseykit.patterns import named_graph
 from ramseykit.randomlab import sample_coloring, sample_gnp
 
+from references import reference_neighborhood_chase
+
 
 def pentagon_coloring() -> Coloring:
     return Coloring.from_red_graph(named_graph("c", 5))
@@ -39,6 +41,23 @@ class TestNeighborhoodChase:
     def test_empty_start_rejected(self):
         with pytest.raises(ValueError):
             search.neighborhood_chase(Coloring.monochromatic(3, RED), [], 0.5, 1, 1)
+
+    @pytest.mark.parametrize("start", [[-1, 0, 1], [0, 1, 5], [-3]])
+    def test_start_outside_coloring_rejected(self, start):
+        # a negative vertex used to index the rows from the end
+        with pytest.raises(ValueError, match=r"start_set must lie in 0\.\.4"):
+            search.neighborhood_chase(pentagon_coloring(), start, 0.5, 2, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 70), st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]),
+           st.integers(0, 2 ** 16), st.randoms(use_true_random=False),
+           st.sampled_from([0.3, 0.5, 0.7]), st.integers(1, 5), st.integers(1, 5))
+    def test_matches_frozenset_reference(self, n, p, seed, rnd, threshold, stop_R, stop_B):
+        c = sample_coloring(n, p, seed)
+        start = rnd.sample(range(n), rnd.randint(1, n))
+        state = search.neighborhood_chase(c, start, threshold, stop_R, stop_B)
+        assert state == reference_neighborhood_chase(c, start, threshold, stop_R, stop_B)
+        assert state.check_invariants(c)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6), st.floats(0.1, 0.9))
