@@ -1,6 +1,6 @@
 """Time two checkouts side by side and write a BENCH json.
 
-    python3 scripts/bench.py --before OLD --after NEW --out BENCH_10.json
+    python3 scripts/bench.py --before OLD --after NEW --out BENCH_11.json
 
 OLD and NEW are checkouts of this repository (each one's ``src`` is put on
 PYTHONPATH; the tier-1 suite and perfbench run inside it).  Every measurement
@@ -10,9 +10,13 @@ A row's value is the median over rounds; each primitive is itself the median
 of a few in-process repeats (the t = 5 and 9 constructions: the best of five
 runs of 20,000 calls).  Rows:
 
-* primitives: ``sample_gnp(4096, 0.2)``, ``Graph`` validation at t = 1024,
-  2048, 4096, ``serialize_graph`` at t = 2048, ``parse_graph`` at t = 1024,
-  2048, 4096 (G(t, 0.2) each), ``Coloring.swapped()`` at n = 400,
+* primitives: ``sample_gnp`` at t = 2048 and 4096 (rho 0.2), ``Graph``
+  validation at t = 1024, 2048, 4096, ``serialize_graph`` at t = 2048,
+  ``parse_graph`` at t = 1024, 2048, 4096 (G(t, 0.2) each),
+  ``verify_degree_spread`` on G(2048, 0.2) as ``dense_sampling`` runs it
+  (delta 0.1, eps 0.5, rho 0.2, 50 sampled sets), ``serialize_coloring`` and
+  ``parse_coloring`` of the compact form of ``random:512:0.5:1``,
+  ``Coloring.swapped()`` at n = 400,
   ``Graph`` construction at t = 5 and 9, ``check_bidense_exact`` on the
   hosts of ``BIDENSE_CASES``, each of which certifies (a budget of 10**10
   admits them in either budget unit, C(n, s) * n counts or C(n, s)**2),
@@ -98,13 +102,15 @@ def _median_time(fn, repeats: int) -> float:
 def primitives() -> dict:
     """Seconds per call of each primitive, in this process."""
     from ramseykit.embedder import Certified, check_bidense_exact
-    from ramseykit.graphs import RED, Graph, parse_graph, serialize_graph
+    from ramseykit.graphs import (RED, Graph, parse_coloring, parse_graph, serialize_coloring,
+                                  serialize_graph)
     from ramseykit.oracle import find_mono_subgraph_exact, lower_bound_certificate_random
     from ramseykit.patterns import load_pattern
-    from ramseykit.randomlab import sample_coloring, sample_gnp
+    from ramseykit.randomlab import sample_coloring, sample_gnp, verify_degree_spread
     from ramseykit.search import SearchConfig, find_red_H_or_blue_clique, neighborhood_chase
 
-    out = {"sample_gnp(4096, 0.2)": _median_time(lambda: sample_gnp(4096, 0.2, 1), 3)}
+    out = {f"sample_gnp({t}, 0.2)": _median_time(lambda: sample_gnp(t, 0.2, 1), 3)
+           for t in (2048, 4096)}
     for t in (1024, 2048, 4096):
         rows = sample_gnp(t, 0.2, 1).rows
         out[f"Graph validation, t={t}"] = _median_time(lambda: Graph(t, rows), 3)
@@ -113,6 +119,15 @@ def primitives() -> dict:
     for t in (1024, 2048, 4096):
         text = serialize_graph(sample_gnp(t, 0.2, 1))
         out[f"parse_graph, t={t}"] = _median_time(lambda: parse_graph(text), 5)
+    g = sample_gnp(2048, 0.2, 1)
+    out["verify_degree_spread(G(2048, 0.2), 0.1, 0.5, 0.2, budget=50)"] = _median_time(
+        lambda: verify_degree_spread(g, 0.1, 0.5, 0.2, sample_budget=50, seed=1), 5)
+    c = sample_coloring(512, 0.5, 1)
+    out["serialize_coloring(random:512:0.5:1, compact)"] = _median_time(
+        lambda: serialize_coloring(c, compact=True), 3)
+    text = serialize_coloring(c, compact=True)
+    out["parse_coloring(random:512:0.5:1, compact)"] = _median_time(
+        lambda: parse_coloring(text), 3)
     c = sample_coloring(400, 0.5, 1)
     out["Coloring.swapped(), n=400"] = _median_time(c.swapped, 9)
     for t in (5, 9):

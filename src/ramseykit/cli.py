@@ -375,8 +375,9 @@ def _cmd_random_chernoff(args) -> int:
         raise UsageError(f"--p must be in (0, 1), got {args.p}")
     if not 0 <= args.theta <= 1:
         raise UsageError(f"--theta must be in [0, 1], got {args.theta}")
-    if args.empirical is not None and args.empirical < 1:
-        raise UsageError(f"--empirical must be at least 1, got {args.empirical}")
+    if args.empirical is not None and not 1 <= args.empirical <= randomlab.EMPIRICAL_LIMIT:
+        raise UsageError(f"--empirical must be in [1, {randomlab.EMPIRICAL_LIMIT}], "
+                         f"got {args.empirical}")
     _check_seed("--seed", args.seed)
     bound = randomlab.chernoff_tail(args.n, args.p, args.theta)
     result = {"n": args.n, "p": args.p, "theta": args.theta, "bound": bound,

@@ -6,14 +6,17 @@ graphs store the Red class as bit rows; Blue is the complement.  All types
 are immutable after construction and safe to share across workers.
 
 Whole-graph work (the symmetry check, induced relabelling, parsing,
-serializing) goes through numpy bool matrices: ``bit_matrix`` unpacks rows
-into one and ``pack_rows`` packs one back.  ``parse_graph`` reads the edge
-lines with numpy too, in passes over about 1 MB of the text's bytes.  A graph
-on up to 4096 vertices is handled as one t x t matrix, a larger one in blocks
-of rows, so no matrix exceeds 16 MB.  That
-work still takes time quadratic in t, so graphs and colorings have at most
-``MAX_VERTICES`` vertices, and the parsers check a declared vertex count
-before they build anything.
+serializing, the compact coloring form) goes through numpy bool matrices:
+``bit_matrix`` unpacks rows into one and ``pack_rows`` packs one back.
+``parse_graph`` reads the edge lines with numpy too, in passes over about
+1 MB of the text's bytes.  A graph on up to 4096 vertices is handled as one
+t x t matrix, a larger one in blocks of rows, so no matrix exceeds 16 MB.
+Transposes within a matrix -- the symmetry check, and mirroring the upper
+triangle onto the lower one -- go one 256 x 256 tile and its mirror image at
+a time (``_tiles``), so each stays in cache instead of reading a column of the
+whole matrix per row.  That work still takes time quadratic in t, so graphs
+and colorings have at most ``MAX_VERTICES`` vertices, and the parsers check a
+declared vertex count before they build anything.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -28,8 +32,9 @@ import numpy as np
 RED = "R"
 BLUE = "B"
 
-# Most vertices of a graph or coloring.  Validating a graph at the limit
-# takes about 2 s and 50 MB (one core of a 2-vCPU x86-64 host).
+# Most vertices of a graph or coloring.  Validating G(16384, 0.2) at the limit
+# takes about 3.4 s and peaks at 69 MB (tracemalloc; one core of a 2-vCPU
+# x86-64 host), in row blocks: the tiles serve graphs of one block.
 MAX_VERTICES = 1 << 14
 
 
@@ -77,6 +82,59 @@ def _row_blocks(t: int) -> Iterator[tuple[int, int]]:
         yield lo, min(lo + step, t)
 
 
+# Side of the square tiles that transposes go through: a 256 x 256 bool tile
+# is 64 KB, so a tile and its mirror image stay in cache together.
+_TILE = 256
+
+
+def _tiles(t: int) -> Iterator[tuple[slice, slice]]:
+    """Rows and columns (r, c) of the tiles on and above the diagonal of a
+    t x t matrix, _TILE x _TILE each (less at the edges), row by row."""
+    bands = [slice(i, i + _TILE) for i in range(0, t, _TILE)]
+    return combinations_with_replacement(bands, 2)
+
+
+def _symmetric(a: np.ndarray) -> bool:
+    """Whether a square bool matrix equals its transpose: each tile is
+    compared with its mirror image.  A matrix of one tile is compared whole,
+    which is the same comparison without the cost of slicing it."""
+    if len(a) <= _TILE:
+        return a.tobytes() == a.T.tobytes()
+    return all(a[r, c].tobytes() == a[c, r].T.tobytes() for r, c in _tiles(len(a)))
+
+
+def _mirror(b: np.ndarray) -> None:
+    """OR each square bool matrix of a stack with its transpose, one tile of
+    every matrix at a time.  Entries below the diagonal must be unset: the
+    tiles below the diagonal ones are written, not read."""
+    for r, c in _tiles(b.shape[-1]):
+        b[:, c, r] |= b[:, r, c].transpose(0, 2, 1)
+
+
+def _upper(lo: int, hi: int, n: int) -> np.ndarray:
+    """Bool (hi - lo) x n mask of the pairs {u, v}, lo <= u < hi and u < v;
+    row-major order is their lexicographic order."""
+    return np.arange(lo, hi)[:, None] < np.arange(n)
+
+
+def _pair_rows(red: np.ndarray, n: int, lo: int, hi: int,
+               earlier: Sequence[int]) -> tuple[int, ...]:
+    """Rows lo..hi-1 of each coloring of a stack, one coloring after another.
+
+    ``red[k]`` holds the colours of the pairs {u, v}, lo <= u < hi and u < v,
+    of the k-th coloring, in lexicographic order.  When lo > 0 the stack holds
+    one coloring, and ``earlier`` are its rows 0..lo-1.
+    """
+    k, rows = len(red), hi - lo
+    a = np.zeros((k * rows, n), dtype=bool)
+    a[np.tile(_upper(lo, hi, n), (k, 1))] = red.ravel()
+    _mirror(a.reshape(k, rows, n)[:, :, lo:hi])
+    if lo:
+        cut = (1 << rows) - 1
+        a[:, :lo] = bit_matrix(rows, [row >> lo & cut for row in earlier]).T
+    return pack_rows(a)
+
+
 def bit_matrix(t: int, rows: Sequence[int]) -> np.ndarray:
     """Bool len(rows) x t matrix whose entry [i, u] is bit u of ``rows[i]``.
 
@@ -113,21 +171,22 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.t < 0:
+        t, rows = self.t, self.rows
+        if t < 0:
             raise ValueError("vertex count must be nonnegative")
-        check_vertex_count(self.t)
-        if len(self.rows) != self.t:
+        check_vertex_count(t)
+        if len(rows) != t:
             raise ValueError("row count does not match vertex count")
-        for v, row in enumerate(self.rows):
-            if row >> self.t:  # a bit at or above t, or a negative row
+        for v, row in enumerate(rows):
+            if row >> t:  # a bit at or above t, or a negative row
                 raise ValueError(f"row {v} has out-of-range bits")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        # one block: compare it with its transpose; larger graphs, and a
-        # mismatch, go block by block
-        a = bit_matrix(self.t, self.rows) if self.t * self.t <= _BLOCK_ENTRIES else None
-        if a is None or a.tobytes() != a.T.tobytes():
-            _check_symmetric(self.t, self.rows)
+        # one block: compare each tile with its mirror image; larger graphs,
+        # and a mismatch, go block by block
+        a = bit_matrix(t, rows) if t * t <= _BLOCK_ENTRIES else None
+        if a is None or not _symmetric(a):
+            _check_symmetric(t, rows)
 
     @classmethod
     def from_edges(cls, t: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -504,10 +563,17 @@ def _read_edge_lines(text: str, data: bytes, lo: int, hi: int, t: int,
     for p in range(1, min(int(width.max(initial=0)), _MAX_DIGITS)):
         more = np.flatnonzero(width > p)
         val[more] += (b[last[more] - p] - 48).astype(np.int64) * 10 ** p
-    first = np.concatenate(([0], np.searchsorted(starts, breaks)))  # each line's first token
-    count = np.diff(first, append=len(starts))
-    u, v = val[first], val.take(first + 1, mode="clip")
-    unread = (count != 2) | (u >= v) | (v >= t)
+    if len(starts) == 2 * n and (starts[1:-1:2] < breaks).all() \
+            and (breaks < starts[2::2]).all():
+        # token 2j + 1 ends before break j and token 2j + 2 starts after it:
+        # every line holds two tokens
+        u, v = val[0:-1:2], val[1::2]
+        unread = (u >= v) | (v >= t)
+    else:
+        first = np.concatenate(([0], np.searchsorted(starts, breaks)))  # each line's first token
+        count = np.diff(first, append=len(starts))
+        u, v = val[first], val.take(first + 1, mode="clip")
+        unread = (count != 2) | (u >= v) | (v >= t)
     unread[odd] = True
     unread[np.searchsorted(breaks, starts[width > _MAX_DIGITS])] = True
     us[k:k + n], vs[k:k + n] = u, v
@@ -561,7 +627,8 @@ def serialize_graph(g: Graph) -> str:
     chunks = [f"t {g.t} m {g.m}\n"]
     for lo, hi in _row_blocks(g.t):
         # edges {u, v}, u < v, with u in lo..hi-1, in row-major order
-        us, vs = np.nonzero(np.triu(bit_matrix(g.t, g.rows[lo:hi]), lo + 1))
+        above = [row >> (u + 1) << (u + 1) for u, row in enumerate(g.rows[lo:hi], lo)]
+        us, vs = np.divmod(np.flatnonzero(bit_matrix(g.t, above)), g.t)
         us += lo
         for i in range(0, len(us), _SERIALIZE_CHUNK):
             part = slice(i, i + _SERIALIZE_CHUNK)
@@ -628,24 +695,38 @@ def _coloring_from_hex(n: int, hexstr: str) -> Coloring:
         raise GraphFormatError("hex string too wide", 1)
     if nbits and value & ((1 << (total - nbits)) - 1):
         raise GraphFormatError("padding bits must be zero", 1)
-    rows = [0] * n
-    for i, (u, v) in enumerate(pair_order(n)):
-        if value >> (total - 1 - i) & 1:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+    value >>= total - nbits  # pair i is bit nbits - 1 - i
+    rows: list[int] = []
+    for lo, hi in _row_blocks(n):
+        end = hi * (2 * n - hi - 1) // 2  # pairs {u, v} with u < hi
+        count = (hi - lo) * (2 * n - lo - hi - 1) // 2
+        bits = _int_bits(value >> (nbits - end) & ((1 << count) - 1), count)
+        rows.extend(_pair_rows(bits[None], n, lo, hi, rows))
     return Coloring(n, tuple(rows))
 
 
+def _int_bits(value: int, count: int) -> np.ndarray:
+    """The ``count`` low bits of ``value`` as a bool array, most significant first."""
+    pad = -count % 8
+    raw = (value << pad).to_bytes((count + pad) // 8, "big")
+    return np.unpackbits(np.frombuffer(raw, np.uint8), count=count).view(bool)
+
+
+def _bits_int(bits: np.ndarray) -> int:
+    """The int whose binary digits are ``bits``, most significant first."""
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-len(bits) % 8)
+
+
 def serialize_coloring(c: Coloring, compact: bool = False) -> str:
-    pairs = pair_order(c.n)
     if compact:
-        value = 0
-        for u, v in pairs:
-            value = value << 1 | (c.red_rows[u] >> v & 1)
-        nbits = len(pairs)
+        nbits = c.n * (c.n - 1) // 2
+        value = 0  # pair i, in lexicographic order, is bit nbits - 1 - i
+        for lo, hi in _row_blocks(c.n):
+            bits = bit_matrix(c.n, c.red_rows[lo:hi])[_upper(lo, hi, c.n)]
+            value = value << len(bits) | _bits_int(bits)
         width = max(1, (nbits + 3) // 4)
         value <<= 4 * width - nbits
         return f"n {c.n} hex {value:0{width}x}\n"
     lines = [f"n {c.n}"]
-    lines.extend(f"{u} {v} {c.color_of(u, v)}" for u, v in pairs)
+    lines.extend(f"{u} {v} {c.color_of(u, v)}" for u, v in pair_order(c.n))
     return "\n".join(lines) + "\n"

@@ -7,11 +7,27 @@ under test.
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ramseykit.graphs import BLUE, RED, Coloring, Graph, bits_of, rows_of
+from ramseykit.graphs import (
+    _SERIALIZE_CHUNK,
+    BLUE,
+    RED,
+    Coloring,
+    Graph,
+    GraphFormatError,
+    _row_blocks,
+    bit_matrix,
+    bits_of,
+    mask_of,
+    pair_order,
+    rows_of,
+)
+from ramseykit.randomlab import SpreadReport, _rng
 from ramseykit.search import ChaseState
 
 
@@ -145,3 +161,104 @@ def reference_neighborhood_chase(coloring: Coloring, start_set: Sequence[int],
         current = nxt
     return ChaseState(tuple(pivots), tuple(sets), "".join(letters),
                       frozenset(start_set), red_threshold)
+
+
+# The graph writer before it listed edges with ``flatnonzero``, verbatim but
+# for its name: the reference for ``serialize_graph``.
+
+def reference_serialize_graph(g: Graph) -> str:
+    heads = np.array([f"{u} " for u in range(g.t)], dtype=object)
+    tails = np.array([f"{v}\n" for v in range(g.t)], dtype=object)
+    chunks = [f"t {g.t} m {g.m}\n"]
+    for lo, hi in _row_blocks(g.t):
+        # edges {u, v}, u < v, with u in lo..hi-1, in row-major order
+        us, vs = np.nonzero(np.triu(bit_matrix(g.t, g.rows[lo:hi]), lo + 1))
+        us += lo
+        for i in range(0, len(us), _SERIALIZE_CHUNK):
+            part = slice(i, i + _SERIALIZE_CHUNK)
+            lines = np.stack((heads[us[part]], tails[vs[part]]), axis=1)
+            chunks.append("".join(lines.ravel().tolist()))
+    return "".join(chunks)
+
+
+# The compact coloring reader and writer before they went through numpy, one
+# big-int step per pair, verbatim but for their names: the references for
+# ``parse_coloring`` and ``serialize_coloring`` on the "n <n> hex <string>"
+# form.
+
+def reference_coloring_from_hex(n: int, hexstr: str) -> Coloring:
+    nbits = max(n, 0) * (max(n, 0) - 1) // 2
+    width = max(1, (nbits + 3) // 4)
+    if len(hexstr) != width:
+        raise GraphFormatError(f"hex string must have {width} digits", 1)
+    try:
+        value = int(hexstr, 16)
+    except ValueError:
+        raise GraphFormatError("invalid hex string", 1) from None
+    total = 4 * width
+    if value >> total:
+        raise GraphFormatError("hex string too wide", 1)
+    if nbits and value & ((1 << (total - nbits)) - 1):
+        raise GraphFormatError("padding bits must be zero", 1)
+    rows = [0] * n
+    for i, (u, v) in enumerate(pair_order(n)):
+        if value >> (total - 1 - i) & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Coloring(n, tuple(rows))
+
+
+def reference_serialize_coloring_compact(c: Coloring) -> str:
+    pairs = pair_order(c.n)
+    value = 0
+    for u, v in pairs:
+        value = value << 1 | (c.red_rows[u] >> v & 1)
+    nbits = len(pairs)
+    width = max(1, (nbits + 3) // 4)
+    value <<= 4 * width - nbits
+    return f"n {c.n} hex {value:0{width}x}\n"
+
+
+# The degree-spread check before it counted degrees with numpy, one
+# ``bit_count`` per vertex and sampled set, verbatim but for its name and its
+# ``combinations`` import: the reference for ``randomlab.verify_degree_spread``.
+
+def reference_verify_degree_spread(g: Graph, delta: float, eps: float, rho: float,
+                                   mode: str = "sampled", sample_budget: int = 10_000,
+                                   seed: int = 0) -> SpreadReport:
+    t = g.t
+    k = max(1, math.ceil(delta * t))
+    cutoff = (1 + eps) * rho * delta * t
+    threshold = 12 * math.log(math.e / delta) / (rho * eps ** 2)
+
+    def count_over(vset: tuple[int, ...]) -> int:
+        vmask = mask_of(vset)
+        return sum(1 for u in range(t) if (g.rows[u] & vmask).bit_count() > cutoff)
+
+    worst, worst_set, inspected = 0, (), 0
+    if mode == "exhaustive":
+        if math.comb(t, k) > sample_budget:
+            raise ValueError(
+                f"exhaustive mode needs C({t},{k}) = {math.comb(t, k)} <= budget {sample_budget}"
+            )
+        for vset in combinations(range(t), k):
+            inspected += 1
+            c = count_over(vset)
+            if c > worst:
+                worst, worst_set = c, vset
+    elif mode == "sampled":
+        rng = _rng(seed)
+        for _ in range(sample_budget):
+            vset = tuple(int(x) for x in rng.choice(t, size=k, replace=False))
+            inspected += 1
+            c = count_over(vset)
+            if c > worst:
+                worst, worst_set = c, tuple(sorted(vset))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return SpreadReport(
+        delta, eps, rho, k, worst, threshold, inspected, mode,
+        within_threshold=worst <= threshold,
+        vacuous=threshold >= t,
+        worst_set=worst_set,
+    )

@@ -277,8 +277,9 @@ class TestFailuresAreOneLine:
                           for p in ("0", "1", "-0.5", "1.5", "nan")),
                         *(["--n", "40", "--p", "0.5", "--theta", theta]
                           for theta in ("-0.1", "1.01", "nan")),
+                        # past EMPIRICAL_LIMIT, 10**8 samples
                         *(["--n", "40", "--p", "0.5", "--theta", "0.2", "--empirical", e]
-                          for e in ("0", "-5")))),
+                          for e in ("0", "-5", str(10 ** 8 + 1), str(2 ** 128))))),
         *(["random", "spread", "--graph", "gnp:30:0.3:2", "--delta", "0.2", "--eps", "0.5",
            "--rho", "0.3", *flag]
           for flag in (["--budget", "-5"], ["--budget", "0"], ["--seed", "-1"],
@@ -358,6 +359,15 @@ class TestFailuresAreOneLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"usage error: {argv[-2]} must be ")
+
+    @pytest.mark.parametrize("samples", [cli.randomlab.EMPIRICAL_LIMIT + 1, 2 ** 128])
+    def test_empirical_cap_refused_before_drawing(self, capsys, samples):
+        argv = ["random", "chernoff", "--n", "40", "--p", "0.5", "--theta", "0.2",
+                "--empirical", str(samples)]
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --empirical must be in [1, {cli.randomlab.EMPIRICAL_LIMIT}], "
+            f"got {samples}\n")
 
     def test_bad_coloring_endpoint_names_file_and_line(self, capsys, bad_coloring):
         assert cli.run(["search", "--coloring", bad_coloring, "--pattern", "k3"]) == 2
@@ -514,7 +524,8 @@ GENERATED_LEAVES = {
                            "--budget": _COUNT, "--seed": _SEED},
     ("random", "chernoff"): {"--n": (["40", "400"], [*_ODD, _BIG]), "--p": _REAL,
                              "--theta": (["0.2", "1"], [*_ODD, _BIG]),
-                             "--empirical": (["10", "1000"], _ODD), "--seed": _SEED},
+                             "--empirical": (["10", "1000"], [*_ODD, _BIG]),
+                             "--seed": _SEED},
     ("oracle", "find"): {"--coloring": _COLORING, "--pattern": _PATTERN, "--color": _COLOR},
     ("oracle", "ramsey"): {"--h1": _PATTERN, "--h2": _PATTERN,
                            "--nmax": (["3", "6"], [*_ODD, _BIG])},

@@ -2,6 +2,7 @@ import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,12 @@ from ramseykit.graphs import (
     serialize_graph,
 )
 from ramseykit.randomlab import sample_coloring, sample_gnp
+
+from references import (
+    reference_coloring_from_hex,
+    reference_serialize_coloring_compact,
+    reference_serialize_graph,
+)
 
 
 def random_graph(draw, max_t=10):
@@ -501,6 +508,18 @@ class TestBitMatrixDifferential:
         new = outcome(lambda: (lambda g: (g.t, g.rows))(parse_graph(text)))
         assert new == outcome(ref_parse_graph, text)
 
+    @pytest.mark.parametrize("lines", [["0 1", "1 2 3", "4"], ["0 1", "4", "1 2 3"],
+                                       ["1 2 3", "0 1", "4"], ["4", "0 1", "1 2 3"],
+                                       # read two at a time, the runs make valid edges
+                                       ["0 1", "2", "3 4 5"], ["0 1 2", "3", "4 5"]])
+    def test_token_count_right_but_not_two_per_line(self, lines):
+        # 2m digit runs in all, but one line holds three and another one
+        text = "t 6 m 3\n" + "\n".join(lines) + "\n"
+        first_bad = next(i for i, ln in enumerate(lines, 2) if len(ln.split()) != 2)
+        assert outcome(parse_graph, text) == outcome(ref_parse_graph, text)
+        assert outcome(parse_graph, text) == ("format", f"line {first_bad}: expected '<u> <v>'",
+                                              first_bad)
+
     def test_earlier_duplicate_reported_before_later_format_error(self):
         text = "t 4 m 4\n0 1\n1 2\n0 1\n2 x\n"
         assert outcome(parse_graph, text) == outcome(ref_parse_graph, text)
@@ -525,6 +544,16 @@ class TestBitMatrixDifferential:
     def test_serialize_matches_reference(self, t, rho, seed):
         g = sample_gnp(t, rho, seed)
         assert serialize_graph(g) == ref_serialize_graph(g.t, g.rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 600), st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+           st.integers(0, 2 ** 16), st.one_of(st.none(), st.integers(1, 3000)))
+    def test_serialize_matches_triu_reference(self, t, rho, seed, entries):
+        """The edge list of ``flatnonzero`` on pre-masked rows is the one
+        ``np.nonzero(np.triu(...))`` gave, in one block or in row blocks."""
+        g = sample_gnp(t, rho, seed)
+        with row_blocks_of(entries or graphs._BLOCK_ENTRIES):
+            assert serialize_graph(g) == reference_serialize_graph(g)
 
     @given(st.composite(random_graph)(max_t=70))
     def test_pack_inverts_bit_matrix(self, g):
@@ -595,6 +624,93 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert rows == g.rows
         assert peak < 40 << 20
+
+
+# Sizes of one tile, one tile and one more vertex, and several tiles with a
+# ragged last band.
+TILED_SIZES = [1, 2, 255, 256, 257, 513, 1100]
+
+
+def upper_random(shape, seed, p=0.3):
+    """Bool matrices (the last two axes square) with random entries above the
+    diagonal and none on or below it."""
+    return np.triu(np.random.default_rng(seed).random(shape) < p, 1)
+
+
+class TestTiles:
+    """The tiled symmetry check and mirror against the plain transpose."""
+
+    @pytest.mark.parametrize("t", TILED_SIZES)
+    def test_tiles_cover_the_upper_band_once(self, t):
+        covered = np.zeros((t, t), int)
+        for r, c in graphs._tiles(t):
+            covered[r, c] += 1
+        band = np.arange(t) // graphs._TILE
+        assert (covered == (band[:, None] <= band)).all()
+
+    @pytest.mark.parametrize("t", TILED_SIZES)
+    def test_symmetric_matches_plain_transpose(self, t):
+        a = upper_random((t, t), t)
+        a |= a.T
+        assert graphs._symmetric(a)
+        for u, v in {(0, t - 1), (t - 1, 0), (t // 2, t - 1), (0, t // 3)}:
+            if u != v:
+                b = a.copy()
+                b[u, v] ^= True
+                assert graphs._symmetric(b) is (b.tobytes() == b.T.tobytes()) is False
+
+    @pytest.mark.parametrize("t", TILED_SIZES)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_mirror_matches_plain_transpose(self, t, k):
+        b = upper_random((k, t, t), t + k)
+        want = b | b.transpose(0, 2, 1)
+        graphs._mirror(b)
+        assert (b == want).all()
+
+    @pytest.mark.parametrize("t", [257, 513, 1100])
+    @pytest.mark.parametrize("u, v", [(3, -1), (-1, 3), (300, -1)])
+    def test_asymmetric_entry_in_off_diagonal_tile_named(self, t, u, v):
+        rows = list(sample_gnp(t, 0.02, t).rows)
+        u, v = u % t, v % t  # two different tiles
+        rows[u] ^= 1 << v
+        message = outcome(ref_validate, t, tuple(rows))[1]
+        assert message.startswith("adjacency not symmetric at {")
+        assert outcome(Graph, t, tuple(rows)) == ("value", message)
+
+
+class TestCompactColoring:
+    """The compact form against the one-big-int-step-per-pair reader and
+    writer it replaced: same text, same rows, same errors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 600), st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+           st.integers(0, 2 ** 16), st.one_of(st.none(), st.integers(1, 3000)))
+    def test_round_trip_matches_reference(self, n, p, seed, entries):
+        """In one block, or with ``entries`` given, in row blocks."""
+        c = sample_coloring(n, p, seed)
+        text = reference_serialize_coloring_compact(c)
+        with row_blocks_of(entries or graphs._BLOCK_ENTRIES):
+            assert serialize_coloring(c, compact=True) == text
+            assert parse_coloring(text) == c
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2, 12), st.data())
+    def test_odd_hex_strings_match_reference(self, n, data):
+        width = max(1, (max(n, 0) * (max(n, 0) - 1) // 2 + 3) // 4)
+        hexstr = data.draw(st.text("0123456789abcdefABCDEF_+-xX", min_size=max(1, width - 1),
+                                   max_size=width + 1))
+        assert outcome(graphs._coloring_from_hex, n, hexstr) == \
+            outcome(reference_coloring_from_hex, n, hexstr)
+
+    @pytest.mark.parametrize("n, hexstr", [
+        (5, "f_c"), (5, "0x4"), (5, "0xf"), (4, "+c"), (4, "-1"), (4, "0x"), (4, "_f"),
+        (0, "1"), (1, "f"), (-2, "0"), (3, "9"), (3, "g"), (4, "fc"), (4, "fd"),
+    ])
+    def test_int_spellings_match_reference(self, n, hexstr):
+        """Whatever ``int(s, 16)`` reads -- a sign, a 0x prefix, underscores --
+        is read as it was, and refused with the message it was."""
+        assert outcome(graphs._coloring_from_hex, n, hexstr) == \
+            outcome(reference_coloring_from_hex, n, hexstr)
 
 
 class TestVertexLimit:

@@ -1,19 +1,29 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseykit import randomlab
-from ramseykit.graphs import Graph, mask_of, serialize_graph
+from ramseykit.graphs import Graph, mask_of, serialize_coloring, serialize_graph
 from ramseykit.patterns import named_graph
 from ramseykit.randomlab import SEED_LIMIT
 
-from references import reference_red_rows
+from references import reference_red_rows, reference_verify_degree_spread
 
 # Frozen on first run against generator philox-4x64-v1; a change here means
 # the sampler's output stream changed and every pinned experiment breaks.
 GNP_100_03_42_SHA256 = "b23a47f00946b11e9f94476b6c5ebba3069454f7325b4077f913e96ec34c49c7"
+# Samples of several 256 x 256 tiles, frozen before the sampler mirrored its
+# pairs tile by tile: sha256 of serialize_graph(sample_gnp(n, 0.2, 7)) and of
+# serialize_coloring(sample_coloring(n, 0.5, 3), compact=True).
+MULTI_TILE_SHA256 = {
+    600: ("0d3928bad038d40ba6d682c5df112ce9611935ece5051a40135af577c34e9132",
+          "fafcf35584bde5d256eec06be38972d4a7642aa8ad0fef8b1bfb58b94a0fb329"),
+    1100: ("c7ec6bbbda299d7a21ecaea550d5fa3f4b70a594f53c0271a69ef5a24706259a",
+           "4066f8827f7d90c015e8862e695998602ce9ef286fd03712a6e69a79c3c27af7"),
+}
 
 
 class TestChernoff:
@@ -34,6 +44,24 @@ class TestChernoff:
         freq = randomlab.empirical_binomial_tail(400, 0.5, 0.2, 10 ** 5, seed=0)
         assert freq <= bound
 
+    @pytest.mark.parametrize("n, p, samples, seed", [(400, 0.5, 10 ** 5, 0), (40, 0.1, 7, 3),
+                                                      (2 ** 62, 0.5, 1000, 5)])
+    def test_empirical_is_one_draw(self, n, p, samples, seed):
+        draws = np.random.Generator(np.random.Philox(key=seed)).binomial(n, p, size=samples)
+        want = float(np.mean(draws >= 1.2 * p * n))
+        assert randomlab.empirical_binomial_tail(n, p, 0.2, samples, seed) == want
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, 1024])
+    def test_empirical_blocks_draw_what_one_draw_does(self, monkeypatch, block):
+        want = randomlab.empirical_binomial_tail(100, 0.3, 0.3, 5000, seed=4)
+        monkeypatch.setattr(randomlab, "_DRAW_BLOCK", block)
+        assert randomlab.empirical_binomial_tail(100, 0.3, 0.3, 5000, seed=4) == want
+
+    @pytest.mark.parametrize("samples", [0, -1, randomlab.EMPIRICAL_LIMIT + 1])
+    def test_empirical_samples_out_of_range(self, samples):
+        with pytest.raises(ValueError, match="samples must be in"):
+            randomlab.empirical_binomial_tail(40, 0.5, 0.2, samples)
+
 
 class TestSamplers:
     def test_rho_zero_empty(self):
@@ -53,6 +81,13 @@ class TestSamplers:
         g = randomlab.sample_gnp(100, 0.3, 42)
         digest = hashlib.sha256(serialize_graph(g).encode()).hexdigest()
         assert digest == GNP_100_03_42_SHA256
+
+    @pytest.mark.parametrize("n", sorted(MULTI_TILE_SHA256))
+    def test_multi_tile_snapshots_pinned(self, n):
+        gnp = serialize_graph(randomlab.sample_gnp(n, 0.2, 7))
+        coloring = serialize_coloring(randomlab.sample_coloring(n, 0.5, 3), compact=True)
+        assert (hashlib.sha256(gnp.encode()).hexdigest(),
+                hashlib.sha256(coloring.encode()).hexdigest()) == MULTI_TILE_SHA256[n]
 
     def test_seeded_determinism(self):
         assert randomlab.sample_gnp(30, 0.4, 7).rows == \
@@ -186,6 +221,45 @@ class TestDegreeSpread:
         a = randomlab.verify_degree_spread(g, 0.2, 0.5, 0.3, sample_budget=200, seed=5)
         b = randomlab.verify_degree_spread(g, 0.2, 0.5, 0.3, sample_budget=200, seed=5)
         assert a.worst_count == b.worst_count and a.worst_set == b.worst_set
+
+
+class TestDegreeSpreadMatchesReference:
+    """``verify_degree_spread`` reports what the one-``bit_count``-per-vertex
+    version reported, in both modes, on graphs of up to two tiles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.sampled_from([0.0, 0.1, 0.3, 1.0]), st.integers(0, 2 ** 16),
+           st.sampled_from([0.01, 0.05, 0.2, 0.5, 1.0]), st.sampled_from([0.1, 0.5, 2.0]),
+           st.sampled_from([0.1, 0.3, 1.0]), st.integers(1, 20), st.integers(0, 2 ** 16))
+    def test_sampled(self, t, p, seed, delta, eps, rho, budget, spread_seed):
+        g = randomlab.sample_gnp(t, p, seed)
+        args = (g, delta, eps, rho, "sampled", budget, spread_seed)
+        assert randomlab.verify_degree_spread(*args) == reference_verify_degree_spread(*args)
+
+    @pytest.mark.parametrize("mode, t, budget", [("sampled", 32, 40), ("exhaustive", 8, 28)])
+    def test_degree_at_the_cutoff_is_not_over(self, mode, t, budget):
+        # (1 + eps) rho delta t is exactly 4 (t = 32) or 2 (t = 8) here, and
+        # vertices with that many neighbours in V are common
+        g = randomlab.sample_gnp(t, 0.5, 1)
+        args = (g, 0.25, 1.0, 0.25 if t == 32 else 0.5, mode, budget, 2)
+        report = randomlab.verify_degree_spread(*args)
+        assert report == reference_verify_degree_spread(*args)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 14), st.sampled_from([0.0, 0.3, 0.6, 1.0]), st.integers(0, 2 ** 16),
+           st.sampled_from([0.1, 0.2, 0.3, 1.0]), st.sampled_from([0.1, 0.5]),
+           st.sampled_from([0.2, 0.5]), st.sampled_from([10, 10 ** 4]))
+    def test_exhaustive(self, t, p, seed, delta, eps, rho, budget):
+        g = randomlab.sample_gnp(t, p, seed)
+        args = (g, delta, eps, rho, "exhaustive", budget)
+
+        def outcome(check):
+            try:
+                return check(*args)
+            except ValueError as e:
+                return str(e)
+
+        assert outcome(randomlab.verify_degree_spread) == outcome(reference_verify_degree_spread)
 
 
 class TestMaxDegreeTail:
