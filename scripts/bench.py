@@ -11,8 +11,10 @@ of a few in-process repeats (the t = 5 and 9 constructions: the best of five
 runs of 20,000 calls).  Rows:
 
 * primitives: ``sample_gnp`` at t = 2048 and 4096 (rho 0.2), ``Graph``
-  validation at t = 1024, 2048, 4096, ``serialize_graph`` at t = 2048,
-  ``parse_graph`` at t = 1024, 2048, 4096 (G(t, 0.2) each),
+  validation at t = 1024, 2048, 4096 and 8192, ``serialize_graph`` at
+  t = 2048, ``parse_graph`` at t = 1024, 2048, 4096 (G(t, 0.2) each), its
+  byte pass alone (``_read_edge_lines`` over every block of the G(2048, 0.2)
+  text),
   ``verify_degree_spread`` on G(2048, 0.2) as ``dense_sampling`` runs it
   (delta 0.1, eps 0.5, rho 0.2, 50 sampled sets), ``serialize_coloring`` and
   ``parse_coloring`` of the compact form of ``random:512:0.5:1``,
@@ -99,6 +101,25 @@ def _median_time(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
+def _read_all_edge_lines(text: str) -> None:
+    """``parse_graph``'s byte pass alone over a text it writes: every block of
+    edge lines, read into endpoint arrays, and nothing built from them."""
+    import numpy as np
+
+    from ramseykit.graphs import _read_edge_lines, _text_blocks
+
+    body = text.strip()
+    data = body.encode()
+    end = data.find(b"\n")
+    t, m = map(int, body[:end].split()[1::2])
+    us, vs = np.empty(m, np.int64), np.empty(m, np.int64)
+    read = 0
+    for lo, hi in _text_blocks(data, end + 1):
+        read = _read_edge_lines(body, data, lo, hi, t, us, vs, read)
+    if read != m:
+        raise SystemExit(f"the byte pass read {read} of {m} edge lines")
+
+
 def primitives() -> dict:
     """Seconds per call of each primitive, in this process."""
     from ramseykit.embedder import Certified, check_bidense_exact
@@ -111,7 +132,7 @@ def primitives() -> dict:
 
     out = {f"sample_gnp({t}, 0.2)": _median_time(lambda: sample_gnp(t, 0.2, 1), 3)
            for t in (2048, 4096)}
-    for t in (1024, 2048, 4096):
+    for t in (1024, 2048, 4096, 8192):
         rows = sample_gnp(t, 0.2, 1).rows
         out[f"Graph validation, t={t}"] = _median_time(lambda: Graph(t, rows), 3)
     g = sample_gnp(2048, 0.2, 1)
@@ -119,6 +140,9 @@ def primitives() -> dict:
     for t in (1024, 2048, 4096):
         text = serialize_graph(sample_gnp(t, 0.2, 1))
         out[f"parse_graph, t={t}"] = _median_time(lambda: parse_graph(text), 5)
+    text = serialize_graph(sample_gnp(2048, 0.2, 1))
+    out["_read_edge_lines, every block of G(2048, 0.2)"] = _median_time(
+        lambda: _read_all_edge_lines(text), 5)
     g = sample_gnp(2048, 0.2, 1)
     out["verify_degree_spread(G(2048, 0.2), 0.1, 0.5, 0.2, budget=50)"] = _median_time(
         lambda: verify_degree_spread(g, 0.1, 0.5, 0.2, sample_budget=50, seed=1), 5)

@@ -9,13 +9,17 @@ Whole-graph work (the symmetry check, induced relabelling, parsing,
 serializing, the compact coloring form) goes through numpy bool matrices:
 ``bit_matrix`` unpacks rows into one and ``pack_rows`` packs one back.
 ``parse_graph`` reads the edge lines with numpy too, in passes over about
-1 MB of the text's bytes.  A graph on up to 4096 vertices is handled as one
-t x t matrix, a larger one in blocks of rows, so no matrix exceeds 16 MB.
-Transposes within a matrix -- the symmetry check, and mirroring the upper
-triangle onto the lower one -- go one 256 x 256 tile and its mirror image at
-a time (``_tiles``), so each stays in cache instead of reading a column of the
-whole matrix per row.  That work still takes time quadratic in t, so graphs
-and colorings have at most ``MAX_VERTICES`` vertices, and the parsers check a
+1 MB of the text's bytes: an endpoint of up to eight digits is converted from
+the one unaligned 64-bit word that ends with it, in three multiplies, and a
+longer one from two or three words.  A graph on up to 4096 vertices is
+handled as one t x t matrix, a larger one in blocks of rows, so no matrix
+exceeds 16 MB.  Transposes within a matrix -- the symmetry check, and
+mirroring the upper triangle onto the lower one -- go one 256 x 256 tile and
+its mirror image at a time (``_tiles``), so each stays in cache instead of
+reading a column of the whole matrix per row.  The columns a block of rows
+takes from the other rows are transposed packed, 8 x 8 bits per 64-bit word
+(``_columns``).  That work still takes time quadratic in t, so graphs and
+colorings have at most ``MAX_VERTICES`` vertices, and the parsers check a
 declared vertex count before they build anything.
 """
 
@@ -33,7 +37,7 @@ RED = "R"
 BLUE = "B"
 
 # Most vertices of a graph or coloring.  Validating G(16384, 0.2) at the limit
-# takes about 3.4 s and peaks at 69 MB (tracemalloc; one core of a 2-vCPU
+# takes about 1.0 s and peaks at 54 MB (tracemalloc; one core of a 2-vCPU
 # x86-64 host), in row blocks: the tiles serve graphs of one block.
 MAX_VERTICES = 1 << 14
 
@@ -128,11 +132,51 @@ def _pair_rows(red: np.ndarray, n: int, lo: int, hi: int,
     k, rows = len(red), hi - lo
     a = np.zeros((k * rows, n), dtype=bool)
     a[np.tile(_upper(lo, hi, n), (k, 1))] = red.ravel()
-    _mirror(a.reshape(k, rows, n)[:, :, lo:hi])
+    return _symmetric_rows(a.reshape(k, rows, n), lo, earlier)
+
+
+def _symmetric_rows(a: np.ndarray, lo: int, earlier: Sequence[int]) -> tuple[int, ...]:
+    """Rows lo..lo + r - 1 of each symmetric matrix of a k x r x n stack,
+    one matrix after another, of which ``a`` holds the entries above the
+    diagonal and no others.  The square on the diagonal is mirrored; when
+    lo > 0 the stack holds one matrix, and its columns 0..lo-1 come from
+    ``earlier``, its rows 0..lo-1."""
+    k, r, n = a.shape
+    _mirror(a[:, :, lo:lo + r])
     if lo:
-        cut = (1 << rows) - 1
-        a[:, :lo] = bit_matrix(rows, [row >> lo & cut for row in earlier]).T
-    return pack_rows(a)
+        a[0, :, :lo] = _columns(earlier, lo, lo + r)
+    return pack_rows(a.reshape(k * r, n))
+
+
+def _columns(rows: Sequence[int], lo: int, hi: int) -> np.ndarray:
+    """Bool (hi - lo) x len(rows) matrix whose entry [i, u] is bit lo + i of
+    rows[u]: bits lo..hi-1 of the rows as columns.
+
+    The band of bits is transposed packed, eight rows by eight bits in each
+    64-bit word (``_transpose8``): a bool transpose would read a column of
+    len(rows) bytes per row of the result, one byte at a time."""
+    n, nb = len(rows), (hi - lo + 7) // 8
+    cut = (1 << (hi - lo)) - 1
+    band = _packed_rows(hi - lo, [row >> lo & cut for row in rows] + [0] * (-n % 8))
+    # words[I, U]: byte k is byte I of row 8U + k
+    words = band.reshape(-1, 8, nb).transpose(2, 0, 1).copy().view("<u8")[..., 0]
+    _transpose8(words)  # now byte j has bit k = bit lo + 8I + j of row 8U + k
+    cols = words.view(np.uint8).reshape(nb, -1, 8).transpose(0, 2, 1).reshape(8 * nb, -1)
+    return np.unpackbits(cols[:hi - lo], 1, n, "little").view(bool)
+
+
+def _transpose8(words: np.ndarray) -> None:
+    """Transpose in place the 8 x 8 bit matrix of each word, entry (k, j)
+    being bit 8k + j: the blocks either side of the diagonal are exchanged,
+    1 x 1, then 2 x 2, then 4 x 4 (Hacker's Delight, section 7-3)."""
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                        (28, 0x00000000F0F0F0F0)):
+        swap = words >> np.uint64(shift)
+        swap ^= words
+        swap &= np.uint64(mask)
+        words ^= swap
+        swap <<= np.uint64(shift)
+        words ^= swap
 
 
 def bit_matrix(t: int, rows: Sequence[int]) -> np.ndarray:
@@ -140,11 +184,16 @@ def bit_matrix(t: int, rows: Sequence[int]) -> np.ndarray:
 
     Every row must lie in [0, 2**t).
     """
+    return np.unpackbits(_packed_rows(t, rows), 1, t, "little").view(bool)  # axis, count, bitorder
+
+
+def _packed_rows(t: int, rows: Sequence[int]) -> np.ndarray:
+    """The bytes of each row, least significant first: a uint8 len(rows) x
+    ceil(t / 8) matrix.  Every row must lie in [0, 2**t)."""
     width = (t + 7) // 8
     # rows of graphs on at most 8 vertices are single bytes
     raw = bytes(rows) if width == 1 else b"".join([r.to_bytes(width, "little") for r in rows])
-    packed = np.ndarray((len(rows), width), np.uint8, raw)
-    return np.unpackbits(packed, 1, t, "little").view(bool)  # axis, count, bitorder
+    return np.ndarray((len(rows), width), np.uint8, raw)
 
 
 def pack_rows(adj: np.ndarray) -> tuple[int, ...]:
@@ -286,9 +335,8 @@ def _check_symmetric(t: int, rows: Sequence[int]) -> None:
     u lacks v; one block of rows at a time."""
     for lo, hi in _row_blocks(t):
         a = bit_matrix(t, rows[lo:hi])
-        cut = (1 << (hi - lo)) - 1
-        at = bit_matrix(hi - lo, [row >> lo & cut for row in rows]).T  # columns lo..hi-1
-        bad = at < a
+        bad = _columns(rows, lo, hi)  # columns lo..hi-1
+        np.less(bad, a, out=bad)
         if bad.any():
             v, u = np.argwhere(bad)[0]
             raise ValueError(f"adjacency not symmetric at {{{u},{lo + v}}}")
@@ -502,14 +550,15 @@ def parse_graph(text: str) -> Graph:
     rows: list[int] = []
     distinct = 0
     for lo, hi in _row_blocks(t):
-        a = np.zeros((hi - lo, t), dtype=bool)  # rows lo..hi-1
-        upper = (lo <= eu) & (eu < hi)
-        a[eu[upper] - lo, ev[upper]] = True
+        a = np.zeros((1, hi - lo, t), dtype=bool)  # rows lo..hi-1
+        at = eu * t
+        at += ev
+        if hi - lo < t:  # one block of several: the edges in its rows
+            at = at[(lo <= eu) & (eu < hi)] - lo * t
+        a.ravel()[at] = True  # the edges, above the diagonal
         distinct += np.count_nonzero(a)
-        lower = (lo <= ev) & (ev < hi)
-        a[ev[lower] - lo, eu[lower]] = True
-        rows.extend(pack_rows(a))
-        del a  # the validator below builds its own
+        rows.extend(_symmetric_rows(a, lo, rows))
+        del a, at  # the validator below builds its own
     if distinct != m:
         raise _first_duplicate(eu, ev)
     del eu, ev  # free the endpoints before the validator's matrices exist
@@ -532,6 +581,55 @@ def _text_blocks(data: bytes, start: int) -> Iterator[tuple[int, int]]:
         start = end + 1
 
 
+def _word_view(data: bytes, lo: int, hi: int) -> np.ndarray:
+    """Unsigned 64-bit words, one per byte offset i in 0..hi-lo: word i is the
+    eight bytes data[lo + i - 8:lo + i], read little-endian, so the byte just
+    before data[lo + i] is its most significant one.  The words overlap (a
+    stride of one byte); zero bytes stand for any before data[0]."""
+    if lo < 8:
+        data, lo, hi = bytes(8 - lo) + data[:hi], 8, hi + 8 - lo
+    return np.ndarray((hi - lo + 1,), "<u8", data, lo - 8, (1,))
+
+
+# _DIGITS[w]: the low nibbles of the top w bytes of a word -- the digits of a
+# run of w digits that ends with the word -- and zero for the bytes below
+_DIGITS = np.array([(0x0F0F0F0F0F0F0F0F << 64 - 8 * w) & (1 << 64) - 1 for w in range(9)],
+                   np.uint64)
+
+
+def _swar_digits(words: np.ndarray) -> np.ndarray:
+    """The numbers whose eight decimal digits are the bytes of each word,
+    most significant digit in the lowest byte; in place.  Adjacent digits,
+    then pairs, then fours are combined by one multiply each: x * (10 << 8 | 1)
+    adds ten times each byte to the byte above it, which never carries."""
+    words *= np.uint64(10 << 8 | 1)
+    words >>= np.uint64(8)
+    words &= np.uint64(0x00FF00FF00FF00FF)
+    words *= np.uint64(100 << 16 | 1)
+    words >>= np.uint64(16)
+    words &= np.uint64(0x0000FFFF0000FFFF)
+    words *= np.uint64(10000 << 32 | 1)
+    words >>= np.uint64(32)
+    return words
+
+
+def _run_values(words: np.ndarray, ends: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The value of each digit run that ends just before byte ``ends[j]`` and
+    is ``width[j]`` digits wide: eight digits per word, so a run of up to
+    _MAX_DIGITS digits takes three words at most.  Wider runs get no
+    meaningful value."""
+    val = words[ends]
+    val &= _DIGITS.take(width, mode="clip")  # more than 8 digits: all 8 bytes
+    _swar_digits(val)
+    wide = int(width.max(initial=0))
+    for p in range(8, min(wide, _MAX_DIGITS), 8):  # the rare runs of more than 8 digits
+        more = np.flatnonzero(width > p)
+        high = words[ends[more] - p]
+        high &= _DIGITS.take(width[more] - p, mode="clip")
+        val[more] += _swar_digits(high) * np.uint64(10 ** p)
+    return val.view(np.int64)
+
+
 def _read_edge_lines(text: str, data: bytes, lo: int, hi: int, t: int,
                      us: np.ndarray, vs: np.ndarray, k: int) -> int:
     """Read the edge lines in text[lo:hi] into us[k:] and vs[k:]; return the
@@ -539,43 +637,45 @@ def _read_edge_lines(text: str, data: bytes, lo: int, hi: int, t: int,
     of ``text``.
 
     One numpy pass over the bytes reads every line made of two digit runs
-    separated by blanks.  ``_edge_line`` reads the rest -- a line holding any
-    other byte or a run of more than _MAX_DIGITS digits -- and the first line
-    that fails a check, where it raises.
+    separated by blanks.  The runs' boundaries come from the edges of the
+    digit mask, and each run's value from the eight bytes that end it, read
+    as one word whose digits are combined in three multiplies (``_swar_digits``;
+    the word conversion of simdjson).  ``_edge_line`` reads the rest -- a
+    line holding any other byte or a run of more than _MAX_DIGITS digits --
+    and the first line that fails a check, where it raises.
     """
     b = np.frombuffer(data, np.uint8, hi - lo, lo)
-    digit = b - 48 < 10  # bytes below "0" wrap past 9
-    plain = b == 10
-    breaks = np.flatnonzero(plain)  # line j ends at breaks[j]
-    n = len(breaks) + 1
-    plain |= b == 32
-    plain |= b == 9
-    plain |= digit
-    odd = np.searchsorted(breaks, np.flatnonzero(~plain))  # lines holding other bytes
-    # +1 where a digit run starts, -1 just past its end
-    step = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
-    starts = np.flatnonzero(step == 1)
-    width = np.flatnonzero(step == -1) - starts
-    last = starts + width - 1
-    # every token's value at once, one decimal place per step
-    val = np.zeros(len(starts) + 1, np.int64)  # a spare for lines with fewer tokens
-    val[:-1] = b[last] - 48
-    for p in range(1, min(int(width.max(initial=0)), _MAX_DIGITS)):
-        more = np.flatnonzero(width > p)
-        val[more] += (b[last[more] - p] - 48).astype(np.int64) * 10 ** p
-    if len(starts) == 2 * n and (starts[1:-1:2] < breaks).all() \
-            and (breaks < starts[2::2]).all():
-        # token 2j + 1 ends before break j and token 2j + 2 starts after it:
-        # every line holds two tokens
-        u, v = val[0:-1:2], val[1::2]
-        unread = (u >= v) | (v >= t)
+    newline = b == 10
+    n = int(np.count_nonzero(newline)) + 1
+    digit = np.zeros(len(b) + 2, bool)  # a non-digit either side of the bytes
+    np.less(b - 48, 10, out=digit[1:-1])  # bytes below "0" wrap past 9
+    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    starts, ends = edges[0::2], edges[1::2]  # run j is b[starts[j]:ends[j]]
+    width = ends - starts
+    other = len(b) - int(np.count_nonzero(digit)) - (n - 1) \
+        - int(np.count_nonzero(b == 32)) - int(np.count_nonzero(b == 9))
+    val = _run_values(_word_view(data, lo, hi), ends, width)
+    breaks = ends[1:-1:2]  # line j ends at breaks[j] if every line holds two runs
+    if not other and len(starts) == 2 * n and newline[breaks].all():
+        # n - 1 newlines, and one just after each run 2j + 1 but the last:
+        # line j holds runs 2j and 2j + 1 alone
+        u, v = val[0::2], val[1::2]
+        unread = u >= v
+        unread |= v >= t
     else:
-        first = np.concatenate(([0], np.searchsorted(starts, breaks)))  # each line's first token
+        breaks = np.flatnonzero(newline)
+        first = np.concatenate(([0], np.searchsorted(starts, breaks)))  # each line's first run
         count = np.diff(first, append=len(starts))
+        val = np.append(val, 0)  # a spare for lines with fewer runs
         u, v = val[first], val.take(first + 1, mode="clip")
         unread = (count != 2) | (u >= v) | (v >= t)
-    unread[odd] = True
-    unread[np.searchsorted(breaks, starts[width > _MAX_DIGITS])] = True
+        if other:  # lines holding bytes other than digits and blanks
+            plain = digit[1:-1] | newline
+            plain |= b == 32
+            plain |= b == 9
+            unread[np.searchsorted(breaks, np.flatnonzero(~plain))] = True
+    if width.max(initial=0) > _MAX_DIGITS:
+        unread[np.searchsorted(breaks, starts[width > _MAX_DIGITS])] = True
     us[k:k + n], vs[k:k + n] = u, v
     for j in np.flatnonzero(unread).tolist():
         a = lo + (breaks[j - 1] + 1 if j else 0)

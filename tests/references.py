@@ -14,12 +14,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ramseykit.graphs import (
+    _MAX_DIGITS,
     _SERIALIZE_CHUNK,
     BLUE,
     RED,
     Coloring,
     Graph,
     GraphFormatError,
+    _edge_line,
+    _first_duplicate,
     _row_blocks,
     bit_matrix,
     bits_of,
@@ -179,6 +182,66 @@ def reference_serialize_graph(g: Graph) -> str:
             lines = np.stack((heads[us[part]], tails[vs[part]]), axis=1)
             chunks.append("".join(lines.ravel().tolist()))
     return "".join(chunks)
+
+
+# The graph text reader's byte pass when it converted endpoints one decimal
+# place per step, verbatim but for its name: the reference for
+# ``graphs._read_edge_lines``, which converts eight digits per word.
+
+def reference_read_edge_lines(text: str, data: bytes, lo: int, hi: int, t: int,
+                               us: np.ndarray, vs: np.ndarray, k: int) -> int:
+    """Read the edge lines in text[lo:hi] into us[k:] and vs[k:]; return the
+    number of edge lines read so far.  ``data`` holds one byte per character
+    of ``text``.
+
+    One numpy pass over the bytes reads every line made of two digit runs
+    separated by blanks.  ``_edge_line`` reads the rest -- a line holding any
+    other byte or a run of more than _MAX_DIGITS digits -- and the first line
+    that fails a check, where it raises.
+    """
+    b = np.frombuffer(data, np.uint8, hi - lo, lo)
+    digit = b - 48 < 10  # bytes below "0" wrap past 9
+    plain = b == 10
+    breaks = np.flatnonzero(plain)  # line j ends at breaks[j]
+    n = len(breaks) + 1
+    plain |= b == 32
+    plain |= b == 9
+    plain |= digit
+    odd = np.searchsorted(breaks, np.flatnonzero(~plain))  # lines holding other bytes
+    # +1 where a digit run starts, -1 just past its end
+    step = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts = np.flatnonzero(step == 1)
+    width = np.flatnonzero(step == -1) - starts
+    last = starts + width - 1
+    # every token's value at once, one decimal place per step
+    val = np.zeros(len(starts) + 1, np.int64)  # a spare for lines with fewer tokens
+    val[:-1] = b[last] - 48
+    for p in range(1, min(int(width.max(initial=0)), _MAX_DIGITS)):
+        more = np.flatnonzero(width > p)
+        val[more] += (b[last[more] - p] - 48).astype(np.int64) * 10 ** p
+    if len(starts) == 2 * n and (starts[1:-1:2] < breaks).all() \
+            and (breaks < starts[2::2]).all():
+        # token 2j + 1 ends before break j and token 2j + 2 starts after it:
+        # every line holds two tokens
+        u, v = val[0:-1:2], val[1::2]
+        unread = (u >= v) | (v >= t)
+    else:
+        first = np.concatenate(([0], np.searchsorted(starts, breaks)))  # each line's first token
+        count = np.diff(first, append=len(starts))
+        u, v = val[first], val.take(first + 1, mode="clip")
+        unread = (count != 2) | (u >= v) | (v >= t)
+    unread[odd] = True
+    unread[np.searchsorted(breaks, starts[width > _MAX_DIGITS])] = True
+    us[k:k + n], vs[k:k + n] = u, v
+    for j in np.flatnonzero(unread).tolist():
+        a = lo + (breaks[j - 1] + 1 if j else 0)
+        z = lo + breaks[j] if j < n - 1 else hi
+        try:
+            us[k + j], vs[k + j] = _edge_line(text[a:z], k + j + 2, t)
+        except GraphFormatError as e:
+            # a duplicate on an earlier line is the first error
+            raise (_first_duplicate(us[:k + j], vs[:k + j]) or e) from None
+    return k + n
 
 
 # The compact coloring reader and writer before they went through numpy, one

@@ -29,8 +29,10 @@ from ramseykit.graphs import (
 )
 from ramseykit.randomlab import sample_coloring, sample_gnp
 
+import references
 from references import (
     reference_coloring_from_hex,
+    reference_read_edge_lines,
     reference_serialize_coloring_compact,
     reference_serialize_graph,
 )
@@ -419,6 +421,9 @@ def raw_rows(draw):
     return t, tuple(rows)
 
 
+# Widths of zero-padded endpoints around the eight-digit words of the reader
+PADDED_WIDTHS = [1, 7, 8, 9, 15, 16, 17, 18, 19]
+
 ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
                                              "\u0665\u0666\u0667\u0668\u0669")
 
@@ -428,7 +433,7 @@ def mutate_line(draw, line, u, v):
     kind = draw(st.sampled_from(
         ["swap", "loop", "word", "float", "three", "spaces", "plus", "one", "crlf",
          "zeros", "underscore", "unicode", "wide", "overflow", "negative", "blank",
-         "em_space", "form_feed", "unit_separator"]))
+         "em_space", "form_feed", "unit_separator", "padded"]))
     if kind == "swap":
         return f"{v} {u}"
     if kind == "loop":
@@ -465,6 +470,9 @@ def mutate_line(draw, line, u, v):
         return f"{u}\x0c{v}"  # str.splitlines breaks the line here
     if kind == "unit_separator":
         return f"{u}\x1f{v}"  # whitespace to str.split, not a line break
+    if kind == "padded":  # one, two or three words of digits; 19 is past int64's reach
+        width = draw(st.sampled_from(PADDED_WIDTHS))
+        return f"{u:0{width}d} {v:0{draw(st.sampled_from(PADDED_WIDTHS))}d}"
     return f"{u}"
 
 
@@ -484,7 +492,8 @@ def graph_texts(draw):
             edges[i] = mutate_line(draw, edges[i], u, v)
     newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
     lead = draw(st.sampled_from(["", "", "", newline * 2, " \t" + newline + "  "]))
-    return lead + newline.join([f"t {g.t} m {len(edges)}"] + edges) + newline
+    tail = draw(st.sampled_from([newline, newline, ""]))  # "": the last line has no newline
+    return lead + newline.join([f"t {g.t} m {len(edges)}"] + edges) + tail
 
 
 class TestBitMatrixDifferential:
@@ -529,6 +538,9 @@ class TestBitMatrixDifferential:
         "0 2\r", "00 002", "0 1_2", "\u0660 \u0662", f"0 {2:020d}", f"0 {10 ** 19}",
         "-1 2", "", "   ", "0\u20032", "0\x0c2", "0\x1f2", "+0 2", "0 2 0", "0 x", "2 0",
         "1 1", "0 4", "0 2", "0 1",
+        # zero-padded to one, two and three words of digits, and past int64
+        f"{0:08d} {2:08d}", f"{0:09d} {2:016d}", f"{0:017d} {2:018d}", f"0 {2:019d}",
+        f"{1:019d} 2", f"0 {10 ** 17 + 2}", f"0 {10 ** 18 - 1}",
     ])
     @pytest.mark.parametrize("where", [0, 1, 3])  # first, middle and last edge line
     def test_odd_line_matches_reference(self, line, where):
@@ -626,6 +638,143 @@ class TestRowBlocks:
         assert peak < 40 << 20
 
 
+@contextmanager
+def edge_line_calls(module, calls):
+    """Record in ``calls`` the line number of each ``_edge_line`` call made
+    through ``module``."""
+    saved = module._edge_line
+
+    def spy(line, i, t):
+        calls.append(i)
+        return saved(line, i, t)
+
+    module._edge_line = spy
+    try:
+        yield
+    finally:
+        module._edge_line = saved
+
+
+def read_outcome(read, module, text, data, lo, hi, t, us, vs, k):
+    """What ``read`` does with one block: its return value or error, and the
+    edge lines it left to ``_edge_line``."""
+    calls = []
+    with edge_line_calls(module, calls):
+        try:
+            got = ("ok", read(text, data, lo, hi, t, us, vs, k))
+        except GraphFormatError as e:
+            got = ("format", str(e), e.line)
+    return got, calls
+
+
+@contextmanager
+def reader_checked_against_reference():
+    """Make ``parse_graph`` read every block of edge lines with both the word
+    reader and the reference, and check that they agree: the same return
+    value or error, the same endpoints read so far, and the same lines left
+    to ``_edge_line``."""
+    reader = graphs._read_edge_lines
+
+    def both(text, data, lo, hi, t, us, vs, k):
+        ref_us, ref_vs = us.copy(), vs.copy()
+        want = read_outcome(reference_read_edge_lines, references, text, data, lo, hi, t,
+                            ref_us, ref_vs, k)
+        got = read_outcome(reader, graphs, text, data, lo, hi, t, us, vs, k)
+        assert got == want
+        if got[0][0] == "format":
+            raise GraphFormatError(got[0][1].split(": ", 1)[1], got[0][2])
+        read = got[0][1]
+        assert us[:read].tolist() == ref_us[:read].tolist()
+        assert vs[:read].tolist() == ref_vs[:read].tolist()
+        return read
+
+    graphs._read_edge_lines = both
+    try:
+        yield
+    finally:
+        graphs._read_edge_lines = reader
+
+
+class TestWordReader:
+    """The byte pass that converts endpoints eight digits per word against
+    the one that took a decimal place per step, block by block."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_texts(), st.one_of(st.none(), st.integers(1, 64)))
+    def test_blocks_match_reference(self, text, text_bytes):
+        """At the default block size, or blocks of about ``text_bytes`` bytes."""
+        with row_blocks_of(graphs._BLOCK_ENTRIES, text_bytes), \
+                reader_checked_against_reference():
+            new = outcome(lambda: (lambda g: (g.t, g.rows))(parse_graph(text)))
+        assert new == outcome(ref_parse_graph, text)
+
+    @pytest.mark.parametrize("width", PADDED_WIDTHS)
+    def test_padded_endpoint_left_to_edge_line_only_past_18_digits(self, width):
+        text = f"t 4 m 3\n0 1\n{1:0{width}d} {3:0{width}d}\n2 3\n"
+        calls = []
+        with edge_line_calls(graphs, calls):
+            g = parse_graph(text)
+        assert g == Graph.from_edges(4, [(0, 1), (1, 3), (2, 3)])
+        assert calls == ([3] if width > graphs._MAX_DIGITS else [])
+
+    @pytest.mark.parametrize("lo", range(9))
+    def test_words_reaching_before_the_data(self, lo):
+        """Edge lines from byte ``lo`` on, fewer than 8 bytes into the data
+        but for lo = 8: words of their first runs reach before byte 0.  The
+        bytes before ``lo`` are digits, which must not leak into a value."""
+        data = b"9" * lo + b"0 1\n2 3\n00000002 13"
+        text = data.decode()
+        outs = []
+        for read, module in ((graphs._read_edge_lines, graphs),
+                             (reference_read_edge_lines, references)):
+            us, vs = np.zeros(3, np.int64), np.zeros(3, np.int64)
+            outs.append((read_outcome(read, module, text, data, lo, len(data), 14, us, vs, 0),
+                         us.tolist(), vs.tolist()))
+        assert outs[0] == outs[1]
+        assert outs[0] == ((("ok", 3), []), [0, 2, 2], [1, 3, 13])
+
+    @pytest.mark.parametrize("text_bytes", range(1, 25))
+    def test_runs_ending_at_a_block_cut(self, text_bytes):
+        """Some block is cut just after a run, on the newline that ends it,
+        and another within a run, so its run ends the block (the last line
+        has no newline)."""
+        lines = ["0 1", "12 345", f"{7:09d} 8", "0 00000000000000000999", "3 9", "1000 1001"]
+        text = "t 1002 m 6\n" + "\n".join(lines)
+        with row_blocks_of(graphs._BLOCK_ENTRIES, text_bytes), \
+                reader_checked_against_reference():
+            g = parse_graph(text)
+        assert g == Graph.from_edges(1002, [(0, 1), (12, 345), (7, 8), (0, 999), (3, 9),
+                                            (1000, 1001)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text("0123456789", min_size=1, max_size=18), min_size=1, max_size=12),
+           st.lists(st.sampled_from([" ", "\t", "\n", "  \n "]), min_size=12, max_size=12),
+           st.integers(0, 12))
+    def test_run_values_are_the_integers(self, tokens, gaps, lo):
+        text = "x" * lo + "".join(tok + gap for tok, gap in zip(tokens, gaps))
+        data = text.encode()
+        b = np.frombuffer(data, np.uint8, len(data) - lo, lo)
+        digit = np.concatenate(([False], b - 48 < 10, [False]))
+        edges = np.flatnonzero(digit[1:] != digit[:-1])
+        starts, ends = edges[0::2], edges[1::2]
+        values = graphs._run_values(graphs._word_view(data, lo, len(data)), ends, ends - starts)
+        assert values.tolist() == [int(tok) for tok in tokens]
+
+    @pytest.mark.parametrize("lo", range(16))
+    def test_word_view_is_unaligned_little_endian(self, lo):
+        """Every byte offset of the view, whatever the alignment of its first
+        word, up to the word that ends with the buffer's last byte; a gather
+        from it reads the same words."""
+        data = bytes(range(lo, lo + 37))
+        words = graphs._word_view(data, lo, len(data))
+        padded = bytes(8) + data
+        want = [int.from_bytes(padded[i:i + 8], "little") for i in range(lo, len(data) + 1)]
+        assert words.dtype == np.dtype("<u8") and not words.flags.writeable
+        assert words.tolist() == want
+        picks = np.array([len(want) - 1, 0, 5, len(want) - 1, 3])
+        assert words[picks].tolist() == [want[i] for i in picks]
+
+
 # Sizes of one tile, one tile and one more vertex, and several tiles with a
 # ragged last band.
 TILED_SIZES = [1, 2, 255, 256, 257, 513, 1100]
@@ -676,6 +825,33 @@ class TestTiles:
         message = outcome(ref_validate, t, tuple(rows))[1]
         assert message.startswith("adjacency not symmetric at {")
         assert outcome(Graph, t, tuple(rows)) == ("value", message)
+
+
+    @pytest.mark.parametrize("t, lo, hi", [(1, 0, 1), (257, 0, 1), (257, 0, 257), (257, 256, 257),
+                                           (257, 1, 256), (600, 0, 300), (600, 300, 600),
+                                           (1100, 513, 1100)])
+    def test_columns_match_plain_transpose(self, t, lo, hi):
+        rows = sample_gnp(t, 0.3, t).rows
+        assert (graphs._columns(rows, lo, hi) == bit_matrix(t, rows)[:, lo:hi].T).all()
+
+    @pytest.mark.parametrize("u, v", [(100, 580), (290, 599), (5, 310), (580, 100)])
+    @pytest.mark.parametrize("kind", ["set", "cleared"])
+    def test_asymmetric_entry_in_a_later_row_block_named(self, u, v, kind):
+        """Row blocks of 300 of 600 rows, and bit u set in row v alone or
+        cleared in row v alone.  Set at (100, 580), the first asymmetric
+        entry lies in the second block, in its rows 556..599 and columns
+        0..255: a tile off the diagonal."""
+        rows = list(sample_gnp(600, 0.3, 11).rows)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u  # the edge {u, v}
+        if kind == "set":
+            rows[u] ^= 1 << v
+        else:
+            rows[v] ^= 1 << u
+        message = outcome(ref_validate, 600, tuple(rows))[1]
+        assert message.startswith("adjacency not symmetric at {")
+        with row_blocks_of(300 * 600):
+            assert outcome(Graph, 600, tuple(rows)) == ("value", message)
 
 
 class TestCompactColoring:
