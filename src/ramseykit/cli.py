@@ -6,17 +6,9 @@ reproduces the output byte-for-byte.  ``--out`` is the one flag every
 subcommand takes; CSV output comes from ``bounds --grid`` and ``sweep``, JSON
 from everything else but ``random gnp``, which writes a graph file.
 Exhausted/NotFound are successful completions (exit 0) -- the report is the
-result.  Exit 1 = usage error, including a flag value outside its range
-(``embed --sigma``, ``--delta``, ``--budget``; ``search --budget``,
-``--clique-s``, ``--degree-cap``; ``random partition --max-tries``;
-``random spread --delta``, ``--eps``, ``--rho``, ``--budget``; ``random
-chernoff --n``, ``--p``, ``--theta``, ``--empirical``; ``oracle
-certify-lower --n``, ``--tries``; a seed that is no Philox key, in [0,
-2**128), whether a ``--seed``, a ``sweep --seeds`` value, a ``random:`` or
-``gnp:`` shorthand's seed, or the seed of any certify-lower try) and an
-``oracle ramsey --nmax`` outside 1..10 (above 10 the exact oracle refuses it
-as beyond its feasibility guard, ``OracleRefusal``); exit 2 = malformed
-input.  Every failure prints one line
+result.  Exit 1 = usage error, including a flag value outside the range
+that the ``_Range`` in its ``add_argument`` declares (README's "The ranges"
+lists them all); exit 2 = malformed input.  Every failure prints one line
 to stderr, never a traceback.  Each leaf subcommand has one handler,
 and ``run`` builds the parser once per process.
 """
@@ -29,11 +21,13 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import bounds as bounds_mod
 from . import oracle as oracle_mod
@@ -52,6 +46,7 @@ from .graphs import (
     Coloring,
     Graph,
     GraphFormatError,
+    MAX_VERTICES,
     decode_text,
     parse_coloring,
     serialize_coloring,
@@ -140,22 +135,71 @@ def _load_graph_arg(spec: str) -> tuple[Graph, Optional[str]]:
     return g, _digest(data)
 
 
-def _grid(spec: str) -> list[int]:
-    """Parse '8', '8,16,32', or 'start:stop:step' (stop inclusive)."""
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"grid spec must be start:stop:step, got {spec!r}")
-        a, b, step = (int(p) for p in parts)
-        return list(range(a, b + 1, step))
-    return [int(p) for p in spec.split(",")]
+def _grid(flag: str, spec: str) -> list[int]:
+    """Parse '8', '8,16,32', or 'start:stop:step' (stop inclusive, step at least 1)."""
+    try:
+        if ":" not in spec:
+            return [int(p) for p in spec.split(",")]
+        a, b, step = (int(p) for p in spec.split(":"))
+    except ValueError:  # a field that is no integer, or not three of them
+        raise UsageError(f"{flag} must be an integer, a comma list of them or "
+                         f"start:stop:step, got {spec!r}") from None
+    if step < 1:
+        raise UsageError(f"{flag} must be start:stop:step with a step of at least 1, "
+                         f"got {spec!r}")
+    return list(range(a, b + 1, step))
 
 
-def _check_seed(flag: str, seed: int, count: int = 1) -> None:
+@dataclass(frozen=True)
+class _Range:
+    """A numeric flag's range, declared once as its ``type=``: text that
+    ``parse`` refuses keeps argparse's "invalid int value" message, and a value
+    outside lo..hi is a usage error naming the flag."""
+
+    flag: str
+    parse: Callable[[str], float]
+    lo: float
+    hi: float = math.inf
+    ends: str = "[]"  # each end closed or open; an open lo with no hi is 0, "positive"
+    top: str = ""  # hi as the message writes it, where its digits would not do
+    keep_text: bool = False  # return the text: a density reaches the manifest as typed
+
+    @property
+    def __name__(self) -> str:  # argparse's "invalid <name> value"
+        return self.parse.__name__
+
+    def __call__(self, text: str):
+        value = self.parse(text)
+        self.check(value, text)
+        return text if self.keep_text else value
+
+    def check(self, value: float, text: str = "") -> None:
+        # written as a not-inside test so that NaN fails it too
+        if not ((self.lo < value if self.ends[0] == "(" else self.lo <= value)
+                and (value < self.hi if self.ends[1] == ")" else value <= self.hi)):
+            if self.hi < math.inf:
+                domain = f"in {self.ends[0]}{self.lo}, {self.top or self.hi}{self.ends[1]}"
+            else:
+                domain = "positive" if self.ends[0] == "(" else f"at least {self.lo}"
+            raise UsageError(f"{self.flag} must be {domain}, "
+                             f"got {text if self.keep_text else value}")
+
+
+def density(text: str) -> float:
+    """A density as p/q or a float; 1/0 is no number either."""
+    try:
+        return parse_rho(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
+_SEED = (int, 0, randomlab.SEED_LIMIT, "[)", "2**128")  # the range of a Philox key
+
+
+def _check_seed(flag: str, seed: int, count: int) -> None:
     """Seeds ``seed`` .. ``seed + count - 1`` must all be Philox keys."""
-    if not 0 <= seed <= randomlab.SEED_LIMIT - count:
-        top = "2**128" if count == 1 else f"2**128 - {count - 1}"
-        raise UsageError(f"{flag} must be in [0, {top}), got {seed}")
+    top = "2**128" if count == 1 else f"2**128 - {count - 1}"
+    _Range(flag, int, 0, randomlab.SEED_LIMIT - count + 1, "[)", top).check(seed)
 
 
 def _seeded(flag: str, load, spec: str):
@@ -181,8 +225,7 @@ def _load_inputs(args: argparse.Namespace, **loaders) -> tuple[list, dict[str, s
 
 
 def _manifest(args: argparse.Namespace, hashes: dict[str, str]) -> dict:
-    flags = {k: (str(v) if isinstance(v, Fraction) else v)
-             for k, v in sorted(vars(args).items())
+    flags = {k: v for k, v in sorted(vars(args).items())
              if k not in ("func", "out") and v is not None}
     return {
         "subcommand": args.subcommand,
@@ -238,7 +281,7 @@ def _emit_bounds_grid(args) -> int:
     """One CSV row per (t, rho) cell of the --t grid and the --rho list."""
     rhos = _densities(args)
     rows = []
-    for t in sorted(_grid(args.t)):
+    for t in sorted(_grid("--t", args.t)):
         for r in rhos:
             rep = bounds_mod.evaluate(args.theorem, t=t, rho=r, s=args.s, m=args.m)
             for one in rep if isinstance(rep, tuple) else (rep,):
@@ -266,13 +309,6 @@ _BIDENSE_STATUS = {Certified: "certified", BiDensityWitness: "witness", TooLarge
 
 
 def _cmd_embed(args) -> int:
-    # written as not-inside checks so that NaN fails them too
-    if not 0 < args.delta <= 1:
-        raise UsageError(f"--delta must be in (0, 1], got {args.delta}")
-    if args.sigma is not None and not 0 < args.sigma <= 0.5:
-        raise UsageError(f"--sigma must be in (0, 1/2], got {args.sigma}")
-    if args.budget < 1:
-        raise UsageError(f"--budget must be at least 1, got {args.budget}")
     (pattern, host), hashes = _load_inputs(
         args, pattern=_load_graph_arg,
         host=_load_coloring if args.color else _load_graph_arg)
@@ -316,13 +352,6 @@ def _search(coloring: Coloring, pattern: Graph, mode: str, rho: Optional[float],
 
 
 def _cmd_search(args) -> int:
-    if args.budget is not None and args.budget < 1:
-        raise UsageError(f"--budget must be at least 1, got {args.budget}")
-    if args.clique_s is not None and args.clique_s < 1:
-        raise UsageError(f"--clique-s must be at least 1, got {args.clique_s}")
-    if args.degree_cap is not None and args.degree_cap < 0:
-        raise UsageError(f"--degree-cap must be at least 0, got {args.degree_cap}")
-    _check_seed("--seed", args.seed)
     (coloring, pattern), hashes = _load_inputs(args, coloring=_load_coloring,
                                                pattern=_load_graph_arg)
     rho = parse_rho(args.rho) if args.rho else None
@@ -336,49 +365,25 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_random_gnp(args) -> int:
-    _check_seed("--seed", args.seed)
     g = randomlab.sample_gnp(args.t_int, parse_rho(args.rho), args.seed)
     _write(args.out, serialize_graph(g))
     return 0
 
 
 def _cmd_random_partition(args) -> int:
-    if args.max_tries < 1:
-        raise UsageError(f"--max-tries must be at least 1, got {args.max_tries}")
-    _check_seed("--seed", args.seed)
     (g,), hashes = _load_inputs(args, graph=_load_graph_arg)
     cert = randomlab.judicious_partition(g, args.max_tries, args.seed)
     return _emit_result(args, hashes, cert.to_json())
 
 
 def _cmd_random_spread(args) -> int:
-    rho = parse_rho(args.rho)
-    if not 0 < args.delta <= 1:
-        raise UsageError(f"--delta must be in (0, 1], got {args.delta}")
-    if not args.eps > 0:
-        raise UsageError(f"--eps must be positive, got {args.eps}")
-    if not 0 < rho <= 1:
-        raise UsageError(f"--rho must be in (0, 1], got {args.rho}")
-    if args.budget < 1:
-        raise UsageError(f"--budget must be at least 1, got {args.budget}")
-    _check_seed("--seed", args.seed)
     (g,), hashes = _load_inputs(args, graph=_load_graph_arg)
-    rep = randomlab.verify_degree_spread(g, args.delta, args.eps, rho,
+    rep = randomlab.verify_degree_spread(g, args.delta, args.eps, parse_rho(args.rho),
                                          args.mode, args.budget, args.seed)
     return _emit_result(args, hashes, rep.to_json())
 
 
 def _cmd_random_chernoff(args) -> int:
-    if not 1 <= args.n < 2 ** 63:  # numpy draws binomials of at most 2**63 - 1 trials
-        raise UsageError(f"--n must be in [1, 2**63), got {args.n}")
-    if not 0 < args.p < 1:
-        raise UsageError(f"--p must be in (0, 1), got {args.p}")
-    if not 0 <= args.theta <= 1:
-        raise UsageError(f"--theta must be in [0, 1], got {args.theta}")
-    if args.empirical is not None and not 1 <= args.empirical <= randomlab.EMPIRICAL_LIMIT:
-        raise UsageError(f"--empirical must be in [1, {randomlab.EMPIRICAL_LIMIT}], "
-                         f"got {args.empirical}")
-    _check_seed("--seed", args.seed)
     bound = randomlab.chernoff_tail(args.n, args.p, args.theta)
     result = {"n": args.n, "p": args.p, "theta": args.theta, "bound": bound,
               "exponential_base": "e"}
@@ -400,8 +405,6 @@ def _cmd_oracle_find(args) -> int:
 
 
 def _cmd_oracle_ramsey(args) -> int:
-    if args.nmax < 1:
-        raise UsageError(f"--nmax must be at least 1, got {args.nmax}")
     (h1, h2), hashes = _load_inputs(args, h1=_load_graph_arg, h2=_load_graph_arg)
     cert = oracle_mod.ramsey_number_exact(h1, h2, args.nmax)
     result = {"kind": cert.kind, "n": cert.n, "verified": cert.verify(),
@@ -415,10 +418,6 @@ def _cmd_oracle_ramsey(args) -> int:
 
 
 def _cmd_oracle_certify_lower(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be at least 1, got {args.n}")
-    if args.tries < 1:
-        raise UsageError(f"--tries must be at least 1, got {args.tries}")
     _check_seed("--seed", args.seed, args.tries)  # every try's seed, before any draw
     (pattern,), hashes = _load_inputs(args, pattern=_load_graph_arg)
     witness = oracle_mod.lower_bound_certificate_random(pattern, args.n, args.tries,
@@ -444,10 +443,10 @@ def _cmd_sweep(args) -> int:
         _require(args, "sweep --kind bounds", "theorem", "t")
         return _emit_bounds_grid(args)
     _require(args, "sweep --kind search", "pattern", "n")
-    ns = _grid(args.n)
-    seeds = _grid(args.seeds)
+    ns = _grid("--n", args.n)
+    seeds = _grid("--seeds", args.seeds)
     for seed in seeds:
-        _check_seed("--seeds", seed)
+        _Range("--seeds", *_SEED).check(seed)
     _seeded("--pattern", load_pattern, args.pattern)
     rho = parse_rho(args.rho) if args.rho else None
     cells = sorted((n, s, args.pattern, args.mode, rho, args.p_red)
@@ -479,10 +478,12 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
+    def ranged(p, flag: str, *domain, keep_text: bool = False, **kwargs):
+        p.add_argument(flag, type=_Range(flag, *domain, keep_text=keep_text), **kwargs)
+
     p = leaf(sub, "bounds", _cmd_bounds, help="evaluate a bound formula in log2 domain")
     p.add_argument("--theorem", required=True, choices=bounds_mod.THEOREMS)
-    p.add_argument("--t", dest="t", required=True,
-                   help="vertex count, or a grid spec with --grid")
+    p.add_argument("--t", required=True, help="vertex count, or a grid spec with --grid")
     p.add_argument("--rho", help="density as p/q or float (comma list with --grid)")
     p.add_argument("--s", type=int)
     p.add_argument("--m", type=int)
@@ -492,46 +493,47 @@ def build_parser() -> _Parser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--host", required=True)
     p.add_argument("--color", choices=[RED, BLUE])
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--sigma", type=float, help="also run the exact bi-density check")
-    p.add_argument("--budget", type=int, default=10 ** 9)
+    ranged(p, "--delta", float, 0, 1, "(]", required=True)
+    ranged(p, "--sigma", float, 0, 0.5, "(]", "1/2", help="also run the exact bi-density check")
+    ranged(p, "--budget", int, 1, default=10 ** 9)
 
     p = leaf(sub, "search", _cmd_search, help="constructive monochromatic search")
     p.add_argument("--coloring", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--mode", default="mono",
                    choices=["mono", "vs-clique", "random-bounded"])
-    p.add_argument("--rho")
-    p.add_argument("--clique-s", dest="clique_s", type=int)
-    p.add_argument("--degree-cap", dest="degree_cap", type=int)
-    p.add_argument("--budget", type=int, help="recursion depth (default 8)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace-full", dest="trace_full", action="store_true")
+    ranged(p, "--rho", density, 0, 1, "(]", keep_text=True)
+    ranged(p, "--clique-s", int, 1)
+    ranged(p, "--degree-cap", int, 0)
+    ranged(p, "--budget", int, 1, help="recursion depth (default 8)")
+    ranged(p, "--seed", *_SEED, default=0)
+    p.add_argument("--trace-full", action="store_true")
 
     p = sub.add_parser("random", help="samplers and probabilistic checks")
     rsub = p.add_subparsers(dest="random_op", required=True)
     q = leaf(rsub, "gnp", _cmd_random_gnp)
-    q.add_argument("--t", dest="t_int", type=int, required=True)
-    q.add_argument("--rho", required=True)
-    q.add_argument("--seed", type=int, default=0)
+    ranged(q, "--t", int, 1, MAX_VERTICES, dest="t_int", required=True)
+    ranged(q, "--rho", density, 0, 1, keep_text=True, required=True)
+    ranged(q, "--seed", *_SEED, default=0)
     q = leaf(rsub, "partition", _cmd_random_partition)
     q.add_argument("--graph", required=True)
-    q.add_argument("--max-tries", dest="max_tries", type=int, default=64)
-    q.add_argument("--seed", type=int, default=0)
+    ranged(q, "--max-tries", int, 1, default=64)
+    ranged(q, "--seed", *_SEED, default=0)
     q = leaf(rsub, "spread", _cmd_random_spread)
     q.add_argument("--graph", required=True)
-    q.add_argument("--delta", type=float, required=True)
-    q.add_argument("--eps", type=float, required=True)
-    q.add_argument("--rho", required=True)
+    ranged(q, "--delta", float, 0, 1, "(]", required=True)
+    ranged(q, "--eps", float, 0, math.inf, "(]", required=True)
+    ranged(q, "--rho", density, 0, 1, "(]", keep_text=True, required=True)
     q.add_argument("--mode", default="sampled", choices=["sampled", "exhaustive"])
-    q.add_argument("--budget", type=int, default=10_000)
-    q.add_argument("--seed", type=int, default=0)
+    ranged(q, "--budget", int, 1, default=10_000)
+    ranged(q, "--seed", *_SEED, default=0)
     q = leaf(rsub, "chernoff", _cmd_random_chernoff)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--p", type=float, required=True)
-    q.add_argument("--theta", type=float, required=True)
-    q.add_argument("--empirical", type=int)
-    q.add_argument("--seed", type=int, default=0)
+    # numpy draws binomials of at most 2**63 - 1 trials
+    ranged(q, "--n", int, 1, 2 ** 63, "[)", "2**63", required=True)
+    ranged(q, "--p", float, 0, 1, "()", required=True)
+    ranged(q, "--theta", float, 0, 1, required=True)
+    ranged(q, "--empirical", int, 1, randomlab.EMPIRICAL_LIMIT)
+    ranged(q, "--seed", *_SEED, default=0)
 
     p = sub.add_parser("oracle", help="exact desk-scale computations")
     osub = p.add_subparsers(dest="oracle_op", required=True)
@@ -542,13 +544,13 @@ def build_parser() -> _Parser:
     q = leaf(osub, "ramsey", _cmd_oracle_ramsey)
     q.add_argument("--h1", required=True)
     q.add_argument("--h2", required=True)
-    q.add_argument("--nmax", type=int, default=8,
-                   help=f"largest n searched, 1 to {oracle_mod.DEFAULT_NMAX_GUARD}")
+    ranged(q, "--nmax", int, 1, default=8,
+           help=f"largest n searched, 1 to {oracle_mod.DEFAULT_NMAX_GUARD}")
     q = leaf(osub, "certify-lower", _cmd_oracle_certify_lower)
     q.add_argument("--pattern", required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--tries", type=int, default=1000)
-    q.add_argument("--seed", type=int, default=0)
+    ranged(q, "--n", int, 1, required=True)
+    ranged(q, "--tries", int, 1, default=1000)
+    q.add_argument("--seed", type=int, default=0)  # checked with --tries by its handler
 
     p = leaf(sub, "sweep", _cmd_sweep, help="parameter grids, CSV output")
     p.add_argument("--kind", required=True, choices=["bounds", "search"])
@@ -561,7 +563,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", default="mono", choices=["mono", "vs-clique"])
     p.add_argument("--n")
     p.add_argument("--seeds", default="0:4:1")
-    p.add_argument("--p-red", dest="p_red", type=float, default=0.5)
+    ranged(p, "--p-red", float, 0, 1, default=0.5)
     return parser
 
 
@@ -582,10 +584,7 @@ def run(argv: list[str]) -> int:
     except oracle_mod.OracleRefusal as e:
         sys.stderr.write(f"usage error: oracle refused: {e}\n")
         return 1
-    except InputError as e:
-        sys.stderr.write(f"input error: {e}\n")
-        return 2
-    except GraphFormatError as e:
+    except (InputError, GraphFormatError) as e:
         sys.stderr.write(f"input error: {e}\n")
         return 2
     except (ValueError, ZeroDivisionError, FileNotFoundError) as e:

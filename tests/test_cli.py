@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -124,6 +126,16 @@ class TestSearchCmd:
         assert code == 0
         assert json.loads(out)["result"]["outcome"] in ("found_mono", "exhausted")
 
+    @pytest.mark.parametrize("argv", [
+        ["search", "--coloring", "random:20:0.5:4", "--pattern", "k3"],
+        ["random", "spread", "--graph", "gnp:30:0.3:2", "--delta", "0.2", "--eps", "0.5",
+         "--budget", "10"],
+    ], ids=lambda a: a[0])
+    def test_rho_reaches_the_manifest_as_typed(self, capsys, argv):
+        code, out = run_capture(capsys, argv + ["--rho", "0.40"])
+        assert code == 0
+        assert json.loads(out)["manifest"]["flags"]["rho"] == "0.40"
+
     def test_missing_coloring_exit_2(self, capsys):
         assert cli.run(["search", "--coloring", "/no/such/file",
                         "--pattern", "k3"]) == 2
@@ -245,59 +257,142 @@ class TestReproducibility:
             assert payload["schema"] == cli.SCHEMA
 
 
+def _cases(base: list[str], *cases) -> list[tuple[list[str], str]]:
+    """(base + flags, message) for each (flags, message) case."""
+    return [(base + flags, message) for flags, message in cases]
+
+
 class TestFailuresAreOneLine:
-    # flag values outside the range a subcommand can use: usage errors
+    # flag values outside the range a subcommand can use: usage errors, each
+    # with its whole message; the flag at fault is the last one, argv[-2]
     OUT_OF_RANGE = [
-        *(["embed", "--pattern", "p3", "--host", "gnp:20:0.8:5", "--delta", "0.4", *flag]
-          for flag in (["--sigma", "-1"], ["--sigma", "0"], ["--sigma", "0.6"],
-                       ["--sigma", "nan"], ["--delta", "0"], ["--delta", "1.5"],
-                       ["--delta", "nan"], ["--budget", "0"], ["--budget", "-1"])),
-        *(["search", "--coloring", "random:60:0.25:4", "--pattern", "k3", "--mode",
-           "vs-clique", *flag]
-          for flag in (["--budget", "-1"], ["--budget", "0"], ["--clique-s", "-2"],
-                       ["--clique-s", "0"], ["--seed", "-1"], ["--seed", str(2 ** 128)])),
-        *(["oracle", "certify-lower", "--pattern", "k3", *flags]
-          for flags in (["--n", "5", "--tries", "0"], ["--n", "5", "--tries", "-5"],
-                        ["--n", "-2"], ["--n", "0"], ["--n", "5", "--seed", "-1"],
-                        ["--n", "5", "--tries", "1", "--seed", str(2 ** 128)],
-                        # the last try's seed, seed + tries - 1, is 2**128
-                        ["--n", "5", "--tries", "10", "--seed", str(2 ** 128 - 9)])),
-        ["random", "gnp", "--t", "8", "--rho", "0.5", "--seed", "-1"],
-        ["random", "partition", "--graph", "gnp:20:0.5:1", "--seed", "-1"],
-        *(["random", "partition", "--graph", "gnp:20:0.5:1", "--max-tries", tries]
-          for tries in ("-3", "0")),
-        ["random", "chernoff", "--n", "40", "--p", "0.5", "--theta", "0.2",
-         "--empirical", "10", "--seed", str(2 ** 128)],
-        *(["random", "chernoff", *flags]
-          for flags in (["--p", "0.5", "--theta", "0.2", "--n", "0"],
-                        ["--p", "0.5", "--theta", "0.2", "--n", "-4"],
-                        ["--p", "0.5", "--theta", "0.2", "--empirical", "5",
-                         "--n", str(2 ** 128)],
-                        *(["--n", "40", "--theta", "0.2", "--p", p]
-                          for p in ("0", "1", "-0.5", "1.5", "nan")),
-                        *(["--n", "40", "--p", "0.5", "--theta", theta]
-                          for theta in ("-0.1", "1.01", "nan")),
-                        # past EMPIRICAL_LIMIT, 10**8 samples
-                        *(["--n", "40", "--p", "0.5", "--theta", "0.2", "--empirical", e]
-                          for e in ("0", "-5", str(10 ** 8 + 1), str(2 ** 128))))),
-        *(["random", "spread", "--graph", "gnp:30:0.3:2", "--delta", "0.2", "--eps", "0.5",
-           "--rho", "0.3", *flag]
-          for flag in (["--budget", "-5"], ["--budget", "0"], ["--seed", "-1"],
-                       ["--delta", "0"], ["--delta", "-0.2"], ["--delta", "1.5"],
-                       ["--delta", "nan"], ["--eps", "0"], ["--eps", "-1"],
-                       ["--eps", "nan"], ["--rho", "0"], ["--rho", "-0.25"],
-                       ["--rho", "3/2"], ["--rho", "nan"])),
-        *(["search", "--coloring", "random:30:0.5:1", "--pattern", "c4", "--mode",
-           "random-bounded", "--degree-cap", cap] for cap in ("-1", "-5")),
+        *_cases(["embed", "--pattern", "p3", "--host", "gnp:20:0.8:5", "--delta", "0.4"],
+                (["--sigma", "-1"], "--sigma must be in (0, 1/2], got -1.0"),
+                (["--sigma", "0"], "--sigma must be in (0, 1/2], got 0.0"),
+                (["--sigma", "0.6"], "--sigma must be in (0, 1/2], got 0.6"),
+                (["--sigma", "nan"], "--sigma must be in (0, 1/2], got nan"),
+                (["--delta", "0"], "--delta must be in (0, 1], got 0.0"),
+                (["--delta", "1.5"], "--delta must be in (0, 1], got 1.5"),
+                (["--delta", "nan"], "--delta must be in (0, 1], got nan"),
+                (["--budget", "0"], "--budget must be at least 1, got 0"),
+                (["--budget", "-1"], "--budget must be at least 1, got -1")),
+        *_cases(["search", "--coloring", "random:60:0.25:4", "--pattern", "k3", "--mode",
+                 "vs-clique"],
+                (["--budget", "-1"], "--budget must be at least 1, got -1"),
+                (["--budget", "0"], "--budget must be at least 1, got 0"),
+                (["--clique-s", "-2"], "--clique-s must be at least 1, got -2"),
+                (["--clique-s", "0"], "--clique-s must be at least 1, got 0"),
+                (["--seed", "-1"], "--seed must be in [0, 2**128), got -1"),
+                (["--seed", str(2 ** 128)], f"--seed must be in [0, 2**128), got {2 ** 128}"),
+                (["--rho", "0"], "--rho must be in (0, 1], got 0"),
+                (["--rho", "2"], "--rho must be in (0, 1], got 2"),
+                (["--rho", "nan"], "--rho must be in (0, 1], got nan")),
+        *_cases(["oracle", "certify-lower", "--pattern", "k3"],
+                (["--n", "5", "--tries", "0"], "--tries must be at least 1, got 0"),
+                (["--n", "5", "--tries", "-5"], "--tries must be at least 1, got -5"),
+                (["--n", "-2"], "--n must be at least 1, got -2"),
+                (["--n", "0"], "--n must be at least 1, got 0"),
+                (["--n", "5", "--seed", "-1"], "--seed must be in [0, 2**128 - 999), got -1"),
+                (["--n", "5", "--tries", "1", "--seed", str(2 ** 128)],
+                 f"--seed must be in [0, 2**128), got {2 ** 128}"),
+                # the last try's seed, seed + tries - 1, is 2**128
+                (["--n", "5", "--tries", "10", "--seed", str(2 ** 128 - 9)],
+                 f"--seed must be in [0, 2**128 - 9), got {2 ** 128 - 9}")),
+        *_cases(["oracle", "ramsey", "--h1", "k3", "--h2", "k3"],
+                (["--nmax", "-3"], "--nmax must be at least 1, got -3"),
+                (["--nmax", "0"], "--nmax must be at least 1, got 0")),
+        *_cases(["random", "gnp", "--t", "8", "--rho", "0.5"],
+                (["--seed", "-1"], "--seed must be in [0, 2**128), got -1"),
+                (["--seed", str(2 ** 128)], f"--seed must be in [0, 2**128), got {2 ** 128}")),
+        *_cases(["random", "gnp", "--rho", "0.5"],
+                (["--t", "0"], "--t must be in [1, 16384], got 0"),
+                (["--t", "-2"], "--t must be in [1, 16384], got -2"),
+                (["--t", "99999"], "--t must be in [1, 16384], got 99999")),
+        *_cases(["random", "gnp", "--t", "8"],
+                (["--rho", "-0.1"], "--rho must be in [0, 1], got -0.1"),
+                (["--rho", "1.5"], "--rho must be in [0, 1], got 1.5"),
+                (["--rho", "nan"], "--rho must be in [0, 1], got nan")),
+        *_cases(["random", "partition", "--graph", "gnp:20:0.5:1"],
+                (["--seed", "-1"], "--seed must be in [0, 2**128), got -1"),
+                (["--seed", str(2 ** 128)], f"--seed must be in [0, 2**128), got {2 ** 128}"),
+                (["--max-tries", "-3"], "--max-tries must be at least 1, got -3"),
+                (["--max-tries", "0"], "--max-tries must be at least 1, got 0")),
+        *_cases(["random", "chernoff"],
+                (["--n", "40", "--p", "0.5", "--theta", "0.2", "--empirical", "10",
+                  "--seed", str(2 ** 128)], f"--seed must be in [0, 2**128), got {2 ** 128}"),
+                (["--n", "40", "--p", "0.5", "--theta", "0.2", "--seed", "-1"],
+                 "--seed must be in [0, 2**128), got -1"),
+                (["--p", "0.5", "--theta", "0.2", "--n", "0"],
+                 "--n must be in [1, 2**63), got 0"),
+                (["--p", "0.5", "--theta", "0.2", "--n", "-4"],
+                 "--n must be in [1, 2**63), got -4"),
+                (["--p", "0.5", "--theta", "0.2", "--empirical", "5", "--n", str(2 ** 128)],
+                 f"--n must be in [1, 2**63), got {2 ** 128}"),
+                *((["--n", "40", "--theta", "0.2", "--p", p], f"--p must be in (0, 1), got {got}")
+                  for p, got in (("0", "0.0"), ("1", "1.0"), ("-0.5", "-0.5"),
+                                 ("1.5", "1.5"), ("nan", "nan"))),
+                *((["--n", "40", "--p", "0.5", "--theta", theta],
+                   f"--theta must be in [0, 1], got {theta}")
+                  for theta in ("-0.1", "1.01", "nan")),
+                # past EMPIRICAL_LIMIT, 10**8 samples
+                *((["--n", "40", "--p", "0.5", "--theta", "0.2", "--empirical", e],
+                   f"--empirical must be in [1, 100000000], got {e}")
+                  for e in ("0", "-5", str(10 ** 8 + 1), str(2 ** 128)))),
+        *_cases(["random", "spread", "--graph", "gnp:30:0.3:2", "--delta", "0.2", "--eps",
+                 "0.5", "--rho", "0.3"],
+                (["--budget", "-5"], "--budget must be at least 1, got -5"),
+                (["--budget", "0"], "--budget must be at least 1, got 0"),
+                (["--seed", "-1"], "--seed must be in [0, 2**128), got -1"),
+                (["--seed", str(2 ** 128)], f"--seed must be in [0, 2**128), got {2 ** 128}"),
+                (["--delta", "0"], "--delta must be in (0, 1], got 0.0"),
+                (["--delta", "-0.2"], "--delta must be in (0, 1], got -0.2"),
+                (["--delta", "1.5"], "--delta must be in (0, 1], got 1.5"),
+                (["--delta", "nan"], "--delta must be in (0, 1], got nan"),
+                (["--eps", "0"], "--eps must be positive, got 0.0"),
+                (["--eps", "-1"], "--eps must be positive, got -1.0"),
+                (["--eps", "nan"], "--eps must be positive, got nan"),
+                (["--rho", "0"], "--rho must be in (0, 1], got 0"),
+                (["--rho", "-0.25"], "--rho must be in (0, 1], got -0.25"),
+                (["--rho", "3/2"], "--rho must be in (0, 1], got 3/2"),
+                (["--rho", "nan"], "--rho must be in (0, 1], got nan")),
+        *_cases(["search", "--coloring", "random:30:0.5:1", "--pattern", "c4", "--mode",
+                 "random-bounded"],
+                (["--degree-cap", "-1"], "--degree-cap must be at least 0, got -1"),
+                (["--degree-cap", "-5"], "--degree-cap must be at least 0, got -5")),
         # shorthand seeds that are no Philox key
-        ["search", "--pattern", "k3", "--coloring", "random:10:0.5:-1"],
-        ["oracle", "find", "--pattern", "k3", "--color", "R",
-         "--coloring", f"random:10:0.5:{2 ** 128}"],
-        ["embed", "--pattern", "p3", "--delta", "0.4", "--host", f"gnp:10:0.5:{2 ** 128}"],
-        ["oracle", "ramsey", "--h2", "k3", "--h1", f"gnp:4:0.5:{2 ** 128}"],
-        ["sweep", "--kind", "search", "--n", "8", "--pattern", f"gnp:3:0.5:{2 ** 128}"],
-        ["sweep", "--kind", "search", "--n", "8", "--pattern", "k3",
-         "--seeds", f"0:{2 ** 128}:{2 ** 128}"],
+        *((argv, f"{argv[-2]} must be a shorthand whose seed is in [0, 2**128), "
+                 f"got {argv[-1]!r}")
+          for argv in (["search", "--pattern", "k3", "--coloring", "random:10:0.5:-1"],
+                       ["oracle", "find", "--pattern", "k3", "--color", "R",
+                        "--coloring", f"random:10:0.5:{2 ** 128}"],
+                       ["embed", "--pattern", "p3", "--delta", "0.4",
+                        "--host", f"gnp:10:0.5:{2 ** 128}"],
+                       ["oracle", "ramsey", "--h2", "k3", "--h1", f"gnp:4:0.5:{2 ** 128}"],
+                       ["sweep", "--kind", "search", "--n", "8",
+                        "--pattern", f"gnp:3:0.5:{2 ** 128}"])),
+        (["sweep", "--kind", "search", "--n", "8", "--pattern", "k3",
+          "--seeds", f"0:{2 ** 128}:{2 ** 128}"],
+         f"--seeds must be in [0, 2**128), got {2 ** 128}"),
+        *_cases(["sweep", "--kind", "search", "--pattern", "k3", "--n", "8"],
+                (["--p-red", "-0.5"], "--p-red must be in [0, 1], got -0.5"),
+                (["--p-red", "1.5"], "--p-red must be in [0, 1], got 1.5"),
+                (["--p-red", "nan"], "--p-red must be in [0, 1], got nan")),
+        # grid specs: integer fields, three of them with a colon, a step of at least 1
+        *_cases(["sweep", "--kind", "search", "--pattern", "k3"],
+                *((["--n", spec], f"--n must be start:stop:step with a step of at least 1, "
+                                  f"got {spec!r}") for spec in ("8:64:0", "8:40:-1")),
+                *((["--n", spec], f"--n must be an integer, a comma list of them or "
+                                  f"start:stop:step, got {spec!r}")
+                  for spec in ("x7", "8:64", "8,,16")),
+                (["--n", "8", "--seeds", "x7"], "--seeds must be an integer, a comma list "
+                                                "of them or start:stop:step, got 'x7'"),
+                (["--n", "8", "--seeds", "0:4:0"], "--seeds must be start:stop:step with a "
+                                                   "step of at least 1, got '0:4:0'")),
+        (["sweep", "--kind", "bounds", "--theorem", "main-dense", "--rho", "1/16",
+          "--t", "8:64:0"], "--t must be start:stop:step with a step of at least 1, "
+                            "got '8:64:0'"),
+        (["bounds", "--theorem", "main-dense", "--rho", "1/16", "--grid", "--t", "x7"],
+         "--t must be an integer, a comma list of them or start:stop:step, got 'x7'"),
     ]
     PROBES = [
         ["search", "--coloring", "mono:6:X", "--pattern", "k3"],
@@ -319,14 +414,12 @@ class TestFailuresAreOneLine:
         ["search", "--coloring", "BAD_COLORING_FILE", "--pattern", "k3"],
         ["search", "--coloring", "mono:6:R", "--pattern", "NON_UTF8_GRAPH"],
         ["search", "--coloring", "NON_UTF8_COLORING", "--pattern", "k3"],
-        ["oracle", "ramsey", "--h1", "k3", "--h2", "k3", "--nmax", "-3"],
-        ["oracle", "ramsey", "--h1", "k3", "--h2", "k3", "--nmax", "0"],
         ["bounds", "--theorem", "main-dense", "--t", "64", "--rho", "1/16",
          "--format", "csv"],
         ["embed", "--pattern", "p3", "--host", "gnp:20:0.8:5", "--delta", "0.4",
          "--seed", "0"],
         ["sweep", "--kind", "search", "--pattern", "k3", "--n", "20", "--rho", "0"],
-        *OUT_OF_RANGE,
+        *(argv for argv, _ in OUT_OF_RANGE),
     ]
 
     @pytest.fixture
@@ -353,12 +446,12 @@ class TestFailuresAreOneLine:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
-    def test_out_of_range_flag_is_usage_error(self, capsys, argv):
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(argv, message, id=" ".join(argv)) for argv, message in OUT_OF_RANGE])
+    def test_out_of_range_flag_is_usage_error(self, capsys, argv, message):
+        assert message.startswith(f"{argv[-2]} must be ")
         assert cli.run(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"usage error: {argv[-2]} must be ")
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
     @pytest.mark.parametrize("samples", [cli.randomlab.EMPIRICAL_LIMIT + 1, 2 ** 128])
     def test_empirical_cap_refused_before_drawing(self, capsys, samples):
@@ -510,7 +603,7 @@ GENERATED_LEAVES = {
                  "--budget": (["10", "1000000"], [*_ODD, _BIG])},
     ("search",): {"--coloring": _COLORING, "--pattern": _PATTERN,
                   "--mode": (["mono", "vs-clique", "random-bounded"], ["x7"]),
-                  "--rho": (["0.5", "1/4"], [*_ODD, _BIG]),
+                  "--rho": (["0.5", "1/4"], [*_ODD, _BIG, "1/0"]),
                   "--clique-s": (["2", "4"], [*_ODD, _BIG]),
                   "--degree-cap": (["0", "2"], [*_ODD, _BIG]),
                   "--budget": (["1", "3"], [*_ODD, _BIG]), "--seed": _SEED,
@@ -567,3 +660,46 @@ class TestGeneratedArgv:
         assert code in (0, 1, 2)
         assert len(err.getvalue().splitlines()) <= 1
         assert "Traceback" not in err.getvalue()
+
+
+class TestRangeDeclarations:
+    """Every flag whose type is a declared range is probed below its low end
+    and above its high end, if it has one, by hand-written OUT_OF_RANGE
+    values, and is drawn by the generated-argv strategy."""
+
+    @staticmethod
+    def ranged_flags():
+        """(leaf subcommand, flag, range) of each flag typed by a ``cli._Range``."""
+        def walk(parser, leaf):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        yield from walk(sub, leaf + (name,))
+                elif isinstance(action.type, cli._Range):
+                    yield leaf, action.option_strings[0], action.type
+        return list(walk(cli.build_parser(), ()))
+
+    def test_each_ranged_flag_has_probes_past_both_ends(self):
+        ranged = self.ranged_flags()
+        assert len(ranged) >= 25
+        for leaf, flag, rng in ranged:
+            assert rng.flag == flag
+            assert flag in GENERATED_LEAVES[leaf], (leaf, flag)
+            values = [rng.parse(argv[-1]) for argv, _ in TestFailuresAreOneLine.OUT_OF_RANGE
+                      if tuple(argv[:len(leaf)]) == leaf and argv[-2] == flag]
+            lo_open, hi_open = rng.ends[0] == "(", rng.ends[1] == ")"
+            assert any(v < rng.lo or (lo_open and v == rng.lo) for v in values), (leaf, flag)
+            if rng.hi < math.inf:
+                assert any(v > rng.hi or (hi_open and v == rng.hi) for v in values), (leaf, flag)
+
+    def test_junk_keeps_argparse_message(self, capsys):
+        argv = ["embed", "--pattern", "p3", "--host", "k5", "--delta", "0.4", "--budget", "x7"]
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err == (
+            "usage error: argument --budget: invalid int value: 'x7'\n")
+
+    @pytest.mark.parametrize("rho", ["x7", "1/0", ""])
+    def test_unparseable_rho_is_one_usage_line(self, capsys, rho):
+        assert cli.run(["random", "gnp", "--t", "8", "--rho", rho]) == 1
+        assert capsys.readouterr() == (
+            "", f"usage error: argument --rho: invalid density value: {rho!r}\n")
