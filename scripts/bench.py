@@ -35,11 +35,16 @@ runs of 20,000 calls).  Rows:
   ``search_sweep`` (``gnp:10:0.5:1`` against a blue K10 in
   ``random:320:0.25:1``, rho 0.3, seed 1);
 * ``ramsey_number_exact`` on each ``exact_oracle`` anchor of
-  ``perfbench/workloads.py``, on R(3,4) at n_max = 10 and on R(3,5) at
-  n_max = guard = 14, one call per fresh process, whose result (kind, n and,
-  for an "upper" result, the class counts) the row keeps.  A call that runs past
-  ``ORACLE_TIMEOUT_S`` is stopped; that side records null and the timeout,
-  and is not run again for the row;
+  ``perfbench/workloads.py``, on R(3,4) at n_max = 10, on R(3,5) at
+  n_max = guard = 14, and on (K3, C6) at 11, (K3, C7) at 13 and (C5, K4) at
+  13, each at guard = n_max, one call per fresh process, whose result (kind,
+  n and, for an "upper" result, the class counts) the row keeps.  A call that
+  runs past ``ORACLE_TIMEOUT_S`` is stopped; that side records null and the
+  timeout, and is not run again for the row.  One more fresh process per
+  side counts, in an untimed call, the canonical forms the call computes
+  (the patterns' own included) and its ``_embed_backtrack`` calls, by
+  wrapping those functions of ``ramseykit.oracle``; the row keeps them as
+  ``before_calls`` and ``after_calls``;
 * the tier-1 suite's wall time;
 * each perfbench workload's end-to-end metrics (``--seconds 30``), as the
   median over the seeds in ``WORKLOAD_SEEDS`` (90417 is the held-out one).
@@ -79,7 +84,8 @@ CERTIFY_TRIES = 300
 # keys of a BENCH json, of its env, and the optional keys of a row
 RECORD_KEYS = {"env", "method", "rounds", "rows"}
 ENV_KEYS = {"python", "numpy", "nproc", "machine"}
-ROW_EXTRAS = {"per_seed", "before_result", "after_result", "timeout_s"}
+ROW_EXTRAS = {"per_seed", "before_result", "after_result", "before_calls", "after_calls",
+              "timeout_s"}
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -89,7 +95,8 @@ def oracle_cases() -> list[tuple[str, str, int, int]]:
     from workloads import RAMSEY_ANCHORS
 
     cases = [(h1, h2, nmax, 10) for h1, h2, nmax, _ in RAMSEY_ANCHORS]
-    return cases + [("k3", "k4", 10, 10), ("k3", "k5", 14, 14)]
+    return cases + [("k3", "k4", 10, 10), ("k3", "k5", 14, 14), ("k3", "c6", 11, 11),
+                    ("k3", "c7", 13, 13), ("c5", "k4", 13, 13)]
 
 
 def _median_time(fn, repeats: int) -> float:
@@ -208,6 +215,25 @@ def oracle_call(h1: str, h2: str, n_max: int, guard: int) -> dict:
     return {"s": time.perf_counter() - start, "result": result}
 
 
+def oracle_calls(h1: str, h2: str, n_max: int, guard: int) -> dict:
+    """How many canonical forms and ``_embed_backtrack`` calls one
+    ``ramsey_number_exact`` call makes, counted by wrapping them."""
+    from ramseykit import oracle
+    from ramseykit.patterns import load_pattern
+
+    counts = {}
+    # the form the search takes: canonical_rows before it returned automorphisms
+    form = "canonical_form" if hasattr(oracle, "canonical_form") else "canonical_rows"
+    for name, key in ((form, "canonical_forms"), ("_embed_backtrack", "embed_backtrack")):
+        def counted(*args, _fn=getattr(oracle, name), _key=key):
+            counts[_key] += 1
+            return _fn(*args)
+        counts[key] = 0
+        setattr(oracle, name, counted)
+    oracle.ramsey_number_exact(load_pattern(h1), load_pattern(h2), n_max, guard=guard)
+    return counts
+
+
 def _in_checkout(root: Path, cmd: list[str], timeout: float) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "RAMSEYKIT_WORKERS"}
     env["PYTHONPATH"] = str(root / "src")
@@ -235,8 +261,8 @@ def _measure_primitives(root: Path) -> dict:
     return json.loads(proc.stdout)
 
 
-def _measure_oracle(root: Path, case: tuple) -> Optional[dict]:
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--oracle-call", *map(str, case)]
+def _measure_oracle(root: Path, case: tuple, flag: str = "--oracle-call") -> Optional[dict]:
+    cmd = [sys.executable, str(Path(__file__).resolve()), flag, *map(str, case)]
     try:
         proc = _in_checkout(root, cmd, ORACLE_TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -308,14 +334,16 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, help="BENCH json to write")
     p.add_argument("--primitives", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--oracle-call", nargs=4, help=argparse.SUPPRESS)
+    p.add_argument("--oracle-calls", nargs=4, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.primitives:
         print(json.dumps(primitives()))
         return 0
-    if args.oracle_call:
-        h1, h2, n_max, guard = args.oracle_call
-        print(json.dumps(oracle_call(h1, h2, int(n_max), int(guard))))
-        return 0
+    for case, measure in ((args.oracle_call, oracle_call), (args.oracle_calls, oracle_calls)):
+        if case:
+            h1, h2, n_max, guard = case
+            print(json.dumps(measure(h1, h2, int(n_max), int(guard))))
+            return 0
     if not (args.before and args.after and args.out):
         p.error("--before, --after and --out are required")
     roots = {"before": args.before.resolve(), "after": args.after.resolve()}
@@ -337,6 +365,8 @@ def main(argv=None) -> int:
             row[label] = statistics.median(v["s"] for v in done) if len(done) == len(values) \
                 else None
             row[f"{label}_result"] = done[0]["result"] if done else None
+            if done:
+                row[f"{label}_calls"] = _measure_oracle(roots[label], case, "--oracle-calls")
         if any(row[label] is None for label in runs):
             row["timeout_s"] = ORACLE_TIMEOUT_S
         rows.append(row)

@@ -52,7 +52,7 @@ from .graphs import (
     serialize_coloring,
     serialize_graph,
 )
-from .patterns import load_pattern, parse_rho, read_pattern
+from .patterns import ShorthandError, load_pattern, parse_rho, read_pattern
 from .search import (
     SearchConfig,
     SearchOutcome,
@@ -173,6 +173,17 @@ class _Range:
         self.check(value, text)
         return text if self.keep_text else value
 
+    def read(self, text: str) -> float:
+        """The value of ``text`` outside argparse, for a flag whose range holds
+        only with another flag's value: text that ``parse`` refuses is out of
+        range too."""
+        try:
+            value = self.parse(text)
+        except ValueError:
+            value = math.nan  # fails every range check
+        self.check(value, text)
+        return value
+
     def check(self, value: float, text: str = "") -> None:
         # written as a not-inside test so that NaN fails it too
         if not ((self.lo < value if self.ends[0] == "(" else self.lo <= value)
@@ -194,6 +205,8 @@ def density(text: str) -> float:
 
 
 _SEED = (int, 0, randomlab.SEED_LIMIT, "[)", "2**128")  # the range of a Philox key
+# search --rho, and sweep --rho with --kind search
+_SEARCH_RHO = _Range("--rho", density, 0, 1, "(]", keep_text=True)
 
 
 def _check_seed(flag: str, seed: int, count: int) -> None:
@@ -209,6 +222,9 @@ def _seeded(flag: str, load, spec: str):
         return load(spec)
     except randomlab.SeedError:
         raise UsageError(f"{flag} must be a shorthand whose seed is in [0, 2**128), "
+                         f"got {spec!r}") from None
+    except ShorthandError:
+        raise UsageError(f"{flag} must be gnp:<t>:<rho>:<seed> with a number as rho, "
                          f"got {spec!r}") from None
 
 
@@ -296,7 +312,10 @@ def _cmd_bounds(args) -> int:
         return _emit_bounds_grid(args)
     if ":" in args.t or "," in args.t:
         raise UsageError("a grid of --t needs --grid")
-    args.t_int = int(args.t)  # recorded in the manifest next to --t
+    try:
+        args.t_int = int(args.t)  # recorded in the manifest next to --t
+    except ValueError:
+        raise UsageError(f"--t must be an integer, got {args.t!r}") from None
     rhos = _densities(args)
     if len(rhos) != 1:
         raise UsageError("a comma list of --rho needs --grid")
@@ -443,12 +462,12 @@ def _cmd_sweep(args) -> int:
         _require(args, "sweep --kind bounds", "theorem", "t")
         return _emit_bounds_grid(args)
     _require(args, "sweep --kind search", "pattern", "n")
+    rho = _SEARCH_RHO.read(args.rho) if args.rho else None
     ns = _grid("--n", args.n)
     seeds = _grid("--seeds", args.seeds)
     for seed in seeds:
         _Range("--seeds", *_SEED).check(seed)
     _seeded("--pattern", load_pattern, args.pattern)
-    rho = parse_rho(args.rho) if args.rho else None
     cells = sorted((n, s, args.pattern, args.mode, rho, args.p_red)
                    for n in ns for s in seeds)
     if workers > 1:
@@ -502,7 +521,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--mode", default="mono",
                    choices=["mono", "vs-clique", "random-bounded"])
-    ranged(p, "--rho", density, 0, 1, "(]", keep_text=True)
+    p.add_argument("--rho", type=_SEARCH_RHO)
     ranged(p, "--clique-s", int, 1)
     ranged(p, "--degree-cap", int, 0)
     ranged(p, "--budget", int, 1, help="recursion depth (default 8)")

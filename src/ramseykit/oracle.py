@@ -11,8 +11,8 @@ preassigned vertices (``_embed_plan``): the order in which pattern
 vertices are placed and, for each, the earlier ones adjacent to it.  A
 vertex's candidates are then the unused host vertices adjacent to the
 images of those earlier neighbours, one AND per neighbour.  The Ramsey
-oracle plans each orbit representative once per call, and certify-lower
-plans its pattern once per call.
+oracle plans each orbit of its patterns' ordered edges once per call, and
+certify-lower plans its pattern once per call.
 
 Exact Ramsey numbers come from vertex extension with isomorph rejection
 (McKay & Radziszowski, "R(4,5)=25", J. Graph Theory 1995; McKay,
@@ -23,9 +23,15 @@ every good K_n is a good K_{n-1} plus one vertex with some red
 neighbourhood, and a depth-first search that extends one coloring per
 isomorphism class at each level meets every good coloring up to
 isomorphism.  A child can only gain forbidden copies through its new
-vertex, so only those are checked.  Isomorphism classes are told apart by a
-canonical form (equitable refinement plus individualisation, in pure
-Python), which the graphs here, at most about 14 vertices, keep cheap.
+vertex, so only those are checked, and they are checked while the new
+vertex's red neighbourhood is being decided, one old vertex at a time: a
+red edge to it that closes a red pattern2, or a blue one that closes a blue
+pattern1, cuts the branch at once, so only good children are completed.
+Isomorphism classes are told apart by a canonical form (equitable
+refinement plus individualisation, in pure Python), which the graphs here,
+at most about 14 vertices, keep cheap.  The form's search also yields
+automorphisms, and a coloring is extended only by the neighbourhoods that
+are least in their orbit under them; the others give isomorphic children.
 """
 
 from __future__ import annotations
@@ -202,41 +208,64 @@ def find_clique_exact(host, size: int, color: Optional[str] = None,
     return extend([], allowed)
 
 
-def _refine(rows: Sequence[int], cells: list[tuple[int, ...]], queue: list[int]) -> None:
-    """Refine the ordered partition ``cells`` in place until it is equitable.
+def _refine(rows: Sequence[int], cells: list[int], queue: list[int]) -> None:
+    """Refine the ordered partition ``cells``, a list of vertex masks, in
+    place until it is equitable.
 
     Each mask in ``queue`` is used once as a splitter: every cell whose
     vertices have different numbers of neighbours in it is replaced, where
     it stands, by its parts in increasing order of that number, and the
     parts join the queue.  Each final cell was queued when it was made, so
     the result is equitable.  Every step depends on cells as sets and on
-    their positions only, so relabelling the graph relabels the result.
+    their positions only, so relabelling the graph relabels the result.  A
+    splitter of one vertex w parts a cell into the vertices outside and
+    inside w's row.
     """
     head = 0
     n = len(rows)
     while head < len(queue) and len(cells) < n:
         splitter = queue[head]
         head += 1
-        i = 0
-        while i < len(cells):
-            cell = cells[i]
-            if len(cell) > 1:
-                counts = [(rows[v] & splitter).bit_count() for v in cell]
-                if min(counts) != max(counts):
-                    parts: dict[int, list[int]] = {}
-                    for v, c in zip(cell, counts):
-                        parts.setdefault(c, []).append(v)
-                    split = [tuple(parts[c]) for c in sorted(parts)]
-                    cells[i:i + 1] = split
-                    queue.extend(mask_of(part) for part in split)
-                    i += len(split)
-                    continue
-            i += 1
+        out: list[int] = []
+        if splitter & (splitter - 1) == 0:
+            lone = rows[splitter.bit_length() - 1]
+            for cell in cells:
+                inside = cell & lone
+                if inside and inside != cell:  # so the cell has two vertices or more
+                    out += (cell ^ inside, inside)
+                    queue += (cell ^ inside, inside)
+                else:
+                    out.append(cell)
+        else:
+            for cell in cells:
+                if cell & (cell - 1):
+                    parts: dict[int, int] = {}
+                    for v in bits_of(cell):
+                        c = (rows[v] & splitter).bit_count()
+                        parts[c] = parts.get(c, 0) | 1 << v
+                    if len(parts) > 1:
+                        split = [parts[c] for c in sorted(parts)]
+                        out += split
+                        queue += split
+                        continue
+                out.append(cell)
+        cells[:] = out
 
 
-def canonical_rows(rows: Sequence[int],
-                   cells: Optional[list[tuple[int, ...]]] = None) -> tuple[int, ...]:
-    """Canonical form of the graph with bit rows ``rows``.
+def _relabel(row: int, pos: Sequence[int]) -> int:
+    """``row`` with each vertex v renamed ``pos[v]``."""
+    out = 0
+    while row:
+        low = row & -row
+        out |= 1 << pos[low.bit_length() - 1]
+        row ^= low
+    return out
+
+
+def canonical_form(rows: Sequence[int], cells: Optional[list[tuple[int, ...]]] = None,
+                   ) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Canonical form of the graph with bit rows ``rows``, and automorphisms
+    of the form, each as the list of vertex images.
 
     Two graphs get the same form iff they are isomorphic (by a bijection
     that maps each cell of ``cells``, an ordered partition of the
@@ -244,100 +273,139 @@ def canonical_rows(rows: Sequence[int],
     default one cell).  The form is the smallest row tuple over the leaves
     of the search tree of equitable refinement plus individualisation: a
     node individualises each vertex of its first smallest non-singleton
-    cell in turn, and a leaf's partition is discrete and numbers the
-    vertices by position.  Automorphisms found at leaves that equal the
-    best one prune the tree: a vertex in the orbit of one already tried,
-    under automorphisms that fix the node's individualised vertices, has an
-    equivalent subtree.
+    cell in turn, lowest first, and a leaf's partition is discrete and
+    numbers the vertices by position.  A leaf is compared with the best one
+    row by row, up to the first row that differs.  Automorphisms found at
+    leaves that equal the best one prune the tree: a vertex in the orbit of
+    one already tried, under automorphisms that fix the node's
+    individualised vertices, has an equivalent subtree.  Each node keeps
+    the union of the tried vertices' orbits as a mask, and grows it only
+    when a vertex is tried or an automorphism is found.  The automorphisms
+    returned are the ones found, relabelled as the form numbers the
+    vertices; they preserve every cell.
     """
     n = len(rows)
     if n == 0:
-        return ()
-    if cells is None:
-        cells = [tuple(range(n))]
-    best: Optional[tuple[int, ...]] = None  # the smallest relabelled rows so far
+        return (), []
+    masks = [mask_of(c) for c in cells] if cells is not None else [(1 << n) - 1]
+    best: list[int] = []  # the smallest relabelled rows so far
     best_path: tuple[int, ...] = ()  # the individualised vertices of their leaf
-    best_cells: list[tuple[int, ...]] = []  # and its discrete partition
+    best_order: list[int] = []  # and the vertex at each position of its partition
     autos: list[list[int]] = []  # automorphisms, as vertex images
 
-    def leaf(cells) -> tuple[int, ...]:
+    def leaf(cells: list[int], path: tuple[int, ...]) -> Optional[int]:
+        """Compare a leaf with the best one; the level to jump back to, if any."""
+        nonlocal best, best_path, best_order
+        order = [c.bit_length() - 1 for c in cells]
         pos = [0] * n
-        for i, (v,) in enumerate(cells):
+        for i, v in enumerate(order):
             pos[v] = i
-        return tuple(sum(1 << pos[u] for u in bits_of(rows[v])) for (v,) in cells)
+        i = 0
+        if best:
+            for i, v in enumerate(order):
+                row = _relabel(rows[v], pos)
+                if row != best[i]:
+                    if row > best[i]:
+                        return None
+                    break
+            else:
+                # The automorphism maps the best leaf's path onto this one's,
+                # so it fixes their common prefix: the branch where they part
+                # is equivalent to one already searched.
+                gamma = [0] * n
+                for v, w in zip(best_order, order):
+                    gamma[v] = w
+                autos.append(gamma)
+                return next(k for k in range(len(path)) if path[k] != best_path[k])
+        best = best[:i] + [_relabel(rows[v], pos) for v in order[i:]]
+        best_path, best_order = path, order
+        return None
 
-    def visit(cells, queue, path) -> Optional[int]:
+    def visit(cells: list[int], queue: list[int], path: tuple[int, ...]) -> Optional[int]:
         """Search below a node; the level to jump back to, if any."""
-        nonlocal best, best_path, best_cells
         _refine(rows, cells, queue)
-        level = len(path)
         if len(cells) == n:
-            form = leaf(cells)
-            if best is None or form < best:
-                best, best_path, best_cells = form, path, cells
-                return None
-            if form != best:
-                return None
-            # The automorphism maps the best leaf's path onto this one's, so
-            # it fixes their common prefix: the branch where they part is
-            # equivalent to one already searched.
-            gamma = [0] * n
-            for (v,), (w,) in zip(best_cells, cells):
-                gamma[v] = w
-            autos.append(gamma)
-            return next(k for k in range(level) if path[k] != best_path[k])
-        size = min(len(c) for c in cells if len(c) > 1)
-        target = next(i for i, c in enumerate(cells) if len(c) == size)
+            return leaf(cells, path)
+        level = len(path)
+        size, target = n + 1, 0
+        for i, c in enumerate(cells):
+            if c & (c - 1) and c.bit_count() < size:
+                size, target = c.bit_count(), i
         cell = cells[target]
-        tried: list[int] = []
-        for w in cell:
-            if tried and _same_orbit(w, tried, autos, path, n):
-                continue
-            tried.append(w)
-            rest = tuple(v for v in cell if v != w)
-            child = cells[:target] + [(w,), rest] + cells[target + 1:]
+        tried = 0  # the orbits of the vertices tried, under ``fixing``
+        fixing: list[list[int]] = []  # the automorphisms found that fix the path
+        checked = 0  # how many of ``autos`` were looked at for ``fixing``
+        for w in bits_of(cell):
+            if tried:
+                if checked < len(autos):
+                    fixing += (g for g in autos[checked:] if all(g[v] == v for v in path))
+                    checked = len(autos)
+                    tried = _orbits(tried, fixing)
+                if tried >> w & 1:
+                    continue
+            tried = _orbits(tried | 1 << w, fixing)
+            child = cells[:target] + [1 << w, cell ^ 1 << w] + cells[target + 1:]
             jump = visit(child, [1 << w], path + (w,))
             if jump is not None and jump < level:
                 return jump
         return None
 
-    visit(list(cells), [mask_of(c) for c in cells], ())
-    return best
+    visit(list(masks), list(masks), ())
+    pos = [0] * n
+    for i, v in enumerate(best_order):
+        pos[v] = i
+    return tuple(best), [[pos[gamma[v]] for v in best_order] for gamma in autos]
 
 
-def _same_orbit(w: int, tried: list[int], autos: list[list[int]],
-                fixed: tuple[int, ...], n: int) -> bool:
-    """Is ``w`` in the orbit of a tried vertex under the automorphisms that
-    fix every vertex of ``fixed``?"""
-    parent = list(range(n))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for gamma in autos:
-        if all(gamma[v] == v for v in fixed):
-            for v in range(n):
-                a, b = root(v), root(gamma[v])
-                if a != b:
-                    parent[a] = b
-    r = root(w)
-    return any(root(v) == r for v in tried)
+def canonical_rows(rows: Sequence[int],
+                   cells: Optional[list[tuple[int, ...]]] = None) -> tuple[int, ...]:
+    """The canonical form of ``canonical_form``, without the automorphisms."""
+    return canonical_form(rows, cells)[0]
 
 
-def _orbit_representatives(pattern: Graph) -> list[int]:
-    """One vertex of each orbit of the pattern's automorphism group: x and y
-    share an orbit iff individualising either gives the same canonical form."""
+def _orbits(mask: int, autos: Sequence[Sequence[int]]) -> int:
+    """The union of the orbits of the vertices in ``mask`` under the group
+    that the permutations ``autos`` generate."""
+    grown = True
+    while grown:
+        grown = False
+        for gamma in autos:
+            image = _relabel(mask, gamma)
+            if image & ~mask:
+                mask |= image
+                grown = True
+    return mask
+
+
+def _arc_representatives(pattern: Graph) -> list[tuple[int, int]]:
+    """One ordered edge (a, b) of each orbit of the pattern's ordered edges
+    under its automorphisms, in order: (a, b) and (c, d) share an orbit iff
+    individualising a then b gives the canonical form that c then d does."""
     reps, forms = [], set()
-    for x in range(pattern.t):
-        rest = tuple(v for v in range(pattern.t) if v != x)
-        form = canonical_rows(pattern.rows, [(x,), rest] if rest else [(x,)])
-        if form not in forms:
-            forms.add(form)
-            reps.append(x)
+    for a in range(pattern.t):
+        for b in bits_of(pattern.rows[a]):
+            rest = tuple(v for v in range(pattern.t) if v not in (a, b))
+            form = canonical_rows(pattern.rows, [(a,), (b,), rest] if rest else [(a,), (b,)])
+            if form not in forms:
+                forms.add(form)
+                reps.append((a, b))
     return reps
+
+
+def _least_in_orbit(s: int, autos: Sequence[Sequence[int]]) -> bool:
+    """Is the vertex set ``s`` (a mask) no larger than any of its images
+    under the group that the permutations ``autos`` generate?"""
+    orbit, todo = {s}, [s]
+    while todo:
+        x = todo.pop()
+        for gamma in autos:
+            y = _relabel(x, gamma)
+            if y < s:
+                return False
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return True
 
 
 @dataclass(frozen=True)
@@ -383,6 +451,25 @@ def ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int = 8,
     k+1.  Every good K_{k+1} restricts to a good K_k, and every isomorphism
     class at level k is expanded, so an exhausted search has met every
     class at every level: n is one more than the deepest level reached.
+
+    S is decided one old vertex j at a time, from k-1 down to 0, j out of S
+    before j in, so the S that survive come in ascending order.  Putting j
+    in S colours the edge kj red, and the branch is cut if a red pattern2
+    now uses that edge; leaving j out colours it blue, and the branch is cut
+    if a blue pattern1 does.  Vertices not yet decided are no neighbour of
+    k in either colour, and colouring more edges only adds copies, so a cut
+    loses no good child.  A copy through k in which k has a neighbour is
+    caught when the last of k's neighbours in it is decided; one search per
+    orbit of the pattern's ordered edges, with its edge placed on (k, j),
+    covers them all, and a copy is searched for only where k and j have as
+    many neighbours of its colour as the edge's ends need.  A copy in which
+    k is isolated is one of the pattern minus an isolated vertex in K_k, so
+    the parent alone decides it, once.
+
+    Of the S left, only the least of its orbit under the automorphisms that
+    the parent's canonical form found is tried: any other is the image of
+    a smaller sibling, so its child is isomorphic to one met before, and
+    the classes met and the first coloring met at each level do not change.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -393,48 +480,71 @@ def ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int = 8,
         )
     # An edgeless forbidden pattern is in every coloring with enough vertices.
     fits = min((p.t for p in (pattern1, pattern2) if p.m == 0), default=n_max + 1)
-    plans1, plans2 = ([_embed_plan(p, (x,)) for x in _orbit_representatives(p)]
-                      for p in (pattern1, pattern2))
+    # (plan, degree of a, degree of b) for each ordered edge (a, b) kept
+    arcs1, arcs2 = ([(_embed_plan(p, (a, b)), p.degree(a), p.degree(b))
+                     for a, b in _arc_representatives(p)] for p in (pattern1, pattern2))
+    # a plan that places an isolated vertex first, for a pattern that has one
+    lone1, lone2 = ([_embed_plan(p, (x,)) for x in range(p.t) if not p.rows[x]][:1]
+                    for p in (pattern1, pattern2))
     seen: list[set[tuple[int, ...]]] = [set() for _ in range(n_max + 1)]
     first: list[tuple[int, ...]] = [()]  # the first good coloring met at each level
 
-    def good(red: list[int], k: int) -> bool:
-        """Does the coloring of K_k with red rows ``red`` avoid every
-        forbidden copy through vertex k-1?"""
-        last = (k - 1,)
-        if pattern2.t <= k and any(_embed_backtrack(plan, red, k, last) is not None
-                                   for plan in plans2):
-            return False
-        if pattern1.t > k:
-            return True
-        full = (1 << k) - 1
-        blue = [full ^ r ^ (1 << v) for v, r in enumerate(red)]
-        return all(_embed_backtrack(plan, blue, k, last) is None for plan in plans1)
-
-    def extend(rows: tuple[int, ...]) -> bool:
-        """Search below a good coloring; True once level n_max is reached."""
+    def extend(rows: tuple[int, ...], autos: list[list[int]]) -> bool:
+        """Search below a good coloring with the automorphisms ``autos``;
+        True once level n_max is reached."""
         k = len(rows)
         if k >= n_max:
             return True
         if k + 1 >= fits:
             return False
-        bit = 1 << k
-        for s in range(1 << k):
-            red = [r | bit if s >> v & 1 else r for v, r in enumerate(rows)]
-            red.append(s)
-            if not good(red, k + 1):
-                continue
-            form = canonical_rows(red)
+        full, bit = (1 << k) - 1, 1 << k
+        red = [*rows, 0]
+        blue = [full ^ r ^ (1 << v) for v, r in enumerate(rows)] + [0]
+        # With k isolated in a copy, the rest of it lies in K_k, which is
+        # good: so only a copy that spans all k + 1 vertices can be new.
+        if pattern1.t == k + 1 and any(_embed_backtrack(plan, blue, k + 1, (k,)) is not None
+                                       for plan in lone1) or \
+           pattern2.t == k + 1 and any(_embed_backtrack(plan, red, k + 1, (k,)) is not None
+                                       for plan in lone2):
+            return False
+        plans1 = arcs1 if pattern1.t <= k + 1 else ()
+        plans2 = arcs2 if pattern2.t <= k + 1 else ()
+
+        def child() -> bool:
+            """Try the child whose red neighbourhood is ``red[k]``."""
+            if autos and not _least_in_orbit(red[k], autos):
+                return False
+            form, form_autos = canonical_form(red)
             if form in seen[k + 1]:
-                continue
+                return False
             seen[k + 1].add(form)
             if len(first) == k + 1:
                 first.append(form)
-            if extend(form):
-                return True
-        return False
+            return extend(form, form_autos)
 
-    reached = extend(())
+        def decide(j: int) -> bool:
+            """Decide vertices j..0 in every way that closes no forbidden
+            copy; True once level n_max is reached."""
+            if j < 0:
+                return child()
+            for host, plans in ((blue, plans1), (red, plans2)):  # j out of S, then in
+                host[j] ^= bit
+                host[k] ^= 1 << j
+                dk, dj = host[k].bit_count(), host[j].bit_count()
+                for plan, da, db in plans:
+                    if dk >= da and dj >= db and \
+                       _embed_backtrack(plan, host, k + 1, (k, j)) is not None:
+                        break  # a forbidden copy: no S below is good
+                else:
+                    if decide(j - 1):
+                        return True
+                host[j] ^= bit
+                host[k] ^= 1 << j
+            return False
+
+        return decide(k - 1)
+
+    reached = extend((), [])
     deepest = len(first) - 1
     witness = Coloring(deepest, first[deepest]) if deepest else None
     witness_n = deepest or None

@@ -23,6 +23,10 @@ _SHORTHAND = re.compile(r"^([kpcsme])(\d+)$")
 _GNP = re.compile(r"^gnp:(\d+):([0-9./]+):(\d+)$")
 
 
+class ShorthandError(ValueError):
+    """A gnp:<t>:<rho>:<seed> shorthand whose rho is no number, such as 1/0."""
+
+
 def named_graph(kind: str, n: int) -> Graph:
     if n < 1:
         raise ValueError("size must be positive")
@@ -67,7 +71,12 @@ def read_pattern(spec: str) -> tuple[Graph, Optional[bytes]]:
     if m:
         from .randomlab import sample_gnp
 
-        return sample_gnp(int(m.group(1)), parse_rho(m.group(2)), int(m.group(3))), None
+        try:
+            rho = parse_rho(m.group(2))
+        except (ValueError, ZeroDivisionError):
+            raise ShorthandError(f"gnp:<t>:<rho>:<seed> needs a number as rho, got {spec!r}") \
+                from None
+        return sample_gnp(int(m.group(1)), rho, int(m.group(3))), None
     path = Path(spec)
     if not path.exists():
         raise FileNotFoundError(

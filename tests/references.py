@@ -30,6 +30,13 @@ from ramseykit.graphs import (
     pair_order,
     rows_of,
 )
+from ramseykit.oracle import (
+    DEFAULT_NMAX_GUARD,
+    OracleRefusal,
+    RamseyCertificate,
+    _embed_backtrack,
+    _embed_plan,
+)
 from ramseykit.randomlab import SpreadReport, _rng
 from ramseykit.search import ChaseState
 
@@ -325,3 +332,225 @@ def reference_verify_degree_spread(g: Graph, delta: float, eps: float, rho: floa
         vacuous=threshold >= t,
         worst_set=worst_set,
     )
+
+
+# The Ramsey oracle before it decided each new vertex's neighbourhood one old
+# vertex at a time and skipped neighbourhoods that an automorphism of the
+# parent maps onto a smaller one, verbatim but for the names: the reference
+# for ``ramsey_number_exact`` and ``canonical_rows``.
+
+def reference_refine(rows: Sequence[int], cells: list[tuple[int, ...]], queue: list[int]) -> None:
+    """Refine the ordered partition ``cells`` in place until it is equitable.
+
+    Each mask in ``queue`` is used once as a splitter: every cell whose
+    vertices have different numbers of neighbours in it is replaced, where
+    it stands, by its parts in increasing order of that number, and the
+    parts join the queue.  Each final cell was queued when it was made, so
+    the result is equitable.  Every step depends on cells as sets and on
+    their positions only, so relabelling the graph relabels the result.
+    """
+    head = 0
+    n = len(rows)
+    while head < len(queue) and len(cells) < n:
+        splitter = queue[head]
+        head += 1
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            if len(cell) > 1:
+                counts = [(rows[v] & splitter).bit_count() for v in cell]
+                if min(counts) != max(counts):
+                    parts: dict[int, list[int]] = {}
+                    for v, c in zip(cell, counts):
+                        parts.setdefault(c, []).append(v)
+                    split = [tuple(parts[c]) for c in sorted(parts)]
+                    cells[i:i + 1] = split
+                    queue.extend(mask_of(part) for part in split)
+                    i += len(split)
+                    continue
+            i += 1
+
+
+def reference_canonical_rows(rows: Sequence[int],
+                   cells: Optional[list[tuple[int, ...]]] = None) -> tuple[int, ...]:
+    """Canonical form of the graph with bit rows ``rows``.
+
+    Two graphs get the same form iff they are isomorphic (by a bijection
+    that maps each cell of ``cells``, an ordered partition of the
+    vertices, onto the cell at the same position of the other's; by
+    default one cell).  The form is the smallest row tuple over the leaves
+    of the search tree of equitable refinement plus individualisation: a
+    node individualises each vertex of its first smallest non-singleton
+    cell in turn, and a leaf's partition is discrete and numbers the
+    vertices by position.  Automorphisms found at leaves that equal the
+    best one prune the tree: a vertex in the orbit of one already tried,
+    under automorphisms that fix the node's individualised vertices, has an
+    equivalent subtree.
+    """
+    n = len(rows)
+    if n == 0:
+        return ()
+    if cells is None:
+        cells = [tuple(range(n))]
+    best: Optional[tuple[int, ...]] = None  # the smallest relabelled rows so far
+    best_path: tuple[int, ...] = ()  # the individualised vertices of their leaf
+    best_cells: list[tuple[int, ...]] = []  # and its discrete partition
+    autos: list[list[int]] = []  # automorphisms, as vertex images
+
+    def leaf(cells) -> tuple[int, ...]:
+        pos = [0] * n
+        for i, (v,) in enumerate(cells):
+            pos[v] = i
+        return tuple(sum(1 << pos[u] for u in bits_of(rows[v])) for (v,) in cells)
+
+    def visit(cells, queue, path) -> Optional[int]:
+        """Search below a node; the level to jump back to, if any."""
+        nonlocal best, best_path, best_cells
+        reference_refine(rows, cells, queue)
+        level = len(path)
+        if len(cells) == n:
+            form = leaf(cells)
+            if best is None or form < best:
+                best, best_path, best_cells = form, path, cells
+                return None
+            if form != best:
+                return None
+            # The automorphism maps the best leaf's path onto this one's, so
+            # it fixes their common prefix: the branch where they part is
+            # equivalent to one already searched.
+            gamma = [0] * n
+            for (v,), (w,) in zip(best_cells, cells):
+                gamma[v] = w
+            autos.append(gamma)
+            return next(k for k in range(level) if path[k] != best_path[k])
+        size = min(len(c) for c in cells if len(c) > 1)
+        target = next(i for i, c in enumerate(cells) if len(c) == size)
+        cell = cells[target]
+        tried: list[int] = []
+        for w in cell:
+            if tried and reference_same_orbit(w, tried, autos, path, n):
+                continue
+            tried.append(w)
+            rest = tuple(v for v in cell if v != w)
+            child = cells[:target] + [(w,), rest] + cells[target + 1:]
+            jump = visit(child, [1 << w], path + (w,))
+            if jump is not None and jump < level:
+                return jump
+        return None
+
+    visit(list(cells), [mask_of(c) for c in cells], ())
+    return best
+
+
+def reference_same_orbit(w: int, tried: list[int], autos: list[list[int]],
+                fixed: tuple[int, ...], n: int) -> bool:
+    """Is ``w`` in the orbit of a tried vertex under the automorphisms that
+    fix every vertex of ``fixed``?"""
+    parent = list(range(n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for gamma in autos:
+        if all(gamma[v] == v for v in fixed):
+            for v in range(n):
+                a, b = root(v), root(gamma[v])
+                if a != b:
+                    parent[a] = b
+    r = root(w)
+    return any(root(v) == r for v in tried)
+
+
+def reference_orbit_representatives(pattern: Graph) -> list[int]:
+    """One vertex of each orbit of the pattern's automorphism group: x and y
+    share an orbit iff individualising either gives the same canonical form."""
+    reps, forms = [], set()
+    for x in range(pattern.t):
+        rest = tuple(v for v in range(pattern.t) if v != x)
+        form = reference_canonical_rows(pattern.rows, [(x,), rest] if rest else [(x,)])
+        if form not in forms:
+            forms.add(form)
+            reps.append(x)
+    return reps
+
+
+def reference_ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int = 8,
+                        guard: int = DEFAULT_NMAX_GUARD) -> RamseyCertificate:
+    """Smallest n <= n_max forcing a blue pattern1 or red pattern2.
+
+    Returns an "upper" certificate with the exact value, the avoiding
+    witness at n-1 and the class counts below n, or a "lower" certificate
+    at n_max when the value exceeds the searched range.
+
+    The search runs depth first over good colorings -- no blue pattern1,
+    no red pattern2 -- each stored as the canonical form of its red rows.
+    A child of a good K_k adds vertex k with one red neighbourhood S of
+    0..k-1; it is good iff no forbidden copy passes through vertex k, since
+    its K_k is good, and it is expanded only if its form is new at level
+    k+1.  Every good K_{k+1} restricts to a good K_k, and every isomorphism
+    class at level k is expanded, so an exhausted search has met every
+    class at every level: n is one more than the deepest level reached.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if n_max > guard:
+        raise OracleRefusal(
+            f"n_max={n_max} exceeds the feasibility guard {guard}; "
+            "raise `guard` explicitly to override"
+        )
+    # An edgeless forbidden pattern is in every coloring with enough vertices.
+    fits = min((p.t for p in (pattern1, pattern2) if p.m == 0), default=n_max + 1)
+    plans1, plans2 = ([_embed_plan(p, (x,)) for x in reference_orbit_representatives(p)]
+                      for p in (pattern1, pattern2))
+    seen: list[set[tuple[int, ...]]] = [set() for _ in range(n_max + 1)]
+    first: list[tuple[int, ...]] = [()]  # the first good coloring met at each level
+
+    def good(red: list[int], k: int) -> bool:
+        """Does the coloring of K_k with red rows ``red`` avoid every
+        forbidden copy through vertex k-1?"""
+        last = (k - 1,)
+        if pattern2.t <= k and any(_embed_backtrack(plan, red, k, last) is not None
+                                   for plan in plans2):
+            return False
+        if pattern1.t > k:
+            return True
+        full = (1 << k) - 1
+        blue = [full ^ r ^ (1 << v) for v, r in enumerate(red)]
+        return all(_embed_backtrack(plan, blue, k, last) is None for plan in plans1)
+
+    def extend(rows: tuple[int, ...]) -> bool:
+        """Search below a good coloring; True once level n_max is reached."""
+        k = len(rows)
+        if k >= n_max:
+            return True
+        if k + 1 >= fits:
+            return False
+        bit = 1 << k
+        for s in range(1 << k):
+            red = [r | bit if s >> v & 1 else r for v, r in enumerate(rows)]
+            red.append(s)
+            if not good(red, k + 1):
+                continue
+            form = reference_canonical_rows(red)
+            if form in seen[k + 1]:
+                continue
+            seen[k + 1].add(form)
+            if len(first) == k + 1:
+                first.append(form)
+            if extend(form):
+                return True
+        return False
+
+    reached = extend(())
+    deepest = len(first) - 1
+    witness = Coloring(deepest, first[deepest]) if deepest else None
+    witness_n = deepest or None
+    if reached:
+        return RamseyCertificate("lower", n_max, pattern1, pattern2,
+                                 witness=witness, witness_n=witness_n)
+    return RamseyCertificate("upper", deepest + 1, pattern1, pattern2,
+                             witness=witness, witness_n=witness_n,
+                             classes=tuple(len(level) for level in seen[1:deepest + 1]))

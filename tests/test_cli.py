@@ -373,6 +373,15 @@ class TestFailuresAreOneLine:
         (["sweep", "--kind", "search", "--n", "8", "--pattern", "k3",
           "--seeds", f"0:{2 ** 128}:{2 ** 128}"],
          f"--seeds must be in [0, 2**128), got {2 ** 128}"),
+        *_cases(["sweep", "--kind", "search", "--pattern", "k3", "--n", "20"],
+                (["--rho", "2"], "--rho must be in (0, 1], got 2"),
+                (["--rho", "1/0"], "--rho must be in (0, 1], got 1/0")),
+        # a gnp shorthand whose rho is no number
+        *((argv, f"{argv[-2]} must be gnp:<t>:<rho>:<seed> with a number as rho, "
+                 f"got {argv[-1]!r}")
+          for argv in (["search", "--coloring", "mono:6:R", "--pattern", "gnp:4:1/0:1"],
+                       ["sweep", "--kind", "search", "--n", "8", "--pattern", "gnp:4:1.2.3:1"],
+                       ["oracle", "ramsey", "--h2", "k3", "--h1", "gnp:4:0/0:1"])),
         *_cases(["sweep", "--kind", "search", "--pattern", "k3", "--n", "8"],
                 (["--p-red", "-0.5"], "--p-red must be in [0, 1], got -0.5"),
                 (["--p-red", "1.5"], "--p-red must be in [0, 1], got 1.5"),
@@ -393,6 +402,8 @@ class TestFailuresAreOneLine:
                             "got '8:64:0'"),
         (["bounds", "--theorem", "main-dense", "--rho", "1/16", "--grid", "--t", "x7"],
          "--t must be an integer, a comma list of them or start:stop:step, got 'x7'"),
+        (["bounds", "--theorem", "main-dense", "--rho", "1/16", "--t", "x7"],
+         "--t must be an integer, got 'x7'"),
     ]
     PROBES = [
         ["search", "--coloring", "mono:6:X", "--pattern", "k3"],

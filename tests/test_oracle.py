@@ -15,7 +15,12 @@ from ramseykit.oracle import _embed_backtrack, _embed_plan
 from ramseykit.patterns import load_pattern, named_graph
 from ramseykit.randomlab import SEED_LIMIT
 
-from references import reference_certify_lower, reference_embed_backtrack
+from references import (
+    reference_canonical_rows,
+    reference_certify_lower,
+    reference_embed_backtrack,
+    reference_ramsey_number_exact,
+)
 
 # Exact values from Radziszowski, "Small Ramsey Numbers", EJC Dynamic Survey DS1.
 R_K3_K3 = 6
@@ -308,10 +313,203 @@ class TestCanonicalForm:
         assert oracle.canonical_rows(p.rows) != oracle.canonical_rows(prism.rows)
 
     def test_orbit_representatives(self):
-        assert oracle._orbit_representatives(named_graph("c", 5)) == [0]
-        assert oracle._orbit_representatives(named_graph("p", 4)) == [0, 1]
-        assert oracle._orbit_representatives(named_graph("s", 3)) == [0, 1]
-        assert oracle._orbit_representatives(Graph.from_edges(3, [(0, 1)])) == [0, 2]
+        # one ordered edge per orbit: a reflection of P4 maps (1, 2) to
+        # (2, 1), but nothing maps an end vertex to a middle one
+        assert oracle._arc_representatives(named_graph("c", 5)) == [(0, 1)]
+        assert oracle._arc_representatives(named_graph("p", 4)) == [(0, 1), (1, 0), (1, 2)]
+        assert oracle._arc_representatives(named_graph("s", 3)) == [(0, 1), (1, 0)]
+        assert oracle._arc_representatives(Graph.from_edges(3, [(0, 1)])) == [(0, 1)]
+        assert oracle._arc_representatives(named_graph("e", 2)) == []
+
+
+def _circulant(n: int, steps) -> Graph:
+    return Graph.from_edges(n, sorted({tuple(sorted((v, (v + d) % n)))
+                                       for v in range(n) for d in steps}))
+
+
+def _maps_rows_onto_themselves(rows, gamma) -> bool:
+    return sorted(gamma) == list(range(len(rows))) and all(
+        rows[gamma[u]] >> gamma[v] & 1 == rows[u] >> v & 1
+        for u in range(len(rows)) for v in range(len(rows)))
+
+
+class TestCanonicalFormAgainstReference:
+    """``canonical_form`` against the form of the unpruned leaf comparison it
+    replaced, and the automorphisms it returns against the form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(10))
+    def test_same_form_and_automorphisms_of_it(self, g):
+        form, autos = oracle.canonical_form(g.rows)
+        assert form == reference_canonical_rows(g.rows)
+        assert oracle.canonical_rows(g.rows) == form
+        assert all(_maps_rows_onto_themselves(form, gamma) for gamma in autos)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(5, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.integers(1, n // 2), min_size=1), st.permutations(range(n)))))
+    def test_circulants(self, case):
+        # vertex-transitive: the search must find automorphisms, and prune by them
+        n, steps, perm = case
+        g = _circulant(n, steps)
+        h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        form, autos = oracle.canonical_form(h.rows)
+        assert form == reference_canonical_rows(h.rows)
+        assert autos and all(_maps_rows_onto_themselves(form, gamma) for gamma in autos)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(6, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.integers(1, n // 2), min_size=1),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))))
+    def test_near_circulants(self, case):
+        # a few pairs flipped: refinement leaves large cells, and leaves differ
+        n, steps, flips = case
+        rows = list(_circulant(n, steps).rows)
+        for u, v in flips:
+            if u != v:
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+        form, autos = oracle.canonical_form(rows)
+        assert form == reference_canonical_rows(rows)
+        assert all(_maps_rows_onto_themselves(form, gamma) for gamma in autos)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_regular_graphs(self, d):
+        # degrees leave one cell, so refinement alone decides little and
+        # leaves that differ from the best one are common
+        for n in range(d + 3, 13):
+            if n * d % 2:
+                continue
+            for seed in range(6):
+                g = nx.random_regular_graph(d, n, seed=seed)
+                rows = Graph.from_edges(n, list(g.edges())).rows
+                form, autos = oracle.canonical_form(rows)
+                assert form == reference_canonical_rows(rows), (d, n, seed)
+                assert all(_maps_rows_onto_themselves(form, gamma) for gamma in autos)
+
+    @pytest.mark.parametrize("h1, h2, n_max", [("k3", "c5", 9), ("c5", "c5", 9)])
+    def test_colorings_of_the_ramsey_search(self, h1, h2, n_max, monkeypatch):
+        # every red graph whose form the search takes
+        met = []
+        form_of = oracle.canonical_form
+
+        def recording(rows, cells=None):
+            met.append((tuple(rows), cells))
+            return form_of(rows, cells)
+
+        monkeypatch.setattr(oracle, "canonical_form", recording)
+        oracle.ramsey_number_exact(load_pattern(h1), load_pattern(h2), n_max)
+        monkeypatch.undo()
+        assert len(met) > 80
+        for rows, cells in met:
+            form, autos = oracle.canonical_form(rows, cells)
+            assert form == reference_canonical_rows(rows, cells)
+            assert all(_maps_rows_onto_themselves(form, gamma) for gamma in autos)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(8), st.randoms(use_true_random=False))
+    def test_with_cells(self, g, rnd):
+        # an ordered partition of the vertices, each cell in ascending order
+        verts = list(range(g.t))
+        rnd.shuffle(verts)
+        cut = sorted(rnd.sample(range(1, g.t), rnd.randrange(g.t))) if g.t > 1 else []
+        cells = [tuple(sorted(verts[a:b])) for a, b in zip([0, *cut], [*cut, g.t])]
+        form, autos = oracle.canonical_form(g.rows, cells)
+        assert form == reference_canonical_rows(g.rows, cells)
+        sizes = [len(c) for c in cells]
+        starts = [sum(sizes[:i]) for i in range(len(cells))]
+        for gamma in autos:
+            assert _maps_rows_onto_themselves(form, gamma)
+            # the form numbers the cells' vertices in cell order
+            assert all(starts[i] <= gamma[v] < starts[i] + sizes[i]
+                       for i in range(len(cells))
+                       for v in range(starts[i], starts[i] + sizes[i]))
+
+    def test_petersen_group_is_generated(self):
+        # |Aut(Petersen)| = 120: the automorphisms found generate all of it
+        form, autos = oracle.canonical_form(
+            Graph.from_edges(10, list(nx.petersen_graph().edges())).rows)
+        group, todo = {tuple(range(10))}, [tuple(range(10))]
+        while todo:
+            g = todo.pop()
+            for gamma in autos:
+                h = tuple(gamma[g[v]] for v in range(10))
+                if h not in group:
+                    group.add(h)
+                    todo.append(h)
+        assert len(group) == 120
+
+    def test_least_in_orbit(self):
+        swap = [1, 0, 2]  # 0 <-> 1
+        assert oracle._least_in_orbit(0b001, [swap])
+        assert not oracle._least_in_orbit(0b010, [swap])
+        assert oracle._least_in_orbit(0b011, [swap])
+        rotate = [1, 2, 3, 0]
+        assert oracle._least_in_orbit(0b0011, [rotate])
+        assert not oracle._least_in_orbit(0b1001, [rotate])
+        assert not oracle._least_in_orbit(0b0110, [rotate])
+        assert oracle._least_in_orbit(0b0101, [rotate])
+        assert oracle._least_in_orbit(0b0110, [])
+
+
+def _same_result(h1: Graph, h2: Graph, n_max: int, guard: int = oracle.DEFAULT_NMAX_GUARD):
+    cert = oracle.ramsey_number_exact(h1, h2, n_max, guard=guard)
+    ref = reference_ramsey_number_exact(h1, h2, n_max, guard=guard)
+    got = (cert.kind, cert.n, cert.witness_n, cert.classes,
+           cert.witness.red_rows if cert.witness else None)
+    want = (ref.kind, ref.n, ref.witness_n, ref.classes,
+            ref.witness.red_rows if ref.witness else None)
+    assert got == want, (h1, h2, n_max)
+    assert cert.verify()
+
+
+# the oracle ramsey ops of the exact_oracle benchmark workload
+ORACLE_ANCHORS = (("k3", "k3", 8), ("c4", "c4", 8), ("k3", "c4", 8), ("k3", "c5", 9),
+                  ("c5", "c5", 9), ("k3", "k4", 8))
+
+
+class TestRamseyAgainstReference:
+    """Vertex-by-vertex neighbourhoods and the orbit test against the full
+    enumeration they replaced: the same kind, n, witness and class counts."""
+
+    @pytest.mark.parametrize("h1", _small_patterns(), ids=lambda g: f"t{g.t}r{g.rows}")
+    def test_small_patterns(self, h1):
+        for h2 in _small_patterns():
+            _same_result(h1, h2, 7)
+
+    @pytest.mark.parametrize("h1, h2, n_max", ORACLE_ANCHORS)
+    def test_benchmark_anchors(self, h1, h2, n_max):
+        _same_result(load_pattern(h1), load_pattern(h2), n_max)
+
+    def test_k3_k4_at_10(self):
+        _same_result(Graph.complete(3), Graph.complete(4), 10)
+
+    def test_k3_c6_at_11(self):
+        _same_result(Graph.complete(3), named_graph("c", 6), 11, guard=11)
+
+    @pytest.mark.parametrize("h1, h2, n_max", [("k3", "k3", 6), ("c4", "c4", 6),
+                                               ("k3", "c4", 7), ("p3", "k4", 8),
+                                               ("c5", "c5", 8)])
+    def test_children_are_least_in_their_orbit(self, h1, h2, n_max, monkeypatch):
+        # Every child whose form is taken has the least red neighbourhood of
+        # its orbit under the whole automorphism group of its parent.
+        children = []
+        form_of = oracle.canonical_form
+
+        def recording(rows, cells=None):
+            if cells is None:
+                children.append(tuple(rows))
+            return form_of(rows, cells)
+
+        monkeypatch.setattr(oracle, "canonical_form", recording)
+        oracle.ramsey_number_exact(load_pattern(h1), load_pattern(h2), n_max)
+        assert children
+        for rows in children:
+            k = len(rows) - 1
+            parent = _networkx(Graph(k, tuple(r & ~(1 << k) for r in rows[:k])))
+            s = rows[k]
+            for gamma in nx.algorithms.isomorphism.GraphMatcher(parent, parent).isomorphisms_iter():
+                assert sum(1 << gamma[v] for v in range(k) if s >> v & 1) >= s, (rows, gamma)
 
 
 class TestRamseyAgainstEdgeSearch:
