@@ -216,16 +216,16 @@ def _check_seed(flag: str, seed: int, count: int) -> None:
 
 
 def _seeded(flag: str, load, spec: str):
-    """``load(spec)``, where a shorthand whose seed is no Philox key is a
-    usage error that names ``flag``."""
+    """``load(spec)``, where a shorthand whose seed is no Philox key, or a gnp
+    shorthand whose rho is no number in [0, 1], is a usage error that names
+    ``flag``."""
     try:
         return load(spec)
     except randomlab.SeedError:
         raise UsageError(f"{flag} must be a shorthand whose seed is in [0, 2**128), "
                          f"got {spec!r}") from None
-    except ShorthandError:
-        raise UsageError(f"{flag} must be gnp:<t>:<rho>:<seed> with a number as rho, "
-                         f"got {spec!r}") from None
+    except ShorthandError as e:
+        raise UsageError(f"{flag} must be {e}") from None
 
 
 def _load_inputs(args: argparse.Namespace, **loaders) -> tuple[list, dict[str, str]]:

@@ -188,6 +188,13 @@ def find_clique_exact(host, size: int, color: Optional[str] = None,
 
     ``within`` restricts the search to a vertex subset.  Returns the
     lexicographic-first clique as a sorted vertex list, or None.
+
+    It stays apart from ``_embed_backtrack``, which finds the same clique on
+    a K_size plan: it extends only in ascending order and cuts a branch that
+    has too few candidates left, and the kernel does neither.  A K10 search
+    failing in 20 vertices took 16.6 s there against 0.36 ms here (0.16 s
+    with twin vertices forced ascending); the clique calls of two
+    ``search_sweep`` passes took 117 s against 0.02 s.
     """
     rows = rows_of(host, color)
     allowed = mask_of(within) if within is not None else (1 << len(rows)) - 1
@@ -357,12 +364,6 @@ def canonical_form(rows: Sequence[int], cells: Optional[list[tuple[int, ...]]] =
     return tuple(best), [[pos[gamma[v]] for v in best_order] for gamma in autos]
 
 
-def canonical_rows(rows: Sequence[int],
-                   cells: Optional[list[tuple[int, ...]]] = None) -> tuple[int, ...]:
-    """The canonical form of ``canonical_form``, without the automorphisms."""
-    return canonical_form(rows, cells)[0]
-
-
 def _orbits(mask: int, autos: Sequence[Sequence[int]]) -> int:
     """The union of the orbits of the vertices in ``mask`` under the group
     that the permutations ``autos`` generate."""
@@ -385,7 +386,7 @@ def _arc_representatives(pattern: Graph) -> list[tuple[int, int]]:
     for a in range(pattern.t):
         for b in bits_of(pattern.rows[a]):
             rest = tuple(v for v in range(pattern.t) if v not in (a, b))
-            form = canonical_rows(pattern.rows, [(a,), (b,), rest] if rest else [(a,), (b,)])
+            form, _ = canonical_form(pattern.rows, [(a,), (b,), rest] if rest else [(a,), (b,)])
             if form not in forms:
                 forms.add(form)
                 reps.append((a, b))
@@ -478,8 +479,6 @@ def ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int = 8,
             f"n_max={n_max} exceeds the feasibility guard {guard}; "
             "raise `guard` explicitly to override"
         )
-    # An edgeless forbidden pattern is in every coloring with enough vertices.
-    fits = min((p.t for p in (pattern1, pattern2) if p.m == 0), default=n_max + 1)
     # (plan, degree of a, degree of b) for each ordered edge (a, b) kept
     arcs1, arcs2 = ([(_embed_plan(p, (a, b)), p.degree(a), p.degree(b))
                      for a, b in _arc_representatives(p)] for p in (pattern1, pattern2))
@@ -495,8 +494,6 @@ def ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int = 8,
         k = len(rows)
         if k >= n_max:
             return True
-        if k + 1 >= fits:
-            return False
         full, bit = (1 << k) - 1, 1 << k
         red = [*rows, 0]
         blue = [full ^ r ^ (1 << v) for v, r in enumerate(rows)] + [0]
@@ -556,9 +553,9 @@ def ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int = 8,
                              classes=tuple(len(level) for level in seen[1:deepest + 1]))
 
 
-def lower_bound_certificate_random(pattern: Graph, n: int, tries: int, seed: int,
-                                   p_red: float = 0.5) -> Optional[Coloring]:
-    """The first of the colorings ``sample_coloring(n, p_red, seed + i)``, i =
+def lower_bound_certificate_random(pattern: Graph, n: int, tries: int,
+                                   seed: int) -> Optional[Coloring]:
+    """The first of the colorings ``sample_coloring(n, 1/2, seed + i)``, i =
     0 .. tries-1, with no monochromatic ``pattern``, or None.
 
     The colorings are drawn in blocks (``randomlab.sample_red_rows``) and
@@ -572,7 +569,7 @@ def lower_bound_certificate_random(pattern: Graph, n: int, tries: int, seed: int
     if tries < 1:
         raise ValueError(f"tries must be at least 1, got {tries}")
     plan = _embed_plan(pattern)
-    for red in sample_red_rows(n, p_red, range(seed, seed + tries)):
+    for red in sample_red_rows(n, 0.5, range(seed, seed + tries)):
         if _embed_backtrack(plan, red, n) is not None:
             continue
         full = (1 << n) - 1

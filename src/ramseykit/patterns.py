@@ -24,7 +24,8 @@ _GNP = re.compile(r"^gnp:(\d+):([0-9./]+):(\d+)$")
 
 
 class ShorthandError(ValueError):
-    """A gnp:<t>:<rho>:<seed> shorthand whose rho is no number, such as 1/0."""
+    """A gnp:<t>:<rho>:<seed> shorthand whose rho is no number, such as 1/0,
+    or lies outside [0, 1]; the message is what the shorthand must be."""
 
 
 def named_graph(kind: str, n: int) -> Graph:
@@ -74,8 +75,10 @@ def read_pattern(spec: str) -> tuple[Graph, Optional[bytes]]:
         try:
             rho = parse_rho(m.group(2))
         except (ValueError, ZeroDivisionError):
-            raise ShorthandError(f"gnp:<t>:<rho>:<seed> needs a number as rho, got {spec!r}") \
+            raise ShorthandError(f"gnp:<t>:<rho>:<seed> with a number as rho, got {spec!r}") \
                 from None
+        if not 0 <= rho <= 1:
+            raise ShorthandError(f"gnp:<t>:<rho>:<seed> with rho in [0, 1], got {spec!r}")
         return sample_gnp(int(m.group(1)), rho, int(m.group(3))), None
     path = Path(spec)
     if not path.exists():

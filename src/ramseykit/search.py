@@ -5,13 +5,15 @@ arguments whose guarantees only kick in at astronomically large n.  At
 desk scale the contract is soundness plus traceability: every Found
 outcome is re-verified against the coloring before being returned, and
 failure to find anything is a first-class Exhausted result carrying the
-trace of what was attempted, never an error.
+trace of what was attempted, never an error.  Both happen in ``_one_exit``,
+the one exit of each of the three public searches.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -20,6 +22,7 @@ from .embedder import embed_greedy, find_sparse_pair_heuristic
 from .graphs import (
     BLUE,
     RED,
+    BoundedGraphWitness,
     Coloring,
     Embedding,
     Graph,
@@ -236,30 +239,50 @@ def _verify_clique(coloring: Coloring, vertices: Sequence[int], color: str) -> b
                for i, u in enumerate(vs) for v in vs[i + 1:])
 
 
-def _clique_image(pattern: Graph, clique: Sequence[int]) -> list[int]:
+def _clique_image(pattern: Graph, clique: Sequence[int]) -> Embedding:
     """``pattern`` mapped onto the lowest pattern.t vertices of a clique."""
-    return sorted(clique)[: pattern.t]
+    return Embedding(pattern, tuple(sorted(clique)[: pattern.t]))
 
 
-def _reattach(kept: Sequence[int], core_image: Sequence[int], removed: Sequence[int],
-              pivots: Sequence[int]) -> list[int]:
-    """Image of a pattern whose core, the vertices ``kept`` in that order,
-    maps to ``core_image`` and whose ``removed`` vertices go to the pivots."""
-    image = [-1] * (len(kept) + len(removed))
+def _reattach(pattern: Graph, kept: Sequence[int], core_image: Sequence[int],
+              removed: Sequence[int], pivots: Sequence[int]) -> Embedding:
+    """``pattern`` with its core, the vertices ``kept`` in that order, mapped
+    to ``core_image`` and its ``removed`` vertices mapped to the pivots."""
+    image = [-1] * pattern.t
     for orig, w in zip(kept, core_image):
         image[orig] = w
     for orig, pv in zip(removed, pivots):
         image[orig] = pv
-    return image
+    return Embedding(pattern, tuple(image))
 
 
-def _found_mono(coloring: Coloring, pattern: Graph, image: Sequence[int], color: str,
-                events: list) -> SearchOutcome:
-    """The found_mono outcome mapping pattern vertex i to image[i], verified."""
-    out = SearchOutcome("found_mono", embedding=Embedding(pattern, tuple(image)),
-                        color=color, trace=tuple(events))
-    _assert_outcome_valid(coloring, pattern, out)
-    return out
+def _one_exit(search):
+    """The one exit of a public search: ``search`` appends its events to the
+    list it is given as ``events``, and its outcome leaves with those events
+    as its trace, once any find in it is re-verified against the coloring."""
+    @functools.wraps(search)
+    def finish(coloring: Coloring, pattern: Graph, *args, **kwargs) -> SearchOutcome:
+        events: list[dict] = []
+        outcome = replace(search(coloring, pattern, *args, **kwargs, events=events),
+                          trace=tuple(events))
+        if outcome.found:
+            _assert_outcome_valid(coloring, pattern, outcome)
+        return outcome
+    return finish
+
+
+def _sparse_split(coloring: Coloring, sub: Coloring, verts: Sequence[int], rho: float,
+                  seed: int) -> Optional[tuple[list[int], list[int], list[int]]]:
+    """A sparse red pair (X, Y) of ``sub``, the coloring induced on ``verts``,
+    as (A, B, A') in coloring ids: A = X, B = Y, and A' the members of A with
+    high blue degree into B.  None when the hill climb finds no pair."""
+    witness = find_sparse_pair_heuristic(sub, SIGMA, rho, RED, tries=HEURISTIC_TRIES,
+                                         seed=seed)
+    if witness is None:
+        return None
+    A = [verts[v] for v in witness.X]
+    B = [verts[v] for v in witness.Y]
+    return A, B, filter_high_blue_degree(coloring, A, B, rho)
 
 
 def _find_pattern_in_color(sub: Coloring, verts: Sequence[int], pattern: Graph, color: str,
@@ -285,8 +308,9 @@ def _find_pattern_in_color(sub: Coloring, verts: Sequence[int], pattern: Graph, 
     return Embedding(pattern, tuple(verts[w] for w in res.embedding.image))
 
 
+@_one_exit
 def find_red_H_or_blue_clique(coloring: Coloring, pattern: Graph, s: int,
-                              config: SearchConfig) -> SearchOutcome:
+                              config: SearchConfig, events: list) -> SearchOutcome:
     """Hunt a red copy of ``pattern`` or a blue K_s, by sparse-pair descent.
 
     Opportunistic version of the red/blue induction: try a red embedding;
@@ -297,27 +321,23 @@ def find_red_H_or_blue_clique(coloring: Coloring, pattern: Graph, s: int,
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    events: list[dict] = []
-    outcome = _rb_search(coloring, pattern, s, config, list(range(coloring.n)), 0, events)
-    if outcome.found:
-        _assert_outcome_valid(coloring, pattern, outcome)
-    return outcome
+    return _rb_search(coloring, pattern, s, config, list(range(coloring.n)), 0, events)
 
 
 def _rb_search(coloring: Coloring, pattern: Graph, s: int, config: SearchConfig,
                universe: list[int], depth: int, events: list) -> SearchOutcome:
     events.append({"event": "enter", "depth": depth, "s": s, "size": len(universe)})
     if depth > config.max_depth:
-        return SearchOutcome("exhausted", trace=tuple(events), reason="depth budget")
+        return SearchOutcome("exhausted", reason="depth budget")
     if not universe:
-        return SearchOutcome("exhausted", trace=tuple(events), reason="empty set")
+        return SearchOutcome("exhausted", reason="empty set")
 
     # (1) red pattern attempt.
     verts = sorted(universe)
     sub = coloring.induced(verts)
     emb = _find_pattern_in_color(sub, verts, pattern, RED, config, events)
     if emb is not None:
-        return SearchOutcome("found_red_h", embedding=emb, color=RED, trace=tuple(events))
+        return SearchOutcome("found_red_h", embedding=emb, color=RED)
 
     # Base case / feasible exhaustive blue-clique search.
     if s <= BASE_S or math.comb(len(universe), min(s, len(universe))) <= SUBSET_BUDGET:
@@ -325,39 +345,30 @@ def _rb_search(coloring: Coloring, pattern: Graph, s: int, config: SearchConfig,
         events.append({"event": "exhaustive_clique", "s": s,
                        "found": clique is not None})
         if clique is not None:
-            return SearchOutcome("found_blue_clique", clique=tuple(clique),
-                                 color=BLUE, trace=tuple(events))
-        return SearchOutcome("exhausted", trace=tuple(events),
-                             reason="exhaustive clique search empty")
+            return SearchOutcome("found_blue_clique", clique=tuple(clique), color=BLUE)
+        return SearchOutcome("exhausted", reason="exhaustive clique search empty")
 
     # (2) sparse red pair, then the blue-degree filter.
-    witness = find_sparse_pair_heuristic(sub, SIGMA, config.rho, RED,
-                                         tries=HEURISTIC_TRIES,
-                                         seed=config.seed + depth)
-    events.append({"event": "sparse_pair", "found": witness is not None})
-    if witness is None:
-        return SearchOutcome("exhausted", trace=tuple(events),
-                             reason="no sparse red pair found")
-    A = [verts[v] for v in witness.X]
-    B = [verts[v] for v in witness.Y]
-    A_prime = filter_high_blue_degree(coloring, A, B, config.rho)
+    split = _sparse_split(coloring, sub, verts, config.rho, config.seed + depth)
+    events.append({"event": "sparse_pair", "found": split is not None})
+    if split is None:
+        return SearchOutcome("exhausted", reason="no sparse red pair found")
+    A, B, A_prime = split
     events.append({"event": "blue_degree_filter", "A": len(A), "A_prime": len(A_prime)})
     if not A_prime:
-        return SearchOutcome("exhausted", trace=tuple(events),
-                             reason="blue-degree filter emptied A")
+        return SearchOutcome("exhausted", reason="blue-degree filter emptied A")
 
     # (3) recurse for a 2s/3 blue clique inside A'.
     s2 = math.ceil(2 * s / 3)
     if s2 >= s:
         s2 = s - 1
     if s2 < 1:
-        return SearchOutcome("exhausted", trace=tuple(events), reason="clique target degenerate")
+        return SearchOutcome("exhausted", reason="clique target degenerate")
     sub_out = _rb_search(coloring, pattern, s2, config, A_prime, depth + 1, events)
     if sub_out.kind == "found_red_h":
         return sub_out
     if sub_out.kind != "found_blue_clique":
-        return SearchOutcome("exhausted", trace=tuple(events),
-                             reason=f"recursion exhausted: {sub_out.reason}")
+        return SearchOutcome("exhausted", reason=f"recursion exhausted: {sub_out.reason}")
     S = list(sub_out.clique)
 
     # (4) star-count step: lift through the common blue neighborhood.
@@ -366,24 +377,19 @@ def _rb_search(coloring: Coloring, pattern: Graph, s: int, config: SearchConfig,
     T, B_prime = common_neighborhood_pigeonhole(coloring, S, B, l, BLUE, mode=mode)
     events.append({"event": "pigeonhole", "l": l, "mode": mode, "B_prime": len(B_prime)})
     if len(B_prime) == 0:
-        return SearchOutcome("exhausted", trace=tuple(events),
-                             reason="empty common neighborhood")
+        return SearchOutcome("exhausted", reason="empty common neighborhood")
     rest = s - l
     if rest == 0:
-        return SearchOutcome("found_blue_clique", clique=tuple(sorted(T)),
-                             color=BLUE, trace=tuple(events))
+        return SearchOutcome("found_blue_clique", clique=tuple(sorted(T)), color=BLUE)
     tail = _rb_search(coloring, pattern, rest, config, list(B_prime), depth + 1, events)
     if tail.kind == "found_red_h":
         return tail
     if tail.kind == "found_blue_clique":
         clique = tuple(sorted(set(T) | set(tail.clique)))
         if len(clique) >= s and _verify_clique(coloring, clique[:s], BLUE):
-            return SearchOutcome("found_blue_clique", clique=clique[:s],
-                                 color=BLUE, trace=tuple(events))
-        return SearchOutcome("exhausted", trace=tuple(events),
-                             reason="assembled clique failed verification")
-    return SearchOutcome("exhausted", trace=tuple(events),
-                         reason=f"tail recursion exhausted: {tail.reason}")
+            return SearchOutcome("found_blue_clique", clique=clique[:s], color=BLUE)
+        return SearchOutcome("exhausted", reason="assembled clique failed verification")
+    return SearchOutcome("exhausted", reason=f"tail recursion exhausted: {tail.reason}")
 
 
 def _assert_outcome_valid(coloring: Coloring, pattern: Graph, outcome: SearchOutcome):
@@ -397,7 +403,9 @@ def _assert_outcome_valid(coloring: Coloring, pattern: Graph, outcome: SearchOut
             raise AssertionError("unsound clique outcome")
 
 
-def find_mono_H(coloring: Coloring, pattern: Graph, config: SearchConfig) -> SearchOutcome:
+@_one_exit
+def find_mono_H(coloring: Coloring, pattern: Graph, config: SearchConfig,
+                events: list) -> SearchOutcome:
     """Search for a monochromatic copy of ``pattern`` in either color.
 
     Pipeline: strip high-degree pattern vertices, run a majority-color
@@ -406,7 +414,6 @@ def find_mono_H(coloring: Coloring, pattern: Graph, config: SearchConfig) -> Sea
     clique in the other color), and reattach the stripped vertices onto
     the pivot clique.  Tiny colorings short-circuit to the exact oracle.
     """
-    events: list[dict] = []
     t = pattern.t
     n = coloring.n
 
@@ -415,7 +422,7 @@ def find_mono_H(coloring: Coloring, pattern: Graph, config: SearchConfig) -> Sea
 
     rho = float(pattern.density) if pattern.t >= 2 else 1.0
     if rho <= 0:
-        return SearchOutcome("exhausted", trace=tuple(events), reason="empty pattern density")
+        return SearchOutcome("exhausted", reason="empty pattern density")
     log_ratio = 1 - math.log2(rho)
     cap = t * math.sqrt(rho) / log_ratio
     split = split_high_degree(pattern, cap)
@@ -442,8 +449,7 @@ def find_mono_H(coloring: Coloring, pattern: Graph, config: SearchConfig) -> Sea
         out = _mono_via_pivots(coloring, pattern, split, chase, c, config, events)
         if out is not None:
             return out
-    return SearchOutcome("exhausted", trace=tuple(events),
-                         reason="chase pivots insufficient in both colors")
+    return SearchOutcome("exhausted", reason="chase pivots insufficient in both colors")
 
 
 def _exact_mono(coloring: Coloring, pattern: Graph, events: list) -> SearchOutcome:
@@ -451,11 +457,9 @@ def _exact_mono(coloring: Coloring, pattern: Graph, events: list) -> SearchOutco
         emb = oracle.find_mono_subgraph_exact(coloring, pattern, c)
         if emb is not None:
             events.append({"event": "exact_mono", "color": c, "found": True})
-            return SearchOutcome("found_mono", embedding=emb, color=c,
-                                 trace=tuple(events))
+            return SearchOutcome("found_mono", embedding=emb, color=c)
     events.append({"event": "exact_mono", "found": False})
-    return SearchOutcome("exhausted", trace=tuple(events),
-                         reason="exact search: no monochromatic copy exists")
+    return SearchOutcome("exhausted", reason="exact search: no monochromatic copy exists")
 
 
 def _mono_via_pivots(coloring: Coloring, pattern: Graph, split: SplitResult,
@@ -465,7 +469,7 @@ def _mono_via_pivots(coloring: Coloring, pattern: Graph, split: SplitResult,
     pivots = chase.pivots_of(c)
     events.append({"event": "pivot_attempt", "color": c, "pivots": len(pivots)})
     if len(pivots) >= t:
-        return _found_mono(coloring, pattern, _clique_image(pattern, pivots), c, events)
+        return SearchOutcome("found_mono", embedding=_clique_image(pattern, pivots), color=c)
     final = sorted(chase.final_set)
     if len(pivots) < len(split.removed) or len(final) < max(split.subgraph.t, 1):
         return None
@@ -473,16 +477,18 @@ def _mono_via_pivots(coloring: Coloring, pattern: Graph, split: SplitResult,
     sub_out = _rb_search(view, split.subgraph, t, config, final, 0, events)
     if sub_out.kind == "found_blue_clique":
         # K_t in the opposite color contains the whole pattern.
-        return _found_mono(coloring, pattern, _clique_image(pattern, sub_out.clique),
-                           opposite(c), events)
+        return SearchOutcome("found_mono", embedding=_clique_image(pattern, sub_out.clique),
+                             color=opposite(c))
     if sub_out.kind == "found_red_h":
-        image = _reattach(split.kept, sub_out.embedding.image, sorted(split.removed), pivots)
-        return _found_mono(coloring, pattern, image, c, events)
+        emb = _reattach(pattern, split.kept, sub_out.embedding.image,
+                        sorted(split.removed), pivots)
+        return SearchOutcome("found_mono", embedding=emb, color=c)
     return None
 
 
-def find_random_graph_mono(coloring: Coloring, pattern: Graph,
-                           witness, config: SearchConfig) -> SearchOutcome:
+@_one_exit
+def find_random_graph_mono(coloring: Coloring, pattern: Graph, witness,
+                           config: SearchConfig, events: list) -> SearchOutcome:
     """Monochromatic search for degree-bounded patterns with an exceptional set.
 
     Double neighborhood chase (red then blue) builds two pivot cliques that
@@ -491,13 +497,10 @@ def find_random_graph_mono(coloring: Coloring, pattern: Graph,
     extraction, judicious bisection of the blue-side target, and the
     star-count lift.  Sound and traceable, not complete.
     """
-    from .graphs import BoundedGraphWitness
-
     if not isinstance(witness, BoundedGraphWitness):
         raise ValueError("a BoundedGraphWitness for the pattern is required")
     if witness.graph.rows != pattern.rows:
         raise ValueError("witness does not describe the given pattern")
-    events: list[dict] = []
     t = pattern.t
     n = coloring.n
     if n <= BASE_N:
@@ -520,25 +523,24 @@ def find_random_graph_mono(coloring: Coloring, pattern: Graph,
                        "final_size": len(chase.final_set)})
         if chase.string.count(BLUE) >= t - 1 and chase.final_set:
             clique = chase.pivots_of(BLUE) + [min(chase.final_set)]
-            return _found_mono(coloring, pattern, _clique_image(pattern, clique),
-                               opposite(c), events)
+            return SearchOutcome("found_mono", embedding=_clique_image(pattern, clique),
+                                 color=opposite(c))
         anchors[c] = chase.pivots_of(RED)
         if len(anchors[c]) >= t:
-            return _found_mono(coloring, pattern, _clique_image(pattern, anchors[c]), c, events)
+            return SearchOutcome("found_mono", embedding=_clique_image(pattern, anchors[c]),
+                                 color=c)
         if len(anchors[c]) < stop_pivots or not chase.final_set:
-            return SearchOutcome("exhausted", trace=tuple(events),
-                                 reason=f"{name} chase emptied before pivot quota")
+            return SearchOutcome("exhausted", reason=f"{name} chase emptied before pivot quota")
         survivors = sorted(chase.final_set)
 
     # core is not None: with every vertex exceptional, q = t pivots are the
     # quota, so the red chase has already returned.
     found = _two_sided(coloring, survivors, core, core, config, 0, events)
     if found is None:
-        return SearchOutcome("exhausted", trace=tuple(events),
-                             reason="two-sided recursion exhausted")
+        return SearchOutcome("exhausted", reason="two-sided recursion exhausted")
     color, core_emb = found
-    image = _reattach(kept, core_emb.image, exceptional, anchors[color])
-    return _found_mono(coloring, pattern, image, color, events)
+    emb = _reattach(pattern, kept, core_emb.image, exceptional, anchors[color])
+    return SearchOutcome("found_mono", embedding=emb, color=color)
 
 
 def _two_sided(coloring: Coloring, W: list[int], blue_target: Graph, red_target: Graph,
@@ -571,15 +573,11 @@ def _two_sided(coloring: Coloring, W: list[int], blue_target: Graph, red_target:
         if res.ok:
             return RED, Embedding(red_target, tuple(verts[w] for w in res.embedding.image))
 
-    witness = find_sparse_pair_heuristic(sub, SIGMA, config.rho, RED,
-                                         tries=HEURISTIC_TRIES,
-                                         seed=config.seed + 17 * depth)
-    events.append({"event": "rb_sparse_pair", "found": witness is not None})
-    if witness is None:
+    split = _sparse_split(coloring, sub, verts, config.rho, config.seed + 17 * depth)
+    events.append({"event": "rb_sparse_pair", "found": split is not None})
+    if split is None:
         return None
-    A = [verts[v] for v in witness.X]
-    B = [verts[v] for v in witness.Y]
-    A_prime = filter_high_blue_degree(coloring, A, B, config.rho)
+    _, B, A_prime = split
     if not A_prime:
         return None
 

@@ -337,7 +337,7 @@ def reference_verify_degree_spread(g: Graph, delta: float, eps: float, rho: floa
 # The Ramsey oracle before it decided each new vertex's neighbourhood one old
 # vertex at a time and skipped neighbourhoods that an automorphism of the
 # parent maps onto a smaller one, verbatim but for the names: the reference
-# for ``ramsey_number_exact`` and ``canonical_rows``.
+# for ``ramsey_number_exact`` and ``canonical_form``.
 
 def reference_refine(rows: Sequence[int], cells: list[tuple[int, ...]], queue: list[int]) -> None:
     """Refine the ordered partition ``cells`` in place until it is equitable.

@@ -1,8 +1,12 @@
-"""Every committed BENCH json has the layout ``scripts/bench.py`` writes."""
+"""Every committed BENCH json has the layout ``scripts/bench.py`` writes, and
+the tool's oracle rows still run on this checkout."""
 
 import copy
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,26 @@ def test_rejects_a_broken_record(break_it):
     break_it(record)
     with pytest.raises(ValueError):
         bench.check_record(record)
+
+
+def _bench_row(flag: str) -> dict:
+    """``bench.py`` run on R(3,3) at n_max 8 with one of its oracle-row flags,
+    in a fresh process on this checkout's ``src`` as the tool runs it
+    (``oracle_calls`` leaves the ``oracle`` functions it wraps rebound)."""
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), flag,
+                           "k3", "k3", "8", "10"], cwd=ROOT, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120,
+                          check=True)
+    return json.loads(proc.stdout)
+
+
+def test_oracle_call_row_runs_on_this_checkout():
+    row = _bench_row("--oracle-call")
+    assert row["result"].startswith("upper 6 ") and row["s"] > 0
+
+
+def test_oracle_calls_row_counts_on_this_checkout():
+    # the counts wrap ``oracle`` functions by name: after a rename they fail or read 0
+    row = _bench_row("--oracle-calls")
+    assert set(row) == {"canonical_forms", "embed_backtrack"}
+    assert all(count > 0 for count in row.values())

@@ -382,6 +382,13 @@ class TestFailuresAreOneLine:
           for argv in (["search", "--coloring", "mono:6:R", "--pattern", "gnp:4:1/0:1"],
                        ["sweep", "--kind", "search", "--n", "8", "--pattern", "gnp:4:1.2.3:1"],
                        ["oracle", "ramsey", "--h2", "k3", "--h1", "gnp:4:0/0:1"])),
+        # a gnp shorthand whose rho is a number outside [0, 1]
+        *((argv, f"{argv[-2]} must be gnp:<t>:<rho>:<seed> with rho in [0, 1], "
+                 f"got {argv[-1]!r}")
+          for argv in (["search", "--coloring", "mono:6:R", "--pattern", "gnp:4:2:1"],
+                       ["oracle", "ramsey", "--h2", "k3", "--h1", "gnp:4:1.5:1"],
+                       ["embed", "--pattern", "p3", "--delta", "0.4", "--host", "gnp:10:3/2:5"],
+                       ["sweep", "--kind", "search", "--n", "8", "--pattern", "gnp:4:9/8:1"])),
         *_cases(["sweep", "--kind", "search", "--pattern", "k3", "--n", "8"],
                 (["--p-red", "-0.5"], "--p-red must be in [0, 1], got -0.5"),
                 (["--p-red", "1.5"], "--p-red must be in [0, 1], got 1.5"),

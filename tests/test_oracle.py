@@ -257,13 +257,13 @@ class TestCanonicalForm:
         perm = list(range(g.t))
         rnd.shuffle(perm)
         h = Graph.from_edges(g.t, [(perm[u], perm[v]) for u, v in g.edges()])
-        assert oracle.canonical_rows(h.rows) == oracle.canonical_rows(g.rows)
+        assert oracle.canonical_form(h.rows)[0] == oracle.canonical_form(g.rows)[0]
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 7).flatmap(lambda t: st.tuples(small_graphs(t), small_graphs(t))))
     def test_equal_iff_isomorphic(self, pair):
         g, h = pair
-        same = oracle.canonical_rows(g.rows) == oracle.canonical_rows(h.rows)
+        same = oracle.canonical_form(g.rows)[0] == oracle.canonical_form(h.rows)[0]
         assert same == (g.t == h.t and nx.is_isomorphic(_networkx(g), _networkx(h)))
 
     def test_atlas_classes_get_distinct_forms(self):
@@ -278,8 +278,8 @@ class TestCanonicalForm:
             rnd.shuffle(perm)
             g = Graph.from_edges(t, list(G.edges()))
             h = Graph.from_edges(t, [(perm[u], perm[v]) for u, v in G.edges()])
-            form = oracle.canonical_rows(g.rows)
-            assert oracle.canonical_rows(h.rows) == form
+            form = oracle.canonical_form(g.rows)[0]
+            assert oracle.canonical_form(h.rows)[0] == form
             forms.add((t, form))
         assert len(forms) == len(atlas)
 
@@ -292,25 +292,25 @@ class TestCanonicalForm:
         edges = {tuple(sorted((v, (v + d) % n))) for v in range(n) for d in steps}
         g = Graph.from_edges(n, sorted(edges))
         h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
-        assert oracle.canonical_rows(h.rows) == oracle.canonical_rows(g.rows)
+        assert oracle.canonical_form(h.rows)[0] == oracle.canonical_form(g.rows)[0]
 
     def test_form_is_an_isomorphic_copy(self):
         g = named_graph("c", 7)
-        form = oracle.canonical_rows(g.rows)
+        form = oracle.canonical_form(g.rows)[0]
         assert nx.is_isomorphic(_networkx(Graph(7, form)), _networkx(g))
 
     def test_symmetric_graphs(self):
         # vertex-transitive graphs with large automorphism groups
         k44 = Graph.from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)])
         k44_mixed = Graph.from_edges(8, [(u, v) for u in (0, 2, 4, 6) for v in (1, 3, 5, 7)])
-        assert oracle.canonical_rows(k44.rows) == oracle.canonical_rows(k44_mixed.rows)
+        assert oracle.canonical_form(k44.rows)[0] == oracle.canonical_form(k44_mixed.rows)[0]
         petersen = nx.petersen_graph()
         perm = [3, 7, 0, 9, 4, 1, 8, 2, 6, 5]
         p = Graph.from_edges(10, list(petersen.edges()))
         q = Graph.from_edges(10, [(perm[u], perm[v]) for u, v in petersen.edges()])
         prism = Graph.from_edges(10, list(nx.circular_ladder_graph(5).edges()))
-        assert oracle.canonical_rows(p.rows) == oracle.canonical_rows(q.rows)
-        assert oracle.canonical_rows(p.rows) != oracle.canonical_rows(prism.rows)
+        assert oracle.canonical_form(p.rows)[0] == oracle.canonical_form(q.rows)[0]
+        assert oracle.canonical_form(p.rows)[0] != oracle.canonical_form(prism.rows)[0]
 
     def test_orbit_representatives(self):
         # one ordered edge per orbit: a reflection of P4 maps (1, 2) to
@@ -342,7 +342,6 @@ class TestCanonicalFormAgainstReference:
     def test_same_form_and_automorphisms_of_it(self, g):
         form, autos = oracle.canonical_form(g.rows)
         assert form == reference_canonical_rows(g.rows)
-        assert oracle.canonical_rows(g.rows) == form
         assert all(_maps_rows_onto_themselves(form, gamma) for gamma in autos)
 
     @settings(max_examples=100, deadline=None)

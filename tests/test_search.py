@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseykit import oracle, search
-from ramseykit.graphs import BLUE, RED, BoundedGraphWitness, Coloring, Graph
+from ramseykit.graphs import BLUE, RED, BoundedGraphWitness, Coloring, Embedding, Graph
 from ramseykit.patterns import named_graph
 from ramseykit.randomlab import sample_coloring, sample_gnp
 
@@ -258,6 +258,30 @@ class TestFindMonoH:
             ok, _ = oracle.verify_embedding(out.embedding.pattern, c,
                                             out.embedding, out.color)
             assert ok
+
+
+class TestOneExit:
+    """The public searches re-verify every find where they end, the exact
+    oracle's finds at n <= BASE_N among them."""
+
+    @pytest.fixture
+    def wrong_oracle(self, monkeypatch):
+        # vertices 0-2 as a red triangle, which an all-blue coloring has not
+        monkeypatch.setattr(oracle, "find_mono_subgraph_exact",
+                            lambda host, pattern, color=None:
+                            Embedding(pattern, tuple(range(pattern.t))))
+        return Coloring.monochromatic(12, BLUE), Graph.complete(3)
+
+    def test_find_mono_h_raises(self, wrong_oracle):
+        c, k3 = wrong_oracle
+        with pytest.raises(AssertionError, match="unsound search outcome"):
+            search.find_mono_H(c, k3, search.SearchConfig(rho=1.0))
+
+    def test_find_random_graph_mono_raises(self, wrong_oracle):
+        c, k3 = wrong_oracle
+        with pytest.raises(AssertionError, match="unsound search outcome"):
+            search.find_random_graph_mono(c, k3, BoundedGraphWitness(k3, 2),
+                                          search.SearchConfig(rho=1.0))
 
 
 class TestRandomGraphMono:

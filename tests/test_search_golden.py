@@ -3,6 +3,11 @@
 Each cell runs ``ramseykit search`` on a seeded random coloring and records
 the exit code, the outcome, the colour, the embedding or clique and the
 reason.  A change that means to keep search behaviour must keep every cell.
+A few extra cells beside the grid reach the search paths that no grid cell
+reaches.  ``data/two_sided_lift.txt`` is the coloring on 126 vertices in
+which vertices 0-2 are red to every later vertex and every other pair is
+blue, so both chases keep 120 vertices and the two-sided recursion lifts
+and assembles a blue C9.
 Regenerate the data only for an intended change of outcome, and name it:
 
     PYTHONPATH=src python tests/test_search_golden.py
@@ -36,19 +41,31 @@ PATTERNS = (
     ("random-bounded", 0.5, "s3", ("--rho", "0.9")),
     ("random-bounded", 0.5, "p4", ("--degree-cap", "0", "--rho", "0.02")),
 )
+# beside the grid: the two-sided recursion's greedy try, sparse pair and
+# bisection at n = 1280; its lift and assembly on a constructed coloring; and
+# the mono search's route from the pivots into the red/blue descent
+EXTRA = (
+    *(["search", "--coloring", f"random:1280:0.5:{seed}", "--pattern", "c9",
+       "--mode", "random-bounded", "--degree-cap", "2", "--seed", str(seed)] for seed in (1, 2)),
+    ["search", "--coloring", "tests/data/two_sided_lift.txt", "--pattern", "c9",
+     "--mode", "random-bounded", "--degree-cap", "2"],
+    ["search", "--coloring", "mono:120:R", "--pattern", "m25", "--mode", "mono"],
+)
 FIELDS = ("outcome", "color", "embedding", "clique", "reason")
+ROOT = Path(__file__).parent.parent
 
 
 def cells() -> list[list[str]]:
     return [["search", "--coloring", f"random:{n}:{p}:{seed}", "--pattern", pattern,
              "--mode", mode, "--seed", str(seed), *extra]
-            for mode, p, pattern, extra in PATTERNS for n in NS for seed in SEEDS]
+            for mode, p, pattern, extra in PATTERNS for n in NS for seed in SEEDS] + \
+        [list(argv) for argv in EXTRA]
 
 
 def record(argv: list[str]) -> dict:
     out = io.StringIO()
     with redirect_stdout(out):
-        code = cli.run(argv)
+        code = cli.run([str(ROOT / a) if a.startswith("tests/") else a for a in argv])
     result = json.loads(out.getvalue())["result"] if code == 0 else {}
     return {"argv": argv, "exit": code, **{k: result.get(k) for k in FIELDS}}
 
