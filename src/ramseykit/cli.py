@@ -225,7 +225,7 @@ def _seeded(flag: str, load, spec: str):
         raise UsageError(f"{flag} must be a shorthand whose seed is in [0, 2**128), "
                          f"got {spec!r}") from None
     except ShorthandError as e:
-        raise UsageError(f"{flag} must be {e}") from None
+        raise UsageError(f"{flag} must be {e.args[0]}") from None
 
 
 def _load_inputs(args: argparse.Namespace, **loaders) -> tuple[list, dict[str, str]]:

@@ -479,6 +479,9 @@ def ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int = 8,
             f"n_max={n_max} exceeds the feasibility guard {guard}; "
             "raise `guard` explicitly to override"
         )
+    if not (pattern1.t and pattern2.t):
+        # A pattern on no vertices lies in every K_1: the root has no good child.
+        return RamseyCertificate("upper", 1, pattern1, pattern2, classes=())
     # (plan, degree of a, degree of b) for each ordered edge (a, b) kept
     arcs1, arcs2 = ([(_embed_plan(p, (a, b)), p.degree(a), p.degree(b))
                      for a, b in _arc_representatives(p)] for p in (pattern1, pattern2))

@@ -25,7 +25,10 @@ _GNP = re.compile(r"^gnp:(\d+):([0-9./]+):(\d+)$")
 
 class ShorthandError(ValueError):
     """A gnp:<t>:<rho>:<seed> shorthand whose rho is no number, such as 1/0,
-    or lies outside [0, 1]; the message is what the shorthand must be."""
+    or lies outside [0, 1].  Its one argument is what the shorthand must be."""
+
+    def __str__(self) -> str:
+        return f"a gnp shorthand must be {self.args[0]}"
 
 
 def named_graph(kind: str, n: int) -> Graph:

@@ -5,13 +5,12 @@ arguments whose guarantees only kick in at astronomically large n.  At
 desk scale the contract is soundness plus traceability: every Found
 outcome is re-verified against the coloring before being returned, and
 failure to find anything is a first-class Exhausted result carrying the
-trace of what was attempted, never an error.  Both happen in ``_one_exit``,
+trace of what was attempted, never an error.  Both happen in ``_finish``,
 the one exit of each of the three public searches.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -256,19 +255,16 @@ def _reattach(pattern: Graph, kept: Sequence[int], core_image: Sequence[int],
     return Embedding(pattern, tuple(image))
 
 
-def _one_exit(search):
-    """The one exit of a public search: ``search`` appends its events to the
-    list it is given as ``events``, and its outcome leaves with those events
-    as its trace, once any find in it is re-verified against the coloring."""
-    @functools.wraps(search)
-    def finish(coloring: Coloring, pattern: Graph, *args, **kwargs) -> SearchOutcome:
-        events: list[dict] = []
-        outcome = replace(search(coloring, pattern, *args, **kwargs, events=events),
-                          trace=tuple(events))
-        if outcome.found:
-            _assert_outcome_valid(coloring, pattern, outcome)
-        return outcome
-    return finish
+def _finish(coloring: Coloring, pattern: Graph, search, *args) -> SearchOutcome:
+    """The one exit of the public searches: ``search(coloring, pattern, *args,
+    events)`` appends its events to ``events``, and its outcome leaves with
+    them as its trace, once any find in it is re-verified against the
+    coloring."""
+    events: list[dict] = []
+    outcome = replace(search(coloring, pattern, *args, events), trace=tuple(events))
+    if outcome.found:
+        _assert_outcome_valid(coloring, pattern, outcome)
+    return outcome
 
 
 def _sparse_split(coloring: Coloring, sub: Coloring, verts: Sequence[int], rho: float,
@@ -308,9 +304,8 @@ def _find_pattern_in_color(sub: Coloring, verts: Sequence[int], pattern: Graph, 
     return Embedding(pattern, tuple(verts[w] for w in res.embedding.image))
 
 
-@_one_exit
 def find_red_H_or_blue_clique(coloring: Coloring, pattern: Graph, s: int,
-                              config: SearchConfig, events: list) -> SearchOutcome:
+                              config: SearchConfig) -> SearchOutcome:
     """Hunt a red copy of ``pattern`` or a blue K_s, by sparse-pair descent.
 
     Opportunistic version of the red/blue induction: try a red embedding;
@@ -321,7 +316,7 @@ def find_red_H_or_blue_clique(coloring: Coloring, pattern: Graph, s: int,
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    return _rb_search(coloring, pattern, s, config, list(range(coloring.n)), 0, events)
+    return _finish(coloring, pattern, _rb_search, s, config, list(range(coloring.n)), 0)
 
 
 def _rb_search(coloring: Coloring, pattern: Graph, s: int, config: SearchConfig,
@@ -358,12 +353,8 @@ def _rb_search(coloring: Coloring, pattern: Graph, s: int, config: SearchConfig,
     if not A_prime:
         return SearchOutcome("exhausted", reason="blue-degree filter emptied A")
 
-    # (3) recurse for a 2s/3 blue clique inside A'.
+    # (3) recurse for a 2s/3 blue clique inside A'; s > BASE_S, so 0 < s2 < s.
     s2 = math.ceil(2 * s / 3)
-    if s2 >= s:
-        s2 = s - 1
-    if s2 < 1:
-        return SearchOutcome("exhausted", reason="clique target degenerate")
     sub_out = _rb_search(coloring, pattern, s2, config, A_prime, depth + 1, events)
     if sub_out.kind == "found_red_h":
         return sub_out
@@ -378,9 +369,7 @@ def _rb_search(coloring: Coloring, pattern: Graph, s: int, config: SearchConfig,
     events.append({"event": "pigeonhole", "l": l, "mode": mode, "B_prime": len(B_prime)})
     if len(B_prime) == 0:
         return SearchOutcome("exhausted", reason="empty common neighborhood")
-    rest = s - l
-    if rest == 0:
-        return SearchOutcome("found_blue_clique", clique=tuple(sorted(T)), color=BLUE)
+    rest = s - l  # at least 1, as l <= s2 < s
     tail = _rb_search(coloring, pattern, rest, config, list(B_prime), depth + 1, events)
     if tail.kind == "found_red_h":
         return tail
@@ -403,9 +392,7 @@ def _assert_outcome_valid(coloring: Coloring, pattern: Graph, outcome: SearchOut
             raise AssertionError("unsound clique outcome")
 
 
-@_one_exit
-def find_mono_H(coloring: Coloring, pattern: Graph, config: SearchConfig,
-                events: list) -> SearchOutcome:
+def find_mono_H(coloring: Coloring, pattern: Graph, config: SearchConfig) -> SearchOutcome:
     """Search for a monochromatic copy of ``pattern`` in either color.
 
     Pipeline: strip high-degree pattern vertices, run a majority-color
@@ -414,6 +401,11 @@ def find_mono_H(coloring: Coloring, pattern: Graph, config: SearchConfig,
     clique in the other color), and reattach the stripped vertices onto
     the pivot clique.  Tiny colorings short-circuit to the exact oracle.
     """
+    return _finish(coloring, pattern, _mono_search, config)
+
+
+def _mono_search(coloring: Coloring, pattern: Graph, config: SearchConfig,
+                 events: list) -> SearchOutcome:
     t = pattern.t
     n = coloring.n
 
@@ -486,9 +478,8 @@ def _mono_via_pivots(coloring: Coloring, pattern: Graph, split: SplitResult,
     return None
 
 
-@_one_exit
 def find_random_graph_mono(coloring: Coloring, pattern: Graph, witness,
-                           config: SearchConfig, events: list) -> SearchOutcome:
+                           config: SearchConfig) -> SearchOutcome:
     """Monochromatic search for degree-bounded patterns with an exceptional set.
 
     Double neighborhood chase (red then blue) builds two pivot cliques that
@@ -497,6 +488,11 @@ def find_random_graph_mono(coloring: Coloring, pattern: Graph, witness,
     extraction, judicious bisection of the blue-side target, and the
     star-count lift.  Sound and traceable, not complete.
     """
+    return _finish(coloring, pattern, _random_graph_search, witness, config)
+
+
+def _random_graph_search(coloring: Coloring, pattern: Graph, witness,
+                         config: SearchConfig, events: list) -> SearchOutcome:
     if not isinstance(witness, BoundedGraphWitness):
         raise ValueError("a BoundedGraphWitness for the pattern is required")
     if witness.graph.rows != pattern.rows:
@@ -616,8 +612,6 @@ def _two_sided(coloring: Coloring, W: list[int], blue_target: Graph, red_target:
     pos_in_half = {v: i for i, v in enumerate(v1)}
     if rest_verts:
         remainder = blue_target.induced(rest_verts)
-        if remainder.t >= blue_target.t:
-            return None  # no progress possible
         tail = _two_sided(coloring, list(B_prime), remainder, red_target,
                           config, depth + 1, events)
         if tail is None:

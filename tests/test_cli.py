@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pickle
 import shlex
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from ramseykit.graphs import (
     serialize_coloring,
     serialize_graph,
 )
-from ramseykit.patterns import named_graph
+from ramseykit.patterns import ShorthandError, load_pattern, named_graph
 
 
 def run_capture(capsys, argv):
@@ -470,6 +471,14 @@ class TestFailuresAreOneLine:
         assert message.startswith(f"{argv[-2]} must be ")
         assert cli.run(argv) == 1
         assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("spec, need", [("gnp:4:1/0:1", "a number as rho"),
+                                            ("gnp:4:2:1", "rho in [0, 1]")])
+    def test_bad_gnp_rho_is_a_sentence_outside_the_cli(self, spec, need):
+        with pytest.raises(ShorthandError) as info:
+            load_pattern(spec)
+        sentence = f"a gnp shorthand must be gnp:<t>:<rho>:<seed> with {need}, got {spec!r}"
+        assert str(info.value) == str(pickle.loads(pickle.dumps(info.value))) == sentence
 
     @pytest.mark.parametrize("samples", [cli.randomlab.EMPIRICAL_LIMIT + 1, 2 ** 128])
     def test_empirical_cap_refused_before_drawing(self, capsys, samples):

@@ -483,6 +483,12 @@ class TestRamseyAgainstReference:
     def test_k3_k4_at_10(self):
         _same_result(Graph.complete(3), Graph.complete(4), 10)
 
+    def test_pattern_on_no_vertices(self):
+        # Every K_1 holds it, so the value is 1 in either order, at any n_max.
+        for n_max in (1, 5):
+            _same_result(Graph.empty(0), Graph.complete(3), n_max)
+            _same_result(Graph.complete(3), Graph.empty(0), n_max)
+
     def test_k3_c6_at_11(self):
         _same_result(Graph.complete(3), named_graph("c", 6), 11, guard=11)
 
