@@ -568,7 +568,7 @@ def build_parser() -> _Parser:
     q = leaf(osub, "certify-lower", _cmd_oracle_certify_lower)
     q.add_argument("--pattern", required=True)
     ranged(q, "--n", int, 1, required=True)
-    ranged(q, "--tries", int, 1, default=1000)
+    ranged(q, "--tries", int, 1, oracle_mod.CERTIFY_TRIES_LIMIT, default=1000)
     q.add_argument("--seed", type=int, default=0)  # checked with --tries by its handler
 
     p = leaf(sub, "sweep", _cmd_sweep, help="parameter grids, CSV output")

@@ -93,8 +93,8 @@ class TooLarge:
 
 BiDensityResult = Union[Certified, BiDensityWitness, TooLarge]
 
-# X-sets per block of check_bidense_exact, at most; and counts, one per
-# (X-set, vertex), per block, at most
+# Prefixes or X-sets per block of check_bidense_exact, at most; and counts,
+# one per (set, vertex), per block, at most
 _BLOCK_ROWS = 1024
 _BLOCK_COUNTS = 1 << 16
 
@@ -105,21 +105,37 @@ def check_bidense_exact(host, sigma: float, delta: float, color: Optional[str] =
 
     Enumerates X of size s = ceil(sigma*n) in lexicographic order; for each
     X the least-dense Y is found by taking the s vertices outside X with
-    the fewest neighbours in X, so X's without any violating Y are
-    dismissed by one count per vertex.  The returned witness is the
+    the fewest neighbours in X, so an X without any violating Y is
+    dismissed by its floor sum, the sum of the s smallest of its counts
+    cnt_X(v) = |N(v) & X| over v outside X.  The returned witness is the
     lexicographically first violating (X, Y).
 
-    The X-sets go through numpy in blocks of rows: a block's counts are
-    the sum of its s gathered adjacency rows, X's own vertices are masked
-    with n + 1, and the s smallest counts come from ``np.partition``.
-    Blocks start at 64 X-sets and double up to 1024, so an early
-    witness costs little.  Only the rows a block reads are unpacked, and a
-    block makes at most 2**16 counts, so no array grows with n**2.
+    Each X is a prefix P, its s - 1 smallest vertices, and a last vertex
+    w > max(P), and the prefixes are counted before their X-sets.  As
+    cnt_X >= cnt_P and outside(X) is within outside(P), LB(P), the sum of
+    the s smallest cnt_P(v) over v outside P, bounds the floor sum of every
+    X that extends P (branch and bound).  When LB(P) >= delta * s**2 the
+    n - 1 - max(P) X-sets of P are certified by P's n counts; otherwise
+    each is counted as cnt_P + adj[w], one add.  The bound is not computed
+    when s = 1 or delta * s**2 > s * (s - 1), since LB(P) <= s * (s - 1)
+    cannot reach it then.
 
-    ``budget`` is in counts made, one per (X-set, vertex): a check needs
-    C(n, s) * n of them, and returns TooLarge with that figure when it
-    exceeds the budget.  A count costs about 10 ns on one core of a 2-vCPU
-    x86-64 host, so the default 10**9 allows roughly 10 s.
+    Prefixes and X-sets go through numpy in blocks of rows: a prefix
+    block's counts are the sum of its s - 1 gathered adjacency rows, each
+    set's own vertices are masked with n + 1, and the s smallest counts
+    come from ``np.partition``.  Both kinds of block start at 64 rows and
+    double up to 1024, so an early witness costs little.  Only the rows a
+    block reads are unpacked, and a block makes at most 2**16 counts, so no
+    array grows with n**2.
+
+    ``budget`` is in counts, one per (X-set, vertex): it is charged the
+    worst case of the enumeration without the bound, C(n, s) * n, and the
+    check returns TooLarge with that figure when it exceeds the budget.  The
+    work actually done is at most C(n - 1, s - 1) * n prefix counts plus
+    C(n, s) * n X-set counts, C(n, s) * (n + s) in all, and the X-set counts
+    of certified prefixes are never made.  ``sets_checked`` of a certificate
+    is C(n, s) either way.  A count costs about 10 ns on one core of a
+    2-vCPU x86-64 host, so the default 10**9 allows roughly 10 s.
     """
     rows = rows_of(host, color)
     n = len(rows)
@@ -130,35 +146,72 @@ def check_bidense_exact(host, sigma: float, delta: float, color: Optional[str] =
     if required > budget:
         return TooLarge(required, budget)
     need = delta * s * s  # violation iff e(X,Y) < need
-    xsets = combinations(range(n), s)
+    bound = s > 1 and need <= s * (s - 1)
+    # prefixes left to read; each has a last vertex after it
+    prefixes, unread = combinations(range(n - 1), s - 1), math.comb(n - 1, s - 1)
     cap = max(1, min(_BLOCK_ROWS, _BLOCK_COUNTS // n))
-    size = min(64, cap)
-    checked = 0
-    while True:
-        X = np.fromiter(chain.from_iterable(islice(xsets, size)), np.intp).reshape(-1, s)
-        if not len(X):
-            return Certified(sigma, delta, s, checked)
-        used = np.zeros(n, bool)
-        used[X] = True
-        verts = np.flatnonzero(used)
-        adj = bit_matrix(n, [rows[v] for v in verts.tolist()]).view(np.uint8)
-        first, *rest = np.searchsorted(verts, X.T)  # adj row of each X's j-th vertex
-        # int16 holds each count (at most s) and the mask n + 1 <= MAX_VERTICES + 1
-        cnt = adj.take(first, axis=0).astype(np.int16)
-        for col in rest:
-            cnt += adj.take(col, axis=0)
-        np.put_along_axis(cnt, X, n + 1, axis=1)
-        floor_sums = np.partition(cnt, s - 1, axis=1)[:, :s].sum(1)
-        bad = np.flatnonzero(floor_sums < need)
-        if len(bad):
-            x = tuple(X[bad[0]].tolist())
-            outside = [v for v in range(n) if v not in x]
-            counts = cnt[bad[0], outside].tolist()
-            y = _lex_first_violating_y(outside, counts, s, need)
-            e = sum(counts[outside.index(v)] for v in y)
-            return BiDensityWitness(x, tuple(y), Fraction(e, s * s), sigma, delta)
-        checked += len(X)
+    size = leaves = min(64, cap)
+    while unread:
+        m = min(size, unread)
+        unread -= m
+        P = np.fromiter(chain.from_iterable(islice(prefixes, m)), np.intp,
+                        m * (s - 1)).reshape(m, s - 1)
+        # int16 holds each count (at most s) and a mask (n + 1, plus 1 when a
+        # prefix's masked vertex meets the last vertex's row): MAX_VERTICES + 2
+        cnt = _add_rows(rows, np.zeros((m, n), np.int16), P)
+        live = np.arange(m)
+        if bound:
+            live = live[_floor_sums(cnt.copy(), s) < need]
+        # the X-sets of the live prefixes, in lexicographic order: X-set r is
+        # prefix live[k] with w = r - ends[k] + n, ends[k] - 1 being its last one
+        ends = np.cumsum(n - 1 - (P[live, -1] if s > 1 else -1))
+        total, done = (ends[-1] if len(ends) else 0), 0
+        while done < total:
+            r = np.arange(done, min(done + leaves, total))
+            k = np.searchsorted(ends, r, side="right")
+            w = r - ends[k] + n
+            floor = _floor_sums(_add_rows(rows, cnt.take(live[k], axis=0), w[:, None]), s)
+            bad = np.flatnonzero(floor < need)
+            if len(bad):
+                i = bad[0]
+                return _witness(rows, P[live[k[i]]].tolist() + [int(w[i])], sigma, delta)
+            done += len(r)
+            leaves = min(2 * leaves, cap)
         size = min(2 * size, cap)
+    return Certified(sigma, delta, s, math.comb(n, s))
+
+
+def _add_rows(rows: Sequence[int], cnt: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """``cnt`` with the adjacency rows of the vertices of ``sets[i]`` added to
+    its row i, and those vertices masked with n + 1.  Only the rows of the
+    vertices in ``sets`` are unpacked."""
+    n = cnt.shape[1]
+    used = np.zeros(n, bool)
+    used[sets] = True
+    verts = np.flatnonzero(used)
+    adj = bit_matrix(n, [rows[v] for v in verts.tolist()]).view(np.uint8)
+    for col in np.searchsorted(verts, sets.T):  # adj row of each set's j-th vertex
+        cnt += adj.take(col, axis=0)
+    np.put_along_axis(cnt, sets, n + 1, axis=1)
+    return cnt
+
+
+def _floor_sums(cnt: np.ndarray, s: int) -> np.ndarray:
+    """The sum of the s smallest entries of each row of ``cnt``, which it
+    partitions in place."""
+    cnt.partition(s - 1, axis=1)
+    return cnt[:, :s].sum(1)
+
+
+def _witness(rows: Sequence[int], x: list[int], sigma: float, delta: float) -> BiDensityWitness:
+    """The witness of the violating X-set ``x``: its lexicographically first Y."""
+    s = len(x)
+    xmask = mask_of(x)
+    outside = [v for v in range(len(rows)) if not xmask >> v & 1]
+    counts = [(rows[v] & xmask).bit_count() for v in outside]
+    y = _lex_first_violating_y(outside, counts, s, delta * s * s)
+    e = sum(counts[outside.index(v)] for v in y)
+    return BiDensityWitness(tuple(x), tuple(y), Fraction(e, s * s), sigma, delta)
 
 
 def _lex_first_violating_y(outside: list[int], cnt: list[int], s: int,

@@ -197,9 +197,18 @@ def _packed_rows(t: int, rows: Sequence[int]) -> np.ndarray:
 
 
 def pack_rows(adj: np.ndarray) -> tuple[int, ...]:
-    """Per-vertex bit rows of a bool matrix: bit u of row v is ``adj[v, u]``."""
+    """Per-vertex bit rows of a bool matrix: bit u of row v is ``adj[v, u]``.
+
+    Rows of at most 64 columns are read as one zero-padded little-endian
+    word each, with no Python step per row; wider ones byte string by byte
+    string."""
     packed = np.packbits(adj, axis=1, bitorder="little")
-    data, width = packed.tobytes(), packed.shape[1]
+    width = packed.shape[1]
+    if width <= 8:
+        words = np.zeros((len(packed), 8), np.uint8)
+        words[:, :width] = packed
+        return tuple(words.view("<u8")[:, 0].tolist())
+    data = packed.tobytes()
     return tuple(int.from_bytes(data[v * width:(v + 1) * width], "little")
                  for v in range(len(packed)))
 

@@ -556,6 +556,13 @@ def ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int = 8,
                              classes=tuple(len(level) for level in seen[1:deepest + 1]))
 
 
+# Most tries ``oracle certify-lower --tries`` allows, in colorings drawn:
+# 10**6 tries take about 20 s for C5 at n = 9 and 40 to 80 s at n = 40 (one
+# core of a 2-vCPU x86-64 host).  A try draws n(n-1)/2 pairs, so its cost
+# grows with n**2.
+CERTIFY_TRIES_LIMIT = 10 ** 6
+
+
 def lower_bound_certificate_random(pattern: Graph, n: int, tries: int,
                                    seed: int) -> Optional[Coloring]:
     """The first of the colorings ``sample_coloring(n, 1/2, seed + i)``, i =

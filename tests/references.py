@@ -52,6 +52,15 @@ def reference_red_rows(n: int, p: float, seed: int) -> tuple[int, ...]:
                  for row in adj)
 
 
+def reference_pack_rows(adj: np.ndarray) -> tuple[int, ...]:
+    """``pack_rows`` as it was before rows of at most 64 columns went through
+    one word each: every row through ``int.from_bytes``."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return tuple(int.from_bytes(data[v * width:(v + 1) * width], "little")
+                 for v in range(len(packed)))
+
+
 # The backtracker the oracle used before embedding plans, verbatim but for its
 # name: the reference for ``_embed_backtrack`` and for the edge DFS of
 # ``tests/test_oracle.py``.

@@ -289,8 +289,10 @@ class TestFailuresAreOneLine:
                 (["--rho", "2"], "--rho must be in (0, 1], got 2"),
                 (["--rho", "nan"], "--rho must be in (0, 1], got nan")),
         *_cases(["oracle", "certify-lower", "--pattern", "k3"],
-                (["--n", "5", "--tries", "0"], "--tries must be at least 1, got 0"),
-                (["--n", "5", "--tries", "-5"], "--tries must be at least 1, got -5"),
+                (["--n", "5", "--tries", "0"], "--tries must be in [1, 1000000], got 0"),
+                (["--n", "5", "--tries", "-5"], "--tries must be in [1, 1000000], got -5"),
+                (["--n", "5", "--tries", "1000001"],
+                 "--tries must be in [1, 1000000], got 1000001"),
                 (["--n", "-2"], "--n must be at least 1, got -2"),
                 (["--n", "0"], "--n must be at least 1, got 0"),
                 (["--n", "5", "--seed", "-1"], "--seed must be in [0, 2**128 - 999), got -1"),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import signal
 import tracemalloc
@@ -241,6 +242,136 @@ class TestBidenseMatchesPerSetLoop:
                 tracemalloc.stop()
             assert got == expected
             assert peak < 2 ** 21, peak
+
+
+def counted_floor_rows(mp) -> list[int]:
+    """Patch ``embedder._floor_sums`` to record the rows it gets: one per
+    prefix whose bound is computed and one per X-set that is counted."""
+    rows = []
+    floor_sums = embedder._floor_sums
+
+    def counted(cnt, s):
+        rows.append(len(cnt))
+        return floor_sums(cnt, s)
+
+    mp.setattr(embedder, "_floor_sums", counted)
+    return rows
+
+
+def without_edge(n: int, u: int, v: int) -> Graph:
+    return Graph.from_edges(n, [e for e in combinations(range(n), 2) if e != (u, v)])
+
+
+class TestBidensePrefixBound:
+    """The prefix bound of check_bidense_exact against the per-X-set loop, at
+    the edges of its blocks and where the bound prunes everything or nothing."""
+
+    # Prefixes are the 3-sets of range(17); the blocks hold 64, 128 and 256 of
+    # them, then the last 232, so their edges fall at prefix ranks 64, 192 and
+    # 448.  A violator made of a prefix and its first or its last X-set.
+    @pytest.mark.parametrize("prefix_rank", [0, 63, 64, 191, 192, 447, 448])
+    @pytest.mark.parametrize("leaf", ["first", "last"])
+    def test_first_violator_at_prefix_block_edge(self, prefix_rank, leaf):
+        n, s, sigma, delta = 18, 4, 0.2, 1 / 32  # need = 1/2 <= s * (s - 1)
+        P = next(islice(combinations(range(n - 1), s - 1), prefix_rank, None))
+        A = P + (P[-1] + 1 if leaf == "first" else n - 1,)
+        g, planted = planted_first_violator(n, s, list(combinations(range(n), s)).index(A))
+        assert planted == A
+        red = Coloring.from_red_graph(g)
+        for host, color in ((g, None), (red, RED), (red.swapped(), BLUE)):
+            got = embedder.check_bidense_exact(host, sigma, delta, color)
+            assert got == reference_check_bidense(host, sigma, delta, color)
+            assert got.X == A and got.density == 0
+
+    # With s = 1 there is one prefix, the empty set, and its X-sets go in
+    # chunks of 64, 128 and then 256 (n = 200 allows 327): edges at 64 and 192.
+    @pytest.mark.parametrize("x", [0, 63, 64, 191, 192, 198])
+    def test_s1_first_violator_at_chunk_edge(self, x):
+        host = without_edge(200, x, 199)
+        got = embedder.check_bidense_exact(host, 1 / 200, 0.5)
+        assert got == reference_check_bidense(host, 1 / 200, 0.5)
+        assert (got.X, got.Y) == ((x,), (199,))
+
+    # With s = 2 the prefixes are the single vertices 0 .. n - 2.
+    @pytest.mark.parametrize("A", [(0, 1), (63, 64), (63, 196), (64, 65), (191, 192),
+                                   (192, 193), (192, 195)])
+    def test_s2_first_violator_at_prefix_block_edge(self, A):
+        n, s, sigma, delta = 200, 2, 0.01, 1 / 8  # need = 1/2
+        assert math.ceil(sigma * n) == s
+        g, planted = planted_first_violator(n, s, list(combinations(range(n), s)).index(A))
+        got = embedder.check_bidense_exact(g, sigma, delta)
+        assert got == reference_check_bidense(g, sigma, delta)
+        assert got.X == planted == A
+
+    @pytest.mark.parametrize("n, sigma, delta", [(18, 0.2, 1.0), (18, 0.2, 0.8),
+                                                 (12, 0.25, 0.7), (40, 0.05, 0.6)])
+    def test_no_prefix_bound_when_it_cannot_prune(self, n, sigma, delta):
+        # delta * s**2 > s * (s - 1) >= LB(P): every X-set is counted, and
+        # no prefix bound is computed
+        s = math.ceil(sigma * n)
+        assert delta * s * s > s * (s - 1)
+        for host in (Graph.complete(n), without_edge(n, n - 2, n - 1), sample_gnp(n, 0.9, 3)):
+            with pytest.MonkeyPatch.context() as mp:
+                rows = counted_floor_rows(mp)
+                got = embedder.check_bidense_exact(host, sigma, delta)
+            assert got == reference_check_bidense(host, sigma, delta)
+            if isinstance(got, embedder.Certified):
+                assert sum(rows) == math.comb(n, s)
+
+    @pytest.mark.parametrize("n, sigma, delta", [(18, 0.2, 0.75), (18, 0.2, 0.5),
+                                                 (40, 0.05, 0.5), (24, 0.125, 2 / 3)])
+    def test_complete_host_prunes_every_prefix(self, n, sigma, delta):
+        # In K_n every vertex outside P has s - 1 neighbours in P, so LB(P) =
+        # s * (s - 1) >= delta * s**2: only the C(n - 1, s - 1) prefixes are
+        # counted, and the certificate still names all C(n, s) X-sets.
+        s = math.ceil(sigma * n)
+        host = Graph.complete(n)
+        with pytest.MonkeyPatch.context() as mp:
+            rows = counted_floor_rows(mp)
+            got = embedder.check_bidense_exact(host, sigma, delta)
+        assert got == reference_check_bidense(host, sigma, delta)
+        assert got == embedder.Certified(sigma, delta, s, math.comb(n, s))
+        assert sum(rows) == math.comb(n - 1, s - 1)
+
+    def test_s2_blocks_stay_small(self):
+        # s = 2 on 400 vertices: a prefix block and a chunk of X-sets take at
+        # most 2**16 counts each, about 0.4 MB in all at peak.  A 400 x 400
+        # matrix on top of them, or one block's X-sets expanded at once (26
+        # million counts), would not fit in 2**19 bytes.
+        n = 400
+        for host, delta, expected in (
+                (Graph.complete(n), 1.0, embedder.Certified(1.5 / n, 1.0, 2, 79_800)),
+                (Graph.complete(n), 0.5, embedder.Certified(1.5 / n, 0.5, 2, 79_800)),
+                (without_edge(n, 300, 399), 1.0,
+                 embedder.BiDensityWitness((0, 300), (1, 399), Fraction(3, 4), 1.5 / n, 1.0))):
+            tracemalloc.start()
+            try:
+                got = embedder.check_bidense_exact(host, 1.5 / n, delta)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got == expected
+            assert peak < 2 ** 19, peak
+
+
+class TestEmbedStdoutPinned:
+    """The stdout of the benchmark's three ``embed`` argv and of the README
+    example, by sha256: the two gnp:40:0.9:5 checks certify, the
+    gnp:60:0.8:5 one (the README example) returns its witness."""
+
+    @pytest.mark.parametrize("flags, sha256", [
+        (["--host", "gnp:40:0.9:5", "--delta", "0.3", "--sigma", "0.1"],
+         "301b7891a78217cee7db6fbf279f0d6ff6c7ea16bc31946440708efd77c686e0"),
+        (["--host", "gnp:40:0.9:5", "--delta", "0.3", "--sigma", "0.1",
+          "--budget", "10000000000"],
+         "eb20391666fe51e95498eabe12c095847b7a40e912e2e7679f52fc7c5176ddcb"),
+        (["--host", "gnp:60:0.8:5", "--delta", "0.4", "--sigma", "0.05"],
+         "d98a819c9a3fa827b8751617220660572fc43581b5083bd356dde70582a0155b"),
+    ])
+    def test_stdout(self, capsys, flags, sha256):
+        assert cli.run(["embed", "--pattern", "p3", *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256, out
 
 
 class TestSparsePairHeuristic:

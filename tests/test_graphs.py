@@ -32,6 +32,7 @@ from ramseykit.randomlab import sample_coloring, sample_gnp
 import references
 from references import (
     reference_coloring_from_hex,
+    reference_pack_rows,
     reference_read_edge_lines,
     reference_serialize_coloring_compact,
     reference_serialize_graph,
@@ -572,6 +573,17 @@ class TestBitMatrixDifferential:
         a = bit_matrix(g.t, g.rows)
         assert a.dtype == bool and a.shape == (g.t, g.t)
         assert pack_rows(a) == g.rows
+
+    # one word per row up to 64 columns, int.from_bytes above
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+    @pytest.mark.parametrize("count", [0, 1, 300])
+    def test_pack_rows_matches_from_bytes(self, n, count):
+        a = np.random.default_rng(n + count).random((count, n)) < 0.5
+        a[:1] = True  # the top bit of a full word included
+        got = pack_rows(a)
+        assert got == reference_pack_rows(a)
+        assert all(type(row) is int for row in got)
+        assert got[:1] == ((1 << n) - 1,)[:count]
 
 
 @contextmanager
