@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from ramseykit import oracle, search
 from ramseykit.graphs import BLUE, RED, BoundedGraphWitness, Coloring, Embedding, Graph
-from ramseykit.patterns import named_graph
+from ramseykit.patterns import load_pattern, named_graph
 from ramseykit.randomlab import sample_coloring, sample_gnp
 
 from references import reference_neighborhood_chase
@@ -326,3 +326,95 @@ class TestRandomGraphMono:
                 assert ok
         # soundness is the contract; the found rate is informational
         assert found >= 0
+
+
+def planted(n: int, k: int, window: Graph) -> Coloring:
+    """Vertices 0..k-1 red to every later vertex, ``window`` as the red graph
+    on 2k..n-1 and every other pair blue.  As in data/two_sided_lift.txt, the
+    red chase of the random-bounded search takes pivots 0..k-1, the blue chase
+    takes k..2k-1, and the red/blue descent starts on the window."""
+    edges = [(u, v) for u in range(k) for v in range(u + 1, n)]
+    edges += [(2 * k + u, 2 * k + v) for u, v in window.edges()]
+    return Coloring.from_red_graph(Graph.from_edges(n, edges))
+
+
+# a triangle of exceptional vertices (degree 2 > cap 1) beside one edge, so
+# the descent's blue target has two vertices
+K3_K2 = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+
+
+class TestDescentBranches:
+    """Branches of the red/blue descent that no golden cell reaches, each
+    driven through a public search on a small constructed coloring."""
+
+    # (pattern, degree cap, k, red density and seed of the window, rho,
+    #  seed, max_depth) -> (outcome, colour, embedding)
+    BOUNDED = {
+        # a two-vertex blue target is not bisected; it is found blue in A'
+        # and lifted whole
+        "target of two vertices": ((K3_K2, 1, 3, 0, 0, 0.4, 0, 8),
+                                   ("found_mono", BLUE, (3, 4, 5, 18, 26))),
+        # the recursion on A' finds the red target
+        "red find in the recursion on A'": ((K3_K2, 1, 3, 0.05, 0, 0.4, 0, 8),
+                                            ("found_mono", RED, (0, 1, 2, 18, 26))),
+        # a random bisection of P3 puts all three vertices on one side
+        "fallback bisection": ((named_graph("p", 3), 2, 2, 0, 0, None, 0, 8),
+                               ("found_mono", BLUE, (25, 4, 16))),
+        "empty common neighbourhood": ((named_graph("c", 4), 2, 2, 0.2, 3, None, 1, 8),
+                                       ("exhausted", None, None)),
+        "red find in the tail recursion": ((named_graph("p", 3), 2, 2, 0.2, 3, None, 2, 8),
+                                           ("found_mono", RED, (6, 54, 14))),
+        "tail recursion exhausted": ((named_graph("c", 9), 2, 3, 0, 0, None, 0, 8),
+                                     ("exhausted", None, None)),
+        "depth budget": ((K3_K2, 1, 3, 0, 0, 0.4, 0, 0), ("exhausted", None, None)),
+    }
+
+    @pytest.mark.parametrize("case", BOUNDED)
+    def test_random_bounded(self, case):
+        (pattern, cap, k, p, gseed, rho, seed, depth), (kind, color, image) = \
+            self.BOUNDED[case]
+        c = planted(60, k, sample_gnp(60 - 2 * k, p, gseed))
+        exceptional = frozenset(v for v in range(pattern.t) if pattern.degree(v) > cap)
+        config = search.SearchConfig(rho=float(pattern.density) if rho is None else rho,
+                                     seed=seed, max_depth=depth)
+        out = search.find_random_graph_mono(
+            c, pattern, BoundedGraphWitness(pattern, cap, exceptional), config)
+        assert (out.kind, out.color) == (kind, color)
+        assert (out.embedding and out.embedding.image) == image
+        assert out.reason == (None if out.found else "two-sided recursion exhausted")
+
+    # (n, red probability, seed, pattern, s, rho, max_depth)
+    #   -> (outcome, embedding, clique, reason)
+    VS_CLIQUE = {
+        "no sparse red pair": ((120, 0.7, 0, "k10", 9, 0.1, 8),
+                               ("exhausted", None, None, "no sparse red pair found")),
+        "red find in the recursion on A'": ((120, 0.25, 2, "k3", 9, 0.45, 8),
+                                            ("found_red_h", (26, 97, 108), None, None)),
+        "red find in the tail recursion": ((200, 0.05, 1, "p4", 9, 0.3, 8),
+                                           ("found_red_h", (189, 55, 96, 16), None, None)),
+        "lifted clique": ((120, 0.05, 0, "k10", 9, 0.1, 8),
+                          ("found_blue_clique", None, (1, 7, 8, 14, 15, 16, 24, 74, 79),
+                           None)),
+        "depth budget": ((120, 0.05, 0, "k10", 9, 0.1, 0),
+                         ("exhausted", None, None, "recursion exhausted: depth budget")),
+    }
+
+    @pytest.mark.parametrize("case", VS_CLIQUE)
+    def test_vs_clique(self, case):
+        (n, p, seed, pattern, s, rho, depth), expected = self.VS_CLIQUE[case]
+        out = search.find_red_H_or_blue_clique(
+            sample_coloring(n, p, seed), load_pattern(pattern), s,
+            search.SearchConfig(rho=rho, seed=seed, max_depth=depth))
+        assert (out.kind, out.embedding and out.embedding.image, out.clique,
+                out.reason) == expected
+        assert out.color == {"found_red_h": RED, "found_blue_clique": BLUE}.get(out.kind)
+
+    def test_mono_blue_clique_from_the_pivots(self):
+        # 48 red pivots (the chase's stop for M25) leave 50 vertices that are
+        # all blue: no red M25 there, but a blue K50, which holds M25
+        c = Coloring.from_red_graph(Graph.from_edges(
+            98, [(u, v) for u in range(48) for v in range(u + 1, 98)]))
+        m25 = named_graph("m", 25)
+        out = search.find_mono_H(c, m25, search.SearchConfig(rho=float(m25.density)))
+        assert (out.kind, out.color, out.reason) == ("found_mono", BLUE, None)
+        assert out.embedding.image == tuple(range(48, 98))
