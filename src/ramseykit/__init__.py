@@ -45,7 +45,6 @@ from .graphs import (
 from .oracle import (
     OracleRefusal,
     RamseyCertificate,
-    check_bidense_bruteforce,
     find_clique_exact,
     find_mono_subgraph_exact,
     lower_bound_certificate_random,

@@ -438,6 +438,11 @@ def _cmd_oracle_ramsey(args) -> int:
 
 def _cmd_oracle_certify_lower(args) -> int:
     _check_seed("--seed", args.seed, args.tries)  # every try's seed, before any draw
+    pairs = args.n * (args.n - 1) // 2  # drawn by each try
+    if args.tries * pairs > oracle_mod.CERTIFY_PAIRS_LIMIT:
+        raise UsageError(f"--tries must be in [1, {oracle_mod.CERTIFY_PAIRS_LIMIT // pairs}] "
+                         f"at --n {args.n}, {oracle_mod.CERTIFY_PAIRS_LIMIT} pairs drawn "
+                         f"in all, got {args.tries}")
     (pattern,), hashes = _load_inputs(args, pattern=_load_graph_arg)
     witness = oracle_mod.lower_bound_certificate_random(pattern, args.n, args.tries,
                                                         args.seed)
@@ -522,7 +527,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", default="mono",
                    choices=["mono", "vs-clique", "random-bounded"])
     p.add_argument("--rho", type=_SEARCH_RHO)
-    ranged(p, "--clique-s", int, 1)
+    ranged(p, "--clique-s", int, 1, MAX_VERTICES)  # the blue K_s is built as a Graph
     ranged(p, "--degree-cap", int, 0)
     ranged(p, "--budget", int, 1, help="recursion depth (default 8)")
     ranged(p, "--seed", *_SEED, default=0)

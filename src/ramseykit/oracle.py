@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graphs import (
     BLUE,
@@ -52,11 +51,7 @@ from .graphs import (
     rows_of,
 )
 
-if TYPE_CHECKING:  # embedder imports this module
-    from .embedder import BiDensityWitness
-
 DEFAULT_NMAX_GUARD = 10
-BIDENSE_BRUTE_MAX_N = 12
 
 
 class OracleRefusal(RuntimeError):
@@ -561,6 +556,11 @@ def ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int = 8,
 # core of a 2-vCPU x86-64 host).  A try draws n(n-1)/2 pairs, so its cost
 # grows with n**2.
 CERTIFY_TRIES_LIMIT = 10 ** 6
+# Most pairs ``oracle certify-lower`` may draw in all, ``--tries`` times the
+# n(n-1)/2 of ``--n``.  It binds from n = 46 on.  Its dearest runs, 10**6 tries
+# for C5 at n = 45 and 50,251 tries at n = 200, took 22 s and 15 s (one core of
+# a 2-vCPU x86-64 host).
+CERTIFY_PAIRS_LIMIT = 10 ** 9
 
 
 def lower_bound_certificate_random(pattern: Graph, n: int, tries: int,
@@ -590,35 +590,4 @@ def lower_bound_certificate_random(pattern: Graph, n: int, tries: int,
                find_mono_subgraph_exact(witness, pattern, BLUE) is not None:
                 raise AssertionError("unsound certify-lower witness")
             return witness
-    return None
-
-
-def check_bidense_bruteforce(host, sigma: float, delta: float,
-                             color: Optional[str] = None) -> Optional[BiDensityWitness]:
-    """All-sizes reference check of the bi-(sigma, delta)-density condition.
-
-    Enumerates every disjoint pair of vertex sets with both sizes >=
-    ceil(sigma*n) and returns the first pair of density < delta found, or
-    None (Certified).  Guarded to n <= 12.
-    """
-    from fractions import Fraction
-
-    from .embedder import BiDensityWitness
-
-    rows = rows_of(host, color)
-    n = len(rows)
-    if n > BIDENSE_BRUTE_MAX_N:
-        raise OracleRefusal(f"brute-force bi-density check limited to n <= {BIDENSE_BRUTE_MAX_N}")
-    s = max(1, math.ceil(sigma * n))
-    verts = list(range(n))
-    for kx in range(s, n - s + 1):
-        for X in combinations(verts, kx):
-            xmask = mask_of(X)
-            rest = [v for v in verts if not xmask >> v & 1]
-            for ky in range(s, len(rest) + 1):
-                for Y in combinations(rest, ky):
-                    e = sum((rows[y] & xmask).bit_count() for y in Y)
-                    d = Fraction(e, kx * ky)
-                    if d < delta:
-                        return BiDensityWitness(tuple(X), tuple(Y), d, sigma, delta)
     return None

@@ -7,6 +7,15 @@ outcome is re-verified against the coloring before being returned, and
 failure to find anything is a first-class Exhausted result carrying the
 trace of what was attempted, never an error.  Both happen in ``_finish``,
 the one exit of each of the three public searches.
+
+The red-H-or-blue-K_s lemma and the random-graph theorem share one
+induction, ``_descent``: try the red target in a window; failing that, take
+a sparse red pair (A, B), find part of the blue target among the vertices of
+A with high blue degree into B, lift it through their common blue
+neighborhood in B, and find the rest there.  Its two ``_Rule``s differ in
+the blue target and how it is split: the clique rule (vs-clique, mono) seeks
+K_s through a 2s/3 clique, the bounded rule (random-bounded) a
+bounded-degree graph through a judicious half.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import oracle
 from .embedder import embed_greedy, find_sparse_pair_heuristic
@@ -304,81 +313,159 @@ def _find_pattern_in_color(sub: Coloring, verts: Sequence[int], pattern: Graph, 
     return Embedding(pattern, tuple(verts[w] for w in res.embedding.image))
 
 
-def find_red_H_or_blue_clique(coloring: Coloring, pattern: Graph, s: int,
-                              config: SearchConfig) -> SearchOutcome:
-    """Hunt a red copy of ``pattern`` or a blue K_s, by sparse-pair descent.
+@dataclass(frozen=True)
+class _Rule:
+    """What a use of the red/blue descent decides for itself; ``_CLIQUE``
+    and ``_BOUNDED`` are the two uses."""
 
-    Opportunistic version of the red/blue induction: try a red embedding;
-    failing that, find a sparse red pair, pass to the high-blue-degree
-    filter, recurse for a 2s/3 blue clique, then lift it to size s through
-    the common-neighborhood (star-count) step.  Small subproblems fall
-    through to complete exhaustive searches.
-    """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    return _finish(coloring, pattern, _rb_search, s, config, list(range(coloring.n)), 0)
+    exhaustive: Callable[[int, int], bool]  # (|W|, s): search W for the targets exactly
+    half: Callable[[Graph, int], list[int]]  # (target, seed): its vertices sought in A'
+    lift: Callable[[int, int, float], int]  # (s, |S|, rho): l, before 1 <= l <= |S|
+    exact_pigeonhole: bool                  # exact star count when affordable, else greedy
+    stride: int                             # sparse-pair seed: config.seed + stride * depth
 
 
-def _rb_search(coloring: Coloring, pattern: Graph, s: int, config: SearchConfig,
-               universe: list[int], depth: int, events: list) -> SearchOutcome:
-    events.append({"event": "enter", "depth": depth, "s": s, "size": len(universe)})
+def _bisect(blue: Graph, seed: int) -> list[int]:
+    """The smaller side of a judicious bisection; the lowest t//2 vertices
+    when it is empty, and the whole target when t <= 2."""
+    if blue.t <= 2:
+        return list(range(blue.t))
+    cert = judicious_partition(blue, PARTITION_TRIES, seed=seed)
+    v1 = sorted(cert.v1) if len(cert.v1) <= len(cert.v2) else sorted(cert.v2)
+    return v1 or list(range(blue.t // 2))
+
+
+# K_s targets (vs-clique, mono): a 2s/3 clique in A', then half of s through
+# B.  Reached only with s > BASE_S, so 0 < 2s/3 < s.
+_CLIQUE = _Rule(
+    exhaustive=lambda n, s: s <= BASE_S or math.comb(n, min(s, n)) <= SUBSET_BUDGET,
+    half=lambda blue, seed: list(range(math.ceil(2 * blue.t / 3))),
+    lift=lambda s, size, rho: math.ceil(0.5 * s),
+    exact_pigeonhole=True,
+    stride=1,
+)
+# bounded-degree targets (random-bounded): a judicious half in A', nearly
+# all of it kept through B
+_BOUNDED = _Rule(
+    exhaustive=lambda n, s: n <= BASE_N,
+    half=_bisect,
+    lift=lambda s, size, rho: math.ceil(
+        (1 - math.log2(15 / 14) / (2 * (1 - math.log2(rho)))) * size),
+    exact_pigeonhole=False,
+    stride=17,
+)
+
+
+def _find_blue(coloring: Coloring, sub: Coloring, verts: Sequence[int],
+               target: Graph) -> Optional[Embedding]:
+    """Exact search for a blue ``target`` in ``sub``, the coloring induced on
+    ``verts``: a clique search for a complete target, which finds the same
+    copy faster, and a subgraph search for any other."""
+    if target.t > len(verts):
+        return None
+    if 2 * target.m == target.t * (target.t - 1):
+        clique = oracle.find_clique_exact(coloring, target.t, BLUE, within=verts)
+        return None if clique is None else Embedding(target, tuple(clique))
+    emb = oracle.find_mono_subgraph_exact(sub, target, BLUE)
+    return None if emb is None else Embedding(target, tuple(verts[w] for w in emb.image))
+
+
+def _descent(coloring: Coloring, W: Sequence[int], blue: Graph, red: Graph,
+             config: SearchConfig, rule: _Rule, depth: int, events: list) -> SearchOutcome:
+    """A red copy of ``red`` or a blue copy of ``blue`` inside the window W,
+    by the descent that the module docstring describes.  A find is
+    ``found_mono`` in coloring ids, its colour naming the target it embeds."""
+    s = blue.t
+    events.append({"event": "enter", "depth": depth, "s": s, "size": len(W)})
     if depth > config.max_depth:
         return SearchOutcome("exhausted", reason="depth budget")
-    if not universe:
+    if not W:
         return SearchOutcome("exhausted", reason="empty set")
 
-    # (1) red pattern attempt.
-    verts = sorted(universe)
+    verts = sorted(W)
     sub = coloring.induced(verts)
-    emb = _find_pattern_in_color(sub, verts, pattern, RED, config, events)
+    emb = _find_pattern_in_color(sub, verts, red, RED, config, events)
     if emb is not None:
-        return SearchOutcome("found_red_h", embedding=emb, color=RED)
+        return SearchOutcome("found_mono", embedding=emb, color=RED)
 
-    # Base case / feasible exhaustive blue-clique search.
-    if s <= BASE_S or math.comb(len(universe), min(s, len(universe))) <= SUBSET_BUDGET:
-        clique = oracle.find_clique_exact(coloring, s, BLUE, within=universe)
-        events.append({"event": "exhaustive_clique", "s": s,
-                       "found": clique is not None})
-        if clique is not None:
-            return SearchOutcome("found_blue_clique", clique=tuple(clique), color=BLUE)
-        return SearchOutcome("exhausted", reason="exhaustive clique search empty")
+    if rule.exhaustive(len(verts), s):
+        emb = _find_blue(coloring, sub, verts, blue)
+        events.append({"event": "exhaustive_clique", "s": s, "found": emb is not None})
+        if emb is None:
+            return SearchOutcome("exhausted", reason="exhaustive clique search empty")
+        return SearchOutcome("found_mono", embedding=emb, color=BLUE)
 
-    # (2) sparse red pair, then the blue-degree filter.
-    split = _sparse_split(coloring, sub, verts, config.rho, config.seed + depth)
+    split = _sparse_split(coloring, sub, verts, config.rho, config.seed + rule.stride * depth)
     events.append({"event": "sparse_pair", "found": split is not None})
     if split is None:
         return SearchOutcome("exhausted", reason="no sparse red pair found")
     A, B, A_prime = split
+    # A' is never empty: the pair's red density is below rho, so some vertex
+    # of A has blue degree above (1 - rho)|B| into B
     events.append({"event": "blue_degree_filter", "A": len(A), "A_prime": len(A_prime)})
-    if not A_prime:
-        return SearchOutcome("exhausted", reason="blue-degree filter emptied A")
 
-    # (3) recurse for a 2s/3 blue clique inside A'; s > BASE_S, so 0 < s2 < s.
-    s2 = math.ceil(2 * s / 3)
-    sub_out = _rb_search(coloring, pattern, s2, config, A_prime, depth + 1, events)
-    if sub_out.kind == "found_red_h":
+    v1 = rule.half(blue, config.seed + depth)
+    sub_out = _descent(coloring, A_prime, blue.induced(v1), red, config, rule, depth + 1,
+                       events)
+    if sub_out.color == RED:
         return sub_out
-    if sub_out.kind != "found_blue_clique":
+    if not sub_out.found:
         return SearchOutcome("exhausted", reason=f"recursion exhausted: {sub_out.reason}")
-    S = list(sub_out.clique)
 
-    # (4) star-count step: lift through the common blue neighborhood.
-    l = min(len(S), max(1, math.ceil(0.5 * s)))
-    mode = "exact" if math.comb(len(S), l) <= SUBSET_BUDGET else "greedy"
+    # star-count step: lift through the common blue neighborhood
+    S = sub_out.embedding.image
+    l = min(len(S), max(1, rule.lift(s, len(S), config.rho)))
+    exact = rule.exact_pigeonhole and math.comb(len(S), l) <= SUBSET_BUDGET
+    mode = "exact" if exact else "greedy"
     T, B_prime = common_neighborhood_pigeonhole(coloring, S, B, l, BLUE, mode=mode)
     events.append({"event": "pigeonhole", "l": l, "mode": mode, "B_prime": len(B_prime)})
-    if len(B_prime) == 0:
+    if not B_prime:
         return SearchOutcome("exhausted", reason="empty common neighborhood")
-    rest = s - l  # at least 1, as l <= s2 < s
-    tail = _rb_search(coloring, pattern, rest, config, list(B_prime), depth + 1, events)
-    if tail.kind == "found_red_h":
-        return tail
-    if tail.kind == "found_blue_clique":
-        clique = tuple(sorted(set(T) | set(tail.clique)))
-        if len(clique) >= s and _verify_clique(coloring, clique[:s], BLUE):
-            return SearchOutcome("found_blue_clique", clique=clique[:s], color=BLUE)
+    image = [-1] * s
+    for v, w in zip(v1, S):
+        if w in T:
+            image[v] = w
+    rest = [v for v in range(s) if image[v] < 0]
+    if rest:
+        tail = _descent(coloring, B_prime, blue.induced(rest), red, config, rule, depth + 1,
+                        events)
+        if tail.color == RED:
+            return tail
+        if not tail.found:
+            return SearchOutcome("exhausted", reason=f"tail recursion exhausted: {tail.reason}")
+        for v, w in zip(rest, tail.embedding.image):
+            image[v] = w
+    emb = Embedding(blue, tuple(image))
+    if not oracle.verify_embedding(blue, coloring, emb, BLUE)[0]:
         return SearchOutcome("exhausted", reason="assembled clique failed verification")
-    return SearchOutcome("exhausted", reason=f"tail recursion exhausted: {tail.reason}")
+    return SearchOutcome("found_mono", embedding=emb, color=BLUE)
+
+
+def find_red_H_or_blue_clique(coloring: Coloring, pattern: Graph, s: int,
+                              config: SearchConfig) -> SearchOutcome:
+    """Hunt a red copy of ``pattern`` or a blue K_s, by sparse-pair descent.
+
+    The red/blue descent with the clique rule: try a red embedding; failing
+    that, find a sparse red pair, pass to the high-blue-degree filter,
+    recurse for a 2s/3 blue clique, then lift it to size s through the
+    common-neighborhood (star-count) step.  Small subproblems fall through to
+    complete exhaustive searches.
+    """
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    return _finish(coloring, pattern, _red_h_or_blue_clique, s, config)
+
+
+def _red_h_or_blue_clique(coloring: Coloring, pattern: Graph, s: int, config: SearchConfig,
+                          events: list) -> SearchOutcome:
+    out = _descent(coloring, range(coloring.n), Graph.complete(s), pattern, config, _CLIQUE,
+                   0, events)
+    if out.color == RED:
+        return replace(out, kind="found_red_h")
+    if out.color == BLUE:
+        return SearchOutcome("found_blue_clique", clique=tuple(sorted(out.embedding.image)),
+                             color=BLUE)
+    return out
 
 
 def _assert_outcome_valid(coloring: Coloring, pattern: Graph, outcome: SearchOutcome):
@@ -466,12 +553,14 @@ def _mono_via_pivots(coloring: Coloring, pattern: Graph, split: SplitResult,
     if len(pivots) < len(split.removed) or len(final) < max(split.subgraph.t, 1):
         return None
     view = coloring if c == RED else coloring.swapped()
-    sub_out = _rb_search(view, split.subgraph, t, config, final, 0, events)
-    if sub_out.kind == "found_blue_clique":
+    sub_out = _descent(view, final, Graph.complete(t), split.subgraph, config, _CLIQUE, 0,
+                       events)
+    if sub_out.color == BLUE:
         # K_t in the opposite color contains the whole pattern.
-        return SearchOutcome("found_mono", embedding=_clique_image(pattern, sub_out.clique),
+        return SearchOutcome("found_mono",
+                             embedding=_clique_image(pattern, sub_out.embedding.image),
                              color=opposite(c))
-    if sub_out.kind == "found_red_h":
+    if sub_out.color == RED:
         emb = _reattach(pattern, split.kept, sub_out.embedding.image,
                         sorted(split.removed), pivots)
         return SearchOutcome("found_mono", embedding=emb, color=c)
@@ -483,10 +572,11 @@ def find_random_graph_mono(coloring: Coloring, pattern: Graph, witness,
     """Monochromatic search for degree-bounded patterns with an exceptional set.
 
     Double neighborhood chase (red then blue) builds two pivot cliques that
-    will absorb the exceptional vertices; the surviving set is searched by
-    a two-sided recursion that alternates greedy red embedding, sparse-pair
-    extraction, judicious bisection of the blue-side target, and the
-    star-count lift.  Sound and traceable, not complete.
+    will absorb the exceptional vertices; the surviving set is searched for
+    the rest of the pattern, the core, in both colours by the red/blue
+    descent with the bounded rule: greedy red embedding, sparse-pair
+    extraction, judicious bisection of the blue target, and the star-count
+    lift.  Sound and traceable, not complete.
     """
     return _finish(coloring, pattern, _random_graph_search, witness, config)
 
@@ -531,101 +621,8 @@ def _random_graph_search(coloring: Coloring, pattern: Graph, witness,
 
     # core is not None: with every vertex exceptional, q = t pivots are the
     # quota, so the red chase has already returned.
-    found = _two_sided(coloring, survivors, core, core, config, 0, events)
-    if found is None:
+    out = _descent(coloring, survivors, core, core, config, _BOUNDED, 0, events)
+    if not out.found:
         return SearchOutcome("exhausted", reason="two-sided recursion exhausted")
-    color, core_emb = found
-    emb = _reattach(pattern, kept, core_emb.image, exceptional, anchors[color])
-    return SearchOutcome("found_mono", embedding=emb, color=color)
-
-
-def _two_sided(coloring: Coloring, W: list[int], blue_target: Graph, red_target: Graph,
-               config: SearchConfig, depth: int,
-               events: list) -> Optional[tuple[str, Embedding]]:
-    """Find a blue copy of blue_target or a red copy of red_target within W.
-
-    Returns (color, embedding-in-global-vertices) or None.  The blue
-    target shrinks through bisection; the red target is fixed.
-    """
-    events.append({"event": "two_sided", "depth": depth, "size": len(W),
-                   "blue_t": blue_target.t, "red_t": red_target.t})
-    if depth > config.max_depth or len(W) < 1:
-        return None
-    verts = sorted(W)
-    sub = coloring.induced(verts)
-
-    if sub.n <= BASE_N:
-        for color, target in ((RED, red_target), (BLUE, blue_target)):
-            if target.t <= sub.n:
-                emb = oracle.find_mono_subgraph_exact(sub, target, color)
-                if emb is not None:
-                    return color, Embedding(target, tuple(verts[w] for w in emb.image))
-        return None
-
-    # Red embedding attempt on the current window.
-    if red_target.t <= sub.n and sub.n >= red_target.max_degree + 1:
-        res = embed_greedy(red_target, sub, delta=config.rho, color=RED)
-        events.append({"event": "rb_embed_red", "ok": res.ok})
-        if res.ok:
-            return RED, Embedding(red_target, tuple(verts[w] for w in res.embedding.image))
-
-    split = _sparse_split(coloring, sub, verts, config.rho, config.seed + 17 * depth)
-    events.append({"event": "rb_sparse_pair", "found": split is not None})
-    if split is None:
-        return None
-    _, B, A_prime = split
-    if not A_prime:
-        return None
-
-    if blue_target.t <= 2:
-        half = blue_target  # nothing to bisect
-        v1 = list(range(blue_target.t))
-    else:
-        cert = judicious_partition(blue_target, PARTITION_TRIES,
-                                   seed=config.seed + depth)
-        v1 = sorted(cert.v1) if len(cert.v1) <= len(cert.v2) else sorted(cert.v2)
-        if not v1 or len(v1) == blue_target.t:
-            v1 = list(range(blue_target.t // 2))
-        half = blue_target.induced(v1)
-    events.append({"event": "rb_bisect", "v1": len(v1)})
-
-    sub_found = _two_sided(coloring, A_prime, half, red_target, config, depth + 1, events)
-    if sub_found is None:
-        return None
-    if sub_found[0] == RED:
-        return sub_found
-    half_emb = sub_found[1]
-    S = list(half_emb.image)
-
-    log_ratio = 1 - math.log2(config.rho)
-    frac = 1 - math.log2(15 / 14) / (2 * log_ratio)
-    l = min(len(S), max(1, math.ceil(frac * len(S))))
-    T, B_prime = common_neighborhood_pigeonhole(coloring, S, B, l, BLUE, mode="greedy")
-    events.append({"event": "rb_pigeonhole", "l": l, "B_prime": len(B_prime)})
-    if not B_prime:
-        return None
-
-    tset = set(T)
-    k_verts = [v1[i] for i in range(half.t) if half_emb.image[i] in tset]
-    rest_verts = [v for v in range(blue_target.t) if v not in set(k_verts)]
-    image = [-1] * blue_target.t
-    pos_in_half = {v: i for i, v in enumerate(v1)}
-    if rest_verts:
-        remainder = blue_target.induced(rest_verts)
-        tail = _two_sided(coloring, list(B_prime), remainder, red_target,
-                          config, depth + 1, events)
-        if tail is None:
-            return None
-        if tail[0] == RED:
-            return tail
-        rem_emb = tail[1]
-        for i, v in enumerate(rest_verts):
-            image[v] = rem_emb.image[i]
-    for v in k_verts:
-        image[v] = half_emb.image[pos_in_half[v]]
-    emb = Embedding(blue_target, tuple(image))
-    ok, violation = oracle.verify_embedding(blue_target, coloring, emb, BLUE)
-    if not ok:
-        events.append({"event": "rb_assembly_failed", "violation": violation})
-        return None
-    return BLUE, emb
+    emb = _reattach(pattern, kept, out.embedding.image, exceptional, anchors[out.color])
+    return SearchOutcome("found_mono", embedding=emb, color=out.color)

@@ -1,18 +1,20 @@
 """Frozen reference implementations for the differential tests.
 
-Each is an earlier version of a ``ramseykit`` function, or a rebuild of it
-from numpy alone, kept here so that a reference does not move with the code
-under test.
+Each is an earlier version of a ``ramseykit`` function, a rebuild of it
+from numpy alone, or a brute-force enumeration of what it decides, kept here
+so that a reference does not move with the code under test.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ramseykit.embedder import BiDensityWitness
 from ramseykit.graphs import (
     _MAX_DIGITS,
     _SERIALIZE_CHUNK,
@@ -563,3 +565,34 @@ def reference_ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int =
     return RamseyCertificate("upper", deepest + 1, pattern1, pattern2,
                              witness=witness, witness_n=witness_n,
                              classes=tuple(len(level) for level in seen[1:deepest + 1]))
+
+
+# the largest host check_bidense_bruteforce enumerates
+BIDENSE_BRUTE_MAX_N = 12
+
+
+def check_bidense_bruteforce(host, sigma: float, delta: float,
+                             color: Optional[str] = None) -> Optional[BiDensityWitness]:
+    """All-sizes reference check of the bi-(sigma, delta)-density condition.
+
+    Enumerates every disjoint pair of vertex sets with both sizes >=
+    ceil(sigma*n) and returns the first pair of density < delta found, or
+    None (Certified).  Guarded to n <= BIDENSE_BRUTE_MAX_N.
+    """
+    rows = rows_of(host, color)
+    n = len(rows)
+    if n > BIDENSE_BRUTE_MAX_N:
+        raise OracleRefusal(f"brute-force bi-density check limited to n <= {BIDENSE_BRUTE_MAX_N}")
+    s = max(1, math.ceil(sigma * n))
+    verts = list(range(n))
+    for kx in range(s, n - s + 1):
+        for X in combinations(verts, kx):
+            xmask = mask_of(X)
+            rest = [v for v in verts if not xmask >> v & 1]
+            for ky in range(s, len(rest) + 1):
+                for Y in combinations(rest, ky):
+                    e = sum((rows[y] & xmask).bit_count() for y in Y)
+                    d = Fraction(e, kx * ky)
+                    if d < delta:
+                        return BiDensityWitness(tuple(X), tuple(Y), d, sigma, delta)
+    return None

@@ -281,8 +281,9 @@ class TestFailuresAreOneLine:
                  "vs-clique"],
                 (["--budget", "-1"], "--budget must be at least 1, got -1"),
                 (["--budget", "0"], "--budget must be at least 1, got 0"),
-                (["--clique-s", "-2"], "--clique-s must be at least 1, got -2"),
-                (["--clique-s", "0"], "--clique-s must be at least 1, got 0"),
+                (["--clique-s", "-2"], "--clique-s must be in [1, 16384], got -2"),
+                (["--clique-s", "0"], "--clique-s must be in [1, 16384], got 0"),
+                (["--clique-s", "16385"], "--clique-s must be in [1, 16384], got 16385"),
                 (["--seed", "-1"], "--seed must be in [0, 2**128), got -1"),
                 (["--seed", str(2 ** 128)], f"--seed must be in [0, 2**128), got {2 ** 128}"),
                 (["--rho", "0"], "--rho must be in (0, 1], got 0"),
@@ -293,6 +294,9 @@ class TestFailuresAreOneLine:
                 (["--n", "5", "--tries", "-5"], "--tries must be in [1, 1000000], got -5"),
                 (["--n", "5", "--tries", "1000001"],
                  "--tries must be in [1, 1000000], got 1000001"),
+                (["--n", "200", "--tries", "50252"],
+                 "--tries must be in [1, 50251] at --n 200, 1000000000 pairs drawn in "
+                 "all, got 50252"),
                 (["--n", "-2"], "--n must be at least 1, got -2"),
                 (["--n", "0"], "--n must be at least 1, got 0"),
                 (["--n", "5", "--seed", "-1"], "--seed must be in [0, 2**128 - 999), got -1"),

@@ -16,6 +16,7 @@ from ramseykit.patterns import load_pattern, named_graph
 from ramseykit.randomlab import SEED_LIMIT
 
 from references import (
+    check_bidense_bruteforce,
     reference_canonical_rows,
     reference_certify_lower,
     reference_embed_backtrack,
@@ -676,12 +677,12 @@ class TestPlannedSearchMatchesReference:
 
 class TestBidenseBruteforce:
     def test_complete_certified(self):
-        assert oracle.check_bidense_bruteforce(Graph.complete(5), 0.2, 1) is None
+        assert check_bidense_bruteforce(Graph.complete(5), 0.2, 1) is None
 
     def test_empty_witness(self):
-        w = oracle.check_bidense_bruteforce(Graph.empty(6), 1 / 3, 0.1)
+        w = check_bidense_bruteforce(Graph.empty(6), 1 / 3, 0.1)
         assert w is not None and w.density == 0
 
     def test_size_guard(self):
         with pytest.raises(oracle.OracleRefusal):
-            oracle.check_bidense_bruteforce(Graph.complete(13), 0.2, 0.5)
+            check_bidense_bruteforce(Graph.complete(13), 0.2, 0.5)

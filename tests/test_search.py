@@ -409,6 +409,11 @@ class TestDescentBranches:
                 out.reason) == expected
         assert out.color == {"found_red_h": RED, "found_blue_clique": BLUE}.get(out.kind)
 
+    def test_vs_clique_on_no_vertices(self):
+        out = search.find_red_H_or_blue_clique(Coloring(0, ()), Graph.complete(3), 3,
+                                               search.SearchConfig(rho=0.5))
+        assert (out.kind, out.reason) == ("exhausted", "empty set")
+
     def test_mono_blue_clique_from_the_pivots(self):
         # 48 red pivots (the chase's stop for M25) leave 50 vertices that are
         # all blue: no red M25 there, but a blue K50, which holds M25

@@ -6,8 +6,8 @@ reason.  A change that means to keep search behaviour must keep every cell.
 A few extra cells beside the grid reach the search paths that no grid cell
 reaches.  ``data/two_sided_lift.txt`` is the coloring on 126 vertices in
 which vertices 0-2 are red to every later vertex and every other pair is
-blue, so both chases keep 120 vertices and the two-sided recursion lifts
-and assembles a blue C9.
+blue, so both chases keep 120 vertices and the red/blue descent lifts and
+assembles a blue C9.
 Regenerate the data only for an intended change of outcome, and name it:
 
     PYTHONPATH=src python tests/test_search_golden.py
@@ -41,7 +41,7 @@ PATTERNS = (
     ("random-bounded", 0.5, "s3", ("--rho", "0.9")),
     ("random-bounded", 0.5, "p4", ("--degree-cap", "0", "--rho", "0.02")),
 )
-# beside the grid: the two-sided recursion's greedy try, sparse pair and
+# beside the grid: the bounded red/blue descent's greedy try, sparse pair and
 # bisection at n = 1280; its lift and assembly on a constructed coloring; and
 # the mono search's route from the pivots into the red/blue descent
 EXTRA = (
