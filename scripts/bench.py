@@ -1,6 +1,7 @@
 """Time two checkouts side by side and write a BENCH json.
 
-    python3 scripts/bench.py --before OLD --after NEW --out BENCH_11.json
+    python3 scripts/bench.py --before OLD --after NEW --out BENCH_24.json
+    python3 scripts/bench.py --before OLD --after NEW --pairs 10 --workload dense_sampling
 
 OLD and NEW are checkouts of this repository (each one's ``src`` is put on
 PYTHONPATH; the tier-1 suite and perfbench run inside it).  Every measurement
@@ -8,9 +9,12 @@ runs in a fresh process, and the two checkouts alternate (the one that goes
 first switches every round), so a slow spell of the host lands on both.
 A row's value is the median over rounds; each primitive is itself the median
 of a few in-process repeats (the t = 5 and 9 constructions: the best of five
-runs of 20,000 calls).  Rows:
+runs of 20,000 calls).  Without ``--out`` only the workload pairs run, and
+their table is printed.  Rows:
 
-* primitives: ``sample_gnp`` at t = 2048 and 4096 (rho 0.2), ``Graph``
+* primitives: ``sample_gnp`` at t = 2048 and 4096 (rho 0.2),
+  ``sample_coloring`` at n = 20, 80 and 320 (p 1/2, the ``search_sweep``
+  sizes; the median of 21 calls), ``Graph``
   validation at t = 1024, 2048, 4096 and 8192, ``serialize_graph`` at
   t = 2048, ``parse_graph`` at t = 1024, 2048, 4096 (G(t, 0.2) each), its
   byte pass alone (``_read_edge_lines`` over every block of the G(2048, 0.2)
@@ -34,6 +38,10 @@ runs of 20,000 calls).  Rows:
   ``find_red_H_or_blue_clique`` on the n = 320 vs-clique input of
   ``search_sweep`` (``gnp:10:0.5:1`` against a blue K10 in
   ``random:320:0.25:1``, rho 0.3, seed 1);
+* per-op memory: the tracemalloc peak, in MB above the heap before the op,
+  of ``sample_gnp`` and of reading and parsing a G(t, 0.2) file
+  (``read_pattern``, as every ``--graph`` is read) at t = 2048 and 4096, of
+  ``serialize_graph`` at t = 2048, and of the ``verify_degree_spread`` row;
 * ``ramsey_number_exact`` on each ``exact_oracle`` anchor of
   ``perfbench/workloads.py``, on R(3,4) at n_max = 10, on R(3,5) at
   n_max = guard = 14, and on (K3, C6) at 11, (K3, C7) at 13 and (C5, K4) at
@@ -46,8 +54,16 @@ runs of 20,000 calls).  Rows:
   wrapping those functions of ``ramseykit.oracle``; the row keeps them as
   ``before_calls`` and ``after_calls``;
 * the tier-1 suite's wall time;
-* each perfbench workload's end-to-end metrics (``--seconds 30``), as the
-  median over the seeds in ``WORKLOAD_SEEDS`` (90417 is the held-out one).
+* workload pairs (``--pairs N``, 10 by default): ``perfbench/run.py
+  --seconds 30 --trace 0`` of each workload on both checkouts, one pair per
+  seed of 90417 (the held-out one) and 1 .. N-1, the first checkout
+  switching every pair.  Each end-to-end metric's row gives both medians,
+  ``ratio`` (after / before), ``wins`` (the pairs whose after value is
+  better), the before runs' ``parent_iqr_over_median`` and a ``verdict``:
+  "gain" only when wins >= 0.9 N and the medians differ by more than the
+  before runs' interquartile range, "loss" when the losses meet the same
+  test, and "unresolved" otherwise.  One more row per workload counts the
+  ops whose output sha256 differs between the two sides of some pair.
 """
 
 from __future__ import annotations
@@ -60,6 +76,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import timeit
 from pathlib import Path
@@ -74,7 +91,10 @@ PRIMITIVE_ROUNDS = 3
 ORACLE_ROUNDS = 3
 ORACLE_TIMEOUT_S = 150
 TIER1_ROUNDS = 1
-WORKLOAD_SEEDS = (1, 90417, 3)
+HELD_OUT_SEED = 90417  # the first pair's seed; the others are 1 .. N-1
+# metrics where a larger value is better; for the others a smaller one is
+HIGHER_BETTER = {"ops_per_s", "found_frac", "ok_frac"}
+GAIN_WINS = 0.9  # least share of pairs a gain or a loss must win
 # (host, sigma, delta) of each check_bidense_exact row
 BIDENSE_CASES = (("gnp:40:0.9:5", 0.1, 0.3), ("gnp:60:0.95:5", 0.05, 0.3))
 # (pattern, n) of each lower_bound_certificate_random row, CERTIFY_TRIES tries
@@ -85,7 +105,7 @@ CERTIFY_TRIES = 300
 RECORD_KEYS = {"env", "method", "rounds", "rows"}
 ENV_KEYS = {"python", "numpy", "nproc", "machine"}
 ROW_EXTRAS = {"per_seed", "before_result", "after_result", "before_calls", "after_calls",
-              "timeout_s"}
+              "timeout_s", "ratio", "wins", "parent_iqr_over_median", "verdict"}
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -108,6 +128,20 @@ def _median_time(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
+def _peak_mb(fn) -> float:
+    """The tracemalloc peak of one call of ``fn``, in MB above the heap
+    before it, after one untraced call has warmed every cache."""
+    import tracemalloc
+
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def _read_all_edge_lines(text: str) -> None:
     """``parse_graph``'s byte pass alone over a text it writes: every block of
     edge lines, read into endpoint arrays, and nothing built from them."""
@@ -121,7 +155,9 @@ def _read_all_edge_lines(text: str) -> None:
     t, m = map(int, body[:end].split()[1::2])
     us, vs = np.empty(m, np.int64), np.empty(m, np.int64)
     read = 0
-    for lo, hi in _text_blocks(data, end + 1):
+    # the blocks up to a stop offset, or (before that) to the end of the data
+    stop = (len(data),) if _text_blocks.__code__.co_argcount == 3 else ()
+    for lo, hi in _text_blocks(data, end + 1, *stop):
         read = _read_edge_lines(body, data, lo, hi, t, us, vs, read)
     if read != m:
         raise SystemExit(f"the byte pass read {read} of {m} edge lines")
@@ -133,12 +169,14 @@ def primitives() -> dict:
     from ramseykit.graphs import (RED, Graph, parse_coloring, parse_graph, serialize_coloring,
                                   serialize_graph)
     from ramseykit.oracle import find_mono_subgraph_exact, lower_bound_certificate_random
-    from ramseykit.patterns import load_pattern
+    from ramseykit.patterns import load_pattern, read_pattern
     from ramseykit.randomlab import sample_coloring, sample_gnp, verify_degree_spread
     from ramseykit.search import SearchConfig, find_red_H_or_blue_clique, neighborhood_chase
 
     out = {f"sample_gnp({t}, 0.2)": _median_time(lambda: sample_gnp(t, 0.2, 1), 3)
            for t in (2048, 4096)}
+    for n in (20, 80, 320):
+        out[f"sample_coloring({n}, 0.5)"] = _median_time(lambda: sample_coloring(n, 0.5, 1), 21)
     for t in (1024, 2048, 4096, 8192):
         rows = sample_gnp(t, 0.2, 1).rows
         out[f"Graph validation, t={t}"] = _median_time(lambda: Graph(t, rows), 3)
@@ -198,6 +236,17 @@ def primitives() -> dict:
     c, config = sample_coloring(320, 0.25, 1), SearchConfig(rho=0.3, seed=1)
     out["find_red_H_or_blue_clique(gnp:10:0.5:1, random:320:0.25:1, s=10)"] = \
         _median_time(lambda: find_red_H_or_blue_clique(c, g, 10, config), 9)
+    with tempfile.TemporaryDirectory() as tmp:
+        for t in (2048, 4096):
+            out[f"peak of sample_gnp({t}, 0.2)"] = _peak_mb(lambda: sample_gnp(t, 0.2, 1))
+            path = Path(tmp) / f"g{t}.graph"
+            path.write_text(serialize_graph(sample_gnp(t, 0.2, 1)))
+            out[f"peak of read_pattern(G({t}, 0.2) file)"] = \
+                _peak_mb(lambda: read_pattern(str(path)))
+    g = sample_gnp(2048, 0.2, 1)
+    out["peak of serialize_graph, t=2048"] = _peak_mb(lambda: serialize_graph(g))
+    out["peak of verify_degree_spread(G(2048, 0.2), 0.1, 0.5, 0.2, budget=50)"] = _peak_mb(
+        lambda: verify_degree_spread(g, 0.1, 0.5, 0.2, sample_budget=50, seed=1))
     return out
 
 
@@ -251,7 +300,10 @@ def _alternate(roots: dict, rounds: int, measure, first: int = 0) -> dict:
             if None in got[label]:
                 continue
             got[label].append(measure(roots[label]))
-            print(f"  {label}: {got[label][-1]}", file=sys.stderr, flush=True)
+            shown = got[label][-1]
+            if isinstance(shown, dict) and "metrics" in shown:
+                shown = shown["metrics"]  # not a pair run's output hashes
+            print(f"  {label}: {shown}", file=sys.stderr, flush=True)
     return got
 
 
@@ -278,11 +330,75 @@ def _measure_tier1(root: Path) -> dict:
     return {"wall_s": wall, "passed": int(passed.group(1)) if passed else 0}
 
 
-def _measure_workload(root: Path, workload: str, seed: int) -> dict:
+def _measure_run(root: Path, workload: str, seed: int) -> dict:
+    """The end-to-end metrics of one ``perfbench/run.py`` run and the output
+    sha256 of each of its ops."""
     proc = _in_checkout(root, [sys.executable, "perfbench/run.py", "--workload", workload,
-                               "--seed", str(seed), "--seconds", "30"], 1800)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {k: result["metrics"][k]["value"] for k in WORKLOAD_METRICS}
+                               "--seed", str(seed), "--seconds", "30", "--trace", "0"], 1800)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    record = next(line.split(": ", 1)[1] for line in lines if line.startswith("record: "))
+    ops = json.loads((root / record).read_text())["ops"]
+    return {"metrics": {k: result["metrics"][k]["value"] for k in WORKLOAD_METRICS},
+            "sha256": [op["sha256"] for op in ops]}
+
+
+def pair_seeds(pairs: int) -> list[int]:
+    return [HELD_OUT_SEED, *range(1, pairs)]
+
+
+def pair_rows(workload: str, runs: dict) -> list[dict]:
+    """The rows of one workload's pairs: ``runs[label][k]`` is the run of
+    pair k on that side."""
+    before, after = runs["before"], runs["after"]
+    rows = []
+    for metric in WORKLOAD_METRICS:
+        b = [r["metrics"][metric] for r in before]
+        a = [r["metrics"][metric] for r in after]
+        sign = 1 if metric in HIGHER_BETTER else -1
+        wins = sum(sign * (y - x) > 0 for x, y in zip(b, a))
+        losses = sum(sign * (y - x) < 0 for x, y in zip(b, a))
+        mb, ma = statistics.median(b), statistics.median(a)
+        q1, _, q3 = statistics.quantiles(b, n=4, method="inclusive")
+        apart = abs(ma - mb) > q3 - q1
+        verdict = "gain" if apart and wins >= GAIN_WINS * len(b) else \
+            "loss" if apart and losses >= GAIN_WINS * len(b) else "unresolved"
+        unit = "1/s" if metric == "ops_per_s" else "MB" if metric == "peak_rss_mb" \
+            else "frac" if metric.endswith("_frac") else "s"
+        rows.append({"name": f"{workload} {metric}", "unit": unit, "before": mb, "after": ma,
+                     "ratio": ma / mb if mb else None, "wins": wins,
+                     "parent_iqr_over_median": (q3 - q1) / mb if mb else None,
+                     "verdict": verdict, "per_seed": {"before": b, "after": a}})
+    differ = {i for x, y in zip(before, after)
+              for i, (p, q) in enumerate(zip(x["sha256"], y["sha256"])) if set(p) != set(q)}
+    rows.append({"name": f"{workload} ops whose output sha256 differs", "unit": "ops",
+                 "before": 0, "after": len(differ)})
+    return rows
+
+
+def run_pairs(roots: dict, workloads: list[str], pairs: int) -> list[dict]:
+    rows = []
+    for workload in workloads:
+        runs = {label: [] for label in roots}
+        for k, seed in enumerate(pair_seeds(pairs)):
+            print(f"{workload} seed {seed}", file=sys.stderr)
+            got = _alternate(roots, 1, lambda root: _measure_run(root, workload, seed), first=k)
+            for label, values in got.items():
+                runs[label] += values
+        rows += pair_rows(workload, runs)
+    return rows
+
+
+def print_pairs(rows: list[dict]) -> None:
+    for row in rows:
+        line = f"{row['name']}: {row['before']:.6g} -> {row['after']:.6g} {row['unit']}"
+        if "verdict" in row:
+            line += f", wins {row['wins']}/{len(row['per_seed']['before'])}"
+            if row["ratio"] is not None:
+                line += (f", ratio {row['ratio']:.3f}, parent IQR/median "
+                         f"{row['parent_iqr_over_median']:.3f}")
+            line += f": {row['verdict']}"
+        print(line)
 
 
 def check_record(record: dict) -> None:
@@ -331,7 +447,10 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--before", type=Path, help="checkout measured as 'before'")
     p.add_argument("--after", type=Path, help="checkout measured as 'after'")
-    p.add_argument("--out", type=Path, help="BENCH json to write")
+    p.add_argument("--out", type=Path, help="BENCH json to write; without it only the pairs run")
+    p.add_argument("--pairs", type=int, default=10, help="workload pairs, one per seed")
+    p.add_argument("--workload", action="append", choices=WORKLOADS,
+                   help="a workload to pair (repeatable; default all three)")
     p.add_argument("--primitives", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--oracle-call", nargs=4, help=argparse.SUPPRESS)
     p.add_argument("--oracle-calls", nargs=4, help=argparse.SUPPRESS)
@@ -344,15 +463,22 @@ def main(argv=None) -> int:
             h1, h2, n_max, guard = case
             print(json.dumps(measure(h1, h2, int(n_max), int(guard))))
             return 0
-    if not (args.before and args.after and args.out):
-        p.error("--before, --after and --out are required")
+    if not (args.before and args.after):
+        p.error("--before and --after are required")
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2")
     roots = {"before": args.before.resolve(), "after": args.after.resolve()}
+    workloads = args.workload or list(WORKLOADS)
+    if not args.out:
+        print_pairs(run_pairs(roots, workloads, args.pairs))
+        return 0
     rows = []
 
     print("primitives", file=sys.stderr)
     runs = _alternate(roots, PRIMITIVE_ROUNDS, _measure_primitives)
     for name in runs["before"][0]:
-        rows.append(_row(name, "s", {label: [r[name] for r in v] for label, v in runs.items()}))
+        unit = "MB" if name.startswith("peak of ") else "s"
+        rows.append(_row(name, unit, {label: [r[name] for r in v] for label, v in runs.items()}))
 
     for case in oracle_cases():
         h1, h2, n_max, guard = case
@@ -378,21 +504,9 @@ def main(argv=None) -> int:
     rows.append(_row("tier-1 tests passed", "count",
                      {label: [r["passed"] for r in v] for label, v in runs.items()}))
 
-    for workload in WORKLOADS:
-        per_seed = {label: [] for label in roots}
-        for k, seed in enumerate(WORKLOAD_SEEDS):
-            print(f"{workload} seed {seed}", file=sys.stderr)
-            runs = _alternate(roots, 1, lambda root: _measure_workload(root, workload, seed),
-                              first=k)
-            for label, values in runs.items():
-                per_seed[label] += values
-        for metric in WORKLOAD_METRICS:
-            unit = "1/s" if metric == "ops_per_s" else "MB" if metric == "peak_rss_mb" \
-                else "frac" if metric.endswith("_frac") else "s"
-            row = _row(f"{workload} {metric}", unit,
-                       {label: [r[metric] for r in v] for label, v in per_seed.items()})
-            row["per_seed"] = {label: [r[metric] for r in v] for label, v in per_seed.items()}
-            rows.append(row)
+    pairs = run_pairs(roots, workloads, args.pairs)
+    print_pairs(pairs)
+    rows += pairs
 
     import numpy
 
@@ -401,8 +515,7 @@ def main(argv=None) -> int:
                 "nproc": os.cpu_count(), "machine": platform.machine()},
         "method": __doc__.split("\n\n", 1)[1].strip(),
         "rounds": {"primitives": PRIMITIVE_ROUNDS, "oracle": ORACLE_ROUNDS,
-                   "tier1": TIER1_ROUNDS,
-                   "workload_seeds": list(WORKLOAD_SEEDS)},
+                   "tier1": TIER1_ROUNDS, "pair_seeds": pair_seeds(args.pairs)},
         "rows": rows,
     }
     check_record(record)

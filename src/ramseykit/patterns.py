@@ -17,7 +17,7 @@ import re
 from pathlib import Path
 from typing import Optional
 
-from .graphs import Graph, decode_text, parse_graph
+from .graphs import Graph, parse_graph
 
 _SHORTHAND = re.compile(r"^([kpcsme])(\d+)$")
 _GNP = re.compile(r"^gnp:(\d+):([0-9./]+):(\d+)$")
@@ -90,4 +90,4 @@ def read_pattern(spec: str) -> tuple[Graph, Optional[bytes]]:
             f"gnp:t:rho:seed) nor an existing file"
         )
     data = path.read_bytes()
-    return parse_graph(decode_text(data)), data
+    return parse_graph(data), data  # parsed from the bytes, which the digest needs anyway

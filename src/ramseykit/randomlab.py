@@ -6,9 +6,9 @@ and platforms; ``GENERATOR_VERSION`` is embedded in serialized reports so
 snapshots survive refactors.
 
 Colorings and G(t, rho) come from one sampler, ``sample_red_rows``.  It
-keeps one Philox bit generator per call and, for each seed, resets its key
-to the seed and its counter to zero.  Philox is counter-based, so that
-state alone fixes the stream: it is the stream of a freshly built
+draws from one Philox bit generator per process and, for each seed, resets
+its key to the seed and its counter to zero.  Philox is counter-based, so
+that state alone fixes the stream: it is the stream of a freshly built
 ``Philox(key=seed)``, at about a fifth of the cost of building one.
 
 Unit convention: the Chernoff tail uses the natural exponential (the form
@@ -27,8 +27,8 @@ from .graphs import (
     _BLOCK_ENTRIES,
     Coloring,
     Graph,
+    _packed_rows,
     _pair_rows,
-    bit_matrix,
     bits_of,
     check_vertex_count,
 )
@@ -56,11 +56,15 @@ def chernoff_tail(n: int, p: float, theta: float) -> float:
 
 # Philox keys are 128-bit, so seeds lie in [0, SEED_LIMIT).
 SEED_LIMIT = 1 << 128
-# Entries of the bool matrix of one sampling block (4 MB).  A block draws one
-# float64 per pair it holds, at most _SAMPLE_ENTRIES / 2 of them, so its draws
-# take at most _BLOCK_ENTRIES bytes.
+# Entries of the bool matrix of one sampling block (4 MB).  A block's pairs
+# are drawn into a bool array of at most _SAMPLE_ENTRIES / 2 entries.
 _SAMPLE_ENTRIES = _BLOCK_ENTRIES // 4
+# Raw words drawn at once: 2**16 words are 512 KB.
+_WORD_CHUNK = 1 << 16
 _ZEROS = np.zeros(4, np.uint64)
+# The one Philox bit generator of the process, built on the first draw:
+# numpy loads ``numpy.random`` only when it is first used.
+_bitgen = None
 
 
 class SeedError(ValueError):
@@ -80,20 +84,75 @@ def _rekey(bitgen: np.random.Philox, seed: int) -> None:
     }
 
 
+def _philox() -> np.random.Philox:
+    """The process's one Philox bit generator, built on first use."""
+    global _bitgen
+    if _bitgen is None:
+        _bitgen = np.random.Philox(0)
+    return _bitgen
+
+
+def _red_cut(p: float) -> int:
+    """The raw words below which a pair is red: ceil(p * 2**53) * 2**11."""
+    return math.ceil(p * 2 ** 53) << 11
+
+
+def _draw_red(bitgen: np.random.Philox, cut: int, red: np.ndarray) -> None:
+    """Fill the bool array ``red`` with the colours of the next len(red)
+    pairs of ``bitgen``'s stream: a pair is red iff its raw word is below
+    ``cut``.  The words are drawn _WORD_CHUNK at a time, straight into ``red``."""
+    if cut >> 64:  # every word is below 2**64
+        red.fill(True)
+        return
+    below = np.uint64(cut)
+    for lo in range(0, len(red), _WORD_CHUNK):
+        part = red[lo:lo + _WORD_CHUNK]
+        np.less(bitgen.random_raw(len(part)), below, out=part)
+
+
+def _draw_seeds(seeds: range, cut: int, red: np.ndarray) -> None:
+    """Fill each row red[k] of a bool matrix with the colours of the first
+    pairs of seed seeds[k].  Seeds with few pairs are drawn in groups whose
+    words, at most _WORD_CHUNK of them, are compared at once: one comparison
+    per seed would cost more than its draw."""
+    bitgen, count = _philox(), red.shape[1]
+    group = _WORD_CHUNK // max(count, 1)
+    if group < 2 or cut >> 64:
+        for k, seed in enumerate(seeds):
+            _rekey(bitgen, seed)
+            _draw_red(bitgen, cut, red[k])
+        return
+    below = np.uint64(cut)
+    for k in range(0, len(seeds), group):
+        words = []
+        for seed in seeds[k:k + group]:
+            _rekey(bitgen, seed)
+            words.append(bitgen.random_raw(count))
+        np.less(np.concatenate(words), below, out=red[k:k + group].reshape(-1))
+
+
 def sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]:
     """The red rows of ``sample_coloring(n, p, s)`` for each seed s of ``seeds``
     in turn, drawn lazily: the one sampler behind every coloring and G(t, rho).
 
-    Seed s draws ``np.random.Generator(np.random.Philox(key=s)).random(C(n, 2))``,
-    and pair i, in lexicographic order, is red iff draw i is below p.  One
-    Generator on one re-keyed Philox draws them all, so every coloring is
-    bit-identical to the one a fresh generator gives.
+    Pair i, in lexicographic order, is red iff draw i of
+    ``np.random.Generator(np.random.Philox(key=s)).random(C(n, 2))`` is below
+    p.  That draw is (w >> 11) * 2**-53 for the i-th raw 64-bit word w of
+    the stream, so the pair is red iff w < ceil(p * 2**53) * 2**11, which is
+    compared in uint64; at p = 1 that cut is 2**64, and every pair is red.
+    No float is drawn, and every coloring is bit-identical to the one a fresh
+    generator gives.
+
+    All draws come from one Philox bit generator of the process, re-keyed
+    before each seed's first word, and no seed's words span a ``yield``: a
+    caller's next() or another sampler in between cannot move a stream.
+    Threads that sample at once could, and the package starts none.
 
     Seeds are drawn in blocks of 1, 2, 4, ... seeds, so stopping after the
     i-th seed costs O(i) draws.  A block holds whole n x n matrices, at most
     ``_SAMPLE_ENTRIES`` entries of them, each with fewer than n^2 / 2 pairs.
     A seed whose matrix is larger is drawn alone, a block of rows of at most
-    ``_SAMPLE_ENTRIES / 2`` entries at a time, and rows drawn earlier supply
+    ``_SAMPLE_ENTRIES / 2`` pairs at a time, and rows drawn earlier supply
     the pairs of a block's rows with theirs.  Every seed must be a Philox
     key, which is checked before anything is drawn.
     """
@@ -104,30 +163,30 @@ def sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]
         raise ValueError("p must lie in [0, 1]")
     if seeds and not (seeds[0] >= 0 and seeds[-1] < SEED_LIMIT):
         raise SeedError(f"seeds must lie in [0, 2**128), got {seeds[0]} to {seeds[-1]}")
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
+    cut = _red_cut(p)
     pairs = n * (n - 1) // 2
     fit = _SAMPLE_ENTRIES // max(n * n, 1)  # seeds whose matrices fit one block
     size = 1
     i = 0
     while i < len(seeds):
         if not fit:
+            bitgen = _philox()
             _rekey(bitgen, seeds[i])
             rows: list[int] = []
             step = _SAMPLE_ENTRIES // (2 * n)
             for lo in range(0, n, step):
                 hi = min(lo + step, n)
-                count = (hi - lo) * (2 * n - lo - hi - 1) // 2  # pairs {u, v}, lo <= u < hi, u < v
-                rows.extend(_pair_rows((gen.random(count) < p)[None], n, lo, hi, rows))
+                # pairs {u, v}, lo <= u < hi, u < v
+                red = np.empty((1, (hi - lo) * (2 * n - lo - hi - 1) // 2), bool)
+                _draw_red(bitgen, cut, red[0])
+                rows.extend(_pair_rows(red, n, lo, hi, rows))
             yield tuple(rows)
             i += 1
             continue
         block = seeds[i:i + min(size, fit)]
-        draws = np.empty((len(block), pairs))
-        for k, seed in enumerate(block):
-            _rekey(bitgen, seed)
-            gen.random(out=draws[k])
-        rows = _pair_rows(draws < p, n, 0, n, ())
+        red = np.empty((len(block), pairs), bool)
+        _draw_seeds(block, cut, red)
+        rows = _pair_rows(red, n, 0, n, ())
         for k in range(len(block)):
             yield rows[k * n:(k + 1) * n]
         i += len(block)
@@ -267,6 +326,13 @@ class SpreadReport:
         }
 
 
+# Most sets ``verify_degree_spread`` may inspect (``random spread --budget``).
+# 10**6 sampled sets take about 17 s at t = 30 and 120 s on G(2048, 0.2) at
+# delta = 0.1 (one core of a 2-vCPU x86-64 host); a set's cost grows with
+# delta * t^2, the bits of its rows.
+SPREAD_SETS_LIMIT = 10 ** 6
+
+
 def verify_degree_spread(g: Graph, delta: float, eps: float, rho: float,
                          mode: str = "sampled", sample_budget: int = 10_000,
                          seed: int = 0) -> SpreadReport:
@@ -281,9 +347,18 @@ def verify_degree_spread(g: Graph, delta: float, eps: float, rho: float,
     cutoff = (1 + eps) * rho * delta * t
     threshold = 12 * math.log(math.e / delta) / (rho * eps ** 2)
 
+    packed = _packed_rows(t, g.rows)  # every row's bytes, once
+    step = max(1, _BLOCK_ENTRIES // max(t, 1))
+
     def count_over(vset: tuple[int, ...]) -> int:
-        # deg_V(u) of every u at once: u is adjacent to v iff row v has bit u
-        degrees = bit_matrix(t, [g.rows[v] for v in vset]).sum(axis=0)
+        # deg_V(u) of every u at once: u is adjacent to v iff row v has bit u.
+        # Only the rows of V are unpacked, _BLOCK_ENTRIES bits at a time, and
+        # a uint16 sum cannot overflow: |V| <= t <= MAX_VERTICES < 2**16.
+        vs = np.array(vset, np.intp)
+        degrees = np.zeros(t, np.uint16)
+        for lo in range(0, len(vs), step):
+            bits = np.unpackbits(packed[vs[lo:lo + step]], 1, t, "little")
+            degrees += bits.sum(axis=0, dtype=np.uint16)
         return int(np.count_nonzero(degrees > cutoff))
 
     worst, worst_set, inspected = 0, (), 0

@@ -62,20 +62,35 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class ChaseState:
-    """Record of a neighborhood chase: nested sets, pivots, letter string."""
+    """Record of a neighborhood chase: nested sets, pivots, letter string.
+
+    The sets are kept as bit masks; ``sets``, ``start`` and ``final_set``
+    build frozensets only when they are read."""
 
     pivots: tuple[tuple[int, str], ...]
-    sets: tuple[frozenset[int], ...]   # U_1, U_2, ... (post-step sets)
+    masks: tuple[int, ...]   # U_1, U_2, ... (post-step sets)
     string: str
-    start: frozenset[int]
+    start_mask: int
     red_threshold: float
 
     def pivots_of(self, color: str) -> list[int]:
         return [v for v, c in self.pivots if c == color]
 
     @property
+    def final_mask(self) -> int:
+        return self.masks[-1] if self.masks else self.start_mask
+
+    @property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(bits_of(m)) for m in self.masks)
+
+    @property
+    def start(self) -> frozenset[int]:
+        return frozenset(bits_of(self.start_mask))
+
+    @property
     def final_set(self) -> frozenset[int]:
-        return self.sets[-1] if self.sets else self.start
+        return frozenset(bits_of(self.final_mask))
 
     def check_invariants(self, coloring: Coloring) -> bool:
         """Structural sanity of the trace alone: nesting, pivot adjacency, thresholds."""
@@ -132,17 +147,16 @@ def neighborhood_chase(coloring: Coloring, start_set: Sequence[int],
     the pivot's red neighborhood when it holds at least red_threshold of
     the non-pivot vertices, else to the blue neighborhood.  Stops when
     either letter count hits its cap or the set empties.  The sets are bit
-    masks while the chase runs.
+    masks throughout.
     """
     if not start_set:
         raise ValueError("start_set must be nonempty")
     if stop_R < 1 or stop_B < 1:
         raise ValueError("stop counts must be >= 1")
-    start = frozenset(start_set)
-    if min(start) < 0 or max(start) >= coloring.n:
+    if min(start_set) < 0 or max(start_set) >= coloring.n:
         raise ValueError(f"start_set must lie in 0..{coloring.n - 1}")
     rows = coloring.red_rows
-    current = mask_of(start)
+    start = current = mask_of(start_set)
     pivots: list[tuple[int, str]] = []
     masks: list[int] = []
     reds = blues = 0
@@ -160,8 +174,8 @@ def neighborhood_chase(coloring: Coloring, start_set: Sequence[int],
         pivots.append((pivot, letter))
         masks.append(nxt)
         current = nxt
-    return ChaseState(tuple(pivots), tuple(frozenset(bits_of(m)) for m in masks),
-                      "".join(letter for _, letter in pivots), start, red_threshold)
+    return ChaseState(tuple(pivots), tuple(masks), "".join(letter for _, letter in pivots),
+                      start, red_threshold)
 
 
 def filter_high_blue_degree(coloring: Coloring, A: Sequence[int], B: Sequence[int],
@@ -511,7 +525,7 @@ def _mono_search(coloring: Coloring, pattern: Graph, config: SearchConfig,
     stop = max(1, math.ceil(math.sqrt(rho) * log_ratio * t))
     chase = neighborhood_chase(coloring, range(n), 0.5, stop, stop)
     events.append({"event": "chase", "string": chase.string,
-                   "final_size": len(chase.final_set)})
+                   "final_size": chase.final_mask.bit_count()})
 
     stop_letter = None
     if chase.string.count(RED) >= stop:
@@ -549,7 +563,7 @@ def _mono_via_pivots(coloring: Coloring, pattern: Graph, split: SplitResult,
     events.append({"event": "pivot_attempt", "color": c, "pivots": len(pivots)})
     if len(pivots) >= t:
         return SearchOutcome("found_mono", embedding=_clique_image(pattern, pivots), color=c)
-    final = sorted(chase.final_set)
+    final = list(bits_of(chase.final_mask))
     if len(pivots) < len(split.removed) or len(final) < max(split.subgraph.t, 1):
         return None
     view = coloring if c == RED else coloring.swapped()
@@ -605,19 +619,20 @@ def _random_graph_search(coloring: Coloring, pattern: Graph, witness,
         # chase in the view where ``c`` is red; its blue letters are the other colour
         view = coloring if c == RED else coloring.swapped()
         chase = neighborhood_chase(view, survivors, rho, stop_pivots, max(t - 1, 1))
+        final = chase.final_mask
         events.append({"event": f"chase_{name}", "string": chase.string,
-                       "final_size": len(chase.final_set)})
-        if chase.string.count(BLUE) >= t - 1 and chase.final_set:
-            clique = chase.pivots_of(BLUE) + [min(chase.final_set)]
+                       "final_size": final.bit_count()})
+        if chase.string.count(BLUE) >= t - 1 and final:
+            clique = chase.pivots_of(BLUE) + [next(bits_of(final))]
             return SearchOutcome("found_mono", embedding=_clique_image(pattern, clique),
                                  color=opposite(c))
         anchors[c] = chase.pivots_of(RED)
         if len(anchors[c]) >= t:
             return SearchOutcome("found_mono", embedding=_clique_image(pattern, anchors[c]),
                                  color=c)
-        if len(anchors[c]) < stop_pivots or not chase.final_set:
+        if len(anchors[c]) < stop_pivots or not final:
             return SearchOutcome("exhausted", reason=f"{name} chase emptied before pivot quota")
-        survivors = sorted(chase.final_set)
+        survivors = list(bits_of(final))
 
     # core is not None: with every vertex exceptional, q = t pivots are the
     # quota, so the red chase has already returned.

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -26,8 +26,10 @@ from ramseykit.graphs import (
     _edge_line,
     _first_duplicate,
     _row_blocks,
+    _symmetric_rows,
     bit_matrix,
     bits_of,
+    check_vertex_count,
     mask_of,
     pair_order,
     rows_of,
@@ -39,7 +41,14 @@ from ramseykit.oracle import (
     _embed_backtrack,
     _embed_plan,
 )
-from ramseykit.randomlab import SpreadReport, _rng
+from ramseykit.randomlab import (
+    _SAMPLE_ENTRIES,
+    SEED_LIMIT,
+    SeedError,
+    SpreadReport,
+    _rekey,
+    _rng,
+)
 from ramseykit.search import ChaseState
 
 
@@ -52,6 +61,69 @@ def reference_red_rows(n: int, p: float, seed: int) -> tuple[int, ...]:
     adj |= adj.T
     return tuple(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
                  for row in adj)
+
+
+# The sampler before it drew raw words, verbatim but for the names and the
+# docstrings: one float64 drawn per pair and compared with p, and each block's
+# pairs placed through a tiled mask.  The reference for
+# ``randomlab.sample_red_rows``.
+
+def _reference_upper(lo: int, hi: int, n: int) -> np.ndarray:
+    """Bool (hi - lo) x n mask of the pairs {u, v}, lo <= u < hi and u < v;
+    row-major order is their lexicographic order."""
+    return np.arange(lo, hi)[:, None] < np.arange(n)
+
+
+def reference_pair_rows(red: np.ndarray, n: int, lo: int, hi: int,
+                        earlier: Sequence[int]) -> tuple[int, ...]:
+    """Rows lo..hi-1 of each coloring of a stack, one coloring after another.
+
+    ``red[k]`` holds the colours of the pairs {u, v}, lo <= u < hi and u < v,
+    of the k-th coloring, in lexicographic order.  When lo > 0 the stack holds
+    one coloring, and ``earlier`` are its rows 0..lo-1.
+    """
+    k, rows = len(red), hi - lo
+    a = np.zeros((k * rows, n), dtype=bool)
+    a[np.tile(_reference_upper(lo, hi, n), (k, 1))] = red.ravel()
+    return _symmetric_rows(a.reshape(k, rows, n), lo, earlier)
+
+
+def reference_sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    check_vertex_count(n)
+    if not 0 <= p <= 1:
+        raise ValueError("p must lie in [0, 1]")
+    if seeds and not (seeds[0] >= 0 and seeds[-1] < SEED_LIMIT):
+        raise SeedError(f"seeds must lie in [0, 2**128), got {seeds[0]} to {seeds[-1]}")
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    pairs = n * (n - 1) // 2
+    fit = _SAMPLE_ENTRIES // max(n * n, 1)  # seeds whose matrices fit one block
+    size = 1
+    i = 0
+    while i < len(seeds):
+        if not fit:
+            _rekey(bitgen, seeds[i])
+            rows: list[int] = []
+            step = _SAMPLE_ENTRIES // (2 * n)
+            for lo in range(0, n, step):
+                hi = min(lo + step, n)
+                count = (hi - lo) * (2 * n - lo - hi - 1) // 2  # pairs {u, v}, lo <= u < hi, u < v
+                rows.extend(reference_pair_rows((gen.random(count) < p)[None], n, lo, hi, rows))
+            yield tuple(rows)
+            i += 1
+            continue
+        block = seeds[i:i + min(size, fit)]
+        draws = np.empty((len(block), pairs))
+        for k, seed in enumerate(block):
+            _rekey(bitgen, seed)
+            gen.random(out=draws[k])
+        rows = reference_pair_rows(draws < p, n, 0, n, ())
+        for k in range(len(block)):
+            yield rows[k * n:(k + 1) * n]
+        i += len(block)
+        size *= 2
 
 
 def reference_pack_rows(adj: np.ndarray) -> tuple[int, ...]:
@@ -148,8 +220,9 @@ def reference_certify_lower(pattern: Graph, n: int, tries: int, seed: int,
     return None
 
 
-# The chase before it ran on bit masks, verbatim but for its name: the
-# reference for ``search.neighborhood_chase``.
+# The chase before it ran on bit masks, verbatim but for its name and its
+# return, which builds the record's masks from its sets: the reference for
+# ``search.neighborhood_chase``.
 
 def reference_neighborhood_chase(coloring: Coloring, start_set: Sequence[int],
                                  red_threshold: float, stop_R: int, stop_B: int) -> ChaseState:
@@ -180,8 +253,8 @@ def reference_neighborhood_chase(coloring: Coloring, start_set: Sequence[int],
         letters.append(letter)
         sets.append(nxt)
         current = nxt
-    return ChaseState(tuple(pivots), tuple(sets), "".join(letters),
-                      frozenset(start_set), red_threshold)
+    return ChaseState(tuple(pivots), tuple(mask_of(s) for s in sets), "".join(letters),
+                      mask_of(frozenset(start_set)), red_threshold)
 
 
 # The graph writer before it listed edges with ``flatnonzero``, verbatim but

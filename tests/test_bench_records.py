@@ -62,6 +62,52 @@ def test_rejects_a_broken_record(break_it):
         bench.check_record(record)
 
 
+def _runs(values: dict, sha=("a",)) -> dict:
+    """Pair runs whose metrics all read the given value lists, per side."""
+    return {label: [{"metrics": dict.fromkeys(bench.WORKLOAD_METRICS, v),
+                     "sha256": [list(sha)]} for v in vs] for label, vs in values.items()}
+
+
+# before runs with a median of 1 and an interquartile range of 0.175
+BEFORE = [0.8, 0.85, 0.9, 0.95, 1.0, 1.0, 1.05, 1.1, 1.15, 1.2]
+
+
+@pytest.mark.parametrize("after, verdicts", [
+    # lower is better for op_p50_s, higher for ops_per_s
+    ([b / 2 for b in BEFORE], {"op_p50_s": "gain", "ops_per_s": "loss"}),
+    ([b * 2 for b in BEFORE], {"op_p50_s": "loss", "ops_per_s": "gain"}),
+    # 8 of 10 wins
+    ([b / 2 for b in BEFORE[:8]] + [b * 2 for b in BEFORE[8:]],
+     {"op_p50_s": "unresolved", "ops_per_s": "unresolved"}),
+    # 10 of 10 wins, but a median gap of 0.01, inside the before runs' spread
+    ([b - 0.01 for b in BEFORE], {"op_p50_s": "unresolved", "ops_per_s": "unresolved"}),
+])
+def test_pair_rows_verdict(after, verdicts):
+    rows = {r["name"]: r for r in bench.pair_rows("w", _runs({"before": BEFORE,
+                                                               "after": after}))}
+    for metric, verdict in verdicts.items():
+        row = rows[f"w {metric}"]
+        assert row["verdict"] == verdict
+        assert row["before"] == 1.0 and row["ratio"] == row["after"]
+        assert row["parent_iqr_over_median"] == pytest.approx(0.175)
+    assert rows["w ops whose output sha256 differs"]["after"] == 0
+    record = copy.deepcopy(_record())
+    record["rows"] = list(rows.values())
+    bench.check_record(record)
+
+
+def test_pair_rows_count_ops_whose_output_differs():
+    runs = _runs({"before": [1.0, 1.0]})
+    runs["after"] = _runs({"after": [1.0, 1.0]}, sha=("b",))["after"]
+    rows = bench.pair_rows("w", runs)
+    assert rows[-1] == {"name": "w ops whose output sha256 differs", "unit": "ops",
+                        "before": 0, "after": 1}
+
+
+def test_pair_seeds_start_with_the_held_out_one():
+    assert bench.pair_seeds(10) == [90417, *range(1, 10)]
+
+
 def _bench_row(flag: str) -> dict:
     """``bench.py`` run on R(3,3) at n_max 8 with one of its oracle-row flags,
     in a fresh process on this checkout's ``src`` as the tool runs it

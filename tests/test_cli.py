@@ -347,8 +347,9 @@ class TestFailuresAreOneLine:
                   for e in ("0", "-5", str(10 ** 8 + 1), str(2 ** 128)))),
         *_cases(["random", "spread", "--graph", "gnp:30:0.3:2", "--delta", "0.2", "--eps",
                  "0.5", "--rho", "0.3"],
-                (["--budget", "-5"], "--budget must be at least 1, got -5"),
-                (["--budget", "0"], "--budget must be at least 1, got 0"),
+                # SPREAD_SETS_LIMIT, 10**6 sets
+                *((["--budget", b], f"--budget must be in [1, 1000000], got {b}")
+                  for b in ("-5", "0", str(10 ** 6 + 1), str(2 ** 128))),
                 (["--seed", "-1"], "--seed must be in [0, 2**128), got -1"),
                 (["--seed", str(2 ** 128)], f"--seed must be in [0, 2**128), got {2 ** 128}"),
                 (["--delta", "0"], "--delta must be in (0, 1], got 0.0"),
@@ -414,6 +415,16 @@ class TestFailuresAreOneLine:
         (["sweep", "--kind", "bounds", "--theorem", "main-dense", "--rho", "1/16",
           "--t", "8:64:0"], "--t must be start:stop:step with a step of at least 1, "
                             "got '8:64:0'"),
+        # grids of more than GRID_LIMIT, 10**4 values, refused before their lists exist
+        *_cases(["sweep", "--kind", "search", "--pattern", "k3"],
+                (["--n", "8", "--seeds", f"0:{10 ** 12}:1"],
+                 f"--seeds must be a grid of at most 10000 values, got {10 ** 12 + 1} "
+                 f"in '0:{10 ** 12}:1'"),
+                (["--n", "1:10001:1"], "--n must be a grid of at most 10000 values, "
+                                       "got 10001 in '1:10001:1'")),
+        (["bounds", "--theorem", "main-dense", "--rho", "1/16", "--grid",
+          "--t", f"2:{2 ** 128}:3"], f"--t must be a grid of at most 10000 values, "
+                                     f"got {(2 ** 128 - 2) // 3 + 1} in '2:{2 ** 128}:3'"),
         (["bounds", "--theorem", "main-dense", "--rho", "1/16", "--grid", "--t", "x7"],
          "--t must be an integer, a comma list of them or start:stop:step, got 'x7'"),
         (["bounds", "--theorem", "main-dense", "--rho", "1/16", "--t", "x7"],

@@ -164,12 +164,14 @@ class TestSerialization:
 
     @given(st.composite(random_graph)())
     def test_graph_round_trip(self, g):
-        assert parse_graph(serialize_graph(g)).rows == g.rows
+        text = serialize_graph(g)
+        assert parse_graph(text).rows == parse_graph(text.encode()).rows == g.rows
 
     @given(st.composite(random_graph)())
     def test_serialize_is_canonical(self, g):
         text = serialize_graph(g)
-        assert serialize_graph(parse_graph(text)) == text
+        assert serialize_graph(parse_graph(text)) == serialize_graph(parse_graph(text.encode())) \
+            == text
 
     def test_coloring_long_round_trip(self):
         c = Coloring.from_red_graph(Graph.from_edges(4, [(0, 1), (2, 3)]))
@@ -396,6 +398,14 @@ def outcome(fn, *args):
         return ("value", str(e))
 
 
+def parsed(text):
+    """What ``parse_graph`` makes of ``text``: ("ok", (t, rows)) or its error,
+    checked to be what it makes of the text's UTF-8 bytes too."""
+    got = outcome(lambda: (lambda g: (g.t, g.rows))(parse_graph(text)))
+    assert outcome(lambda: (lambda g: (g.t, g.rows))(parse_graph(text.encode()))) == got
+    return got
+
+
 @st.composite
 def raw_rows(draw):
     """Rows of a symmetric graph, then damaged: asymmetric pairs, loops,
@@ -515,7 +525,7 @@ class TestBitMatrixDifferential:
     @settings(max_examples=300, deadline=None)
     @given(graph_texts())
     def test_parse_matches_reference(self, text):
-        new = outcome(lambda: (lambda g: (g.t, g.rows))(parse_graph(text)))
+        new = parsed(text)
         assert new == outcome(ref_parse_graph, text)
 
     @pytest.mark.parametrize("lines", [["0 1", "1 2 3", "4"], ["0 1", "4", "1 2 3"],
@@ -526,14 +536,13 @@ class TestBitMatrixDifferential:
         # 2m digit runs in all, but one line holds three and another one
         text = "t 6 m 3\n" + "\n".join(lines) + "\n"
         first_bad = next(i for i, ln in enumerate(lines, 2) if len(ln.split()) != 2)
-        assert outcome(parse_graph, text) == outcome(ref_parse_graph, text)
-        assert outcome(parse_graph, text) == ("format", f"line {first_bad}: expected '<u> <v>'",
-                                              first_bad)
+        assert parsed(text) == outcome(ref_parse_graph, text)
+        assert parsed(text) == ("format", f"line {first_bad}: expected '<u> <v>'", first_bad)
 
     def test_earlier_duplicate_reported_before_later_format_error(self):
         text = "t 4 m 4\n0 1\n1 2\n0 1\n2 x\n"
-        assert outcome(parse_graph, text) == outcome(ref_parse_graph, text)
-        assert outcome(parse_graph, text)[2] == 4
+        assert parsed(text) == outcome(ref_parse_graph, text)
+        assert parsed(text)[2] == 4
 
     @pytest.mark.parametrize("line", [
         "0 2\r", "00 002", "0 1_2", "\u0660 \u0662", f"0 {2:020d}", f"0 {10 ** 19}",
@@ -548,7 +557,7 @@ class TestBitMatrixDifferential:
         edges = ["0 1", "1 2", "2 3"]
         edges.insert(where, line)
         text = "t 4 m 4\n" + "\n".join(edges) + "\n"
-        new = outcome(lambda: (lambda g: (g.t, g.rows))(parse_graph(text)))
+        new = parsed(text)
         assert new == outcome(ref_parse_graph, text)
 
     @settings(max_examples=60, deadline=None)
@@ -613,7 +622,7 @@ class TestRowBlocks:
     @given(graph_texts(), st.integers(1, 300), st.integers(1, 64))
     def test_parse_matches_reference(self, text, entries, text_bytes):
         with row_blocks_of(entries, text_bytes):
-            new = outcome(lambda: (lambda g: (g.t, g.rows))(parse_graph(text)))
+            new = parsed(text)
         assert new == outcome(ref_parse_graph, text)
 
     @settings(max_examples=40, deadline=None)
@@ -648,6 +657,60 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert rows == g.rows
         assert peak < 40 << 20
+
+
+# The graph texts of the tests above as bytes, and bytes that are read as
+# their str: not ASCII or not UTF-8, with a line break other than "\n", a
+# separator \x1c-\x1f, or blank lines before the header.
+BYTES_CASES = [
+    b"t 3 m 2\n0 1\n1 2", b"t 2 m 1\n0 0", b"t 3 m 2\n0 1\n0 1", b"t 3 m 1\n0 3",
+    b"t 50000 m 0\n", b"t 4096 m 2\n0 4095\n17 18\n", b"", b"  \t ", b"\n \n",
+    b" \t t 3 m 1\n0 1\n  \n", b"t 3 m 1", b"t 3 m 0\n", b"t x m 1\n0 1\n",
+    "t 3 m 1\n\u0660 \u0662\n".encode(), "t 3 m 1\n0\u20032\n".encode(),
+    "t 3 m 1\n0 2 \u00e9\n".encode(), "\u0085t 3 m 1\n0 2\u2028".encode(),
+    b"t 3 m 2\r\n0 1\r\n1 2\r\n", b"t 3 m 2\n0 1\r1 2", b"t 3 m 1\n0\x1f2\n",
+    b"\x1ft 3 m 1\n0 2\x1f", b"t 3 m 2\n0 1\x0b1 2", b"t 3 m 2\n0 1\x0c1 2\n",
+    b"t 3 m 2\n0 1\x1c1 2", b"t 3 m 2\n0 1\x1d1 2\x1e", b"\n\nt 3 m 1\n0 x\n",
+    b"\n\nt 3 m 1\n0 2\n", b"\n\nt 3 m 2\n0 2\n0 2\n", b" \n t 3 m 1\n0 9\n",
+    b"t 3 m 1\n0 \xff\n", b"\n\nt 3 m 1\n0 \xff\n", b"t 3 m 1\n0 2\xe2\x80\n",
+]
+
+
+class TestParseBytes:
+    """``parse_graph`` of a file's bytes against the text they decode to."""
+
+    @pytest.mark.parametrize("data", BYTES_CASES)
+    def test_bytes_parse_as_their_text(self, data):
+        def graph(g):
+            return g.t, g.rows
+        assert outcome(lambda: graph(parse_graph(data))) == \
+            outcome(lambda: graph(parse_graph(decode_text(data))))
+
+    @pytest.mark.parametrize("data, in_place", [
+        (b"t 3 m 1\n0 2\n", True), (b" \t t 3 m 1\n0 2 \n\n\t", True),
+        (b"t 3 m 1\n0 x\n", True), (b"\nt 3 m 1\n0 2\n", False),
+        (b"t 3 m 1\r\n0 2\r\n", False), ("t 3 m 1\n0 2 \u00e9\n".encode(), False),
+        (b"t 3 m 1\n0\x1f2\n", False), (b"t 3 m 1\n0 2\x0c", False),
+    ])
+    def test_plain_ascii_read_in_place(self, monkeypatch, data, in_place):
+        texts = []
+        parse_text = graphs._parse_text
+        monkeypatch.setattr(graphs, "_parse_text",
+                            lambda text: texts.append(text) or parse_text(text))
+        outcome(parse_graph, data)
+        assert texts == ([] if in_place else [data.decode()])
+
+    def test_bytes_parse_peak_memory(self):
+        g = sample_gnp(2048, 0.2, 1)
+        data = serialize_graph(g).encode()  # 3.7 MB, 419k edge lines
+        tracemalloc.start()
+        try:
+            rows = parse_graph(data).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == g.rows
+        assert peak < 10 << 20  # 7.2 MB measured; 25 MB for the text before
 
 
 @contextmanager
@@ -717,17 +780,18 @@ class TestWordReader:
         """At the default block size, or blocks of about ``text_bytes`` bytes."""
         with row_blocks_of(graphs._BLOCK_ENTRIES, text_bytes), \
                 reader_checked_against_reference():
-            new = outcome(lambda: (lambda g: (g.t, g.rows))(parse_graph(text)))
+            new = parsed(text)
         assert new == outcome(ref_parse_graph, text)
 
     @pytest.mark.parametrize("width", PADDED_WIDTHS)
     def test_padded_endpoint_left_to_edge_line_only_past_18_digits(self, width):
         text = f"t 4 m 3\n0 1\n{1:0{width}d} {3:0{width}d}\n2 3\n"
-        calls = []
-        with edge_line_calls(graphs, calls):
-            g = parse_graph(text)
-        assert g == Graph.from_edges(4, [(0, 1), (1, 3), (2, 3)])
-        assert calls == ([3] if width > graphs._MAX_DIGITS else [])
+        for form in (text, text.encode()):
+            calls = []
+            with edge_line_calls(graphs, calls):
+                g = parse_graph(form)
+            assert g == Graph.from_edges(4, [(0, 1), (1, 3), (2, 3)])
+            assert calls == ([3] if width > graphs._MAX_DIGITS else [])
 
     @pytest.mark.parametrize("lo", range(9))
     def test_words_reaching_before_the_data(self, lo):
@@ -752,11 +816,12 @@ class TestWordReader:
         has no newline)."""
         lines = ["0 1", "12 345", f"{7:09d} 8", "0 00000000000000000999", "3 9", "1000 1001"]
         text = "t 1002 m 6\n" + "\n".join(lines)
-        with row_blocks_of(graphs._BLOCK_ENTRIES, text_bytes), \
-                reader_checked_against_reference():
-            g = parse_graph(text)
-        assert g == Graph.from_edges(1002, [(0, 1), (12, 345), (7, 8), (0, 999), (3, 9),
-                                            (1000, 1001)])
+        for form in (text, text.encode()):
+            with row_blocks_of(graphs._BLOCK_ENTRIES, text_bytes), \
+                    reader_checked_against_reference():
+                g = parse_graph(form)
+            assert g == Graph.from_edges(1002, [(0, 1), (12, 345), (7, 8), (0, 999), (3, 9),
+                                                (1000, 1001)])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.text("0123456789", min_size=1, max_size=18), min_size=1, max_size=12),
@@ -880,6 +945,14 @@ class TestCompactColoring:
         with row_blocks_of(entries or graphs._BLOCK_ENTRIES):
             assert serialize_coloring(c, compact=True) == text
             assert parse_coloring(text) == c
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 64, 65, 512])
+    @pytest.mark.parametrize("p", [0, 0.5, 1])
+    def test_round_trip_at_byte_and_word_edges(self, n, p):
+        c = sample_coloring(n, p, n)
+        text = serialize_coloring(c, compact=True)
+        assert text == reference_serialize_coloring_compact(c)
+        assert parse_coloring(text) == c == reference_coloring_from_hex(n, text.split()[3])
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-2, 12), st.data())

@@ -1,5 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,13 @@ from ramseykit.graphs import Graph, mask_of, serialize_coloring, serialize_graph
 from ramseykit.patterns import named_graph
 from ramseykit.randomlab import SEED_LIMIT
 
-from references import reference_red_rows, reference_verify_degree_spread
+from references import (
+    reference_red_rows,
+    reference_sample_red_rows,
+    reference_verify_degree_spread,
+)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # Frozen on first run against generator philox-4x64-v1; a change here means
 # the sampler's output stream changed and every pinned experiment breaks.
@@ -142,6 +153,83 @@ class TestSamplerMatchesGenerator:
             randomlab.sample_coloring(-2, 0.5, 0)
 
 
+# p at the ends of the raw-word cut: no word, the words of draw 0.0 alone,
+# two middles, every word but those of the largest draw, and every word
+CUT_PS = [0, 2 ** -53, 0.25, 0.5, 1 - 2 ** -53, 1]
+
+
+class _Words:
+    """A stand-in bit generator whose raw words are the given ones."""
+
+    def __init__(self, words):
+        self.words = np.array(words, np.uint64)
+
+    def random_raw(self, size):
+        out, self.words = self.words[:size], self.words[size:]
+        return out
+
+
+class TestRawWordSampler:
+    """The raw-word sampler against the float-draw one it replaced."""
+
+    @pytest.mark.parametrize("n", [*range(71), 2049])
+    @pytest.mark.parametrize("p", CUT_PS)
+    def test_matches_float_draws(self, n, p):
+        for seed in (0, SEED_LIMIT - 40):
+            seeds = range(seed, seed + 1)
+            assert list(randomlab.sample_red_rows(n, p, seeds)) == \
+                list(reference_sample_red_rows(n, p, seeds))
+
+    @pytest.mark.parametrize("p", CUT_PS)
+    def test_block_of_300_seeds(self, p):
+        assert list(randomlab.sample_red_rows(6, p, range(300))) == \
+            list(reference_sample_red_rows(6, p, range(300)))
+
+    @pytest.mark.parametrize("seed", [0, 7, SEED_LIMIT - 1])
+    def test_draw_is_the_raw_word_shifted(self, seed):
+        """The premise of the cut: ``Generator.random()`` is (w >> 11) * 2**-53
+        of the raw words w of the same stream."""
+        words = np.random.Philox(key=seed).random_raw(1000)
+        draws = np.random.Generator(np.random.Philox(key=seed)).random(1000)
+        assert (draws == (words >> np.uint64(11)) * 2.0 ** -53).all()
+
+    @pytest.mark.parametrize("p", [*CUT_PS, 0.3, 1 / 3, 0.1 + 2 ** -50, 2 ** -60])
+    def test_cut_is_draw_below_p(self, p):
+        """Words on both sides of the cut and at both ends, coloured as
+        their draws compare with p; more words than one chunk."""
+        cut = randomlab._red_cut(p)
+        near = [cut + d for d in (-2049, -2048, -1, 0, 1, 2047, 2048)]
+        words = [w for w in near + [0, 1, 2047, 2048, 2 ** 64 - 2048, 2 ** 64 - 1]
+                 if 0 <= w < 2 ** 64]
+        words = words * (randomlab._WORD_CHUNK // len(words) + 2)
+        red = np.empty(len(words), bool)
+        randomlab._draw_red(_Words(words), cut, red)
+        draws = (np.array(words, np.uint64) >> np.uint64(11)) * 2.0 ** -53
+        assert (red == (draws < p)).all()
+
+    def test_numpy_random_loaded_on_first_draw(self):
+        """Importing the package leaves ``numpy.random`` unloaded; numpy 2
+        loads it on first use, and that costs import time."""
+        code = ("import sys, ramseykit.cli, ramseykit.randomlab as r\n"
+                "assert r._bitgen is None\n"
+                "print('numpy.random' in sys.modules)\n"
+                "r.sample_coloring(5, 0.5, 1)\n"
+                "print(r._bitgen is not None)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC), check=True)
+        assert proc.stdout.split() == ["False", "True"]
+
+    def test_sampling_peak_memory(self):
+        randomlab.sample_gnp(64, 0.2, 1)  # the bit generator exists
+        tracemalloc.start()
+        try:
+            randomlab.sample_gnp(2048, 0.2, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 << 20  # 11.6 MB measured; 30 MB with float draws
+
+
 def recheck_partition(g: Graph, cert) -> bool:
     """Independent recomputation of both certificate inequalities."""
     t = g.t
@@ -235,6 +323,15 @@ class TestDegreeSpreadMatchesReference:
         g = randomlab.sample_gnp(t, p, seed)
         args = (g, delta, eps, rho, "sampled", budget, spread_seed)
         assert randomlab.verify_degree_spread(*args) == reference_verify_degree_spread(*args)
+
+    @pytest.mark.parametrize("entries", [1, 100, 1000])
+    def test_sets_unpacked_in_blocks_of_rows(self, monkeypatch, entries):
+        """A set's rows unpacked one row, or a few rows, at a time."""
+        monkeypatch.setattr(randomlab, "_BLOCK_ENTRIES", entries)
+        g = randomlab.sample_gnp(150, 0.3, 4)
+        for delta in (0.05, 0.5, 1.0):
+            args = (g, delta, 0.5, 0.3, "sampled", 20, 9)
+            assert randomlab.verify_degree_spread(*args) == reference_verify_degree_spread(*args)
 
     @pytest.mark.parametrize("mode, t, budget", [("sampled", 32, 40), ("exhaustive", 8, 28)])
     def test_degree_at_the_cutoff_is_not_over(self, mode, t, budget):
