@@ -1,7 +1,6 @@
 """Time two checkouts side by side and write a BENCH json.
 
-    python3 scripts/bench.py --before OLD --after NEW --out BENCH_24.json
-    python3 scripts/bench.py --before OLD --after NEW --pairs 10 --workload dense_sampling
+    python3 scripts/bench.py --before OLD --after NEW --out BENCH_24.json [--pairs 10]
 
 OLD and NEW are checkouts of this repository (each one's ``src`` is put on
 PYTHONPATH; the tier-1 suite and perfbench run inside it).  Every measurement
@@ -9,8 +8,7 @@ runs in a fresh process, and the two checkouts alternate (the one that goes
 first switches every round), so a slow spell of the host lands on both.
 A row's value is the median over rounds; each primitive is itself the median
 of a few in-process repeats (the t = 5 and 9 constructions: the best of five
-runs of 20,000 calls).  Without ``--out`` only the workload pairs run, and
-their table is printed.  Rows:
+runs of 20,000 calls).  Rows:
 
 * primitives: ``sample_gnp`` at t = 2048 and 4096 (rho 0.2),
   ``sample_coloring`` at n = 20, 80 and 320 (p 1/2, the ``search_sweep``
@@ -155,9 +153,7 @@ def _read_all_edge_lines(text: str) -> None:
     t, m = map(int, body[:end].split()[1::2])
     us, vs = np.empty(m, np.int64), np.empty(m, np.int64)
     read = 0
-    # the blocks up to a stop offset, or (before that) to the end of the data
-    stop = (len(data),) if _text_blocks.__code__.co_argcount == 3 else ()
-    for lo, hi in _text_blocks(data, end + 1, *stop):
+    for lo, hi in _text_blocks(data, end + 1):
         read = _read_edge_lines(body, data, lo, hi, t, us, vs, read)
     if read != m:
         raise SystemExit(f"the byte pass read {read} of {m} edge lines")
@@ -376,9 +372,9 @@ def pair_rows(workload: str, runs: dict) -> list[dict]:
     return rows
 
 
-def run_pairs(roots: dict, workloads: list[str], pairs: int) -> list[dict]:
+def run_pairs(roots: dict, pairs: int) -> list[dict]:
     rows = []
-    for workload in workloads:
+    for workload in WORKLOADS:
         runs = {label: [] for label in roots}
         for k, seed in enumerate(pair_seeds(pairs)):
             print(f"{workload} seed {seed}", file=sys.stderr)
@@ -447,10 +443,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--before", type=Path, help="checkout measured as 'before'")
     p.add_argument("--after", type=Path, help="checkout measured as 'after'")
-    p.add_argument("--out", type=Path, help="BENCH json to write; without it only the pairs run")
+    p.add_argument("--out", type=Path, help="BENCH json to write")
     p.add_argument("--pairs", type=int, default=10, help="workload pairs, one per seed")
-    p.add_argument("--workload", action="append", choices=WORKLOADS,
-                   help="a workload to pair (repeatable; default all three)")
     p.add_argument("--primitives", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--oracle-call", nargs=4, help=argparse.SUPPRESS)
     p.add_argument("--oracle-calls", nargs=4, help=argparse.SUPPRESS)
@@ -463,15 +457,11 @@ def main(argv=None) -> int:
             h1, h2, n_max, guard = case
             print(json.dumps(measure(h1, h2, int(n_max), int(guard))))
             return 0
-    if not (args.before and args.after):
-        p.error("--before and --after are required")
+    if not (args.before and args.after and args.out):
+        p.error("--before, --after and --out are required")
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
     roots = {"before": args.before.resolve(), "after": args.after.resolve()}
-    workloads = args.workload or list(WORKLOADS)
-    if not args.out:
-        print_pairs(run_pairs(roots, workloads, args.pairs))
-        return 0
     rows = []
 
     print("primitives", file=sys.stderr)
@@ -504,7 +494,7 @@ def main(argv=None) -> int:
     rows.append(_row("tier-1 tests passed", "count",
                      {label: [r["passed"] for r in v] for label, v in runs.items()}))
 
-    pairs = run_pairs(roots, workloads, args.pairs)
+    pairs = run_pairs(roots, args.pairs)
     print_pairs(pairs)
     rows += pairs
 

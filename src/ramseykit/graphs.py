@@ -638,17 +638,22 @@ def _edge_rows(t: int, at: np.ndarray) -> tuple[int, ...]:
 
 
 # Bytes of text read in one pass: bounds the per-byte and per-token arrays.
-# Reading and parsing a G(2048, 0.2) file (3.7 MB) peaks at 10.8 MB with
-# 256 KB passes, in 61 ms of CPU, and at 18.5 MB with 1 MB passes, in 101 ms
-# (tracemalloc; one core of a 2-vCPU x86-64 host).
+# Against 1 MB passes, 256 KB ones read and parse a G(2048, 0.2) file
+# (3.7 MB) at a peak of 10.8 MB, not 18.5, in 56 ms of CPU, not 72, and a
+# G(4096, 0.2) file (15.9 MB) in 152 ms, not 182, at the same 43.8 MB peak,
+# which validation holds (medians of 12 interleaved fresh-process rounds;
+# tracemalloc; one core of a 2-vCPU x86-64 host).
 _TEXT_BLOCK = 1 << 18
 # Longest endpoint the byte pass converts: 18 digits always fit in int64.
 _MAX_DIGITS = 18
 
 
-def _text_blocks(data: bytes, start: int, stop: int) -> Iterator[tuple[int, int]]:
+def _text_blocks(data: bytes, start: int, stop: Optional[int] = None
+                 ) -> Iterator[tuple[int, int]]:
     """Byte ranges lo..hi-1 of whole lines, about _TEXT_BLOCK bytes each, that
-    cover data[start:stop]; each hi is a newline or ``stop``."""
+    cover data[start:stop] (to the end of ``data`` by default); each hi is a
+    newline or ``stop``."""
+    stop = len(data) if stop is None else stop
     while start <= stop:
         end = data.find(b"\n", start + _TEXT_BLOCK, stop)
         end = stop if end < 0 else end
