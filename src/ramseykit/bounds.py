@@ -1,10 +1,13 @@
 """Closed-form Ramsey bound evaluators, in the log2 domain.
 
 Raw bound values are 2^Theta(t) and overflow machine arithmetic, so every
-evaluator returns log2 of the bound.  Out-of-range parameters never raise:
-the value is computed anyway and the named precondition flags record which
+evaluator returns log2 of the bound.  An unmet hypothesis never raises: the
+value is computed anyway and the named precondition flags record which
 hypotheses fail, so parameter sweeps can chart formulas beyond their proven
-range while marking invalid regions.
+range while marking invalid regions.  A parameter outside a formula's domain
+raises ValueError: rho outside (0, 1], t < 2, s < 0, m outside (0, C(t,2)].
+``TABLE`` declares each theorem once: its evaluator and the parameters it
+takes.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 Rho = Union[Fraction, float]
 
@@ -23,20 +26,6 @@ C_CLIQUE_MAXDEG = 12
 C_CLIQUE_DENSE = 15
 C_RANDOM_GRAPH = 1100
 C_LOWER_RANDOM_EDGES = Fraction(1, 4)
-
-THEOREMS = (
-    "main-dense",
-    "clique-maxdeg",
-    "clique-dense",
-    "edges-form",
-    "random-graph",
-    "base-case",
-    "induction-step",
-    "lower",
-)
-
-# Theorems whose formula takes no density, or an optional one.
-RHO_OPTIONAL = ("edges-form", "base-case")
 
 
 @dataclass(frozen=True)
@@ -87,43 +76,24 @@ def log2_ratio(rho: Rho) -> float:
     return 1.0 - math.log2(float(rho))
 
 
-def bound_main_dense(t: int, rho: Rho) -> BoundReport:
-    """r(H) <= 2^(15 sqrt(rho) log2(2/rho) t) for density-rho H, rho <= 1/16."""
-    _check_t(t)
-    r = _check_rho(rho)
-    value = C_MAIN_DENSE * math.sqrt(r) * log2_ratio(r) * t
-    return BoundReport(
-        "main-dense",
-        {"t": t, "rho": rho},
-        value,
-        {"rho_le_1_16": _rho_at_most(rho, 16)},
-    )
+def _density_bound(theorem: str, c: float, f: Callable[[float], float], k: float,
+                   q: int) -> Callable[[int, Rho], BoundReport]:
+    """The bound c f(rho) log2^k(2/rho) t of ``theorem``, flagged when rho > 1/q."""
+    def bound(t: int, rho: Rho) -> BoundReport:
+        _check_t(t)
+        r = _check_rho(rho)
+        return BoundReport(theorem, {"t": t, "rho": rho}, c * f(r) * log2_ratio(r) ** k * t,
+                           {f"rho_le_1_{q}": _rho_at_most(rho, q)})
+    bound.__name__ = bound.__qualname__ = "bound_" + theorem.replace("-", "_")
+    return bound
 
 
-def bound_clique_maxdeg(t: int, rho: Rho) -> BoundReport:
-    """r(K_t, H) <= 2^(12 rho log2^2(2/rho) t) for max degree rho*t, rho <= 1/16."""
-    _check_t(t)
-    r = _check_rho(rho)
-    value = C_CLIQUE_MAXDEG * r * log2_ratio(r) ** 2 * t
-    return BoundReport(
-        "clique-maxdeg",
-        {"t": t, "rho": rho},
-        value,
-        {"rho_le_1_16": _rho_at_most(rho, 16)},
-    )
-
-
-def bound_clique_dense(t: int, rho: Rho) -> BoundReport:
-    """r(K_t, H) <= 2^(15 sqrt(rho) log2^(3/2)(2/rho) t) for density rho <= 1/50."""
-    _check_t(t)
-    r = _check_rho(rho)
-    value = C_CLIQUE_DENSE * math.sqrt(r) * log2_ratio(r) ** 1.5 * t
-    return BoundReport(
-        "clique-dense",
-        {"t": t, "rho": rho},
-        value,
-        {"rho_le_1_50": _rho_at_most(rho, 50)},
-    )
+# r(H) <= 2^(15 sqrt(rho) log2(2/rho) t) for density-rho H, rho <= 1/16
+bound_main_dense = _density_bound("main-dense", C_MAIN_DENSE, math.sqrt, 1, 16)
+# r(K_t, H) <= 2^(12 rho log2^2(2/rho) t) for max degree rho*t, rho <= 1/16
+bound_clique_maxdeg = _density_bound("clique-maxdeg", C_CLIQUE_MAXDEG, float, 2, 16)
+# r(K_t, H) <= 2^(15 sqrt(rho) log2^(3/2)(2/rho) t) for density rho <= 1/50
+bound_clique_dense = _density_bound("clique-dense", C_CLIQUE_DENSE, math.sqrt, 1.5, 50)
 
 
 def bound_edges_form(m: int, t: int) -> BoundReport:
@@ -218,29 +188,39 @@ def lower_bounds(t: int, rho: Rho) -> tuple[BoundReport, BoundReport]:
     return plant, random_edges
 
 
+class Theorem(NamedTuple):
+    """A theorem's evaluator and the keyword parameters it takes, in
+    ``evaluate``'s order; an ``optional`` one may be None."""
+
+    bound: Callable[..., Union[BoundReport, tuple[BoundReport, ...]]]
+    params: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+
+    @property
+    def required(self) -> tuple[str, ...]:
+        return tuple(p for p in self.params if p not in self.optional)
+
+
+TABLE = {
+    "main-dense": Theorem(bound_main_dense, ("t", "rho")),
+    "clique-maxdeg": Theorem(bound_clique_maxdeg, ("t", "rho")),
+    "clique-dense": Theorem(bound_clique_dense, ("t", "rho")),
+    "edges-form": Theorem(bound_edges_form, ("t", "m")),
+    "random-graph": Theorem(bound_random_graph, ("t", "rho")),
+    "base-case": Theorem(bound_base_case, ("t", "rho", "s"), optional=("rho",)),
+    "induction-step": Theorem(bound_induction_step, ("t", "rho", "s")),
+    "lower": Theorem(lower_bounds, ("t", "rho")),
+}
+THEOREMS = tuple(TABLE)
+
+
 def evaluate(theorem: str, *, t: Optional[int] = None, rho: Optional[Rho] = None,
              s: Optional[int] = None, m: Optional[int] = None):
-    """Dispatch by theorem id; used by the CLI."""
-    if theorem == "main-dense":
-        return bound_main_dense(t, rho)
-    if theorem == "clique-maxdeg":
-        return bound_clique_maxdeg(t, rho)
-    if theorem == "clique-dense":
-        return bound_clique_dense(t, rho)
-    if theorem == "edges-form":
-        if m is None:
-            raise ValueError("edges-form requires m")
-        return bound_edges_form(m, t)
-    if theorem == "random-graph":
-        return bound_random_graph(t, rho)
-    if theorem == "base-case":
-        if s is None:
-            raise ValueError("base-case requires s")
-        return bound_base_case(s, t, rho)
-    if theorem == "induction-step":
-        if s is None:
-            raise ValueError("induction-step requires s")
-        return bound_induction_step(s, t, rho)
-    if theorem == "lower":
-        return lower_bounds(t, rho)
-    raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
+    """Dispatch by theorem id through ``TABLE``; used by the CLI."""
+    if theorem not in TABLE:
+        raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
+    entry, given = TABLE[theorem], {"t": t, "rho": rho, "s": s, "m": m}
+    for p in entry.required:
+        if given[p] is None:
+            raise ValueError(f"{theorem} requires {p}")
+    return entry.bound(**{p: given[p] for p in entry.params})

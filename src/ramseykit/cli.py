@@ -214,15 +214,16 @@ class _Range:
 
 
 def density(text: str) -> float:
-    """A density as p/q or a float; 1/0 is no number either."""
+    """A density as p/q or a float; 1/0 is no number either, nor a p/q too
+    large for a float."""
     try:
         return parse_rho(text)
-    except ZeroDivisionError:
+    except (ZeroDivisionError, OverflowError):
         raise ValueError(text) from None
 
 
 _SEED = (int, 0, randomlab.SEED_LIMIT, "[)", "2**128")  # the range of a Philox key
-# search --rho, and sweep --rho with --kind search
+# search --rho, sweep --rho with --kind search, and each --rho of a bounds list
 _SEARCH_RHO = _Range("--rho", density, 0, 1, "(]", keep_text=True)
 
 
@@ -299,15 +300,18 @@ def _emit_csv(header: list[str], rows: list[list], out: Optional[str]) -> int:
 
 
 def _densities(args) -> list:
-    """The --rho comma list, each p/q as a Fraction and otherwise a float.
-
-    [None] when it is absent and the theorem needs no density.
-    """
-    if args.rho:
-        return [Fraction(r) if "/" in r else float(r) for r in args.rho.split(",")]
-    if args.theorem in bounds_mod.RHO_OPTIONAL:
+    """The --rho comma list, each value in the range of ``search --rho``, a p/q
+    as a Fraction and otherwise a float; [None] when it is absent.  Each
+    parameter the theorem's ``bounds.TABLE`` row requires must be given."""
+    for p in bounds_mod.TABLE[args.theorem].required:
+        if getattr(args, p) in (None, ""):  # an empty --rho is no --rho
+            raise UsageError(f"--{p} is required for theorem {args.theorem}")
+    if not args.rho:
         return [None]
-    raise UsageError(f"--rho is required for theorem {args.theorem}")
+    rhos = args.rho.split(",")
+    for r in rhos:
+        _SEARCH_RHO.read(r)
+    return [Fraction(r) if "/" in r else float(r) for r in rhos]
 
 
 def _emit_bounds_grid(args) -> int:

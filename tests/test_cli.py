@@ -53,9 +53,18 @@ class TestBounds:
     def test_usage_error_exit_1(self, capsys):
         assert cli.run(["bounds", "--theorem", "nonsense", "--t", "4"]) == 1
 
-    def test_bad_rho_exit_2(self, capsys):
+    def test_bad_rho_is_usage_error(self, capsys):
         assert cli.run(["bounds", "--theorem", "main-dense", "--t", "4",
-                        "--rho", "0"]) == 2
+                        "--rho", "0"]) == 1
+        assert capsys.readouterr().err == "usage error: --rho must be in (0, 1], got 0\n"
+
+    @pytest.mark.parametrize("theorem, flag", [("base-case", "--s"),
+                                               ("induction-step", "--s"),
+                                               ("edges-form", "--m")])
+    def test_missing_parameter_is_usage_error(self, capsys, theorem, flag):
+        assert cli.run(["bounds", "--theorem", theorem, "--t", "8", "--rho", "1/4"]) == 1
+        assert capsys.readouterr() == (
+            "", f"usage error: {flag} is required for theorem {theorem}\n")
 
     def test_grid_multi_rho(self, capsys):
         code, out = run_capture(capsys, ["bounds", "--theorem", "main-dense",
@@ -384,6 +393,16 @@ class TestFailuresAreOneLine:
         *_cases(["sweep", "--kind", "search", "--pattern", "k3", "--n", "20"],
                 (["--rho", "2"], "--rho must be in (0, 1], got 2"),
                 (["--rho", "1/0"], "--rho must be in (0, 1], got 1/0")),
+        # each value of a bounds --rho list, in the range of search --rho
+        *_cases(["bounds", "--theorem", "main-dense", "--t", "64"],
+                *((["--rho", rho], f"--rho must be in (0, 1], got {rho}")
+                  for rho in ("1/0", "abc", "2", "0", "-0.25", "nan", "inf", f"{10 ** 400}/3"))),
+        *_cases(["bounds", "--theorem", "base-case", "--s", "3", "--grid", "--t", "8,16"],
+                (["--rho", "1/16,2"], "--rho must be in (0, 1], got 2"),
+                (["--rho", "1/16,"], "--rho must be in (0, 1], got ")),
+        *_cases(["sweep", "--kind", "bounds", "--theorem", "lower", "--t", "8:16:8"],
+                (["--rho", "1/0"], "--rho must be in (0, 1], got 1/0"),
+                (["--rho", "0.5,abc"], "--rho must be in (0, 1], got abc")),
         # a gnp shorthand whose rho is no number
         *((argv, f"{argv[-2]} must be gnp:<t>:<rho>:<seed> with a number as rho, "
                  f"got {argv[-1]!r}")
