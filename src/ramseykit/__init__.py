@@ -35,8 +35,6 @@ from .graphs import (
     Embedding,
     Graph,
     GraphFormatError,
-    density_pair,
-    graph_stats,
     parse_coloring,
     parse_graph,
     serialize_coloring,

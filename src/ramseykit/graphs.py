@@ -277,9 +277,6 @@ class Graph:
     def empty(cls, t: int) -> "Graph":
         return cls(t, (0,) * t)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
@@ -357,19 +354,6 @@ def _check_symmetric(t: int, rows: Sequence[int]) -> None:
         if bad.any():
             v, u = np.argwhere(bad)[0]
             raise ValueError(f"adjacency not symmetric at {{{u},{lo + v}}}")
-
-
-def graph_stats(g: Graph) -> dict:
-    """Summary statistics; density is an exact rational (t >= 2 required)."""
-    if g.t < 2:
-        raise ValueError("graph_stats requires t >= 2")
-    return {
-        "t": g.t,
-        "m": g.m,
-        "rho": g.density,
-        "max_degree": g.max_degree,
-        "isolated_free": g.isolated_free,
-    }
 
 
 @dataclass(frozen=True)
@@ -467,23 +451,6 @@ def rows_of(host, color: Optional[str] = None) -> tuple[int, ...]:
             raise ValueError("a color is required for a Coloring host")
         return host.rows(color)
     return host.rows
-
-
-def density_pair(host, X: Iterable[int], Y: Iterable[int], color: Optional[str] = None) -> Fraction:
-    """Edge density e(X,Y)/(|X||Y|) between disjoint nonempty vertex sets.
-
-    ``host`` is a Graph, or a Coloring together with ``color`` naming the
-    class whose edges are counted.
-    """
-    xs, ys = sorted(set(X)), sorted(set(Y))
-    if not xs or not ys:
-        raise ValueError("density_pair requires nonempty sets")
-    if set(xs) & set(ys):
-        raise ValueError("density_pair requires disjoint sets")
-    rows = rows_of(host, color)
-    ymask = mask_of(ys)
-    e = sum((rows[x] & ymask).bit_count() for x in xs)
-    return Fraction(e, len(xs) * len(ys))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ are least in their orbit under them; the others give isomorphic children.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 

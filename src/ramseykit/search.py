@@ -64,8 +64,7 @@ class SearchConfig:
 class ChaseState:
     """Record of a neighborhood chase: nested sets, pivots, letter string.
 
-    The sets are kept as bit masks; ``sets``, ``start`` and ``final_set``
-    build frozensets only when they are read."""
+    The sets are kept as bit masks."""
 
     pivots: tuple[tuple[int, str], ...]
     masks: tuple[int, ...]   # U_1, U_2, ... (post-step sets)
@@ -80,34 +79,6 @@ class ChaseState:
     def final_mask(self) -> int:
         return self.masks[-1] if self.masks else self.start_mask
 
-    @property
-    def sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(bits_of(m)) for m in self.masks)
-
-    @property
-    def start(self) -> frozenset[int]:
-        return frozenset(bits_of(self.start_mask))
-
-    @property
-    def final_set(self) -> frozenset[int]:
-        return frozenset(bits_of(self.final_mask))
-
-    def check_invariants(self, coloring: Coloring) -> bool:
-        """Structural sanity of the trace alone: nesting, pivot adjacency, thresholds."""
-        current = self.start
-        for (pivot, letter), after in zip(self.pivots, self.sets):
-            if pivot not in current:
-                return False
-            rest = current - {pivot}
-            red_nb = {v for v in rest if coloring.color_of(pivot, v) == RED}
-            expect_red = len(red_nb) >= self.red_threshold * len(rest)
-            if (letter == RED) != expect_red:
-                return False
-            want = red_nb if letter == RED else rest - red_nb
-            if after != want:
-                return False
-            current = after
-        return True
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +50,57 @@ from ramseykit.randomlab import (
     _rng,
 )
 from ramseykit.search import ChaseState
+
+
+# Test-only helpers: what the library computes no longer, kept for the tests.
+
+def density_pair(host, X: Iterable[int], Y: Iterable[int], color: Optional[str] = None) -> Fraction:
+    """Edge density e(X,Y)/(|X||Y|) between disjoint nonempty vertex sets.
+
+    ``host`` is a Graph, or a Coloring together with ``color`` naming the
+    class whose edges are counted.
+    """
+    xs, ys = sorted(set(X)), sorted(set(Y))
+    if not xs or not ys:
+        raise ValueError("density_pair requires nonempty sets")
+    if set(xs) & set(ys):
+        raise ValueError("density_pair requires disjoint sets")
+    rows = rows_of(host, color)
+    ymask = mask_of(ys)
+    e = sum((rows[x] & ymask).bit_count() for x in xs)
+    return Fraction(e, len(xs) * len(ys))
+
+
+def chase_sets(state: ChaseState) -> tuple[frozenset[int], ...]:
+    """The nested sets U_1, U_2, ... of a chase."""
+    return tuple(frozenset(bits_of(m)) for m in state.masks)
+
+
+def chase_start(state: ChaseState) -> frozenset[int]:
+    return frozenset(bits_of(state.start_mask))
+
+
+def chase_final_set(state: ChaseState) -> frozenset[int]:
+    return frozenset(bits_of(state.final_mask))
+
+
+def check_chase_invariants(state: ChaseState, coloring: Coloring) -> bool:
+    """Structural sanity of a chase's trace alone: nesting, pivot adjacency,
+    thresholds."""
+    current = chase_start(state)
+    for (pivot, letter), after in zip(state.pivots, chase_sets(state)):
+        if pivot not in current:
+            return False
+        rest = current - {pivot}
+        red_nb = {v for v in rest if coloring.color_of(pivot, v) == RED}
+        expect_red = len(red_nb) >= state.red_threshold * len(rest)
+        if (letter == RED) != expect_red:
+            return False
+        want = red_nb if letter == RED else rest - red_nb
+        if after != want:
+            return False
+        current = after
+    return True
 
 
 def reference_red_rows(n: int, p: float, seed: int) -> tuple[int, ...]:

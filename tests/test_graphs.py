@@ -18,8 +18,6 @@ from ramseykit.graphs import (
     GraphFormatError,
     bit_matrix,
     decode_text,
-    density_pair,
-    graph_stats,
     pack_rows,
     pair_order,
     parse_coloring,
@@ -31,6 +29,7 @@ from ramseykit.randomlab import sample_coloring, sample_gnp
 
 import references
 from references import (
+    density_pair,
     reference_coloring_from_hex,
     reference_pack_rows,
     reference_read_edge_lines,
@@ -47,28 +46,18 @@ def random_graph(draw, max_t=10):
 
 
 class TestGraph:
-    def test_complete_stats(self):
-        assert graph_stats(Graph.complete(4)) == {
-            "t": 4, "m": 6, "rho": Fraction(1), "max_degree": 3,
-            "isolated_free": True,
-        }
+    @pytest.mark.parametrize("g, m, rho, max_degree, isolated_free", [
+        (Graph.complete(4), 6, Fraction(1), 3, True),
+        (Graph.empty(5), 0, Fraction(0), 0, False),
+        (Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]), 5, Fraction(1, 2), 2, True),
+    ], ids=["K4", "E5", "C5"])
+    def test_summary_properties(self, g, m, rho, max_degree, isolated_free):
+        assert (g.m, g.density, g.max_degree, g.isolated_free) == (
+            m, rho, max_degree, isolated_free)
 
-    def test_empty_stats(self):
-        s = graph_stats(Graph.empty(5))
-        assert s["m"] == 0 and s["rho"] == 0 and s["max_degree"] == 0
-        assert not s["isolated_free"]
-
-    def test_five_cycle_stats(self):
-        c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-        s = graph_stats(c5)
-        assert s["m"] == 5
-        assert s["rho"] == Fraction(1, 2)
-        assert s["max_degree"] == 2
-        assert s["isolated_free"]
-
-    def test_stats_rejects_single_vertex(self):
+    def test_density_rejects_single_vertex(self):
         with pytest.raises(ValueError):
-            graph_stats(Graph.empty(1))
+            Graph.empty(1).density
 
     def test_asymmetric_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -82,7 +71,7 @@ class TestGraph:
         p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         sub = p4.induced([1, 2, 3])
         assert sub.t == 3 and sub.m == 2
-        assert sub.has_edge(0, 1) and sub.has_edge(1, 2)
+        assert sub.rows == (0b010, 0b101, 0b010)  # the path 0-1-2
 
     @given(st.composite(random_graph)())
     def test_density_identity(self, g):

@@ -6,7 +6,14 @@ from ramseykit.graphs import BLUE, RED, BoundedGraphWitness, Coloring, Embedding
 from ramseykit.patterns import load_pattern, named_graph
 from ramseykit.randomlab import sample_coloring, sample_gnp
 
-from references import reference_neighborhood_chase
+from references import (
+    chase_final_set,
+    chase_sets,
+    chase_start,
+    check_chase_invariants,
+    density_pair,
+    reference_neighborhood_chase,
+)
 
 
 def pentagon_coloring() -> Coloring:
@@ -18,25 +25,25 @@ class TestNeighborhoodChase:
         c = Coloring.monochromatic(10, RED)
         state = search.neighborhood_chase(c, range(10), 0.5, stop_R=3, stop_B=3)
         assert state.string == "RRR"
-        assert len(state.final_set) == 7
+        assert len(chase_final_set(state)) == 7
 
     def test_all_blue_k10(self):
         c = Coloring.monochromatic(10, BLUE)
         state = search.neighborhood_chase(c, range(10), 0.5, stop_R=2, stop_B=2)
         assert state.string == "BB"
-        assert len(state.final_set) == 8
+        assert len(chase_final_set(state)) == 8
 
     def test_pentagon_first_step_red(self):
         # pivot 0 has red degree 2 of the 4 non-pivot vertices: 2 >= 0.5*4 -> R
         state = search.neighborhood_chase(pentagon_coloring(), range(5), 0.5,
                                           stop_R=1, stop_B=1)
         assert state.string[0] == RED
-        assert state.sets[0] == frozenset({1, 4})
+        assert chase_sets(state)[0] == frozenset({1, 4})
 
     def test_invariants_hold(self):
         c = sample_coloring(30, 0.5, 3)
         state = search.neighborhood_chase(c, range(30), 0.5, stop_R=4, stop_B=4)
-        assert state.check_invariants(c)
+        assert check_chase_invariants(state, c)
 
     def test_empty_start_rejected(self):
         with pytest.raises(ValueError):
@@ -57,16 +64,16 @@ class TestNeighborhoodChase:
         start = rnd.sample(range(n), rnd.randint(1, n))
         state = search.neighborhood_chase(c, start, threshold, stop_R, stop_B)
         assert state == reference_neighborhood_chase(c, start, threshold, stop_R, stop_B)
-        assert state.check_invariants(c)
+        assert check_chase_invariants(state, c)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6), st.floats(0.1, 0.9))
     def test_nesting_and_letters(self, seed, threshold):
         c = sample_coloring(20, 0.5, seed)
         state = search.neighborhood_chase(c, range(20), threshold, 3, 3)
-        assert state.check_invariants(c)
-        current = state.start
-        for s in state.sets:
+        assert check_chase_invariants(state, c)
+        current = chase_start(state)
+        for s in chase_sets(state):
             assert s < current
             current = s
 
@@ -89,8 +96,6 @@ class TestBlueDegreeFilter:
     @given(st.integers(0, 10 ** 6))
     def test_density_implication(self, seed):
         # if blue density(A,B) >= 1 - rho then |A'| >= rho |A|
-        from ramseykit.graphs import density_pair
-
         rho = 0.1
         c = sample_coloring(40, 0.05, seed)  # mostly blue
         A, B = list(range(20)), list(range(20, 40))
