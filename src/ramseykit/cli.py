@@ -476,9 +476,9 @@ def _cmd_oracle_certify_lower(args) -> int:
 
 
 def _sweep_search_cell(cell):
-    n, seed, pattern_spec, mode, rho, p_red = cell
+    n, seed, pattern, pattern_spec, mode, rho, p_red = cell
     coloring = randomlab.sample_coloring(n, p_red, seed)
-    outcome = _search(coloring, load_pattern(pattern_spec), mode, rho, seed)
+    outcome = _search(coloring, pattern, mode, rho, seed)
     return [n, seed, pattern_spec, mode, outcome.kind, outcome.color or ""]
 
 
@@ -493,9 +493,9 @@ def _cmd_sweep(args) -> int:
     seeds = _grid("--seeds", args.seeds)
     for seed in seeds:
         _Range("--seeds", *_SEED).check(seed)
-    _seeded("--pattern", load_pattern, args.pattern)
-    cells = sorted((n, s, args.pattern, args.mode, rho, args.p_red)
-                   for n in ns for s in seeds)
+    pattern = _seeded("--pattern", load_pattern, args.pattern)  # loaded once for all cells
+    cells = [(n, s, pattern, args.pattern, args.mode, rho, args.p_red)
+             for n, s in sorted((n, s) for n in ns for s in seeds)]
     if workers > 1:
         from multiprocessing import Pool
 

@@ -234,6 +234,15 @@ class TestSweepCmd:
         assert lines[0] == "n,seed,pattern,mode,outcome,color"
         assert len(lines) == 5
 
+    def test_pattern_loaded_once_for_all_cells(self, capsys):
+        with mock.patch.object(cli, "load_pattern", wraps=cli.load_pattern) as load:
+            code, out = run_capture(capsys, ["sweep", "--kind", "search",
+                                             "--pattern", "gnp:6:0.5:3", "--n", "12,20",
+                                             "--seeds", "0:2:1"])
+        assert code == 0
+        assert load.call_count == 1
+        assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["gnp:6:0.5:3"] * 6
+
 
 class TestReproducibility:
     MANIFESTS = [
