@@ -267,9 +267,8 @@ def oracle_calls(h1: str, h2: str, n_max: int, guard: int) -> dict:
     from ramseykit.patterns import load_pattern
 
     counts = {}
-    # the form the search takes: canonical_rows before it returned automorphisms
-    form = "canonical_form" if hasattr(oracle, "canonical_form") else "canonical_rows"
-    for name, key in ((form, "canonical_forms"), ("_embed_backtrack", "embed_backtrack")):
+    for name, key in (("canonical_form", "canonical_forms"),
+                      ("_embed_backtrack", "embed_backtrack")):
         def counted(*args, _fn=getattr(oracle, name), _key=key):
             counts[_key] += 1
             return _fn(*args)

@@ -84,6 +84,7 @@ def _density_bound(theorem: str, c: float, f: Callable[[float], float], k: float
         r = _check_rho(rho)
         return BoundReport(theorem, {"t": t, "rho": rho}, c * f(r) * log2_ratio(r) ** k * t,
                            {f"rho_le_1_{q}": _rho_at_most(rho, q)})
+    # the module-level name it is bound to, so that it reprs and pickles by name
     bound.__name__ = bound.__qualname__ = "bound_" + theorem.replace("-", "_")
     return bound
 
@@ -189,16 +190,12 @@ def lower_bounds(t: int, rho: Rho) -> tuple[BoundReport, BoundReport]:
 
 
 class Theorem(NamedTuple):
-    """A theorem's evaluator and the keyword parameters it takes, in
-    ``evaluate``'s order; an ``optional`` one may be None."""
+    """A theorem's evaluator and the keyword parameters it takes: each
+    ``required`` one, in ``evaluate``'s order, and each that may be None."""
 
     bound: Callable[..., Union[BoundReport, tuple[BoundReport, ...]]]
-    params: tuple[str, ...]
+    required: tuple[str, ...]
     optional: tuple[str, ...] = ()
-
-    @property
-    def required(self) -> tuple[str, ...]:
-        return tuple(p for p in self.params if p not in self.optional)
 
 
 TABLE = {
@@ -207,7 +204,7 @@ TABLE = {
     "clique-dense": Theorem(bound_clique_dense, ("t", "rho")),
     "edges-form": Theorem(bound_edges_form, ("t", "m")),
     "random-graph": Theorem(bound_random_graph, ("t", "rho")),
-    "base-case": Theorem(bound_base_case, ("t", "rho", "s"), optional=("rho",)),
+    "base-case": Theorem(bound_base_case, ("t", "s"), optional=("rho",)),
     "induction-step": Theorem(bound_induction_step, ("t", "rho", "s")),
     "lower": Theorem(lower_bounds, ("t", "rho")),
 }
@@ -217,10 +214,11 @@ THEOREMS = tuple(TABLE)
 def evaluate(theorem: str, *, t: Optional[int] = None, rho: Optional[Rho] = None,
              s: Optional[int] = None, m: Optional[int] = None):
     """Dispatch by theorem id through ``TABLE``; used by the CLI."""
-    if theorem not in TABLE:
+    entry = TABLE.get(theorem)
+    if entry is None:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
-    entry, given = TABLE[theorem], {"t": t, "rho": rho, "s": s, "m": m}
+    given = {"t": t, "rho": rho, "s": s, "m": m}
     for p in entry.required:
         if given[p] is None:
             raise ValueError(f"{theorem} requires {p}")
-    return entry.bound(**{p: given[p] for p in entry.params})
+    return entry.bound(**{p: given[p] for p in entry.required + entry.optional})

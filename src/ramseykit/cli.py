@@ -139,7 +139,8 @@ def _load_graph_arg(spec: str) -> tuple[Graph, Optional[str]]:
 # ``bounds --grid`` and ``sweep --kind bounds``.  A bounds grid of 10**4 t
 # values and two densities takes 0.14 s, and a search sweep of 10**4 seeds
 # 1.2 s for K3 at n = 20 and 2.3 s for C5 at n = 40 (in-process, one core of
-# a 2-vCPU x86-64 host).
+# a 2-vCPU x86-64 host).  That holds for every theorem but base-case, which
+# takes one step per unit of --s in each cell.
 GRID_LIMIT = 10 ** 4
 
 
@@ -309,9 +310,8 @@ def _densities(args) -> list:
     if not args.rho:
         return [None]
     rhos = args.rho.split(",")
-    for r in rhos:
-        _SEARCH_RHO.read(r)
-    return [Fraction(r) if "/" in r else float(r) for r in rhos]
+    values = [_SEARCH_RHO.read(r) for r in rhos]  # the float of each, once in range
+    return [Fraction(r) if "/" in r else x for r, x in zip(rhos, values)]
 
 
 def _emit_bounds_grid(args) -> int:

@@ -14,6 +14,7 @@ Anything that is not a shorthand is treated as a path to a graph file.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -52,8 +53,6 @@ def named_graph(kind: str, n: int) -> Graph:
 
 
 def parse_rho(text: str) -> float:
-    from fractions import Fraction
-
     if "/" in text:
         return float(Fraction(text))
     return float(text)
