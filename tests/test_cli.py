@@ -401,7 +401,9 @@ class TestFailuresAreOneLine:
          f"--seeds must be in [0, 2**128), got {2 ** 128}"),
         *_cases(["sweep", "--kind", "search", "--pattern", "k3", "--n", "20"],
                 (["--rho", "2"], "--rho must be in (0, 1], got 2"),
-                (["--rho", "1/0"], "--rho must be in (0, 1], got 1/0")),
+                (["--rho", "1/0"], "--rho must be in (0, 1], got 1/0"),
+                # a p/q too large for a float
+                (["--rho", f"{10 ** 400}/3"], f"--rho must be in (0, 1], got {10 ** 400}/3")),
         # each value of a bounds --rho list, in the range of search --rho
         *_cases(["bounds", "--theorem", "main-dense", "--t", "64"],
                 *((["--rho", rho], f"--rho must be in (0, 1], got {rho}")
@@ -770,7 +772,8 @@ class TestRangeDeclarations:
         assert capsys.readouterr().err == (
             "usage error: argument --budget: invalid int value: 'x7'\n")
 
-    @pytest.mark.parametrize("rho", ["x7", "1/0", ""])
+    @pytest.mark.parametrize("rho", ["x7", "1/0", "", pytest.param(f"{10 ** 400}/3",
+                                                                   id="10**400/3")])
     def test_unparseable_rho_is_one_usage_line(self, capsys, rho):
         assert cli.run(["random", "gnp", "--t", "8", "--rho", rho]) == 1
         assert capsys.readouterr() == (
