@@ -25,7 +25,10 @@ runs of 20,000 calls).  Rows:
   hosts of ``BIDENSE_CASES``, each of which certifies (a budget of 10**10
   admits them in either budget unit, C(n, s) * n counts or C(n, s)**2),
   ``lower_bound_certificate_random`` on each case of
-  ``CERTIFY_LOWER_CASES`` (n = R(H, H), so every try runs), and
+  ``CERTIFY_LOWER_CASES`` (n = R(H, H), so every try runs) at 300 tries, at
+  128 tries (the fewest that build the copy table) and at one try (the best
+  of five runs of 2,000 calls), the last case past the copy table's size
+  limit, and
   ``find_mono_subgraph_exact`` for K4 in the red class of
   ``random:40:0.5:1`` (the best of five runs of 2,000 calls),
   ``Coloring.induced`` on all vertices and on the even ones of
@@ -95,10 +98,11 @@ HIGHER_BETTER = {"ops_per_s", "found_frac", "ok_frac"}
 GAIN_WINS = 0.9  # least share of pairs a gain or a loss must win
 # (host, sigma, delta) of each check_bidense_exact row
 BIDENSE_CASES = (("gnp:40:0.9:5", 0.1, 0.3), ("gnp:60:0.95:5", 0.05, 0.3))
-# (pattern, n) of each lower_bound_certificate_random row, CERTIFY_TRIES tries
-# from seed 1
-CERTIFY_LOWER_CASES = (("k3", 6), ("c4", 6), ("c5", 9))
-CERTIFY_TRIES = 300
+# (pattern, n) of each lower_bound_certificate_random row, one per count of
+# CERTIFY_TRIES, from seed 1: 128 is oracle.COPY_TABLE_TRIES, and K4 at n = 18
+# has 9180 words of copies, past oracle.COPY_TABLE_WORDS
+CERTIFY_LOWER_CASES = (("k3", 6), ("c4", 6), ("c5", 9), ("k4", 18))
+CERTIFY_TRIES = (300, 128, 1)
 # keys of a BENCH json, of its env, and the optional keys of a row
 RECORD_KEYS = {"env", "method", "rounds", "rows"}
 ENV_KEYS = {"python", "numpy", "nproc", "machine"}
@@ -208,8 +212,14 @@ def primitives() -> dict:
             lambda: check_bidense_exact(g, sigma, delta, budget=10 ** 10), 3)
     for pattern, n in CERTIFY_LOWER_CASES:
         h = load_pattern(pattern)
-        out[f"lower_bound_certificate_random({pattern}, n={n}, tries={CERTIFY_TRIES})"] = \
-            _median_time(lambda: lower_bound_certificate_random(h, n, CERTIFY_TRIES, 1), 3)
+        for tries in CERTIFY_TRIES:
+            name = f"lower_bound_certificate_random({pattern}, n={n}, tries={tries})"
+            if tries > 1:
+                out[name] = _median_time(lambda: lower_bound_certificate_random(h, n, tries, 1), 3)
+                continue
+            calls = 2_000
+            out[name] = min(timeit.repeat(lambda: lower_bound_certificate_random(h, n, 1, 1),
+                                          number=calls, repeat=5)) / calls
     k4, c = load_pattern("k4"), sample_coloring(40, 0.5, 1)
     calls = 2_000
     best = min(timeit.repeat(lambda: find_mono_subgraph_exact(c, k4, RED), number=calls,

@@ -142,6 +142,11 @@ def _load_graph_arg(spec: str) -> tuple[Graph, Optional[str]]:
 # a 2-vCPU x86-64 host).  That holds for every theorem but base-case, which
 # takes one step per unit of --s in each cell.
 GRID_LIMIT = 10 ** 4
+# Most --s of ``bounds`` and ``sweep --kind bounds``: base-case sums one term
+# per unit of s, 0.12 to 0.2 s per cell at s = 10**6 (in-process, one core of
+# a 2-vCPU x86-64 host), so a grid of GRID_LIMIT cells may still take about
+# half an hour.
+S_LIMIT = 10 ** 6
 
 
 def _grid(flag: str, spec: str) -> list[int]:
@@ -530,7 +535,7 @@ def build_parser() -> _Parser:
     p.add_argument("--theorem", required=True, choices=bounds_mod.THEOREMS)
     p.add_argument("--t", required=True, help="vertex count, or a grid spec with --grid")
     p.add_argument("--rho", help="density as p/q or float (comma list with --grid)")
-    p.add_argument("--s", type=int)
+    ranged(p, "--s", int, 0, S_LIMIT)
     p.add_argument("--m", type=int)
     p.add_argument("--grid", action="store_true", help="CSV rows over the --t grid")
 
@@ -602,7 +607,7 @@ def build_parser() -> _Parser:
     p.add_argument("--theorem", choices=bounds_mod.THEOREMS)
     p.add_argument("--t")
     p.add_argument("--rho")
-    p.add_argument("--s", type=int)
+    ranged(p, "--s", int, 0, S_LIMIT)
     p.add_argument("--m", type=int)
     p.add_argument("--pattern")
     p.add_argument("--mode", default="mono", choices=["mono", "vs-clique"])

@@ -36,8 +36,13 @@ are least in their orbit under them; the others give isomorphic children.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from itertools import chain, combinations, permutations
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .graphs import (
     BLUE,
@@ -45,6 +50,7 @@ from .graphs import (
     Coloring,
     Embedding,
     Graph,
+    _pair_rows,
     bits_of,
     mask_of,
     rows_of,
@@ -560,6 +566,94 @@ CERTIFY_TRIES_LIMIT = 10 ** 6
 # for C5 at n = 45 and 50,251 tries at n = 200, took 22 s and 15 s (one core of
 # a 2-vCPU x86-64 host).
 CERTIFY_PAIRS_LIMIT = 10 ** 9
+# The copy table of ``lower_bound_certificate_random`` is built for calls of
+# at least COPY_TABLE_TRIES tries, for patterns of at most COPY_TABLE_VERTICES
+# vertices (their t! labellings are enumerated), and when it holds at most
+# COPY_TABLE_WORDS words: copies of the pattern in K_n times the 64-bit words
+# of a coloring's pairs (64 KB).  Past these, building the table cost more than
+# the backtracks it saves: in-process on one core of a 2-vCPU x86-64 host, the
+# table broke even at about 8 tries for K3 at n = 6 (20 words), 45 for C5 at
+# n = 9 (1512 words) and 120 for K3 at n = 20 (3420 words), and at 300 tries
+# it was 1.4x slower for C5 at n = 12 (19,008 words).
+COPY_TABLE_TRIES = 128
+COPY_TABLE_VERTICES = 6
+COPY_TABLE_WORDS = 1 << 13
+# Words compared at once when a block of colorings is checked against the
+# table: colorings times copies times words per copy.
+_CHECK_WORDS = 1 << 13
+
+
+def _copy_table(pattern: Graph, n: int) -> Optional[np.ndarray]:
+    """Every copy of ``pattern`` in K_n as a mask over the pairs of K_n in
+    lexicographic order, pair i being bit i % 64 of word i // 64: entry
+    [k, c] is word k of copy c.  None when the table would exceed the limits
+    above.
+
+    A copy is one of the pattern's distinct edge sets on t labelled
+    positions placed on a t-subset of [n], position i on the subset's i-th
+    vertex; the subsets' pairs come from one gather.  Within a subset the
+    pairs are distinct bits, so a copy's word is the sum of its pairs' bits.
+    A pattern with isolated vertices gives some copies more than once, which
+    costs only time.  A pattern with no edge gets no table: each of its
+    copies would be the empty mask.
+    """
+    t, words = pattern.t, max(1, (n * (n - 1) // 2 + 63) // 64)
+    count = math.comb(n, t)
+    if not any(pattern.rows) or t > COPY_TABLE_VERTICES or count * words > COPY_TABLE_WORDS:
+        return None
+    label, slot_bit, (i, j) = _positions(t)
+    u, v = np.array(pattern.edges(), np.intp).reshape(-1, 2).T
+    # each labelling's edge set as a mask over the position pairs; then
+    # those masks once each, and each one's position pairs
+    sets = np.sort(slot_bit[label[:, u], label[:, v]].T.sum(axis=0))
+    sets = sets[np.append(True, sets[1:] != sets[:-1])]
+    if count * len(sets) * words > COPY_TABLE_WORDS:
+        return None
+    slots = np.nonzero(sets[:, None] >> np.arange(len(i), dtype=np.uint64) & 1)[1]
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n), t)), np.intp,
+                          count * t).reshape(count, t)
+    x, y = subsets[:, i], subsets[:, j]
+    # pair[e, c]: the pair of K_n of edge e of copy c
+    pair = (x * (2 * n - x - 1) // 2 + y - x - 1)[:, slots].reshape(count * len(sets), len(u)).T
+    bit = np.left_shift(np.uint64(1), (pair & 63).astype(np.uint64))
+    if words == 1:
+        return bit.sum(axis=0, dtype=np.uint64)[None]
+    word = pair >> 6
+    return np.stack([np.where(word == k, bit, np.uint64(0)).sum(axis=0, dtype=np.uint64)
+                     for k in range(words)])
+
+
+@functools.cache
+def _positions(t: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """For t positions: their t! orders, one per row; the bit of each
+    position pair {a, b} among the pairs in lexicographic order, at [a, b]
+    and [b, a]; and the pairs' first and second positions."""
+    label = np.array(list(permutations(range(t))), np.intp).reshape(-1, t)
+    i, j = np.triu_indices(t, 1)
+    slot_bit = np.zeros((t, t), np.uint64)
+    slot_bit[i, j] = slot_bit[j, i] = np.left_shift(np.uint64(1),
+                                                    np.arange(len(i), dtype=np.uint64))
+    return label, slot_bit, (i, j)
+
+
+def _undecided(words: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The indices of the colorings that hold no monochromatic copy, given
+    their packed pairs, entry [k, c] being word k of coloring c, and a
+    ``_copy_table``.  A coloring with words w holds a red copy iff some
+    copy's mask M has w & M == M, and a blue one iff w & M == 0.  The table
+    is read a chunk of copies at a time, and only the colorings not yet
+    decided go on to the next chunk."""
+    live = np.arange(words.shape[1])
+    lo = 0
+    while lo < table.shape[1] and len(live):
+        step = max(1, _CHECK_WORDS // (len(live) * len(table)))
+        blue = red = 0  # the blue and the red pairs of each copy, per coloring
+        for w, masks in zip(words[:, live], table[:, lo:lo + step]):
+            blue = blue | masks & ~w[:, None]
+            red = red | masks & w[:, None]
+        live = live[~((blue == 0) | (red == 0)).any(axis=1)]
+        lo += step
+    return live
 
 
 def lower_bound_certificate_random(pattern: Graph, n: int, tries: int,
@@ -567,26 +661,45 @@ def lower_bound_certificate_random(pattern: Graph, n: int, tries: int,
     """The first of the colorings ``sample_coloring(n, 1/2, seed + i)``, i =
     0 .. tries-1, with no monochromatic ``pattern``, or None.
 
-    The colorings are drawn in blocks (``randomlab.sample_red_rows``) and
-    searched as raw rows, red first; only the one returned is built as a
-    ``Coloring``, and it is re-verified in both colors.  Every seed must be a
-    Philox key, which is checked before anything is drawn.  None proves
-    nothing (the search is one-sided).
+    The colorings are drawn in blocks of 1, 2, 4, ... seeds
+    (``randomlab.red_pair_blocks``), so stopping at try i costs O(i) draws.
+    With at least ``COPY_TABLE_TRIES`` tries, a pattern of at most
+    ``COPY_TABLE_VERTICES`` vertices, and a table of its copies in K_n of at
+    most ``COPY_TABLE_WORDS`` words (``_copy_table``), each block is decided
+    at once: a coloring whose red pairs pack into the words w holds a
+    monochromatic copy iff some copy's mask M has w & M == M (red) or
+    w & M == 0 (blue).  The first coloring left undecided is built as rows
+    from the bits already drawn.  Past those limits, each coloring is
+    searched as raw rows (``randomlab.sample_red_rows``), red first.  The
+    coloring returned is re-verified in both colors by
+    ``find_mono_subgraph_exact``.  Every seed must be a Philox key, which is
+    checked before anything is drawn.  None proves nothing (the search is
+    one-sided).
     """
-    from .randomlab import sample_red_rows
+    from .randomlab import red_pair_blocks, sample_red_rows
 
     if tries < 1:
         raise ValueError(f"tries must be at least 1, got {tries}")
-    plan = _embed_plan(pattern)
-    for red in sample_red_rows(n, 0.5, range(seed, seed + tries)):
-        if _embed_backtrack(plan, red, n) is not None:
-            continue
+    seeds = range(seed, seed + tries)
+    table = _copy_table(pattern, n) if tries >= COPY_TABLE_TRIES else None
+    witness = None
+    if table is not None:
+        for red in red_pair_blocks(n, 0.5, seeds):
+            packed = np.zeros((len(red), 8 * len(table)), np.uint8)
+            packed[:, :(red.shape[1] + 7) // 8] = np.packbits(red, axis=1, bitorder="little")
+            live = _undecided(packed.view("<u8").T, table)
+            if len(live):
+                witness = Coloring(n, _pair_rows(red[live[:1]], n, 0, n, ()))
+                break
+    else:
+        plan = _embed_plan(pattern)
         full = (1 << n) - 1
-        blue = [full ^ r ^ (1 << v) for v, r in enumerate(red)]
-        if _embed_backtrack(plan, blue, n) is None:
-            witness = Coloring(n, red)
-            if find_mono_subgraph_exact(witness, pattern, RED) is not None or \
-               find_mono_subgraph_exact(witness, pattern, BLUE) is not None:
-                raise AssertionError("unsound certify-lower witness")
-            return witness
-    return None
+        for red in sample_red_rows(n, 0.5, seeds):
+            if _embed_backtrack(plan, red, n) is None and _embed_backtrack(
+                    plan, [full ^ r ^ (1 << v) for v, r in enumerate(red)], n) is None:
+                witness = Coloring(n, red)
+                break
+    if witness is not None and (find_mono_subgraph_exact(witness, pattern, RED) is not None or
+                                find_mono_subgraph_exact(witness, pattern, BLUE) is not None):
+        raise AssertionError("unsound certify-lower witness")
+    return witness

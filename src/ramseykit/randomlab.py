@@ -61,7 +61,7 @@ SEED_LIMIT = 1 << 128
 _SAMPLE_ENTRIES = _BLOCK_ENTRIES // 4
 # Raw words drawn at once: 2**16 words are 512 KB.
 _WORD_CHUNK = 1 << 16
-_ZEROS = np.zeros(4, np.uint64)
+_ZEROS = (0, 0, 0, 0)
 # The one Philox bit generator of the process, built on the first draw:
 # numpy loads ``numpy.random`` only when it is first used.
 _bitgen = None
@@ -75,11 +75,12 @@ def _rekey(bitgen: np.random.Philox, seed: int) -> None:
     """Give ``bitgen`` the key ``seed`` and a zero counter and buffer: the
     state of a fresh ``np.random.Philox(key=seed)``.  Philox is counter-based
     (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
-    so that state fixes the whole stream."""
+    so that state fixes the whole stream.  The words go in as tuples of
+    Python ints, which numpy's state setter reads as it reads arrays, at
+    about half the cost of building the arrays."""
     bitgen.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZEROS,
-                  "key": np.array([seed & 0xFFFF_FFFF_FFFF_FFFF, seed >> 64], np.uint64)},
+        "state": {"counter": _ZEROS, "key": (seed & 0xFFFF_FFFF_FFFF_FFFF, seed >> 64)},
         "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
 
@@ -131,6 +132,42 @@ def _draw_seeds(seeds: range, cut: int, red: np.ndarray) -> None:
         np.less(np.concatenate(words), below, out=red[k:k + group].reshape(-1))
 
 
+def _seed_blocks(n: int, p: float, seeds: range) -> Iterator[range]:
+    """The seeds of ``seeds`` in blocks of 1, 2, 4, ... seeds, each block at
+    most the seeds whose n x n matrices fit ``_SAMPLE_ENTRIES`` entries, and
+    one seed at a time where none fits.  The arguments are checked, every
+    seed as a Philox key, before the first block."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    check_vertex_count(n)
+    if not 0 <= p <= 1:
+        raise ValueError("p must lie in [0, 1]")
+    if seeds and not (seeds[0] >= 0 and seeds[-1] < SEED_LIMIT):
+        raise SeedError(f"seeds must lie in [0, 2**128), got {seeds[0]} to {seeds[-1]}")
+    fit = max(1, _SAMPLE_ENTRIES // max(n * n, 1))
+    size = 1
+    i = 0
+    while i < len(seeds):
+        block = seeds[i:i + min(size, fit)]
+        yield block
+        i += len(block)
+        size *= 2
+
+
+def red_pair_blocks(n: int, p: float, seeds: range) -> Iterator[np.ndarray]:
+    """The colours of ``sample_coloring(n, p, s)`` for the seeds s of
+    ``seeds``, as a bool matrix per block of seeds (``_seed_blocks``): row k
+    holds the red pairs of the block's k-th seed, in lexicographic order.
+    n x n must fit ``_SAMPLE_ENTRIES``."""
+    if n * n > _SAMPLE_ENTRIES:
+        raise ValueError(f"{n} vertices do not fit one sampling block")
+    cut, pairs = _red_cut(p), n * (n - 1) // 2
+    for block in _seed_blocks(n, p, seeds):
+        red = np.empty((len(block), pairs), bool)
+        _draw_seeds(block, cut, red)
+        yield red
+
+
 def sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]:
     """The red rows of ``sample_coloring(n, p, s)`` for each seed s of ``seeds``
     in turn, drawn lazily: the one sampler behind every coloring and G(t, rho).
@@ -148,49 +185,33 @@ def sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]
     caller's next() or another sampler in between cannot move a stream.
     Threads that sample at once could, and the package starts none.
 
-    Seeds are drawn in blocks of 1, 2, 4, ... seeds, so stopping after the
-    i-th seed costs O(i) draws.  A block holds whole n x n matrices, at most
-    ``_SAMPLE_ENTRIES`` entries of them, each with fewer than n^2 / 2 pairs.
-    A seed whose matrix is larger is drawn alone, a block of rows of at most
-    ``_SAMPLE_ENTRIES / 2`` pairs at a time, and rows drawn earlier supply
-    the pairs of a block's rows with theirs.  Every seed must be a Philox
-    key, which is checked before anything is drawn.
+    Seeds are drawn in blocks of 1, 2, 4, ... seeds (``red_pair_blocks``),
+    so stopping after the i-th seed costs O(i) draws.  A block holds whole
+    n x n matrices, at most ``_SAMPLE_ENTRIES`` entries of them, each with
+    fewer than n^2 / 2 pairs.  A seed whose matrix is larger is drawn alone,
+    a block of rows of at most ``_SAMPLE_ENTRIES / 2`` pairs at a time, and
+    rows drawn earlier supply the pairs of a block's rows with theirs.
+    Every seed must be a Philox key, which is checked before anything is
+    drawn.
     """
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    check_vertex_count(n)
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
-    if seeds and not (seeds[0] >= 0 and seeds[-1] < SEED_LIMIT):
-        raise SeedError(f"seeds must lie in [0, 2**128), got {seeds[0]} to {seeds[-1]}")
-    cut = _red_cut(p)
-    pairs = n * (n - 1) // 2
-    fit = _SAMPLE_ENTRIES // max(n * n, 1)  # seeds whose matrices fit one block
-    size = 1
-    i = 0
-    while i < len(seeds):
-        if not fit:
-            bitgen = _philox()
-            _rekey(bitgen, seeds[i])
-            rows: list[int] = []
-            step = _SAMPLE_ENTRIES // (2 * n)
-            for lo in range(0, n, step):
-                hi = min(lo + step, n)
-                # pairs {u, v}, lo <= u < hi, u < v
-                red = np.empty((1, (hi - lo) * (2 * n - lo - hi - 1) // 2), bool)
-                _draw_red(bitgen, cut, red[0])
-                rows.extend(_pair_rows(red, n, lo, hi, rows))
-            yield tuple(rows)
-            i += 1
-            continue
-        block = seeds[i:i + min(size, fit)]
-        red = np.empty((len(block), pairs), bool)
-        _draw_seeds(block, cut, red)
-        rows = _pair_rows(red, n, 0, n, ())
-        for k in range(len(block)):
-            yield rows[k * n:(k + 1) * n]
-        i += len(block)
-        size *= 2
+    if n * n <= _SAMPLE_ENTRIES:
+        for red in red_pair_blocks(n, p, seeds):
+            rows = _pair_rows(red, n, 0, n, ())
+            for k in range(len(red)):
+                yield rows[k * n:(k + 1) * n]
+        return
+    cut, step = _red_cut(p), _SAMPLE_ENTRIES // (2 * n)
+    for block in _seed_blocks(n, p, seeds):
+        bitgen = _philox()
+        _rekey(bitgen, block[0])
+        rows: list[int] = []
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            # pairs {u, v}, lo <= u < hi, u < v
+            red = np.empty((1, (hi - lo) * (2 * n - lo - hi - 1) // 2), bool)
+            _draw_red(bitgen, cut, red[0])
+            rows.extend(_pair_rows(red, n, lo, hi, rows))
+        yield tuple(rows)
 
 
 def sample_gnp(t: int, rho: float, seed: int) -> Graph:

@@ -411,6 +411,13 @@ class TestFailuresAreOneLine:
         *_cases(["bounds", "--theorem", "base-case", "--s", "3", "--grid", "--t", "8,16"],
                 (["--rho", "1/16,2"], "--rho must be in (0, 1], got 2"),
                 (["--rho", "1/16,"], "--rho must be in (0, 1], got ")),
+        # base-case takes one step per unit of --s
+        *_cases(["bounds", "--theorem", "base-case", "--t", "8"],
+                (["--s", "-1"], "--s must be in [0, 1000000], got -1"),
+                (["--s", "1000001"], "--s must be in [0, 1000000], got 1000001")),
+        *_cases(["sweep", "--kind", "bounds", "--theorem", "base-case", "--t", "8,16"],
+                (["--s", "-1"], "--s must be in [0, 1000000], got -1"),
+                (["--s", str(10 ** 7)], "--s must be in [0, 1000000], got 10000000")),
         *_cases(["sweep", "--kind", "bounds", "--theorem", "lower", "--t", "8:16:8"],
                 (["--rho", "1/0"], "--rho must be in (0, 1], got 1/0"),
                 (["--rho", "0.5,abc"], "--rho must be in (0, 1], got abc")),

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -227,12 +228,13 @@ def ref_ramsey_number(pattern1: Graph, pattern2: Graph, n_max: int) -> tuple[str
     return "lower", n_max
 
 
-def _small_patterns() -> list[Graph]:
-    """Every isolated-free graph on at most 4 vertices, up to isomorphism,
-    then K1, two isolated vertices and K2 plus an isolated vertex."""
+def _small_patterns(max_t: int = 4) -> list[Graph]:
+    """Every isolated-free graph on at most ``max_t`` vertices, up to
+    isomorphism, then K1, two isolated vertices and K2 plus an isolated
+    vertex."""
     found = [Graph.from_edges(G.number_of_nodes(), list(G.edges()))
              for G in graph_atlas_g()
-             if 2 <= G.number_of_nodes() <= 4 and G.number_of_edges()
+             if 2 <= G.number_of_nodes() <= max_t and G.number_of_edges()
              and min(d for _, d in G.degree()) >= 1]
     return found + [named_graph("k", 1), named_graph("e", 2), Graph.from_edges(3, [(0, 1)])]
 
@@ -641,6 +643,61 @@ class TestCertifyLowerMatchesPerTryLoop:
         if i:  # one try fewer stops just before the witness
             assert reference_certify_lower(k3, 5, i, start) is None
             assert oracle.lower_bound_certificate_random(k3, 5, i, start) is None
+
+
+def _pattern_id(g: Graph) -> str:
+    return f"t{g.t}:" + ",".join(f"{u}{v}" for u, v in g.edges())
+
+
+class TestCopyTable:
+    """The copy table decides each try as the per-try loop does.  The tries
+    floor is lowered to 1, so 40 tries reach the table."""
+
+    @pytest.mark.parametrize("pattern", _small_patterns(5), ids=_pattern_id)
+    def test_same_witness_up_to_the_table_limit_and_one_past(self, monkeypatch, pattern):
+        monkeypatch.setattr(oracle, "COPY_TABLE_TRIES", 1)
+        table, built = oracle._copy_table, []
+        monkeypatch.setattr(oracle, "_copy_table",
+                            lambda h, n: built.append(table(h, n) is not None) or table(h, n))
+        tries = 40
+        first = max(pattern.t - 1, 0)
+        past = next(n for n in itertools.count(first) if table(pattern, n) is None)
+        for n in range(first, past + 1):
+            for seed in (0, 97, 2 ** 64 - 5, SEED_LIMIT - tries):
+                built.clear()
+                got = oracle.lower_bound_certificate_random(pattern, n, tries, seed)
+                assert built == [n < past], (n, seed)
+                assert _rows(got) == _rows(reference_certify_lower(pattern, n, tries, seed)), \
+                    (n, seed)
+
+    def test_built_from_the_tries_floor_on(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(oracle, "_copy_table", lambda h, n: built.append(n))
+        k3 = Graph.complete(3)
+        oracle.lower_bound_certificate_random(k3, 6, oracle.COPY_TABLE_TRIES - 1, 0)
+        assert built == []
+        oracle.lower_bound_certificate_random(k3, 6, oracle.COPY_TABLE_TRIES, 0)
+        assert built == [6]
+
+    @pytest.mark.parametrize("name, n", [("k3", 6), ("c4", 6), ("c5", 9)])
+    def test_each_copy_once(self, name, n):
+        # t! / |Aut H| labelled copies on each t-subset, every mask distinct
+        pattern = load_pattern(name)
+        table = oracle._copy_table(pattern, n)
+        autos = sum(1 for p in itertools.permutations(range(pattern.t))
+                    if all(pattern.rows[p[u]] >> p[v] & 1 for u, v in pattern.edges()))
+        copies = math.comb(n, pattern.t) * math.factorial(pattern.t) // autos
+        assert table.shape == (1, copies)
+        assert len(set(table[0].tolist())) == copies
+        assert all(int(m).bit_count() == pattern.m for m in table[0])
+
+    def test_dropped_copies_fail_the_recheck(self, monkeypatch):
+        # every coloring of K_6 has a monochromatic triangle: with one copy
+        # left in the table, some try is left undecided and passed off
+        table = oracle._copy_table
+        monkeypatch.setattr(oracle, "_copy_table", lambda h, n: table(h, n)[:, :1])
+        with pytest.raises(AssertionError, match="unsound certify-lower witness"):
+            oracle.lower_bound_certificate_random(Graph.complete(3), 6, 300, 0)
 
 
 @st.composite

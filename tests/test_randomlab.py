@@ -131,6 +131,27 @@ class TestSamplerMatchesGenerator:
         assert randomlab.sample_coloring(n, p, seed).red_rows == want
         assert randomlab.sample_gnp(n, p, seed).rows == want
 
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, 2 ** 64, SEED_LIMIT - 1])
+    def test_rekey_gives_a_fresh_generator(self, seed):
+        """After any use, a re-keyed bit generator has the state and the
+        stream of a fresh ``Philox(key=seed)``: raw words, a buffered uint32
+        draw and floats."""
+        bitgen = np.random.Philox(5)
+        np.random.Generator(bitgen).integers(0, 2 ** 32, 3, np.uint32)  # leaves a half word
+        bitgen.random_raw(7)
+        randomlab._rekey(bitgen, seed)
+        fresh = np.random.Philox(key=seed)
+        got, want = bitgen.state, fresh.state
+        for part in ("counter", "key"):
+            assert got["state"][part].tolist() == want["state"][part].tolist()
+        assert got["buffer"].tolist() == want["buffer"].tolist()
+        assert [got[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == \
+            [want[k] for k in ("buffer_pos", "has_uint32", "uinteger")]
+        assert (bitgen.random_raw(9) == fresh.random_raw(9)).all()
+        a, b = np.random.Generator(bitgen), np.random.Generator(fresh)
+        assert (a.integers(0, 2 ** 32, 5, np.uint32) == b.integers(0, 2 ** 32, 5, np.uint32)).all()
+        assert (a.random(5) == b.random(5)).all()
+
     @pytest.mark.parametrize("n, seeds", [
         (9, range(5, 40)),  # blocks of 1, 2, 4, 8, 16 and 4 seeds
         (1200, range(3, 8)),  # two matrices fill a block: blocks of 1, 2 and 2
