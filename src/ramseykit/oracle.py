@@ -566,14 +566,14 @@ def ramsey_number_exact(pattern1: Graph, pattern2: Graph, n_max: int = 8,
 
 
 # Most tries ``oracle certify-lower --tries`` allows, in colorings drawn:
-# 10**6 tries take about 20 s for C5 at n = 9 and 40 to 80 s at n = 40 (one
-# core of a 2-vCPU x86-64 host).  A try draws n(n-1)/2 pairs, so its cost
-# grows with n**2.
+# 10**6 tries take about 2.5 s for C5 at n = 9, where the copy table decides
+# them, and 18 s at n = 40, a backtrack per try (one core of a 2-vCPU x86-64
+# host).  A try draws n(n-1)/2 pairs, so its cost grows with n**2.
 CERTIFY_TRIES_LIMIT = 10 ** 6
 # Most pairs ``oracle certify-lower`` may draw in all, ``--tries`` times the
 # n(n-1)/2 of ``--n``.  It binds from n = 46 on.  Its dearest runs, 10**6 tries
-# for C5 at n = 45 and 50,251 tries at n = 200, took 22 s and 15 s (one core of
-# a 2-vCPU x86-64 host).
+# for C5 at n = 45 and 50,251 tries at n = 200, took 18 s and 18.5 s (one core
+# of a 2-vCPU x86-64 host).
 CERTIFY_PAIRS_LIMIT = 10 ** 9
 # The copy table of ``lower_bound_certificate_random`` is built for calls of
 # at least COPY_TABLE_TRIES tries, for patterns of at most COPY_TABLE_VERTICES

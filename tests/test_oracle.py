@@ -657,8 +657,13 @@ class TestCopyTable:
     def test_same_witness_up_to_the_table_limit_and_one_past(self, monkeypatch, pattern):
         monkeypatch.setattr(oracle, "COPY_TABLE_TRIES", 1)
         table, built = oracle._copy_table, []
-        monkeypatch.setattr(oracle, "_copy_table",
-                            lambda h, n: built.append(table(h, n) is not None) or table(h, n))
+
+        def spied(h, n):
+            got = table(h, n)
+            built.append(got is not None)
+            return got
+
+        monkeypatch.setattr(oracle, "_copy_table", spied)
         tries = 40
         first = max(pattern.t - 1, 0)
         past = next(n for n in itertools.count(first) if table(pattern, n) is None)
