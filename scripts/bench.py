@@ -2,8 +2,12 @@
 
     python3 scripts/bench.py --before OLD --after NEW --out BENCH_24.json [--pairs 10]
 
-OLD and NEW are checkouts of this repository (each one's ``src`` is put on
-PYTHONPATH; the tier-1 suite and perfbench run inside it).  Every measurement
+OLD and NEW are checkouts of this repository.  Each is copied, without
+``.git``, ``perfbench/out`` and caches, into a sibling directory of one
+temporary parent, the two names of equal length, and every measurement runs
+on those copies (each one's ``src`` is put on PYTHONPATH; the tier-1 suite
+and perfbench run inside it): peak RSS was seen to move with the checkout's
+path alone.  Every measurement
 runs in a fresh process, and the two checkouts alternate (the one that goes
 first switches every round), so a slow spell of the host lands on both.
 A row's value is the median over rounds; each primitive is itself the median
@@ -25,10 +29,10 @@ runs of 20,000 calls).  Rows:
   hosts of ``BIDENSE_CASES``, each of which certifies (a budget of 10**10
   admits them in either budget unit, C(n, s) * n counts or C(n, s)**2),
   ``lower_bound_certificate_random`` on each case of
-  ``CERTIFY_LOWER_CASES`` (n = R(H, H), so every try runs) at 300 tries, at
-  128 tries (the fewest that build the copy table) and at one try (the best
-  of five runs of 2,000 calls), the last case past the copy table's size
-  limit, and
+  ``CERTIFY_LOWER_CASES`` (n = R(H, H), so every try runs) at 300 and 128
+  tries and at one try (the best of five runs of 2,000 calls, which shows
+  the cost of building the copy table), the last case past the copy table's
+  size limit, and
   ``find_mono_subgraph_exact`` for K4 in the red class of
   ``random:40:0.5:1`` (the best of five runs of 2,000 calls),
   ``Coloring.induced`` on all vertices and on the even ones of
@@ -74,6 +78,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -99,8 +104,8 @@ GAIN_WINS = 0.9  # least share of pairs a gain or a loss must win
 # (host, sigma, delta) of each check_bidense_exact row
 BIDENSE_CASES = (("gnp:40:0.9:5", 0.1, 0.3), ("gnp:60:0.95:5", 0.05, 0.3))
 # (pattern, n) of each lower_bound_certificate_random row, one per count of
-# CERTIFY_TRIES, from seed 1: 128 is oracle.COPY_TABLE_TRIES, and K4 at n = 18
-# has 9180 words of copies, past oracle.COPY_TABLE_WORDS
+# CERTIFY_TRIES, from seed 1: the first three build the copy table on every
+# call, and K4 at n = 18 has 9180 words of copies, past oracle.COPY_TABLE_WORDS
 CERTIFY_LOWER_CASES = (("k3", 6), ("c4", 6), ("c5", 9), ("k4", 18))
 CERTIFY_TRIES = (300, 128, 1)
 # keys of a BENCH json, of its env, and the optional keys of a row
@@ -109,6 +114,11 @@ ENV_KEYS = {"python", "numpy", "nproc", "machine"}
 ROW_EXTRAS = {"per_seed", "before_result", "after_result", "before_calls", "after_calls",
               "timeout_s", "ratio", "wins", "parent_iqr_over_median", "verdict"}
 ROOT = Path(__file__).resolve().parent.parent
+# the directory each side is copied to: names of equal length, in one parent
+COPY_NAMES = {"before": "old", "after": "new"}
+# left out of the copies: what building, testing and running leave behind
+NOT_COPIED = (".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks",
+              "*.egg-info")
 
 
 def oracle_cases() -> list[tuple[str, str, int, int]]:
@@ -288,6 +298,24 @@ def oracle_calls(h1: str, h2: str, n_max: int, guard: int) -> dict:
     return counts
 
 
+def sibling_copies(roots: dict, parent: Path) -> dict:
+    """{label: a copy of ``roots[label]`` in ``parent``, named by
+    ``COPY_NAMES``}, without ``NOT_COPIED`` nor ``perfbench/out``."""
+    skip = shutil.ignore_patterns(*NOT_COPIED)
+
+    def ignore(directory: str, names: list[str]) -> set[str]:
+        left_out = skip(directory, names)
+        if Path(directory).name == "perfbench":
+            left_out.add("out")
+        return left_out
+
+    copies = {}
+    for label, root in roots.items():
+        copies[label] = parent / COPY_NAMES[label]
+        shutil.copytree(root, copies[label], ignore=ignore)
+    return copies
+
+
 def _in_checkout(root: Path, cmd: list[str], timeout: float) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "RAMSEYKIT_WORKERS"}
     env["PYTHONPATH"] = str(root / "src")
@@ -448,29 +476,8 @@ def _row(name: str, unit: str, per_label: dict) -> dict:
     return row
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--before", type=Path, help="checkout measured as 'before'")
-    p.add_argument("--after", type=Path, help="checkout measured as 'after'")
-    p.add_argument("--out", type=Path, help="BENCH json to write")
-    p.add_argument("--pairs", type=int, default=10, help="workload pairs, one per seed")
-    p.add_argument("--primitives", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument("--oracle-call", nargs=4, help=argparse.SUPPRESS)
-    p.add_argument("--oracle-calls", nargs=4, help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.primitives:
-        print(json.dumps(primitives()))
-        return 0
-    for case, measure in ((args.oracle_call, oracle_call), (args.oracle_calls, oracle_calls)):
-        if case:
-            h1, h2, n_max, guard = case
-            print(json.dumps(measure(h1, h2, int(n_max), int(guard))))
-            return 0
-    if not (args.before and args.after and args.out):
-        p.error("--before, --after and --out are required")
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2")
-    roots = {"before": args.before.resolve(), "after": args.after.resolve()}
+def measure_rows(roots: dict, pairs: int) -> list[dict]:
+    """Every row, measured on the checkouts ``roots``."""
     rows = []
 
     print("primitives", file=sys.stderr)
@@ -503,9 +510,37 @@ def main(argv=None) -> int:
     rows.append(_row("tier-1 tests passed", "count",
                      {label: [r["passed"] for r in v] for label, v in runs.items()}))
 
-    pairs = run_pairs(roots, args.pairs)
+    pairs = run_pairs(roots, pairs)
     print_pairs(pairs)
-    rows += pairs
+    return rows + pairs
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--before", type=Path, help="checkout measured as 'before'")
+    p.add_argument("--after", type=Path, help="checkout measured as 'after'")
+    p.add_argument("--out", type=Path, help="BENCH json to write")
+    p.add_argument("--pairs", type=int, default=10, help="workload pairs, one per seed")
+    p.add_argument("--primitives", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--oracle-call", nargs=4, help=argparse.SUPPRESS)
+    p.add_argument("--oracle-calls", nargs=4, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.primitives:
+        print(json.dumps(primitives()))
+        return 0
+    for case, measure in ((args.oracle_call, oracle_call), (args.oracle_calls, oracle_calls)):
+        if case:
+            h1, h2, n_max, guard = case
+            print(json.dumps(measure(h1, h2, int(n_max), int(guard))))
+            return 0
+    if not (args.before and args.after and args.out):
+        p.error("--before, --after and --out are required")
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2")
+    with tempfile.TemporaryDirectory() as parent:
+        roots = sibling_copies({"before": args.before.resolve(),
+                                "after": args.after.resolve()}, Path(parent))
+        rows = measure_rows(roots, args.pairs)
 
     import numpy
 

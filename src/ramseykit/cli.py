@@ -308,12 +308,16 @@ def _emit_csv(header: list[str], rows: list[list], out: Optional[str]) -> int:
 def _densities(args) -> list:
     """The --rho comma list, each value in the range of ``search --rho``, a p/q
     as a Fraction and otherwise a float; [None] when it is absent.  Each
-    parameter the theorem's ``bounds.TABLE`` row requires must be given."""
-    for p in bounds_mod.TABLE[args.theorem].required:
+    parameter the theorem's ``bounds.TABLE`` row requires must be given, and
+    a --rho only to a theorem whose row requires or optionally takes it."""
+    row = bounds_mod.TABLE[args.theorem]
+    for p in row.required:
         if getattr(args, p) in (None, ""):  # an empty --rho is no --rho
             raise UsageError(f"--{p} is required for theorem {args.theorem}")
     if not args.rho:
         return [None]
+    if "rho" not in row.required + row.optional:
+        raise UsageError(f"--rho is not a parameter of theorem {args.theorem}")
     rhos = args.rho.split(",")
     values = [_SEARCH_RHO.read(r) for r in rhos]  # the float of each, once in range
     return [Fraction(r) if "/" in r else x for r, x in zip(rhos, values)]
@@ -487,12 +491,24 @@ def _sweep_search_cell(cell):
     return [n, seed, pattern_spec, mode, outcome.kind, outcome.color or ""]
 
 
+def _workers() -> int:
+    """RAMSEYKIT_WORKERS, 1 when it is unset: an integer in [1, os.cpu_count()]."""
+    text, top = os.environ.get("RAMSEYKIT_WORKERS", "1"), os.cpu_count() or 1
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if not 1 <= workers <= top:
+        raise UsageError(f"RAMSEYKIT_WORKERS must be an integer in [1, {top}], got {text}")
+    return workers
+
+
 def _cmd_sweep(args) -> int:
-    workers = int(os.environ.get("RAMSEYKIT_WORKERS", "1"))
     if args.kind == "bounds":
         _require(args, "sweep --kind bounds", "theorem", "t")
         return _emit_bounds_grid(args)
     _require(args, "sweep --kind search", "pattern", "n")
+    workers = _workers()
     rho = _SEARCH_RHO.read(args.rho) if args.rho else None
     ns = _grid("--n", args.n)
     seeds = _grid("--seeds", args.seeds)
@@ -501,6 +517,7 @@ def _cmd_sweep(args) -> int:
     pattern = _seeded("--pattern", load_pattern, args.pattern)  # loaded once for all cells
     cells = [(n, s, pattern, args.pattern, args.mode, rho, args.p_red)
              for n, s in sorted((n, s) for n in ns for s in seeds)]
+    workers = min(workers, len(cells))
     if workers > 1:
         from multiprocessing import Pool
 

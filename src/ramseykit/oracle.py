@@ -16,12 +16,12 @@ certify-lower plans its pattern once per call.
 
 Randomized lower-bound certificates are Erdos's random two-colouring run at
 desk scale: colorings of K_n are drawn in blocks of 1, 2, 4, ... seeds until
-one has no monochromatic copy of the pattern.  For a small pattern and n,
-and enough tries to pay for it, every copy of the pattern in K_n is listed
-once per call as a bit mask over the pairs, and a whole block is decided
-with numpy: a coloring holds a monochromatic copy iff some mask lies inside
-its red pairs or misses them all.  Other calls search each coloring with the
-embedding kernel.  Either way the coloring returned is re-verified.
+one has no monochromatic copy of the pattern.  Where a table of every copy
+of the pattern in K_n, each a bit mask over the pairs, fits one budget, it
+is built once per call and a whole block is decided with numpy: a coloring
+holds a monochromatic copy iff some mask lies inside its red pairs or misses
+them all.  Past the budget each coloring is searched with the embedding
+kernel.  Either way the coloring returned is re-verified.
 
 Exact Ramsey numbers come from vertex extension with isomorph rejection
 (McKay & Radziszowski, "R(4,5)=25", J. Graph Theory 1995; McKay,
@@ -64,6 +64,7 @@ from .graphs import (
     mask_of,
     rows_of,
 )
+from .randomlab import red_pair_blocks, sample_red_rows
 
 DEFAULT_NMAX_GUARD = 10
 
@@ -575,28 +576,21 @@ CERTIFY_TRIES_LIMIT = 10 ** 6
 # for C5 at n = 45 and 50,251 tries at n = 200, took 18 s and 18.5 s (one core
 # of a 2-vCPU x86-64 host).
 CERTIFY_PAIRS_LIMIT = 10 ** 9
-# The copy table of ``lower_bound_certificate_random`` is built for calls of
-# at least COPY_TABLE_TRIES tries, for patterns of at most COPY_TABLE_VERTICES
-# vertices (their t! labellings are enumerated), and when it holds at most
-# COPY_TABLE_WORDS words: copies of the pattern in K_n times the 64-bit words
-# of a coloring's pairs (64 KB).  Past these, building the table cost more than
-# the backtracks it saves: in-process on one core of a 2-vCPU x86-64 host, the
-# table broke even at about 8 tries for K3 at n = 6 (20 words), 45 for C5 at
-# n = 9 (1512 words) and 120 for K3 at n = 20 (3420 words), and at 300 tries
-# it was 1.4x slower for C5 at n = 12 (19,008 words).
-COPY_TABLE_TRIES = 128
-COPY_TABLE_VERTICES = 6
+# The one budget of the copy table of ``lower_bound_certificate_random``, in
+# 64-bit words (64 KB): the table, copies of the pattern in K_n times the words
+# of a coloring's pairs, must fit it, and so must the pattern's t! labellings
+# that are listed to build it.  It also bounds the words compared at once when
+# a block of colorings is checked, colorings times copies times words.  At 300
+# tries on one core of a 2-vCPU x86-64 host the table was 1.4x slower than a
+# backtrack per try for C5 at n = 12 (19,008 words), which it refuses.
 COPY_TABLE_WORDS = 1 << 13
-# Words compared at once when a block of colorings is checked against the
-# table: colorings times copies times words per copy.
-_CHECK_WORDS = 1 << 13
 
 
 def _copy_table(pattern: Graph, n: int) -> Optional[np.ndarray]:
     """Every copy of ``pattern`` in K_n as a mask over the pairs of K_n in
     lexicographic order, pair i being bit i % 64 of word i // 64: entry
-    [k, c] is word k of copy c.  None when the table would exceed the limits
-    above.
+    [k, c] is word k of copy c.  None when the t! labellings or the table
+    would exceed ``COPY_TABLE_WORDS``.
 
     A copy is one of the pattern's distinct edge sets on t labelled
     positions placed on a t-subset of [n], position i on the subset's i-th
@@ -604,12 +598,12 @@ def _copy_table(pattern: Graph, n: int) -> Optional[np.ndarray]:
     pairs are distinct bits, so a copy's word is the sum of its pairs' bits:
     one integer matrix product, subsets x position pairs by position pairs x
     edge sets, per word.  A pattern with isolated vertices gives some copies
-    more than once, which costs only time.  A pattern with no edge gets no
-    table: each of its copies would be the empty mask.
+    more than once, which costs only time.  A pattern with no edge has the
+    empty mask as its copies, and n < t gives a table of none.
     """
     t, words = pattern.t, max(1, (n * (n - 1) // 2 + 63) // 64)
     count = math.comb(n, t)
-    if not any(pattern.rows) or t > COPY_TABLE_VERTICES or count * words > COPY_TABLE_WORDS:
+    if math.factorial(t) > COPY_TABLE_WORDS or count * words > COPY_TABLE_WORDS:
         return None
     label, slot_bit, (i, j) = _positions(t)
     u, v = np.array(pattern.edges(), np.intp).reshape(-1, 2).T
@@ -650,7 +644,7 @@ def _positions(t: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.nda
     """For t positions: their t! orders, one per row; the bit of each
     position pair {a, b} among the pairs in lexicographic order, at [a, b]
     and [b, a]; and the pairs' first and second positions."""
-    label = np.array(list(permutations(range(t))), np.intp).reshape(-1, t)
+    label = np.array(list(permutations(range(t))), np.intp).reshape(math.factorial(t), t)
     i, j = np.triu_indices(t, 1)
     slot_bit = np.zeros((t, t), np.uint64)
     slot_bit[i, j] = slot_bit[j, i] = _BIT[:len(i)]
@@ -667,7 +661,7 @@ def _undecided(words: np.ndarray, table: np.ndarray) -> np.ndarray:
     live = np.arange(words.shape[1])
     lo = 0
     while lo < table.shape[1] and len(live):
-        step = max(1, _CHECK_WORDS // (len(live) * len(table)))
+        step = max(1, COPY_TABLE_WORDS // (len(live) * len(table)))
         red = blue = True  # whether each copy is red, or blue, in each coloring
         for w, masks in zip(words[:, live], table[:, lo:lo + step]):
             hit = masks & w[:, None]
@@ -685,25 +679,21 @@ def lower_bound_certificate_random(pattern: Graph, n: int, tries: int,
 
     The colorings are drawn in blocks of 1, 2, 4, ... seeds
     (``randomlab.red_pair_blocks``), so stopping at try i costs O(i) draws.
-    With at least ``COPY_TABLE_TRIES`` tries, a pattern of at most
-    ``COPY_TABLE_VERTICES`` vertices, and a table of its copies in K_n of at
-    most ``COPY_TABLE_WORDS`` words (``_copy_table``), each block is decided
-    at once: a coloring whose red pairs pack into the words w holds a
-    monochromatic copy iff some copy's mask M has w & M == M (red) or
-    w & M == 0 (blue).  The first coloring left undecided is built as rows
-    from the bits already drawn.  Past those limits, each coloring is
-    searched as raw rows (``randomlab.sample_red_rows``), red first.  The
-    coloring returned is re-verified in both colors by
-    ``find_mono_subgraph_exact``.  Every seed must be a Philox key, which is
-    checked before anything is drawn.  None proves nothing (the search is
-    one-sided).
+    When the table of the pattern's copies in K_n fits ``COPY_TABLE_WORDS``
+    (``_copy_table``), each block is decided at once: a coloring whose red
+    pairs pack into the words w holds a monochromatic copy iff some copy's
+    mask M has w & M == M (red) or w & M == 0 (blue).  The first coloring
+    left undecided is built as rows from the bits already drawn.  Past the
+    budget, each coloring is searched as raw rows
+    (``randomlab.sample_red_rows``), red first.  The coloring returned is
+    re-verified in both colors by ``find_mono_subgraph_exact``.  Every seed
+    must be a Philox key, which is checked before anything is drawn.  None
+    proves nothing (the search is one-sided).
     """
-    from .randomlab import red_pair_blocks, sample_red_rows
-
     if tries < 1:
         raise ValueError(f"tries must be at least 1, got {tries}")
     seeds = range(seed, seed + tries)
-    table = _copy_table(pattern, n) if tries >= COPY_TABLE_TRIES else None
+    table = _copy_table(pattern, n)
     witness = None
     if table is not None:
         for red in red_pair_blocks(n, 0.5, seeds):

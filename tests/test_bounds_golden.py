@@ -4,8 +4,9 @@ Each cell is one argv on a small grid of every theorem, t, rho (as p/q and as
 a float), s and m, in both output forms: JSON from ``bounds`` and CSV from
 ``bounds --grid`` and ``sweep --kind bounds``.  The corpus keeps the sha256 of
 the stdout of every cell that exits 0, keyed by its argv joined with spaces.
-A change that means to keep the bounds output must keep every digest.
-Regenerate the data only for an intended change of output, and name it:
+A change that means to keep the bounds output must keep every digest.  A
+cell that gives ``--rho`` to a theorem that does not take it is refused, and
+its exit code and message are checked instead.  Regenerate the data only for an intended change of output, and name it:
 
     PYTHONPATH=src python tests/test_bounds_golden.py
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from ramseykit import cli
+from ramseykit import bounds, cli
 
 DATA = Path(__file__).parent / "data" / "bounds_golden.json"
 THEOREMS = ("main-dense", "clique-maxdeg", "clique-dense", "edges-form", "random-graph",
@@ -30,7 +31,8 @@ SS = ("0", "1", "5", "40")
 MS = ("1", "3", "100")
 
 
-# the flags each theorem reads besides --t; it is also run once with the others
+# the flags each theorem is given besides --t, edges-form's --rho to be refused;
+# it is also run once with the others
 READS = {"edges-form": ("--m", "--rho"), "base-case": ("--s", "--rho"),
          "induction-step": ("--s", "--rho")}
 VALUES = {"--rho": RHOS, "--s": SS, "--m": MS}
@@ -68,6 +70,19 @@ def record(argv: list[str]) -> tuple[int, str]:
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def unread_rho_cells() -> list[list[str]]:
+    """The cells that give --rho to a theorem whose ``bounds.TABLE`` row does
+    not take it, and that exit 0 without their --rho."""
+    out = []
+    for argv in cells():
+        row = bounds.TABLE[argv[argv.index("--theorem") + 1]]
+        if "--rho" in argv and "rho" not in row.required + row.optional:
+            at = argv.index("--rho")
+            if record(argv[:at] + argv[at + 2:])[0] == 0:
+                out.append(argv)
+    return out
+
+
 GOLDEN = json.loads(DATA.read_text()) if DATA.exists() else {}
 
 
@@ -84,6 +99,16 @@ def test_corpus_covers_every_theorem_and_output_form():
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_stdout_unchanged(key):
     assert record(key.split(" ")) == (0, GOLDEN[key])
+
+
+@pytest.mark.parametrize("argv", unread_rho_cells(), ids=" ".join)
+def test_unread_rho_refused(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
+    theorem = argv[argv.index("--theorem") + 1]
+    assert (code, out.getvalue(), err.getvalue()) == \
+        (1, "", f"usage error: --rho is not a parameter of theorem {theorem}\n")
 
 
 if __name__ == "__main__":

@@ -244,6 +244,57 @@ class TestSweepCmd:
         assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["gnp:6:0.5:3"] * 6
 
 
+class TestSweepWorkers:
+    SEARCH = ["sweep", "--kind", "search", "--pattern", "k3", "--n", "10:20:10",
+              "--seeds", "0:3:1"]
+
+    @staticmethod
+    def pools(monkeypatch) -> list[int]:
+        """The size of each pool a sweep starts, none of them started."""
+        import multiprocessing
+
+        started = []
+
+        def pool(processes):
+            started.append(processes)
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", pool)
+        return started
+
+    @pytest.mark.parametrize("text", ["abc", "0", "-3", str((os.cpu_count() or 1) + 1)])
+    def test_out_of_range_refused_before_any_worker(self, capsys, monkeypatch, text):
+        started = self.pools(monkeypatch)
+        monkeypatch.setenv("RAMSEYKIT_WORKERS", text)
+        assert cli.run(self.SEARCH) == 1
+        top = os.cpu_count() or 1
+        assert capsys.readouterr() == (
+            "", f"usage error: RAMSEYKIT_WORKERS must be an integer in [1, {top}], got {text}\n")
+        assert started == []
+
+    def test_bounds_sweep_does_not_read_it(self, capsys, monkeypatch):
+        monkeypatch.setenv("RAMSEYKIT_WORKERS", "abc")
+        code, out = run_capture(capsys, ["sweep", "--kind", "bounds", "--theorem", "main-dense",
+                                         "--t", "8", "--rho", "1/4"])
+        assert code == 0 and out.startswith("theorem,t,rho,")
+
+    def test_no_more_workers_than_cells(self, capsys, monkeypatch):
+        started = self.pools(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("RAMSEYKIT_WORKERS", "4")
+        code, _ = run_capture(capsys, ["sweep", "--kind", "search", "--pattern", "k3",
+                                       "--n", "10", "--seeds", "0"])
+        assert code == 0 and started == []
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+    def test_csv_same_at_one_and_two_workers(self, capsys, monkeypatch):
+        csv = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("RAMSEYKIT_WORKERS", workers)
+            csv.append(run_capture(capsys, self.SEARCH))
+        assert csv[0] == csv[1] and csv[0][0] == 0
+
+
 class TestReproducibility:
     MANIFESTS = [
         ["bounds", "--theorem", "main-dense", "--t", "64", "--rho", "1/16"],

@@ -649,14 +649,21 @@ def _pattern_id(g: Graph) -> str:
     return f"t{g.t}:" + ",".join(f"{u}{v}" for u, v in g.edges())
 
 
-class TestCopyTable:
-    """The copy table decides each try as the per-try loop does.  The tries
-    floor is lowered to 1, so 40 tries reach the table."""
+# Patterns of 7 vertices, whose 5040 labellings fit COPY_TABLE_WORDS
+SEVEN = [load_pattern(name) for name in ("c7", "p7", "k7", "s6")]
 
-    @pytest.mark.parametrize("pattern", _small_patterns(5), ids=_pattern_id)
-    def test_same_witness_up_to_the_table_limit_and_one_past(self, monkeypatch, pattern):
-        monkeypatch.setattr(oracle, "COPY_TABLE_TRIES", 1)
-        table, built = oracle._copy_table, []
+
+class TestCopyTable:
+    """The copy table decides each try as the per-try loop does, and it is
+    built on every call whose table fits ``COPY_TABLE_WORDS``."""
+
+    @staticmethod
+    def _check(monkeypatch, pattern: Graph, ns, tries: int = 40,
+               seeds=(0, 97, 2 ** 64 - 5, SEED_LIMIT - 40)) -> list[bool]:
+        """Whether the table fits at each n of ``ns``, after checking that
+        each call there builds it iff it fits and gives the reference's
+        result."""
+        table, built, fits = oracle._copy_table, [], []
 
         def spied(h, n):
             got = table(h, n)
@@ -664,25 +671,48 @@ class TestCopyTable:
             return got
 
         monkeypatch.setattr(oracle, "_copy_table", spied)
-        tries = 40
-        first = max(pattern.t - 1, 0)
-        past = next(n for n in itertools.count(first) if table(pattern, n) is None)
-        for n in range(first, past + 1):
-            for seed in (0, 97, 2 ** 64 - 5, SEED_LIMIT - tries):
+        for n in ns:
+            fits.append(table(pattern, n) is not None)
+            for seed in seeds:
                 built.clear()
                 got = oracle.lower_bound_certificate_random(pattern, n, tries, seed)
-                assert built == [n < past], (n, seed)
+                assert built == fits[-1:], (n, seed)
                 assert _rows(got) == _rows(reference_certify_lower(pattern, n, tries, seed)), \
                     (n, seed)
+        return fits
 
-    def test_built_from_the_tries_floor_on(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(oracle, "_copy_table", lambda h, n: built.append(n))
-        k3 = Graph.complete(3)
-        oracle.lower_bound_certificate_random(k3, 6, oracle.COPY_TABLE_TRIES - 1, 0)
-        assert built == []
-        oracle.lower_bound_certificate_random(k3, 6, oracle.COPY_TABLE_TRIES, 0)
-        assert built == [6]
+    @pytest.mark.parametrize("pattern", [g for g in _small_patterns(5) if g.m] + SEVEN,
+                             ids=_pattern_id)
+    def test_same_witness_up_to_the_table_limit_and_one_past(self, monkeypatch, pattern):
+        first = pattern.t - 1
+        past = next(n for n in itertools.count(first) if oracle._copy_table(pattern, n) is None)
+        assert past > pattern.t  # at n = t the copies are at most t! <= 5040 words
+        fits = self._check(monkeypatch, pattern, range(first, past + 1))
+        assert fits == [True] * (past - first) + [False]
+
+    @pytest.mark.parametrize("name", ["e1", "e2", "e3"])
+    def test_edgeless_pattern_through_the_table(self, monkeypatch, name):
+        # every copy is the empty mask, and below t vertices there is none
+        pattern = load_pattern(name)
+        past = next(n for n in itertools.count(pattern.t)
+                    if oracle._copy_table(pattern, n) is None)
+        ns = sorted({*range(pattern.t - 1, pattern.t + 3), past - 1, past})
+        assert self._check(monkeypatch, pattern, ns) == [n < past for n in ns]
+
+    def test_pattern_on_no_vertices(self, monkeypatch):
+        # its one copy, the empty mask, is in every coloring
+        assert self._check(monkeypatch, Graph.empty(0), range(4)) == [True] * 4
+
+    @pytest.mark.parametrize("name, value", [("k3", 6), ("c4", 6), ("c5", 9)])
+    def test_one_try_builds_the_table(self, monkeypatch, name, value):
+        fits = self._check(monkeypatch, load_pattern(name), (value - 1, value), tries=1,
+                           seeds=range(24))
+        assert fits == [True, True]
+
+    @pytest.mark.parametrize("name, ns", [("k8", (7, 8, 10)), ("c5", (12,))])
+    def test_past_the_budget_no_table(self, monkeypatch, name, ns):
+        # K8 has 8! = 40,320 labellings; C5 at n = 12 has 19,008 words of copies
+        assert self._check(monkeypatch, load_pattern(name), ns) == [False] * len(ns)
 
     @pytest.mark.parametrize("name, n", [("k3", 6), ("c4", 6), ("c5", 9)])
     def test_each_copy_once(self, name, n):
