@@ -6,10 +6,10 @@ OLD and NEW are checkouts of this repository.  Each is copied, without
 ``.git``, ``perfbench/out`` and caches, into a sibling directory of one
 temporary parent, the two names of equal length, and every measurement runs
 on those copies (each one's ``src`` is put on PYTHONPATH; the tier-1 suite
-and perfbench run inside it): peak RSS was seen to move with the checkout's
-path alone.  Every measurement
-runs in a fresh process, and the two checkouts alternate (the one that goes
-first switches every round), so a slow spell of the host lands on both.
+and perfbench run inside it), so the two sides' paths differ in one
+directory name and not in length or place.  Every measurement runs in a
+fresh process, and the two checkouts alternate (the one that goes first
+switches every round), so a slow spell of the host lands on both.
 A row's value is the median over rounds; each primitive is itself the median
 of a few in-process repeats (the t = 5 and 9 constructions: the best of five
 runs of 20,000 calls).  Rows:
