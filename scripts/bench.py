@@ -39,10 +39,12 @@ runs of 20,000 calls).  Rows:
   ``random:320:0.25:1`` and on the even ones of ``random:4096:0.5:1``,
   ``Graph.induced`` of 7 of the 10 vertices of ``gnp:10:0.5:1`` (the best of
   five runs of 20,000 calls), ``neighborhood_chase`` on ``random:320:0.5:1``
-  (threshold 1/2, 8 letters of each colour at most) and
+  (threshold 1/2, 8 letters of each colour at most),
   ``find_red_H_or_blue_clique`` on the n = 320 vs-clique input of
   ``search_sweep`` (``gnp:10:0.5:1`` against a blue K10 in
-  ``random:320:0.25:1``, rho 0.3, seed 1);
+  ``random:320:0.25:1``, rho 0.3, seed 1) and ``find_sparse_pair_heuristic``
+  on the red class of ``random:320:0.5:1`` and ``random:640:0.5:1`` at the
+  search's own settings (sigma 0.05, delta 0.3, 40 tries, seed 1);
 * per-op memory: the tracemalloc peak, in MB above the heap before the op,
   of ``sample_gnp`` and of reading and parsing a G(t, 0.2) file
   (``read_pattern``, as every ``--graph`` is read) at t = 2048 and 4096, of
@@ -175,7 +177,7 @@ def _read_all_edge_lines(text: str) -> None:
 
 def primitives() -> dict:
     """Seconds per call of each primitive, in this process."""
-    from ramseykit.embedder import Certified, check_bidense_exact
+    from ramseykit.embedder import Certified, check_bidense_exact, find_sparse_pair_heuristic
     from ramseykit.graphs import (RED, Graph, parse_coloring, parse_graph, serialize_coloring,
                                   serialize_graph)
     from ramseykit.oracle import find_mono_subgraph_exact, lower_bound_certificate_random
@@ -252,6 +254,10 @@ def primitives() -> dict:
     c, config = sample_coloring(320, 0.25, 1), SearchConfig(rho=0.3, seed=1)
     out["find_red_H_or_blue_clique(gnp:10:0.5:1, random:320:0.25:1, s=10)"] = \
         _median_time(lambda: find_red_H_or_blue_clique(c, g, 10, config), 9)
+    for n in (320, 640):
+        c = sample_coloring(n, 0.5, 1)
+        out[f"find_sparse_pair_heuristic(random:{n}:0.5:1, R, 0.05, 0.3, tries=40)"] = \
+            _median_time(lambda: find_sparse_pair_heuristic(c, 0.05, 0.3, RED, 40, 1), 5)
     with tempfile.TemporaryDirectory() as tmp:
         for t in (2048, 4096):
             out[f"peak of sample_gnp({t}, 0.2)"] = _peak_mb(lambda: sample_gnp(t, 0.2, 1))

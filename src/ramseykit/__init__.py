@@ -30,7 +30,6 @@ from .embedder import (
 from .graphs import (
     BLUE,
     RED,
-    BoundedGraphWitness,
     Coloring,
     Embedding,
     Graph,

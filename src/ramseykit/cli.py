@@ -42,7 +42,6 @@ from .embedder import (
 from .graphs import (
     BLUE,
     RED,
-    BoundedGraphWitness,
     Coloring,
     Graph,
     GraphFormatError,
@@ -52,7 +51,7 @@ from .graphs import (
     serialize_coloring,
     serialize_graph,
 )
-from .patterns import ShorthandError, load_pattern, parse_rho, read_pattern
+from .patterns import ShorthandError, parse_rho, read_pattern
 from .search import (
     SearchConfig,
     SearchOutcome,
@@ -394,10 +393,9 @@ def _search(coloring: Coloring, pattern: Graph, mode: str, rho: Optional[float],
     if mode == "vs-clique":
         return find_red_H_or_blue_clique(coloring, pattern,
                                          pattern.t if clique_s is None else clique_s, config)
-    cap = degree_cap if degree_cap is not None else pattern.max_degree
-    exceptional = frozenset(v for v in range(pattern.t) if pattern.degree(v) > cap)
-    witness = BoundedGraphWitness(pattern, cap, exceptional)
-    return find_random_graph_mono(coloring, pattern, witness, config)
+    return find_random_graph_mono(coloring, pattern,
+                                  pattern.max_degree if degree_cap is None else degree_cap,
+                                  config)
 
 
 def _cmd_search(args) -> int:
@@ -514,7 +512,7 @@ def _cmd_sweep(args) -> int:
     seeds = _grid("--seeds", args.seeds)
     for seed in seeds:
         _Range("--seeds", *_SEED).check(seed)
-    pattern = _seeded("--pattern", load_pattern, args.pattern)  # loaded once for all cells
+    pattern, _ = _seeded("--pattern", _load_graph_arg, args.pattern)  # once for all cells
     cells = [(n, s, pattern, args.pattern, args.mode, rho, args.p_red)
              for n, s in sorted((n, s) for n in ns for s in seeds)]
     workers = min(workers, len(cells))

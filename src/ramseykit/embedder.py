@@ -247,6 +247,11 @@ def find_sparse_pair_heuristic(host, sigma: float, delta: float,
     Seeds (X, Y) with random s-sets and repeatedly applies the best
     single-vertex swap that lowers the cross edge count, restarting
     ``tries`` times.  Deterministic given the seed.
+
+    Swapping v of one side for w outside both lowers the count by v's
+    neighbours in the other side less w's, so the best swap pairs the first
+    member of the side with the most with the first outside vertex with the
+    fewest: each vertex is scored once per side per round.
     """
     rows = rows_of(host, color)
     n = len(rows)
@@ -255,6 +260,7 @@ def find_sparse_pair_heuristic(host, sigma: float, delta: float,
         return None
     rng = np.random.Generator(np.random.Philox(key=seed))
     need = delta * s * s
+    full = (1 << n) - 1
     for _ in range(tries):
         perm = [int(v) for v in rng.permutation(n)]
         X, Y = perm[:s], perm[s: 2 * s]
@@ -265,21 +271,15 @@ def find_sparse_pair_heuristic(host, sigma: float, delta: float,
             for side, other in ((X, Y), (Y, X)):
                 # masks as they are now, so the Y scan sees the X side's swap
                 mask_other, inside = mask_of(other), mask_of(X) | mask_of(Y)
-                best_gain, best_swap = 0, None
-                for i, v in enumerate(side):
-                    dv = (rows[v] & mask_other).bit_count()
-                    for w in range(n):
-                        if inside >> w & 1:
-                            continue
-                        dw = (rows[w] & mask_other).bit_count()
-                        gain = dv - dw
-                        if gain > best_gain:
-                            best_gain, best_swap = gain, (i, w)
-                if best_swap is not None:
-                    i, w = best_swap
+                score = [(rows[v] & mask_other).bit_count() for v in side]
+                i = max(range(s), key=score.__getitem__)
+                # no outside vertex (n = 2s) reads as one of the most, s
+                least, w = min((((rows[w] & mask_other).bit_count(), w)
+                                for w in bits_of(full & ~inside)), default=(s, -1))
+                if score[i] > least:
                     side[i] = w
                     improved = True
-                    e = _cross_edges(rows, X, Y)  # lower by exactly best_gain
+                    e -= score[i] - least
         if e < need:
             X, Y = sorted(X), sorted(Y)
             return BiDensityWitness(tuple(X), tuple(Y), Fraction(e, s * s), sigma, delta)
@@ -349,7 +349,6 @@ def embed_greedy(pattern: Graph, host, delta: float,
     hypothesis_held = True
 
     for step, w in enumerate(order, start=1):
-        placed_nbrs = [y for y in bits_of(pattern.rows[w]) if image[y] >= 0]
         unplaced_nbrs = [y for y in bits_of(pattern.rows[w]) if image[y] < 0]
         chosen = -1
         for v in bits_of(cand[w] & ~used):

@@ -27,7 +27,7 @@ declared vertex count before they build anything.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import combinations_with_replacement
@@ -425,23 +425,6 @@ class Embedding:
             raise ValueError("image must map every pattern vertex")
         if len(set(self.image)) != len(self.image):
             raise ValueError("image not injective")
-
-
-@dataclass(frozen=True)
-class BoundedGraphWitness:
-    """Witness that every vertex outside ``exceptional`` has degree <= cap."""
-
-    graph: Graph
-    degree_cap: int
-    exceptional: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        for v in range(self.graph.t):
-            if v not in self.exceptional and self.graph.degree(v) > self.degree_cap:
-                raise ValueError(
-                    f"vertex {v} has degree {self.graph.degree(v)} > cap "
-                    f"{self.degree_cap} but is not exceptional"
-                )
 
 
 def rows_of(host, color: Optional[str] = None) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -288,29 +288,27 @@ def judicious_partition(g: Graph, max_tries: int = 64, seed: int = 0) -> Partiti
     degree_bound = delta_t / 2 + 2 * math.sqrt(max(delta_t, 0) * math.log2(max(t, 2)))
     delta_ok = delta_t >= 64 * math.log2(max(t, 2))  # flagged, not gating
     rng = _rng(seed)
-    best: Optional[tuple[float, int, int, int]] = None
+    best = None  # (key, mask, size_dev, max_cross) of the try with the least key
+    accepted = False
     for i in range(1, max_tries + 1):
         side = rng.integers(0, 2, size=t, dtype=np.uint8)
         mask1 = int.from_bytes(np.packbits(side, bitorder="little").tobytes(), "little")
         size_dev, max_cross = _partition_metrics(g, mask1)
-        if size_dev <= size_bound and max_cross <= degree_bound:
-            full = (1 << t) - 1
-            return PartitionCertificate(
-                frozenset(bits_of(mask1)), frozenset(bits_of(full & ~mask1)),
-                size_dev, max_cross, i, size_bound, degree_bound,
-                accepted=True, delta_condition_met=delta_ok,
-            )
+        accepted = size_dev <= size_bound and max_cross <= degree_bound
         key = (max(0.0, max_cross - degree_bound) + max(0.0, size_dev - size_bound),
                max_cross, size_dev)
-        if best is None or key < best[:3]:
-            best = (*key, mask1)
+        if best is None or key < best[0]:
+            best = (key, mask1, size_dev, max_cross)
+        if accepted:  # an excess of 0, the least key
+            break
+    if best is None:  # no tries: V1 is empty
+        best = (None, 0, *_partition_metrics(g, 0))
+    _, mask1, size_dev, max_cross = best
     full = (1 << t) - 1
-    mask1 = best[3] if best is not None else 0
-    size_dev, max_cross = _partition_metrics(g, mask1)
     return PartitionCertificate(
         frozenset(bits_of(mask1)), frozenset(bits_of(full & ~mask1)),
-        size_dev, max_cross, max_tries, size_bound, degree_bound,
-        accepted=False, delta_condition_met=delta_ok,
+        size_dev, max_cross, i if accepted else max_tries, size_bound, degree_bound,
+        accepted=accepted, delta_condition_met=delta_ok,
     )
 
 

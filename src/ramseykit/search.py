@@ -30,7 +30,6 @@ from .embedder import embed_greedy, find_sparse_pair_heuristic
 from .graphs import (
     BLUE,
     RED,
-    BoundedGraphWitness,
     Coloring,
     Embedding,
     Graph,
@@ -173,41 +172,36 @@ def common_neighborhood_pigeonhole(coloring: Coloring, S: Sequence[int], B: Sequ
     common neighbors.  B' = members of B joined in ``color`` to all of T.
     """
     S = sorted(set(S))
-    B = sorted(set(B))
     if l > len(S):
         raise ValueError(f"l={l} exceeds |S|={len(S)}")
     if l < 0:
         raise ValueError("l must be nonnegative")
     rows = coloring.rows(color)
+    bmask = mask_of(B)
 
-    def common(ts: Sequence[int]) -> list[int]:
-        mask = mask_of(B)
+    def common(ts: Sequence[int]) -> int:
+        """The members of B joined in ``color`` to all of ``ts``, as a mask."""
+        mask = bmask
         for v in ts:
             mask &= rows[v]
-        return sorted(bits_of(mask))
+        return mask
+
+    def size(ts: Sequence[int]) -> int:
+        return common(ts).bit_count()
 
     if mode == "exact":
         if math.comb(len(S), l) > SUBSET_BUDGET:
             raise ValueError(
                 f"exact mode needs C({len(S)},{l}) <= budget {SUBSET_BUDGET}"
             )
-        best_T, best_B = None, []
-        for T in combinations(S, l):
-            b = common(T)
-            if best_T is None or len(b) > len(best_B):
-                best_T, best_B = T, b
-        return tuple(best_T or ()), tuple(best_B)
-    if mode == "greedy":
+        T = max(combinations(S, l), key=size)  # the first of the largest
+    elif mode == "greedy":
         T = list(S)
         while len(T) > l:
-            best_i, best_b = 0, -1
-            for i in range(len(T)):
-                b = len(common(T[:i] + T[i + 1:]))
-                if b > best_b:
-                    best_i, best_b = i, b
-            T.pop(best_i)
-        return tuple(T), tuple(common(T))
-    raise ValueError(f"unknown mode {mode!r}")
+            T.pop(max(range(len(T)), key=lambda i: size(T[:i] + T[i + 1:])))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return tuple(T), tuple(bits_of(common(T)))
 
 
 @dataclass(frozen=True)
@@ -498,18 +492,9 @@ def _mono_search(coloring: Coloring, pattern: Graph, config: SearchConfig,
     events.append({"event": "chase", "string": chase.string,
                    "final_size": chase.final_mask.bit_count()})
 
-    stop_letter = None
-    if chase.string.count(RED) >= stop:
-        stop_letter = RED
-    elif chase.string.count(BLUE) >= stop:
-        stop_letter = BLUE
-    color_order = [c for c in (stop_letter, RED, BLUE) if c is not None]
-    seen: set[str] = set()
-
-    for c in color_order:
-        if c in seen:
-            continue
-        seen.add(c)
+    # the colour whose letters stopped the chase goes first; red when the set emptied
+    reds, blues = chase.string.count(RED), chase.string.count(BLUE)
+    for c in (BLUE, RED) if reds < stop <= blues else (RED, BLUE):
         out = _mono_via_pivots(coloring, pattern, split, chase, c, config, events)
         if out is not None:
             return out
@@ -552,9 +537,10 @@ def _mono_via_pivots(coloring: Coloring, pattern: Graph, split: SplitResult,
     return None
 
 
-def find_random_graph_mono(coloring: Coloring, pattern: Graph, witness,
+def find_random_graph_mono(coloring: Coloring, pattern: Graph, degree_cap: int,
                            config: SearchConfig) -> SearchOutcome:
-    """Monochromatic search for degree-bounded patterns with an exceptional set.
+    """Monochromatic search for degree-bounded patterns with an exceptional set:
+    the vertices of degree above ``degree_cap``.
 
     Double neighborhood chase (red then blue) builds two pivot cliques that
     will absorb the exceptional vertices; the surviving set is searched for
@@ -563,23 +549,19 @@ def find_random_graph_mono(coloring: Coloring, pattern: Graph, witness,
     extraction, judicious bisection of the blue target, and the star-count
     lift.  Sound and traceable, not complete.
     """
-    return _finish(coloring, pattern, _random_graph_search, witness, config)
+    return _finish(coloring, pattern, _random_graph_search, degree_cap, config)
 
 
-def _random_graph_search(coloring: Coloring, pattern: Graph, witness,
+def _random_graph_search(coloring: Coloring, pattern: Graph, degree_cap: int,
                          config: SearchConfig, events: list) -> SearchOutcome:
-    if not isinstance(witness, BoundedGraphWitness):
-        raise ValueError("a BoundedGraphWitness for the pattern is required")
-    if witness.graph.rows != pattern.rows:
-        raise ValueError("witness does not describe the given pattern")
     t = pattern.t
     n = coloring.n
     if n <= BASE_N:
         return _exact_mono(coloring, pattern, events)
 
-    exceptional = sorted(witness.exceptional)
+    exceptional = [v for v in range(t) if pattern.degree(v) > degree_cap]
     q = len(exceptional)
-    kept = tuple(v for v in range(t) if v not in witness.exceptional)
+    kept = tuple(v for v in range(t) if pattern.degree(v) <= degree_cap)
     core = pattern.induced(kept) if kept else None
     rho = config.rho
 

@@ -49,7 +49,7 @@ from ramseykit.randomlab import (
     _rekey,
     _rng,
 )
-from ramseykit.search import ChaseState
+from ramseykit.search import SUBSET_BUDGET, ChaseState
 
 
 # Test-only helpers: what the library computes no longer, kept for the tests.
@@ -720,3 +720,108 @@ def check_bidense_bruteforce(host, sigma: float, delta: float,
                     if d < delta:
                         return BiDensityWitness(tuple(X), tuple(Y), d, sigma, delta)
     return None
+
+
+# The sparse-pair hill climb and the star count as they were before each
+# scored a vertex once per side per round: the climb rescored every outside
+# vertex for each member of the side, and recounted the cross edges after a
+# swap.
+
+def reference_find_sparse_pair_heuristic(host, sigma: float, delta: float,
+                                         color: Optional[str] = None, tries: int = 100,
+                                         seed: int = 0) -> Optional[BiDensityWitness]:
+    """Randomized hill-climb for a sparse pair; one-sided (None proves nothing).
+
+    Seeds (X, Y) with random s-sets and repeatedly applies the best
+    single-vertex swap that lowers the cross edge count, restarting
+    ``tries`` times.  Deterministic given the seed.
+    """
+    rows = rows_of(host, color)
+    n = len(rows)
+    s = max(1, math.ceil(sigma * n))
+    if 2 * s > n:
+        return None
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    need = delta * s * s
+    for _ in range(tries):
+        perm = [int(v) for v in rng.permutation(n)]
+        X, Y = perm[:s], perm[s: 2 * s]
+        e = reference_cross_edges(rows, X, Y)
+        improved = True
+        while improved and e >= need:
+            improved = False
+            for side, other in ((X, Y), (Y, X)):
+                # masks as they are now, so the Y scan sees the X side's swap
+                mask_other, inside = mask_of(other), mask_of(X) | mask_of(Y)
+                best_gain, best_swap = 0, None
+                for i, v in enumerate(side):
+                    dv = (rows[v] & mask_other).bit_count()
+                    for w in range(n):
+                        if inside >> w & 1:
+                            continue
+                        dw = (rows[w] & mask_other).bit_count()
+                        gain = dv - dw
+                        if gain > best_gain:
+                            best_gain, best_swap = gain, (i, w)
+                if best_swap is not None:
+                    i, w = best_swap
+                    side[i] = w
+                    improved = True
+                    e = reference_cross_edges(rows, X, Y)  # lower by exactly best_gain
+        if e < need:
+            X, Y = sorted(X), sorted(Y)
+            return BiDensityWitness(tuple(X), tuple(Y), Fraction(e, s * s), sigma, delta)
+    return None
+
+
+def reference_cross_edges(rows: Sequence[int], X: Sequence[int], Y: Sequence[int]) -> int:
+    ymask = mask_of(Y)
+    return sum((rows[x] & ymask).bit_count() for x in X)
+
+
+def reference_common_neighborhood_pigeonhole(coloring: Coloring, S: Sequence[int],
+                                             B: Sequence[int], l: int, color: str,
+                                             mode: str = "exact"
+                                             ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Star-counting step: an l-subset T of S with a large common neighborhood in B.
+
+    exact: the T maximizing |B'| over all l-subsets (ties lexicographic).
+    greedy: repeatedly drop the S-vertex whose removal keeps the most
+    common neighbors.  B' = members of B joined in ``color`` to all of T.
+    """
+    S = sorted(set(S))
+    B = sorted(set(B))
+    if l > len(S):
+        raise ValueError(f"l={l} exceeds |S|={len(S)}")
+    if l < 0:
+        raise ValueError("l must be nonnegative")
+    rows = coloring.rows(color)
+
+    def common(ts: Sequence[int]) -> list[int]:
+        mask = mask_of(B)
+        for v in ts:
+            mask &= rows[v]
+        return sorted(bits_of(mask))
+
+    if mode == "exact":
+        if math.comb(len(S), l) > SUBSET_BUDGET:
+            raise ValueError(
+                f"exact mode needs C({len(S)},{l}) <= budget {SUBSET_BUDGET}"
+            )
+        best_T, best_B = None, []
+        for T in combinations(S, l):
+            b = common(T)
+            if best_T is None or len(b) > len(best_B):
+                best_T, best_B = T, b
+        return tuple(best_T or ()), tuple(best_B)
+    if mode == "greedy":
+        T = list(S)
+        while len(T) > l:
+            best_i, best_b = 0, -1
+            for i in range(len(T)):
+                b = len(common(T[:i] + T[i + 1:]))
+                if b > best_b:
+                    best_i, best_b = i, b
+            T.pop(best_i)
+        return tuple(T), tuple(common(T))
+    raise ValueError(f"unknown mode {mode!r}")

@@ -235,7 +235,7 @@ class TestSweepCmd:
         assert len(lines) == 5
 
     def test_pattern_loaded_once_for_all_cells(self, capsys):
-        with mock.patch.object(cli, "load_pattern", wraps=cli.load_pattern) as load:
+        with mock.patch.object(cli, "_load_graph_arg", wraps=cli._load_graph_arg) as load:
             code, out = run_capture(capsys, ["sweep", "--kind", "search",
                                              "--pattern", "gnp:6:0.5:3", "--n", "12,20",
                                              "--seeds", "0:2:1"])
@@ -608,6 +608,23 @@ class TestFailuresAreOneLine:
         assert cli.run(["search", *(a for pair in args.items() for a in pair)]) == 2
         err = capsys.readouterr().err
         assert err == f"input error: {non_utf8[name]}: line {line}: not valid UTF-8\n"
+
+
+    @pytest.mark.parametrize("kind", ["missing", "malformed"])
+    def test_pattern_file_error_is_the_same_in_every_command(self, capsys, tmp_path, kind):
+        path = tmp_path / "pattern.graph"
+        if kind == "malformed":
+            path.write_text("t 3 m 1\n0 x\n")  # line 2
+        errs = []
+        for argv in (["search", "--coloring", "mono:6:R"],
+                     ["oracle", "find", "--coloring", "mono:6:R", "--color", "R"],
+                     ["sweep", "--kind", "search", "--n", "8"]):
+            assert cli.run([*argv, "--pattern", str(path)]) == 2
+            errs.append(capsys.readouterr().err)
+        want = (f"input error: {path}: line 2: non-integer endpoint\n" if kind == "malformed"
+                else f"input error: {str(path)!r} is neither a pattern shorthand (k3, p4, c5, "
+                     f"s4, m2, e3, gnp:t:rho:seed) nor an existing file\n")
+        assert errs == [want] * 3
 
 
 class TestSharedParser:

@@ -13,7 +13,11 @@ from ramseykit.graphs import BLUE, RED, Coloring, Graph, mask_of, rows_of
 from ramseykit.patterns import named_graph
 from ramseykit.randomlab import sample_coloring, sample_gnp
 
-from references import check_bidense_bruteforce, density_pair
+from references import (
+    check_bidense_bruteforce,
+    density_pair,
+    reference_find_sparse_pair_heuristic,
+)
 
 
 def k55_minus_matching() -> Graph:
@@ -456,6 +460,36 @@ class TestSparsePairHeuristic:
         assert (a is None) == (b is None)
         if a is not None:
             assert (a.X, a.Y) == (b.X, b.Y)
+
+
+# hosts random:n:p:seed of the differential tests of the sparse-pair climb
+# and the star count, one per n and p
+REFERENCE_HOSTS = [(n, p) for n in (4, 10, 40, 160, 320) for p in (0.25, 0.5, 0.75)]
+
+
+class TestSparsePairMatchesReference:
+    """The climb returns the witness of the climb that rescored every outside
+    vertex per member of the side (``tests/references.py``), on every host
+    of a seeded grid, in both colours, at several sigma and delta."""
+
+    # (sigma, delta, tries); the search runs (0.05, 0.3, 10)
+    CASES = [(sigma, delta, tries) for sigma in (0.05, 0.2) for delta in (0.1, 0.3, 0.6)
+             for tries in (1, 10)]
+
+    @pytest.mark.parametrize("n, p", REFERENCE_HOSTS, ids=lambda v: str(v))
+    def test_matches_reference(self, n, p):
+        c = sample_coloring(n, p, n)
+        for sigma, delta, tries in self.CASES:
+            # a round of the reference costs about sigma * n**2 popcounts: past
+            # 2**14 per call, only the search's own settings run
+            if tries * sigma * n * n > 2 ** 14 and (sigma, delta, tries) != (0.05, 0.3, 10):
+                continue
+            for color in (RED, BLUE):
+                seed = n + tries
+                got = embedder.find_sparse_pair_heuristic(c, sigma, delta, color, tries, seed)
+                want = reference_find_sparse_pair_heuristic(c, sigma, delta, color, tries,
+                                                            seed)
+                assert got == want, (sigma, delta, color, tries)
 
 
 class TestEmbedGreedy:

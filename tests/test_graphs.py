@@ -12,7 +12,6 @@ from ramseykit.graphs import (
     BLUE,
     MAX_VERTICES,
     RED,
-    BoundedGraphWitness,
     Coloring,
     Graph,
     GraphFormatError,
@@ -289,17 +288,6 @@ def induced_reference(rows, vertices):
             if u in idx:
                 out[i] |= 1 << idx[u]
     return tuple(out)
-
-
-class TestBoundedWitness:
-    def test_valid(self):
-        star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
-        BoundedGraphWitness(star, 1, frozenset({0}))
-
-    def test_uncovered_violation(self):
-        star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
-        with pytest.raises(ValueError):
-            BoundedGraphWitness(star, 1, frozenset())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseykit import oracle, search
-from ramseykit.graphs import BLUE, RED, BoundedGraphWitness, Coloring, Embedding, Graph
+from ramseykit.graphs import BLUE, RED, Coloring, Embedding, Graph
 from ramseykit.patterns import load_pattern, named_graph
 from ramseykit.randomlab import sample_coloring, sample_gnp
 
@@ -12,6 +13,7 @@ from references import (
     chase_start,
     check_chase_invariants,
     density_pair,
+    reference_common_neighborhood_pigeonhole,
     reference_neighborhood_chase,
 )
 
@@ -144,6 +146,27 @@ class TestPigeonhole:
             if len(greedy) >= 0.8 * len(exact):
                 hits += 1
         assert hits >= 90
+
+
+class TestPigeonholeMatchesReference:
+    """The star count returns what the version that rebuilt B's mask and a
+    vertex list per candidate returned (``tests/references.py``), on every
+    host random:n:p:n of a seeded grid, in both colours and both modes."""
+
+    @pytest.mark.parametrize("n, p", [(n, p) for n in (4, 10, 40, 160, 320)
+                                      for p in (0.25, 0.5, 0.75)], ids=lambda v: str(v))
+    def test_matches_reference(self, n, p):
+        c = sample_coloring(n, p, n)
+        perm = [int(v) for v in np.random.Generator(np.random.Philox(key=n)).permutation(n)]
+        for size in sorted({min(2, n // 2), min(8, n // 2)}):
+            S, B = perm[:size], perm[size:]
+            for l in sorted({0, 1, size // 2, size}):
+                for color in (RED, BLUE):
+                    for mode in ("exact", "greedy"):
+                        got = search.common_neighborhood_pigeonhole(c, S, B, l, color, mode)
+                        want = reference_common_neighborhood_pigeonhole(c, S, B, l, color,
+                                                                        mode)
+                        assert got == want, (size, l, color, mode)
 
 
 class TestSplitHighDegree:
@@ -285,45 +308,28 @@ class TestOneExit:
     def test_find_random_graph_mono_raises(self, wrong_oracle):
         c, k3 = wrong_oracle
         with pytest.raises(AssertionError, match="unsound search outcome"):
-            search.find_random_graph_mono(c, k3, BoundedGraphWitness(k3, 2),
-                                          search.SearchConfig(rho=1.0))
+            search.find_random_graph_mono(c, k3, 2, search.SearchConfig(rho=1.0))
 
 
 class TestRandomGraphMono:
-    def test_witness_required(self):
-        c = sample_coloring(20, 0.5, 0)
-        with pytest.raises(ValueError):
-            search.find_random_graph_mono(c, Graph.complete(3), None,
-                                          search.SearchConfig(rho=0.5))
-
-    def test_witness_must_match(self):
-        c = sample_coloring(20, 0.5, 0)
-        w = BoundedGraphWitness(Graph.complete(4), 3)
-        with pytest.raises(ValueError):
-            search.find_random_graph_mono(c, Graph.complete(3), w,
-                                          search.SearchConfig(rho=0.5))
-
     def test_all_red_direct(self):
         c = Coloring.monochromatic(50, RED)
         h = sample_gnp(8, 0.3, 1)
-        w = BoundedGraphWitness(h, h.max_degree)
-        out = search.find_random_graph_mono(c, h, w, search.SearchConfig(rho=0.3))
+        out = search.find_random_graph_mono(c, h, h.max_degree, search.SearchConfig(rho=0.3))
         assert out.kind == "found_mono" and out.color == RED
 
     def test_all_exceptional_boundary(self):
         c = Coloring.monochromatic(64, RED)
         h = Graph.complete(4)
-        w = BoundedGraphWitness(h, 0, frozenset(range(4)))
-        out = search.find_random_graph_mono(c, h, w, search.SearchConfig(rho=0.5))
+        out = search.find_random_graph_mono(c, h, 0, search.SearchConfig(rho=0.5))
         assert out.kind == "found_mono"
 
     def test_measured_sweep_all_found_verify(self):
         h = sample_gnp(12, 0.4, 0)
-        w = BoundedGraphWitness(h, h.max_degree)
         found = 0
         for seed in range(20):
             c = sample_coloring(120, 0.5, seed)
-            out = search.find_random_graph_mono(c, h, w,
+            out = search.find_random_graph_mono(c, h, h.max_degree,
                                                 search.SearchConfig(rho=0.4, seed=seed))
             if out.kind == "found_mono":
                 found += 1
@@ -379,11 +385,9 @@ class TestDescentBranches:
         (pattern, cap, k, p, gseed, rho, seed, depth), (kind, color, image) = \
             self.BOUNDED[case]
         c = planted(60, k, sample_gnp(60 - 2 * k, p, gseed))
-        exceptional = frozenset(v for v in range(pattern.t) if pattern.degree(v) > cap)
         config = search.SearchConfig(rho=float(pattern.density) if rho is None else rho,
                                      seed=seed, max_depth=depth)
-        out = search.find_random_graph_mono(
-            c, pattern, BoundedGraphWitness(pattern, cap, exceptional), config)
+        out = search.find_random_graph_mono(c, pattern, cap, config)
         assert (out.kind, out.color) == (kind, color)
         assert (out.embedding and out.embedding.image) == image
         assert out.reason == (None if out.found else "two-sided recursion exhausted")
