@@ -14,11 +14,15 @@ A row's value is the median over rounds; each primitive is itself the median
 of a few in-process repeats (the t = 5 and 9 constructions: the best of five
 runs of 20,000 calls).  Rows:
 
-* primitives: ``sample_gnp`` at t = 2048 and 4096 (rho 0.2),
+* primitives: ``sample_gnp`` at t = 2048 and 4096 (rho 0.2, seed 1) and at
+  t = 16384 (seed 5),
   ``sample_coloring`` at n = 20, 80 and 320 (p 1/2, the ``search_sweep``
   sizes; the median of 21 calls), ``Graph``
   validation at t = 1024, 2048, 4096 and 8192, ``serialize_graph`` at
-  t = 2048, ``parse_graph`` at t = 1024, 2048, 4096 (G(t, 0.2) each), its
+  t = 2048, the text of G(2048, 0.2) written to the null device as
+  ``random gnp`` writes it (a chunk at a time where ``serialize_graph``
+  streams, whole where it does not), ``parse_graph`` at t = 1024, 2048,
+  4096 (G(t, 0.2) each) and on the bytes of the G(2048, 0.2) text, its
   byte pass alone (``_read_edge_lines`` over every block of the G(2048, 0.2)
   text),
   ``verify_degree_spread`` on G(2048, 0.2) as ``dense_sampling`` runs it
@@ -48,7 +52,10 @@ runs of 20,000 calls).  Rows:
 * per-op memory: the tracemalloc peak, in MB above the heap before the op,
   of ``sample_gnp`` and of reading and parsing a G(t, 0.2) file
   (``read_pattern``, as every ``--graph`` is read) at t = 2048 and 4096, of
-  ``serialize_graph`` at t = 2048, and of the ``verify_degree_spread`` row;
+  ``serialize_graph``, of the text ``random gnp`` writes and of
+  ``parse_graph`` on the text's bytes at t = 2048, and of the
+  ``verify_degree_spread`` row.  These tracemalloc peaks do not depend on
+  the process's memory layout, as ``peak_rss_mb`` does;
 * ``ramsey_number_exact`` on each ``exact_oracle`` anchor of
   ``perfbench/workloads.py``, on R(3,4) at n_max = 10, on R(3,5) at
   n_max = guard = 14, and on (K3, C6) at 11, (K3, C7) at 13 and (C5, K4) at
@@ -175,6 +182,21 @@ def _read_all_edge_lines(text: str) -> None:
         raise SystemExit(f"the byte pass read {read} of {m} edge lines")
 
 
+def _gnp_text(g) -> None:
+    """Write the text of ``g`` to the null device as ``random gnp`` writes
+    it: streamed where ``serialize_graph`` takes an ``out`` stream, whole
+    where it does not."""
+    import inspect
+
+    from ramseykit.graphs import serialize_graph
+
+    with open(os.devnull, "w") as f:
+        if "out" in inspect.signature(serialize_graph).parameters:
+            serialize_graph(g, f)
+        else:
+            f.write(serialize_graph(g))
+
+
 def primitives() -> dict:
     """Seconds per call of each primitive, in this process."""
     from ramseykit.embedder import Certified, check_bidense_exact, find_sparse_pair_heuristic
@@ -187,6 +209,7 @@ def primitives() -> dict:
 
     out = {f"sample_gnp({t}, 0.2)": _median_time(lambda: sample_gnp(t, 0.2, 1), 3)
            for t in (2048, 4096)}
+    out["sample_gnp(16384, 0.2, 5)"] = _median_time(lambda: sample_gnp(16384, 0.2, 5), 3)
     for n in (20, 80, 320):
         out[f"sample_coloring({n}, 0.5)"] = _median_time(lambda: sample_coloring(n, 0.5, 1), 21)
     for t in (1024, 2048, 4096, 8192):
@@ -194,6 +217,9 @@ def primitives() -> dict:
         out[f"Graph validation, t={t}"] = _median_time(lambda: Graph(t, rows), 3)
     g = sample_gnp(2048, 0.2, 1)
     out["serialize_graph, t=2048"] = _median_time(lambda: serialize_graph(g), 5)
+    out["random gnp text, t=2048"] = _median_time(lambda: _gnp_text(g), 5)
+    data = serialize_graph(g).encode()
+    out["parse_graph(bytes), t=2048"] = _median_time(lambda: parse_graph(data), 5)
     for t in (1024, 2048, 4096):
         text = serialize_graph(sample_gnp(t, 0.2, 1))
         out[f"parse_graph, t={t}"] = _median_time(lambda: parse_graph(text), 5)
@@ -267,6 +293,8 @@ def primitives() -> dict:
                 _peak_mb(lambda: read_pattern(str(path)))
     g = sample_gnp(2048, 0.2, 1)
     out["peak of serialize_graph, t=2048"] = _peak_mb(lambda: serialize_graph(g))
+    out["peak of random gnp text, t=2048"] = _peak_mb(lambda: _gnp_text(g))
+    out["peak of parse_graph(bytes), t=2048"] = _peak_mb(lambda: parse_graph(data))
     out["peak of verify_degree_spread(G(2048, 0.2), 0.1, 0.5, 0.2, budget=50)"] = _peak_mb(
         lambda: verify_degree_spread(g, 0.1, 0.5, 0.2, sample_budget=50, seed=1))
     return out

@@ -16,6 +16,7 @@ and ``run`` builds the parser once per process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -27,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, TextIO
 
 from . import bounds as bounds_mod
 from . import oracle as oracle_mod
@@ -275,12 +276,20 @@ def _manifest(args: argparse.Namespace, hashes: dict[str, str]) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _output(out: Optional[str]) -> Iterator[TextIO]:
+    """The --out file, opened to write text, or stdout without one."""
+    if not out:
+        yield sys.stdout
+        return
+    with open(out, "w") as f:
+        yield f
+
+
 def _write(out: Optional[str], text: str):
     """``text`` to the --out file, or to stdout without one."""
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as f:
+        f.write(text)
 
 
 def _emit_result(args: argparse.Namespace, hashes: dict[str, str], result) -> int:
@@ -413,7 +422,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_random_gnp(args) -> int:
     g = randomlab.sample_gnp(args.t_int, parse_rho(args.rho), args.seed)
-    _write(args.out, serialize_graph(g))
+    with _output(args.out) as f:
+        serialize_graph(g, f)  # a chunk at a time: the text is never whole
     return 0
 
 

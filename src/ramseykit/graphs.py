@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -40,7 +40,9 @@ BLUE = "B"
 
 # Most vertices of a graph or coloring.  Validating G(16384, 0.2) at the limit
 # takes about 1.0 s and peaks at 54 MB (tracemalloc; one core of a 2-vCPU
-# x86-64 host), in row blocks: the tiles serve graphs of one block.
+# x86-64 host), in row blocks: the tiles serve graphs of one block.  Drawing
+# it takes about 1.8 s, and its 272 MB of text are made in 1.8 s at a peak of
+# 4.3 MB when written to a stream as they are made (``serialize_graph``).
 MAX_VERTICES = 1 << 14
 
 
@@ -81,9 +83,10 @@ def check_vertex_count(t: int) -> None:
 _BLOCK_ENTRIES = 1 << 24
 
 
-def _row_blocks(t: int) -> Iterator[tuple[int, int]]:
-    """Row ranges lo..hi-1 that cover 0..t-1, each of at most _BLOCK_ENTRIES entries."""
-    step = max(1, _BLOCK_ENTRIES // max(t, 1))
+def _row_blocks(t: int, entries: Optional[int] = None) -> Iterator[tuple[int, int]]:
+    """Row ranges lo..hi-1 that cover 0..t-1, each of at most ``entries``
+    entries (_BLOCK_ENTRIES by default), and of one row at least."""
+    step = max(1, (_BLOCK_ENTRIES if entries is None else entries) // max(t, 1))
     for lo in range(0, t, step):
         yield lo, min(lo + step, t)
 
@@ -747,15 +750,21 @@ def _first_duplicate(eu: np.ndarray, ev: np.ndarray) -> Optional[GraphFormatErro
     return GraphFormatError(f"duplicate edge ({eu[j]},{ev[j]})", j + 2)
 
 
-# Edges per formatted chunk: bounds the line pieces alive at once.
-_SERIALIZE_CHUNK = 1 << 16
+# The text of a graph is made a band of rows at a time, each band of at most
+# _SERIALIZE_ENTRIES entries (a 256 KB bool matrix), and its edges formatted
+# _SERIALIZE_CHUNK at a time: a chunk is about 150 KB of text at t = 2048,
+# and no more than one band and one chunk are alive at once.
+_SERIALIZE_ENTRIES = 1 << 18
+_SERIALIZE_CHUNK = 1 << 14
 
 
-def serialize_graph(g: Graph) -> str:
+def _text_chunks(g: Graph) -> Iterator[str]:
+    """The text of ``g`` in pieces: the header line, then the lines of at
+    most _SERIALIZE_CHUNK edges each, in row-major order."""
     heads = np.array([f"{u} " for u in range(g.t)], dtype=object)
     tails = np.array([f"{v}\n" for v in range(g.t)], dtype=object)
-    chunks = [f"t {g.t} m {g.m}\n"]
-    for lo, hi in _row_blocks(g.t):
+    yield f"t {g.t} m {g.m}\n"
+    for lo, hi in _row_blocks(g.t, _SERIALIZE_ENTRIES):
         # edges {u, v}, u < v, with u in lo..hi-1, in row-major order
         above = [row >> (u + 1) << (u + 1) for u, row in enumerate(g.rows[lo:hi], lo)]
         us, vs = np.divmod(np.flatnonzero(bit_matrix(g.t, above)), g.t)
@@ -763,8 +772,17 @@ def serialize_graph(g: Graph) -> str:
         for i in range(0, len(us), _SERIALIZE_CHUNK):
             part = slice(i, i + _SERIALIZE_CHUNK)
             lines = np.stack((heads[us[part]], tails[vs[part]]), axis=1)
-            chunks.append("".join(lines.ravel().tolist()))
-    return "".join(chunks)
+            yield "".join(lines.ravel().tolist())
+
+
+def serialize_graph(g: Graph, out: Optional[TextIO] = None) -> Optional[str]:
+    """The text of ``g``; or, given a text stream ``out``, None, the text
+    being written to ``out`` a chunk at a time as it is made, so that it is
+    never whole in memory."""
+    if out is None:
+        return "".join(_text_chunks(g))
+    out.writelines(_text_chunks(g))
+    return None
 
 
 def pair_order(n: int) -> list[tuple[int, int]]:

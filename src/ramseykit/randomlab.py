@@ -29,6 +29,7 @@ from .graphs import (
     Graph,
     _packed_rows,
     _pair_rows,
+    _row_blocks,
     bits_of,
     check_vertex_count,
 )
@@ -56,9 +57,17 @@ def chernoff_tail(n: int, p: float, theta: float) -> float:
 
 # Philox keys are 128-bit, so seeds lie in [0, SEED_LIMIT).
 SEED_LIMIT = 1 << 128
-# Entries of the bool matrix of one sampling block (4 MB).  A block's pairs
-# are drawn into a bool array of at most _SAMPLE_ENTRIES / 2 entries.
+# Entries of the bool matrices of one block of seeds drawn whole (4 MB).  A
+# block's pairs are drawn into a bool array of at most _SAMPLE_ENTRIES / 2
+# entries.  Only seeds whose matrix fits _BAND_ENTRIES, those of at most 1024
+# vertices, are drawn whole.
 _SAMPLE_ENTRIES = _BLOCK_ENTRIES // 4
+# Entries of one band of rows of a larger seed (1 MB), which is drawn alone,
+# in at most _MAX_BANDS bands.  Each band reads every earlier row again
+# (``_columns``), so bands no lower than n / 32 rows keep that cost in check:
+# 512 rows at 2048 vertices, 256 at 4096 and 8192, and 512 at 16384.
+_BAND_ENTRIES = _SAMPLE_ENTRIES // 4
+_MAX_BANDS = 32
 # Raw words drawn at once: 2**16 words are 512 KB.
 _WORD_CHUNK = 1 << 16
 _ZEROS = (0, 0, 0, 0)
@@ -159,13 +168,19 @@ def red_pair_blocks(n: int, p: float, seeds: range) -> Iterator[np.ndarray]:
     """The colours of ``sample_coloring(n, p, s)`` for the seeds s of
     ``seeds``, as a bool matrix per block of seeds (``_seed_blocks``): row k
     holds the red pairs of the block's k-th seed, in lexicographic order.
-    n x n must fit ``_SAMPLE_ENTRIES``: a larger coloring is drawn by
-    ``sample_red_rows`` a band of rows at a time."""
+    n x n must fit ``_SAMPLE_ENTRIES``; ``sample_red_rows`` draws a coloring
+    whose matrix is past ``_BAND_ENTRIES`` a band of rows at a time."""
     cut, pairs = _red_cut(p), n * (n - 1) // 2
     for block in _seed_blocks(n, p, seeds):
         red = np.empty((len(block), pairs), bool)
         _draw_seeds(block, cut, red)
         yield red
+
+
+def _band_entries(n: int) -> int:
+    """Entries of a band of rows of a seed of n vertices: ``_BAND_ENTRIES``,
+    or those of n / ``_MAX_BANDS`` rows where they are more."""
+    return max(_BAND_ENTRIES, n * -(-n // _MAX_BANDS))
 
 
 def sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]:
@@ -185,33 +200,33 @@ def sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]
     caller's next() or another sampler in between cannot move a stream.
     Threads that sample at once could, and the package starts none.
 
-    Seeds are drawn in blocks of 1, 2, 4, ... seeds (``red_pair_blocks``),
-    so stopping after the i-th seed costs O(i) draws.  A block holds whole
-    n x n matrices, at most ``_SAMPLE_ENTRIES`` entries of them, each with
-    fewer than n^2 / 2 pairs.  A seed whose matrix is larger is drawn alone,
-    a block of rows of at most ``_SAMPLE_ENTRIES / 2`` pairs at a time, and
-    rows drawn earlier supply the pairs of a block's rows with theirs.
-    Every seed must be a Philox key, which is checked before anything is
-    drawn.
+    Seeds are drawn in blocks of 1, 2, 4, ... seeds (``_seed_blocks``), so
+    stopping after the i-th seed costs O(i) draws.  A seed whose n x n matrix
+    fits ``_BAND_ENTRIES`` is drawn whole, with the others of its block
+    (``red_pair_blocks``).  A larger seed is drawn alone, a band of rows of
+    at most ``_band_entries(n)`` entries at a time, and rows drawn earlier
+    supply the pairs of a band's rows with theirs.  Every seed must be a Philox key, which is
+    checked before anything is drawn.
     """
-    if n * n <= _SAMPLE_ENTRIES:
+    entries = _band_entries(n)
+    if n * n <= entries:
         for red in red_pair_blocks(n, p, seeds):
             rows = _pair_rows(red, n, 0, n, ())
             for k in range(len(red)):
                 yield rows[k * n:(k + 1) * n]
         return
-    cut, step = _red_cut(p), _SAMPLE_ENTRIES // (2 * n)
+    cut = _red_cut(p)
     for block in _seed_blocks(n, p, seeds):
-        bitgen = _philox()
-        _rekey(bitgen, block[0])
-        rows: list[int] = []
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            # pairs {u, v}, lo <= u < hi, u < v
-            red = np.empty((1, (hi - lo) * (2 * n - lo - hi - 1) // 2), bool)
-            _draw_red(bitgen, cut, red[0])
-            rows.extend(_pair_rows(red, n, lo, hi, rows))
-        yield tuple(rows)
+        for seed in block:
+            bitgen = _philox()
+            _rekey(bitgen, seed)
+            rows: list[int] = []
+            for lo, hi in _row_blocks(n, entries):
+                # pairs {u, v}, lo <= u < hi, u < v
+                red = np.empty((1, (hi - lo) * (2 * n - lo - hi - 1) // 2), bool)
+                _draw_red(bitgen, cut, red[0])
+                rows.extend(_pair_rows(red, n, lo, hi, rows))
+            yield tuple(rows)
 
 
 def sample_gnp(t: int, rho: float, seed: int) -> Graph:
@@ -281,7 +296,10 @@ def judicious_partition(g: Graph, max_tries: int = 64, seed: int = 0) -> Partiti
     vertex has at most Delta/2 + 2*sqrt(Delta*log2(t)) neighbours in each
     part, Delta being the maximum degree.  On failure after max_tries the
     best attempt (smallest degree excess) is returned with accepted=False.
+    A negative max_tries is refused.
     """
+    if max_tries < 0:
+        raise ValueError(f"max_tries must be nonnegative, got {max_tries}")
     t = g.t
     delta_t = g.max_degree
     size_bound = 2 * math.sqrt(t)

@@ -8,6 +8,7 @@ import pickle
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -15,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseykit import cli
+from ramseykit import cli, graphs
 from ramseykit.graphs import (
     RED,
     Coloring,
@@ -25,6 +26,10 @@ from ramseykit.graphs import (
     serialize_graph,
 )
 from ramseykit.patterns import ShorthandError, load_pattern, named_graph
+from ramseykit.randomlab import sample_gnp
+
+from references import reference_serialize_graph
+from test_graphs import row_blocks_of
 
 
 def run_capture(capsys, argv):
@@ -159,6 +164,51 @@ class TestRandomCmd:
         assert code == 0
         g = parse_graph(path.read_text())
         assert g.t == 12
+
+    @staticmethod
+    def gnp_bytes(capsys, tmp_path, t, rho, seed):
+        """The bytes ``random gnp`` writes to --out, those it writes to stdout
+        and those of ``reference_serialize_graph`` on the same sample."""
+        argv = ["random", "gnp", "--t", str(t), "--rho", rho, "--seed", str(seed)]
+        path = tmp_path / "g.graph"
+        assert cli.run(argv + ["--out", str(path)]) == 0
+        code, out = run_capture(capsys, argv)
+        assert code == 0
+        want = reference_serialize_graph(sample_gnp(t, float(rho), seed))
+        return path.read_bytes(), out.encode(), want.encode()
+
+    @pytest.mark.parametrize("t, rho", [(1, "0.2"), (1, "1"), (2048, "0.2")])
+    def test_gnp_out_stdout_and_reference_agree(self, capsys, tmp_path, t, rho):
+        written, printed, want = self.gnp_bytes(capsys, tmp_path, t, rho, 1)
+        assert written == printed == want
+
+    # Bands of 4 rows.  At t = 8 and rho 1 the first band has 7 + 6 + 5 + 4 =
+    # 22 edges, so chunks of 21, 22 and 23 edges end one edge before it, at
+    # its end and one edge past it; t = 3, 4, 5, 8 and 9 end the rows inside,
+    # at and one row past a band.
+    @pytest.mark.parametrize("t", [3, 4, 5, 8, 9])
+    @pytest.mark.parametrize("chunk", [1, 21, 22, 23])
+    @pytest.mark.parametrize("rho", ["1", "0.5"])
+    def test_gnp_bytes_across_band_and_chunk_edges(self, capsys, tmp_path, monkeypatch,
+                                                   t, chunk, rho):
+        monkeypatch.setattr(graphs, "_SERIALIZE_CHUNK", chunk)
+        with row_blocks_of(4 * t):
+            written, printed, want = self.gnp_bytes(capsys, tmp_path, t, rho, 3)
+        assert written == printed == want
+
+    def test_gnp_peak_memory(self, tmp_path):
+        """The text is written a chunk at a time: it is never whole in memory."""
+        argv = ["random", "gnp", "--t", "2048", "--rho", "0.2", "--seed", "1",
+                "--out", str(tmp_path / "g.graph")]
+        cli.run(argv)  # the bit generator exists
+        tracemalloc.start()
+        try:
+            code = cli.run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 7 << 20  # 5.1 MB measured; 15.4 MB with the text made whole
 
     def test_partition(self, capsys, tmp_path):
         path = tmp_path / "g.graph"

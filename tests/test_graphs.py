@@ -575,15 +575,17 @@ class TestBitMatrixDifferential:
 @contextmanager
 def row_blocks_of(entries, text_bytes=None):
     """Cut whole-graph work into row blocks of at most ``entries`` entries, as
-    it is for graphs above 4096 vertices, and optionally read graph text in
-    blocks of about ``text_bytes`` bytes."""
-    saved = graphs._BLOCK_ENTRIES, graphs._TEXT_BLOCK
+    it is for graphs above 4096 vertices, and the writer's bands too where
+    they are larger; optionally read graph text in blocks of about
+    ``text_bytes`` bytes."""
+    saved = graphs._BLOCK_ENTRIES, graphs._TEXT_BLOCK, graphs._SERIALIZE_ENTRIES
     graphs._BLOCK_ENTRIES = entries
     graphs._TEXT_BLOCK = text_bytes or saved[1]
+    graphs._SERIALIZE_ENTRIES = min(entries, saved[2])
     try:
         yield
     finally:
-        graphs._BLOCK_ENTRIES, graphs._TEXT_BLOCK = saved
+        graphs._BLOCK_ENTRIES, graphs._TEXT_BLOCK, graphs._SERIALIZE_ENTRIES = saved
 
 
 class TestRowBlocks:

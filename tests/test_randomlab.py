@@ -154,13 +154,23 @@ class TestSamplerMatchesGenerator:
 
     @pytest.mark.parametrize("n, seeds", [
         (9, range(5, 40)),  # blocks of 1, 2, 4, 8, 16 and 4 seeds
-        (1200, range(3, 8)),  # two matrices fill a block: blocks of 1, 2 and 2
-        (2100, range(0, 2)),  # a matrix past one block: rows 0-997, 998-1995, then the rest
-        (3000, range(7, 8)),  # four blocks of 699 rows and one of 204
+        (1000, range(3, 8)),  # drawn whole, four matrices fill a block: blocks of 1, 2 and 2
+        (1200, range(3, 8)),  # each seed alone, in two bands of 873 and 327 rows
+        (2100, range(0, 2)),  # each seed alone, in four bands of 499 rows and one of 104
+        (3000, range(7, 8)),  # eight bands of 349 rows and one of 208
     ])
     def test_blocks(self, n, seeds):
         got = list(randomlab.sample_red_rows(n, 0.3, seeds))
         assert got == [reference_red_rows(n, 0.3, s) for s in seeds]
+
+    @pytest.mark.parametrize("n", [64, 100, 130])
+    def test_least_band_is_a_32nd(self, monkeypatch, n):
+        """Past 5792 vertices a band of 1 MB is under n / 32 rows, and the
+        band is n / 32 rows: here _BAND_ENTRIES is shrunk to show it."""
+        monkeypatch.setattr(randomlab, "_BAND_ENTRIES", 64)
+        assert randomlab._band_entries(n) == n * -(-n // 32)
+        got = list(randomlab.sample_red_rows(n, 0.3, range(4, 6)))
+        assert got == [reference_red_rows(n, 0.3, s) for s in range(4, 6)]
 
     @pytest.mark.parametrize("seed", [-1, SEED_LIMIT])
     def test_seed_outside_philox_keys(self, seed):
@@ -248,7 +258,7 @@ class TestRawWordSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14 << 20  # 11.6 MB measured; 30 MB with float draws
+        assert peak < 6 << 20  # 5.1 MB measured; 11.6 MB drawn as one matrix
 
 
 def recheck_partition(g: Graph, cert) -> bool:
@@ -271,6 +281,15 @@ class TestJudiciousPartition:
         cert = randomlab.judicious_partition(Graph.empty(64), seed=0)
         assert cert.accepted
         assert cert.tries_used <= 2
+
+    @pytest.mark.parametrize("max_tries", [-1, -64])
+    def test_negative_max_tries_refused(self, max_tries):
+        with pytest.raises(ValueError, match="max_tries must be nonnegative"):
+            randomlab.judicious_partition(Graph.empty(8), max_tries=max_tries)
+
+    def test_zero_max_tries(self):
+        cert = randomlab.judicious_partition(Graph.empty(8), max_tries=0)
+        assert (cert.tries_used, cert.v1, cert.accepted) == (0, frozenset(), False)
 
     def test_certificate_recheck(self):
         g = randomlab.sample_gnp(256, 0.2, 3)
