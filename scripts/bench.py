@@ -18,7 +18,10 @@ runs of 20,000 calls).  Rows:
   t = 16384 (seed 5),
   ``sample_coloring`` at n = 20, 80 and 320 (p 1/2, the ``search_sweep``
   sizes; the median of 21 calls), ``Graph``
-  validation at t = 1024, 2048, 4096 and 8192, ``serialize_graph`` at
+  validation at t = 256 and 320 (one 256 x 256 tile, compared whole, and
+  past it; the median of 21 calls) and at 1024, 2048, 4096 and 8192,
+  ``Graph.complete(16384)`` (the K_s ``search --mode vs-clique`` builds for
+  ``--clique-s``), ``serialize_graph`` at
   t = 2048, the text of G(2048, 0.2) written to the null device as
   ``random gnp`` writes it (a chunk at a time where ``serialize_graph``
   streams, whole where it does not), ``parse_graph`` at t = 1024, 2048,
@@ -53,8 +56,9 @@ runs of 20,000 calls).  Rows:
   of ``sample_gnp`` and of reading and parsing a G(t, 0.2) file
   (``read_pattern``, as every ``--graph`` is read) at t = 2048 and 4096, of
   ``serialize_graph``, of the text ``random gnp`` writes and of
-  ``parse_graph`` on the text's bytes at t = 2048, and of the
-  ``verify_degree_spread`` row.  These tracemalloc peaks do not depend on
+  ``parse_graph`` on the text's bytes at t = 2048, of ``Graph`` validation
+  at t = 4096 (the rows made before), of ``Graph.complete(16384)`` and of
+  the ``verify_degree_spread`` row.  These tracemalloc peaks do not depend on
   the process's memory layout, as ``peak_rss_mb`` does;
 * ``ramsey_number_exact`` on each ``exact_oracle`` anchor of
   ``perfbench/workloads.py``, on R(3,4) at n_max = 10, on R(3,5) at
@@ -165,7 +169,10 @@ def _peak_mb(fn) -> float:
 
 def _read_all_edge_lines(text: str) -> None:
     """``parse_graph``'s byte pass alone over a text it writes: every block of
-    edge lines, read into endpoint arrays, and nothing built from them."""
+    edge lines, read into edge arrays (one of u * t + v where the reader
+    takes one, else two of endpoints), and nothing built from them."""
+    import inspect
+
     import numpy as np
 
     from ramseykit.graphs import _read_edge_lines, _text_blocks
@@ -174,10 +181,11 @@ def _read_all_edge_lines(text: str) -> None:
     data = body.encode()
     end = data.find(b"\n")
     t, m = map(int, body[:end].split()[1::2])
-    us, vs = np.empty(m, np.int64), np.empty(m, np.int64)
+    one = "at" in inspect.signature(_read_edge_lines).parameters
+    arrays = [np.empty(m, np.int32)] if one else [np.empty(m, np.int64), np.empty(m, np.int64)]
     read = 0
     for lo, hi in _text_blocks(data, end + 1):
-        read = _read_edge_lines(body, data, lo, hi, t, us, vs, read)
+        read = _read_edge_lines(body, data, lo, hi, t, *arrays, read)
     if read != m:
         raise SystemExit(f"the byte pass read {read} of {m} edge lines")
 
@@ -212,9 +220,13 @@ def primitives() -> dict:
     out["sample_gnp(16384, 0.2, 5)"] = _median_time(lambda: sample_gnp(16384, 0.2, 5), 3)
     for n in (20, 80, 320):
         out[f"sample_coloring({n}, 0.5)"] = _median_time(lambda: sample_coloring(n, 0.5, 1), 21)
+    for t in (256, 320):  # one tile, compared whole, and past it
+        rows = sample_gnp(t, 0.2, 1).rows
+        out[f"Graph validation, t={t}"] = _median_time(lambda: Graph(t, rows), 21)
     for t in (1024, 2048, 4096, 8192):
         rows = sample_gnp(t, 0.2, 1).rows
         out[f"Graph validation, t={t}"] = _median_time(lambda: Graph(t, rows), 3)
+    out["Graph.complete(16384)"] = _median_time(lambda: Graph.complete(16384), 3)
     g = sample_gnp(2048, 0.2, 1)
     out["serialize_graph, t=2048"] = _median_time(lambda: serialize_graph(g), 5)
     out["random gnp text, t=2048"] = _median_time(lambda: _gnp_text(g), 5)
@@ -295,6 +307,9 @@ def primitives() -> dict:
     out["peak of serialize_graph, t=2048"] = _peak_mb(lambda: serialize_graph(g))
     out["peak of random gnp text, t=2048"] = _peak_mb(lambda: _gnp_text(g))
     out["peak of parse_graph(bytes), t=2048"] = _peak_mb(lambda: parse_graph(data))
+    rows = sample_gnp(4096, 0.2, 1).rows
+    out["peak of Graph validation, t=4096"] = _peak_mb(lambda: Graph(4096, rows))
+    out["peak of Graph.complete(16384)"] = _peak_mb(lambda: Graph.complete(16384))
     out["peak of verify_degree_spread(G(2048, 0.2), 0.1, 0.5, 0.2, budget=50)"] = _peak_mb(
         lambda: verify_degree_spread(g, 0.1, 0.5, 0.2, sample_budget=50, seed=1))
     return out

@@ -78,11 +78,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _digest(data: Optional[bytes]) -> Optional[str]:
-    """Manifest hash of the bytes an input was parsed from (None: no file)."""
-    return None if data is None else hashlib.sha256(data).hexdigest()
-
-
 def _require(args: argparse.Namespace, context: str, *flags: str):
     for flag in flags:
         if getattr(args, flag) is None:
@@ -120,19 +115,18 @@ def _load_coloring(spec: str) -> tuple[Coloring, Optional[str]]:
         raise InputError(f"coloring file not found: {spec}")
     data = path.read_bytes()
     try:
-        return parse_coloring(decode_text(data)), _digest(data)
+        return parse_coloring(decode_text(data)), hashlib.sha256(data).hexdigest()
     except GraphFormatError as e:
         raise InputError(f"{spec}: {e}") from None
 
 
 def _load_graph_arg(spec: str) -> tuple[Graph, Optional[str]]:
     try:
-        g, data = read_pattern(spec)
+        return read_pattern(spec)
     except FileNotFoundError as e:
         raise InputError(str(e)) from None
     except GraphFormatError as e:
         raise InputError(f"{spec}: {e}") from None
-    return g, _digest(data)
 
 
 # Most values one grid may name: ``sweep --n`` and ``--seeds``, and ``--t`` of

@@ -5,33 +5,34 @@ packed bit rows (one Python int per vertex).  Two-colorings of complete
 graphs store the Red class as bit rows; Blue is the complement.  All types
 are immutable after construction and safe to share across workers.
 
-Whole-graph work (the symmetry check, induced relabelling, parsing,
-serializing, the compact coloring form) goes through numpy bool matrices:
+Whole-graph work (parsing, serializing, induced relabelling, the compact
+coloring form) goes through numpy bool matrices of a band of rows at a time:
 ``bit_matrix`` unpacks rows into one and ``pack_rows`` packs one back.
-``parse_graph`` reads the edge lines with numpy too, in passes over about
-256 KB of the text's bytes, or of a file's bytes as they were read: an
-endpoint of up to eight digits is converted from the one unaligned 64-bit
-word that ends with it, in three multiplies, and a longer one from two or
-three words.  A graph on up to 4096 vertices is handled as one t x t
-matrix, a larger one in blocks of rows, so no matrix exceeds 16 MB.
-Transposes within a matrix -- the symmetry check, and mirroring the upper
-triangle onto the lower one -- go one 256 x 256 tile and its mirror image
-at a time (``_tiles``), so each stays in cache instead of reading a column
-of the whole matrix per row.  The columns a block of rows takes from the
-other rows are transposed packed, 8 x 8 bits per 64-bit word
-(``_columns``).  That work still takes time quadratic in t, so graphs and
-colorings have at most ``MAX_VERTICES`` vertices, and the parsers check a
-declared vertex count before they build anything.
+``parse_graph`` reads a file, or bytes, one ``_TEXT_BLOCK`` at a time, and
+its edge lines with numpy: an endpoint of up to eight digits is converted
+from the one unaligned 64-bit word that ends with it, in three multiplies,
+and a longer one from two or three words.  The symmetry check of a graph
+past one 256 x 256 tile goes on packed rows: each band of rows is compared
+with the same bits of every row, transposed packed, 8 x 8 bits per 64-bit
+word (``_transposed``), as are the columns a band of rows takes from the
+rows before it (``_columns``).  Mirroring the upper triangle onto the lower
+one goes one 256 x 256 tile and its mirror image at a time (``_tiles``), so
+each stays in cache instead of reading a column of the whole matrix per
+row.  That work still takes time quadratic in t, so graphs and colorings
+have at most ``MAX_VERTICES`` vertices, and the parsers check a declared
+vertex count before they build anything.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
-from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from itertools import chain, combinations_with_replacement
+from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -39,10 +40,10 @@ RED = "R"
 BLUE = "B"
 
 # Most vertices of a graph or coloring.  Validating G(16384, 0.2) at the limit
-# takes about 1.0 s and peaks at 54 MB (tracemalloc; one core of a 2-vCPU
-# x86-64 host), in row blocks: the tiles serve graphs of one block.  Drawing
-# it takes about 1.8 s, and its 272 MB of text are made in 1.8 s at a peak of
-# 4.3 MB when written to a stream as they are made (``serialize_graph``).
+# takes about 0.4 s of CPU and peaks at 36 MB, 32 MB of it its packed rows
+# (tracemalloc; one core of a 2-vCPU x86-64 host).  Drawing it takes about
+# 1.9 s, and its 272 MB of text are made in 1.8 s at a peak of 4.3 MB when
+# written to a stream as they are made (``serialize_graph``).
 MAX_VERTICES = 1 << 14
 
 
@@ -78,9 +79,23 @@ def check_vertex_count(t: int) -> None:
         raise ValueError(f"{t} vertices exceed the limit of {MAX_VERTICES}")
 
 
-# Entries of the largest bool matrix built at once: graphs on up to 4096
-# vertices are one t x t block, larger ones are cut into blocks of rows.
+# Entries of the largest bool matrix that relabelling and the compact
+# coloring form build at once (16 MB): graphs on up to 4096 vertices are one
+# t x t block, larger ones are cut into blocks of rows.
 _BLOCK_ENTRIES = 1 << 24
+# Entries of one band of rows that the sampler draws, the parser fills and
+# the symmetry check compares (1 MB as bools), or of t / _MAX_BANDS rows
+# where they are more.  Each band reads every earlier row again
+# (``_columns``), so bands no lower than t / 32 rows keep that cost in check:
+# 1024 rows at 1024 vertices, 512 at 2048, 256 at 4096 and 8192, and 512 at
+# 16384.
+_BAND_ENTRIES = 1 << 20
+_MAX_BANDS = 32
+
+
+def _band_entries(t: int) -> int:
+    """Entries of a band of rows of a graph or coloring on t vertices."""
+    return max(_BAND_ENTRIES, t * -(-t // _MAX_BANDS))
 
 
 def _row_blocks(t: int, entries: Optional[int] = None) -> Iterator[tuple[int, int]]:
@@ -101,15 +116,6 @@ def _tiles(t: int) -> Iterator[tuple[slice, slice]]:
     t x t matrix, _TILE x _TILE each (less at the edges), row by row."""
     bands = [slice(i, i + _TILE) for i in range(0, t, _TILE)]
     return combinations_with_replacement(bands, 2)
-
-
-def _symmetric(a: np.ndarray) -> bool:
-    """Whether a square bool matrix equals its transpose: each tile is
-    compared with its mirror image.  A matrix of one tile is compared whole,
-    which is the same comparison without the cost of slicing it."""
-    if len(a) <= _TILE:
-        return a.tobytes() == a.T.tobytes()
-    return all(a[r, c].tobytes() == a[c, r].T.tobytes() for r, c in _tiles(len(a)))
 
 
 def _mirror(b: np.ndarray) -> None:
@@ -163,17 +169,25 @@ def _columns(rows: Sequence[int], lo: int, hi: int) -> np.ndarray:
     """Bool (hi - lo) x len(rows) matrix whose entry [i, u] is bit lo + i of
     rows[u]: bits lo..hi-1 of the rows as columns.
 
-    The band of bits is transposed packed, eight rows by eight bits in each
-    64-bit word (``_transpose8``): a bool transpose would read a column of
-    len(rows) bytes per row of the result, one byte at a time."""
-    n, nb = len(rows), (hi - lo + 7) // 8
-    cut = (1 << (hi - lo)) - 1
+    The band of bits is transposed packed (``_transposed``): a bool
+    transpose would read a column of len(rows) bytes per row of the result,
+    one byte at a time."""
+    n, cut = len(rows), (1 << (hi - lo)) - 1
     band = _packed_rows(hi - lo, [row >> lo & cut for row in rows] + [0] * (-n % 8))
+    return np.unpackbits(_transposed(band)[:hi - lo], 1, n, "little").view(bool)
+
+
+def _transposed(band: np.ndarray) -> np.ndarray:
+    """The transpose of a packed bit matrix, packed.  ``band`` is a uint8
+    n x nb matrix, n a multiple of 8, whose row u holds bit i of a row in bit
+    i % 8 of its byte i // 8; row i of the 8nb x n/8 result holds bit i of
+    every row u so, in bit u % 8 of its byte u // 8.  Eight rows by eight
+    bits go in each 64-bit word (``_transpose8``)."""
+    nb = band.shape[1]
     # words[I, U]: byte k is byte I of row 8U + k
     words = band.reshape(-1, 8, nb).transpose(2, 0, 1).copy().view("<u8")[..., 0]
-    _transpose8(words)  # now byte j has bit k = bit lo + 8I + j of row 8U + k
-    cols = words.view(np.uint8).reshape(nb, -1, 8).transpose(0, 2, 1).reshape(8 * nb, -1)
-    return np.unpackbits(cols[:hi - lo], 1, n, "little").view(bool)
+    _transpose8(words)  # now byte j has bit k = bit 8I + j of row 8U + k
+    return words.view(np.uint8).reshape(nb, -1, 8).transpose(0, 2, 1).reshape(8 * nb, -1)
 
 
 def _transpose8(words: np.ndarray) -> None:
@@ -251,10 +265,10 @@ class Graph:
                 raise ValueError(f"row {v} has out-of-range bits")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        # one block: compare each tile with its mirror image; larger graphs,
-        # and a mismatch, go block by block
-        a = bit_matrix(t, rows) if t * t <= _BLOCK_ENTRIES else None
-        if a is None or not _symmetric(a):
+        # one tile is compared with its transpose whole; larger graphs, and
+        # a mismatch, are checked packed
+        a = bit_matrix(t, rows) if t <= _TILE else None
+        if a is None or a.tobytes() != a.T.tobytes():
             _check_symmetric(t, rows)
 
     @classmethod
@@ -349,13 +363,21 @@ def _induced_rows(rows: Sequence[int], vertices: Sequence[int]) -> tuple[int, ..
 
 def _check_symmetric(t: int, rows: Sequence[int]) -> None:
     """Raise at the first entry, in row-major order, where row v has u but row
-    u lacks v; one block of rows at a time."""
-    for lo, hi in _row_blocks(t):
-        a = bit_matrix(t, rows[lo:hi])
-        bad = _columns(rows, lo, hi)  # columns lo..hi-1
-        np.less(bad, a, out=bad)
+    u lacks v.  The rows are packed once, a band at a time; then each band
+    of rows is compared with the same bits of every row, transposed packed,
+    so no bool matrix is built."""
+    bands = list(_row_blocks(t, _band_entries(t)))
+    packed = np.zeros((t + -t % 8, (t + 7) // 8), np.uint8)
+    for lo, hi in bands:
+        packed[lo:hi] = _packed_rows(t, rows[lo:hi])
+    for lo, hi in bands:
+        # bits lo..hi-1 of every row, as rows; the first byte may begin below lo
+        bad = _transposed(packed[:, lo // 8:(hi + 7) // 8])[lo % 8:lo % 8 + hi - lo]
+        np.invert(bad, out=bad)
+        bad &= packed[lo:hi]  # row v has u, row u lacks v
         if bad.any():
-            v, u = np.argwhere(bad)[0]
+            v, byte = np.argwhere(bad)[0]
+            u = 8 * byte + (int(bad[v, byte]) & -int(bad[v, byte])).bit_length() - 1
             raise ValueError(f"adjacency not symmetric at {{{u},{lo + v}}}")
 
 
@@ -483,29 +505,59 @@ def _physical_lines(parse):
     return numbered
 
 
-def parse_graph(text: str | bytes) -> Graph:
-    """The graph a text describes, or the GraphFormatError of its first bad
-    line.  Edge lines are read by a numpy pass over the text's bytes, about
-    _TEXT_BLOCK bytes at a time.
+class GraphFile:
+    """An open binary graph file for ``parse_graph`` to read a block at a
+    time.  Its len() is the file's size when it was opened, and no more is
+    read; ``sha256`` hashes the bytes as they are read."""
 
-    ``text`` may also be the bytes of a graph file.  They are read in place
-    when they are ASCII, hold none of ``_STR_ONLY`` and have no blank line
-    before the header; any other bytes are decoded (``decode_text``) and
-    read as the str, so every graph and error is the one their text gives.
+    def __init__(self, file: BinaryIO):
+        self.file = file
+        self.size = os.fstat(file.fileno()).st_size
+        self.sha256 = hashlib.sha256()
+
+    def __len__(self) -> int:
+        return self.size
+
+    def blocks(self) -> Iterator[bytes]:
+        """The file's bytes from its start, _TEXT_BLOCK at a time."""
+        self.file.seek(0)
+        self.sha256 = hashlib.sha256()
+        left = self.size
+        while left and (block := self.file.read(min(left, _TEXT_BLOCK))):
+            self.sha256.update(block)
+            left -= len(block)
+            yield block
+
+
+def parse_graph(text: str | bytes | GraphFile) -> Graph:
+    """The graph a text describes, or the GraphFormatError of its first bad
+    line.
+
+    ``text`` may also be the bytes of a graph file, or the file itself.  Its
+    bytes are read _TEXT_BLOCK at a time, and its edge lines by a numpy pass
+    over each block, while they are ASCII, hold none of ``_STR_ONLY`` and
+    have no blank line before the header.  Otherwise the whole file is
+    decoded (``decode_text``) and read as the str, so every graph and error
+    is the one its text gives.
     """
     if isinstance(text, str):
         return _parse_text(text)
-    lead = _LEADING_BLANKS.match(text).end()
-    if not text.isascii() or any(c in text for c in _STR_ONLY) \
-            or text.find(b"\n", 0, lead) >= 0:
-        return _parse_text(decode_text(text))
-    end = len(text)
-    while end > lead and text[end - 1] in b" \t\n":
-        end -= 1
-    t, at = _read_edges(text, text, lead, end)
-    rows = _edge_rows(t, at)
-    del at  # free the edges before the validator's matrices exist
-    return Graph(t, rows)
+    try:
+        return _read_graph(_line_runs(_blocks(text)), len(text))
+    except _ReadAsStr:
+        return _parse_text(decode_text(b"".join(_blocks(text))))
+
+
+def _blocks(data: bytes | GraphFile) -> Iterator[bytes]:
+    """The bytes of a graph file, _TEXT_BLOCK at a time."""
+    if isinstance(data, GraphFile):
+        return data.blocks()
+    return (data[i:i + _TEXT_BLOCK] for i in range(0, len(data), _TEXT_BLOCK))
+
+
+class _ReadAsStr(Exception):
+    """Bytes that only their decoded str is read from: not ASCII, holding one
+    of ``_STR_ONLY``, or with a blank line before the header."""
 
 
 # Bytes that ``str.strip`` and ``str.splitlines`` read otherwise than
@@ -523,45 +575,87 @@ def _parse_text(text: str) -> Graph:
     # one byte per character, so offsets agree: "?" stands for any non-ASCII
     # character and leaves its line to _edge_line
     data = body.encode("ascii", "replace")
-    t, at = _read_edges(body, data, 0, len(data))
-    del body, data  # free the text before the matrices exist
+    return _read_graph(iter([(data, len(data))]), len(data), body)
+
+
+def _line_runs(blocks: Iterable[bytes]) -> Iterator[tuple[bytes, int]]:
+    """The text the blocks make up, without the blanks at its end, as runs
+    (data, hi) of whole lines data[:hi]: each run but the last ends where a
+    newline does, which the next run follows.  A block is joined to the
+    ones before it only once a line ends in it, so a line or a run of blanks
+    longer than a block is not copied again with each block.  Raises
+    _ReadAsStr at a block that only the decoded str is read from."""
+    held: list[bytes] = []
+    for block in blocks:
+        if not block.isascii() or any(c in block for c in _STR_ONLY):
+            raise _ReadAsStr
+        held.append(block)
+        end = block.rfind(b"\n", 0, len(block.rstrip(b" \t\n")))  # before a non-blank
+        if end >= 0:
+            data = b"".join(held)
+            end += len(data) - len(block)
+            yield data, end
+            held = [data[end + 1:]]
+    data = b"".join(held)
+    yield data, len(data.rstrip(b" \t\n"))
+
+
+def _read_graph(runs: Iterator[tuple[bytes, int]], size: int,
+                text: Optional[str] = None) -> Graph:
+    """The graph of a text given as runs of whole lines (``_line_runs``) that
+    hold ``size`` bytes at most, or the GraphFormatError of its first bad
+    line.  Each run is its own text, or the one run holds one byte per
+    character of ``text``, which has no blanks at either end.
+
+    The edge lines are read as u * t + v into one int32 array (u * t + v <
+    2**28, as t is at most MAX_VERTICES).  The first bad line's error is
+    raised once every line is counted, as a wrong count of edge lines comes
+    first; any error waits until every block has been seen, which may still
+    hand the whole text to the str reader (_ReadAsStr)."""
+    data, hi = next(runs)
+    lo = _LEADING_BLANKS.match(data).end()
+    if data.find(b"\n", 0, lo) >= 0:
+        raise _ReadAsStr
+    try:
+        if lo >= hi:  # blanks alone
+            raise GraphFormatError("empty input", 1)
+        end = data.find(b"\n", lo, hi)  # of the header line
+        head = _line(text or data, lo, end if end >= 0 else hi).split()
+        if len(head) != 4 or head[0] != "t" or head[2] != "m":
+            raise GraphFormatError("expected header 't <t> m <m>'", 1)
+        try:
+            t, m = int(head[1]), int(head[3])
+        except ValueError:
+            raise GraphFormatError("non-integer header fields", 1) from None
+        if t < 1 or m < 0:
+            raise GraphFormatError("t must be >= 1 and m >= 0", 1)
+        if t > MAX_VERTICES:
+            raise GraphFormatError(f"t must be at most {MAX_VERTICES}", 1)
+    except GraphFormatError:
+        for _ in runs:  # a later block may be one for the str reader
+            pass
+        raise
+    # no more edge lines than bytes: a larger m is a wrong count
+    at = np.empty(m if m <= size else 0, np.int32)
+    found, error = 0, None
+    first = [(data, end + 1, hi)] if end >= 0 else []  # the edge lines after the header
+    for data, a, z in chain(first, ((data, 0, hi) for data, hi in runs)):
+        for lo, hi in _text_blocks(data, a, z):
+            n = data.count(b"\n", lo, hi) + 1
+            if error is None and found + n <= len(at):
+                try:
+                    _read_edge_lines(text or data, data, lo, hi, t, at, found)
+                except GraphFormatError as e:
+                    error = e.with_traceback(None)  # and with it the pass's arrays
+            found += n
+    if found != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {found}", 1)
+    if error is not None:
+        raise error
+    del data, text  # free the text before the matrices exist
     rows = _edge_rows(t, at)
     del at
     return Graph(t, rows)
-
-
-def _read_edges(text: str | bytes, data: bytes, lo: int, hi: int) -> tuple[int, np.ndarray]:
-    """The vertex count t of the graph text text[lo:hi], which has no blanks
-    at either end, and its edge lines' edges {u, v} as u * t + v in line
-    order.  ``data`` holds one byte per character of ``text``, or is
-    ``text``."""
-    if lo == hi:
-        raise GraphFormatError("empty input", 1)
-    end = data.find(b"\n", lo, hi)  # of the header line
-    head = _line(text, lo, end if end >= 0 else hi).split()
-    if len(head) != 4 or head[0] != "t" or head[2] != "m":
-        raise GraphFormatError("expected header 't <t> m <m>'", 1)
-    try:
-        t, m = int(head[1]), int(head[3])
-    except ValueError:
-        raise GraphFormatError("non-integer header fields", 1) from None
-    if t < 1 or m < 0:
-        raise GraphFormatError("t must be >= 1 and m >= 0", 1)
-    if t > MAX_VERTICES:
-        raise GraphFormatError(f"t must be at most {MAX_VERTICES}", 1)
-    found = 0 if end < 0 else data.count(b"\n", end + 1, hi) + 1
-    if found != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {found}", 1)
-    # int32 holds u * t + v < 2**28, as t is at most MAX_VERTICES
-    eu, ev = np.empty(m, np.int32), np.empty(m, np.int32)
-    if m:  # the edge lines follow the header's newline
-        read = 0
-        for a, z in _text_blocks(data, end + 1, hi):
-            read = _read_edge_lines(text, data, a, z, t, eu, ev, read)
-    at = eu
-    at *= t
-    at += ev
-    return t, at
 
 
 def _line(text: str | bytes, lo: int, hi: int) -> str:
@@ -573,30 +667,35 @@ def _line(text: str | bytes, lo: int, hi: int) -> str:
 def _edge_rows(t: int, at: np.ndarray) -> tuple[int, ...]:
     """Rows of the graph on t vertices whose edges {u, v}, u < v, are
     u * t + v = at[i], or the GraphFormatError of the first edge line that
-    repeats an earlier one."""
+    repeats an earlier one.  The rows are filled a band of at most
+    ``_band_entries(t)`` entries at a time."""
     rows: list[int] = []
     distinct = 0
-    for lo, hi in _row_blocks(t):
+    ordered = bool((at[:-1] < at[1:]).all())  # in row-major order, as the writer gives them
+    for lo, hi in _row_blocks(t, _band_entries(t)):
         a = np.zeros((1, hi - lo, t), dtype=bool)  # rows lo..hi-1
-        block = at
-        if hi - lo < t:  # one block of several: the edges in its rows
-            block = at[(lo * t <= at) & (at < hi * t)] - lo * t
-        a.ravel()[block] = True  # the edges, above the diagonal
+        if ordered:  # the edges in them are a slice (found in int32: no cast of at)
+            i, j = np.searchsorted(at, np.array([lo, hi], np.int32) * t)
+            band = at[i:j] - lo * t
+        else:
+            band = at[(lo * t <= at) & (at < hi * t)] - lo * t
+        a.ravel()[band] = True  # the edges, above the diagonal
         distinct += np.count_nonzero(a)
         rows.extend(_symmetric_rows(a, lo, rows))
-        del a, block  # the next block builds its own
+        del a, band  # the next band builds its own
     if distinct != len(at):
-        raise _first_duplicate(*np.divmod(at, t))
+        raise _first_duplicate(at, t)
     return tuple(rows)
 
 
-# Bytes of text read in one pass: bounds the per-byte and per-token arrays.
-# Against 1 MB passes, 256 KB ones read and parse a G(2048, 0.2) file
-# (3.7 MB) at a peak of 10.8 MB, not 18.5, in 56 ms of CPU, not 72, and a
-# G(4096, 0.2) file (15.9 MB) in 152 ms, not 182, at the same 43.8 MB peak,
-# which validation holds (medians of 12 interleaved fresh-process rounds;
-# tracemalloc; one core of a 2-vCPU x86-64 host).
-_TEXT_BLOCK = 1 << 18
+# Bytes of a file read, and of text read in one pass, at once: bounds the
+# per-byte and per-token arrays.  With 64 KB blocks ``read_pattern`` of a
+# G(2048, 0.2) file (3.56 MB) peaks at 4.2 MB, against 5.5 MB with 256 KB
+# ones and 16.8 MB with 1 MB ones, in the same 39-40 ms of CPU as 256 KB
+# blocks (the least of 9 calls, four alternating rounds); a G(4096, 0.2)
+# file (15.9 MB) peaks at 12.8 MB either way, most of it the int32 edges
+# (tracemalloc; one core of a 2-vCPU x86-64 host).
+_TEXT_BLOCK = 1 << 16
 # Longest endpoint the byte pass converts: 18 digits always fit in int64.
 _MAX_DIGITS = 18
 
@@ -664,10 +763,10 @@ def _run_values(words: np.ndarray, ends: np.ndarray, width: np.ndarray) -> np.nd
 
 
 def _read_edge_lines(text: str | bytes, data: bytes, lo: int, hi: int, t: int,
-                     us: np.ndarray, vs: np.ndarray, k: int) -> int:
-    """Read the edge lines in text[lo:hi] into us[k:] and vs[k:]; return the
-    number of edge lines read so far.  ``data`` holds one byte per character
-    of ``text``, or is ``text``.
+                     at: np.ndarray, k: int) -> int:
+    """Read the edge lines in text[lo:hi] into at[k:], edge {u, v} as
+    u * t + v; return the number of edge lines read so far.  ``data`` holds
+    one byte per character of ``text``, or is ``text``.
 
     One numpy pass over the bytes reads every line made of two digit runs
     separated by blanks.  The runs' boundaries come from the edges of the
@@ -709,15 +808,18 @@ def _read_edge_lines(text: str | bytes, data: bytes, lo: int, hi: int, t: int,
             unread[np.searchsorted(breaks, np.flatnonzero(~plain))] = True
     if width.max(initial=0) > _MAX_DIGITS:
         unread[np.searchsorted(breaks, starts[width > _MAX_DIGITS])] = True
-    us[k:k + n], vs[k:k + n] = u, v
+    u *= t  # unread lines' values may wrap: they are read again below
+    u += v
+    at[k:k + n] = u
     for j in np.flatnonzero(unread).tolist():
         a = lo + (breaks[j - 1] + 1 if j else 0)
         z = lo + breaks[j] if j < n - 1 else hi
         try:
-            us[k + j], vs[k + j] = _edge_line(_line(text, a, z), k + j + 2, t)
+            u, v = _edge_line(_line(text, a, z), k + j + 2, t)
         except GraphFormatError as e:
             # a duplicate on an earlier line is the first error
-            raise (_first_duplicate(us[:k + j], vs[:k + j]) or e) from None
+            raise (_first_duplicate(at[:k + j], t) or e) from None
+        at[k + j] = u * t + v
     return k + n
 
 
@@ -739,15 +841,16 @@ def _edge_line(line: str, i: int, t: int) -> tuple[int, int]:
     return u, v
 
 
-def _first_duplicate(eu: np.ndarray, ev: np.ndarray) -> Optional[GraphFormatError]:
-    """The error for the first edge line that repeats an earlier one, if any."""
-    order = np.lexsort((np.arange(len(eu)), ev, eu))  # equal edges in line order
-    su, sv = eu[order], ev[order]
-    repeats = order[1:][(su[1:] == su[:-1]) & (sv[1:] == sv[:-1])]
+def _first_duplicate(at: np.ndarray, t: int) -> Optional[GraphFormatError]:
+    """The error for the first edge line that repeats an earlier one, if any;
+    edge line i + 2 holds the edge at[i] = u * t + v."""
+    order = np.argsort(at, kind="stable")  # equal edges in line order
+    same = at[order]
+    repeats = order[1:][same[1:] == same[:-1]]
     if not len(repeats):
         return None
     j = int(repeats.min())
-    return GraphFormatError(f"duplicate edge ({eu[j]},{ev[j]})", j + 2)
+    return GraphFormatError("duplicate edge ({},{})".format(*divmod(int(at[j]), t)), j + 2)
 
 
 # The text of a graph is made a band of rows at a time, each band of at most

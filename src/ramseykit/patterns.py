@@ -13,12 +13,13 @@ Anything that is not a shorthand is treated as a path to a graph file.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .graphs import Graph, parse_graph
+from .graphs import Graph, GraphFile, parse_graph
 
 _SHORTHAND = re.compile(r"^([kpcsme])(\d+)$")
 _GNP = re.compile(r"^gnp:(\d+):([0-9./]+):(\d+)$")
@@ -63,10 +64,11 @@ def load_pattern(spec: str) -> Graph:
     return read_pattern(spec)[0]
 
 
-def read_pattern(spec: str) -> tuple[Graph, Optional[bytes]]:
-    """The Graph ``spec`` names, and the bytes it was parsed from when
-    ``spec`` is a file path (None for a shorthand, which wins over a file of
-    the same name)."""
+def read_pattern(spec: str) -> tuple[Graph, Optional[str]]:
+    """The Graph ``spec`` names, and the SHA-256 hex digest of the bytes it
+    was parsed from when ``spec`` is a file path (None for a shorthand, which
+    wins over a file of the same name).  A file is read once, a block at a
+    time, and hashed as it is parsed."""
     m = _SHORTHAND.match(spec)
     if m:
         return named_graph(m.group(1), int(m.group(2))), None
@@ -88,5 +90,9 @@ def read_pattern(spec: str) -> tuple[Graph, Optional[bytes]]:
             f"{spec!r} is neither a pattern shorthand (k3, p4, c5, s4, m2, e3, "
             f"gnp:t:rho:seed) nor an existing file"
         )
-    data = path.read_bytes()
-    return parse_graph(data), data  # parsed from the bytes, which the digest needs anyway
+    if not path.is_file():  # a pipe, say, which cannot be read twice: read it whole
+        data = path.read_bytes()
+        return parse_graph(data), hashlib.sha256(data).hexdigest()
+    with path.open("rb") as f:
+        text = GraphFile(f)
+        return parse_graph(text), text.sha256.hexdigest()

@@ -27,6 +27,7 @@ from .graphs import (
     _BLOCK_ENTRIES,
     Coloring,
     Graph,
+    _band_entries,
     _packed_rows,
     _pair_rows,
     _row_blocks,
@@ -59,15 +60,10 @@ def chernoff_tail(n: int, p: float, theta: float) -> float:
 SEED_LIMIT = 1 << 128
 # Entries of the bool matrices of one block of seeds drawn whole (4 MB).  A
 # block's pairs are drawn into a bool array of at most _SAMPLE_ENTRIES / 2
-# entries.  Only seeds whose matrix fits _BAND_ENTRIES, those of at most 1024
-# vertices, are drawn whole.
+# entries.  Only seeds whose matrix fits one band of rows
+# (``graphs._band_entries``), those of at most 1024 vertices, are drawn
+# whole; a larger seed is drawn alone, a band at a time.
 _SAMPLE_ENTRIES = _BLOCK_ENTRIES // 4
-# Entries of one band of rows of a larger seed (1 MB), which is drawn alone,
-# in at most _MAX_BANDS bands.  Each band reads every earlier row again
-# (``_columns``), so bands no lower than n / 32 rows keep that cost in check:
-# 512 rows at 2048 vertices, 256 at 4096 and 8192, and 512 at 16384.
-_BAND_ENTRIES = _SAMPLE_ENTRIES // 4
-_MAX_BANDS = 32
 # Raw words drawn at once: 2**16 words are 512 KB.
 _WORD_CHUNK = 1 << 16
 _ZEROS = (0, 0, 0, 0)
@@ -169,18 +165,12 @@ def red_pair_blocks(n: int, p: float, seeds: range) -> Iterator[np.ndarray]:
     ``seeds``, as a bool matrix per block of seeds (``_seed_blocks``): row k
     holds the red pairs of the block's k-th seed, in lexicographic order.
     n x n must fit ``_SAMPLE_ENTRIES``; ``sample_red_rows`` draws a coloring
-    whose matrix is past ``_BAND_ENTRIES`` a band of rows at a time."""
+    whose matrix is past one band of rows a band at a time."""
     cut, pairs = _red_cut(p), n * (n - 1) // 2
     for block in _seed_blocks(n, p, seeds):
         red = np.empty((len(block), pairs), bool)
         _draw_seeds(block, cut, red)
         yield red
-
-
-def _band_entries(n: int) -> int:
-    """Entries of a band of rows of a seed of n vertices: ``_BAND_ENTRIES``,
-    or those of n / ``_MAX_BANDS`` rows where they are more."""
-    return max(_BAND_ENTRIES, n * -(-n // _MAX_BANDS))
 
 
 def sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]:
@@ -202,11 +192,11 @@ def sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]
 
     Seeds are drawn in blocks of 1, 2, 4, ... seeds (``_seed_blocks``), so
     stopping after the i-th seed costs O(i) draws.  A seed whose n x n matrix
-    fits ``_BAND_ENTRIES`` is drawn whole, with the others of its block
-    (``red_pair_blocks``).  A larger seed is drawn alone, a band of rows of
-    at most ``_band_entries(n)`` entries at a time, and rows drawn earlier
-    supply the pairs of a band's rows with theirs.  Every seed must be a Philox key, which is
-    checked before anything is drawn.
+    fits one band of rows, of ``_band_entries(n)`` entries, is drawn whole,
+    with the others of its block (``red_pair_blocks``).  A larger seed is
+    drawn alone, a band at a time, and rows drawn earlier supply the pairs
+    of a band's rows with theirs.  Every seed must be a Philox key, which
+    is checked before anything is drawn.
     """
     entries = _band_entries(n)
     if n * n <= entries:

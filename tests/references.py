@@ -22,14 +22,16 @@ from ramseykit.graphs import (
     RED,
     Coloring,
     Graph,
+    MAX_VERTICES,
     GraphFormatError,
     _edge_line,
-    _first_duplicate,
+    _physical_lines,
     _row_blocks,
     _symmetric_rows,
     bit_matrix,
     bits_of,
     check_vertex_count,
+    decode_text,
     mask_of,
     pair_order,
     rows_of,
@@ -384,6 +386,71 @@ def reference_read_edge_lines(text: str, data: bytes, lo: int, hi: int, t: int,
             # a duplicate on an earlier line is the first error
             raise (_first_duplicate(us[:k + j], vs[:k + j]) or e) from None
     return k + n
+
+
+def _first_duplicate(eu: np.ndarray, ev: np.ndarray) -> Optional[GraphFormatError]:
+    """The error for the first edge line that repeats an earlier one, if any."""
+    order = np.lexsort((np.arange(len(eu)), ev, eu))  # equal edges in line order
+    su, sv = eu[order], ev[order]
+    repeats = order[1:][(su[1:] == su[:-1]) & (sv[1:] == sv[:-1])]
+    if not len(repeats):
+        return None
+    j = int(repeats.min())
+    return GraphFormatError(f"duplicate edge ({eu[j]},{ev[j]})", j + 2)
+
+
+# The graph text reader before it read files a block at a time: the whole
+# bytes at once, every edge line in one pass of the byte reader above, and
+# the rows from one t x t matrix.  The reference for ``parse_graph`` of bytes
+# and of files, its errors included.
+
+def reference_parse_graph_bytes(data: bytes) -> Graph:
+    lead = len(data) - len(data.lstrip(b" \t\n"))
+    if not data.isascii() or any(c in data for c in _STR_ONLY) \
+            or data.find(b"\n", 0, lead) >= 0:
+        return _reference_parse_text(decode_text(data))
+    return _reference_read_edges(data, data, lead, max(lead, len(data.rstrip(b" \t\n"))))
+
+
+_STR_ONLY = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+@_physical_lines
+def _reference_parse_text(text: str) -> Graph:
+    body = text.strip()
+    if not body.isascii() or any(c in body for c in "\r\x0b\x0c\x1c\x1d\x1e"):
+        body = "\n".join(body.splitlines())
+    data = body.encode("ascii", "replace")
+    return _reference_read_edges(body, data, 0, len(data))
+
+
+def _reference_read_edges(text: str | bytes, data: bytes, lo: int, hi: int) -> Graph:
+    if lo == hi:
+        raise GraphFormatError("empty input", 1)
+    end = data.find(b"\n", lo, hi)
+    head = text[lo:end if end >= 0 else hi]
+    head = (head.decode() if isinstance(head, bytes) else head).split()
+    if len(head) != 4 or head[0] != "t" or head[2] != "m":
+        raise GraphFormatError("expected header 't <t> m <m>'", 1)
+    try:
+        t, m = int(head[1]), int(head[3])
+    except ValueError:
+        raise GraphFormatError("non-integer header fields", 1) from None
+    if t < 1 or m < 0:
+        raise GraphFormatError("t must be >= 1 and m >= 0", 1)
+    if t > MAX_VERTICES:
+        raise GraphFormatError(f"t must be at most {MAX_VERTICES}", 1)
+    found = 0 if end < 0 else data.count(b"\n", end + 1, hi) + 1
+    if found != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {found}", 1)
+    us, vs = np.empty(m, np.int64), np.empty(m, np.int64)
+    if m:
+        reference_read_edge_lines(text, data, end + 1, hi, t, us, vs, 0)
+    adj = np.zeros((t, t), bool)
+    adj[us, vs] = True
+    if np.count_nonzero(adj) != m:
+        raise _first_duplicate(us, vs)
+    return Graph(t, reference_pack_rows(adj | adj.T))
 
 
 # The compact coloring reader and writer before they went through numpy, one

@@ -210,6 +210,48 @@ class TestRandomCmd:
         assert code == 0
         assert peak < 7 << 20  # 5.1 MB measured; 15.4 MB with the text made whole
 
+    def test_partition_file_peak_memory(self, capsys, tmp_path):
+        """The graph file is read a block at a time and its rows filled and
+        checked in bands: neither its bytes nor a t x t matrix are whole."""
+        path = tmp_path / "g.graph"
+        cli.run(["random", "gnp", "--t", "2048", "--rho", "0.2", "--seed", "1",
+                 "--out", str(path)])
+        argv = ["random", "partition", "--graph", str(path), "--seed", "0"]
+        cli.run(argv)
+        tracemalloc.start()
+        try:
+            code = cli.run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 6 << 20  # 4.2 MB measured; 10.8 MB with the file's bytes whole
+
+    def test_traced_file_read(self, capsys, tmp_path):
+        """perfbench's tracer wraps ``graphs.parse_graph`` by name and counts
+        len() of its first argument as the bytes parsed: a file is read
+        through one call whose argument's len() is the file's size."""
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+        try:
+            from tracer import Tracer
+        finally:
+            sys.path.pop(0)
+        path = tmp_path / "g.graph"
+        cli.run(["random", "gnp", "--t", "300", "--rho", "0.2", "--seed", "1",
+                 "--out", str(path)])
+        tracer = Tracer()
+        tracer.install()
+        try:
+            code = cli.run(["random", "partition", "--graph", str(path), "--seed", "0"])
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert code == 0
+        assert tracer.calls["graphs.parse"] == 1
+        assert tracer.counts["graphs.parse_bytes"] == path.stat().st_size
+        assert tracer.counts["graphs.edges_validated"] == sample_gnp(300, 0.2, 1).m
+
     def test_partition(self, capsys, tmp_path):
         path = tmp_path / "g.graph"
         cli.run(["random", "gnp", "--t", "64", "--rho", "0.3", "--seed", "1",
@@ -732,9 +774,9 @@ class TestInputFiles:
         pattern = tmp_path / "p.graph"
         pattern.write_text(serialize_graph(named_graph("k", 3)))
         reads = []
-        read_bytes = Path.read_bytes
-        monkeypatch.setattr(Path, "read_bytes",
-                            lambda self: reads.append(self.name) or read_bytes(self))
+        open_path = Path.open  # read_bytes opens the file through it too
+        monkeypatch.setattr(Path, "open", lambda self, *a, **k:
+                            reads.append(self.name) or open_path(self, *a, **k))
         code, out = run_capture(capsys, ["search", "--coloring", str(coloring),
                                          "--pattern", str(pattern)])
         assert code == 0

@@ -1,3 +1,7 @@
+import hashlib
+import os
+import tempfile
+import threading
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
@@ -24,6 +28,7 @@ from ramseykit.graphs import (
     serialize_coloring,
     serialize_graph,
 )
+from ramseykit.patterns import read_pattern
 from ramseykit.randomlab import sample_coloring, sample_gnp
 
 import references
@@ -31,6 +36,7 @@ from references import (
     density_pair,
     reference_coloring_from_hex,
     reference_pack_rows,
+    reference_parse_graph_bytes,
     reference_read_edge_lines,
     reference_serialize_coloring_compact,
     reference_serialize_graph,
@@ -575,17 +581,21 @@ class TestBitMatrixDifferential:
 @contextmanager
 def row_blocks_of(entries, text_bytes=None):
     """Cut whole-graph work into row blocks of at most ``entries`` entries, as
-    it is for graphs above 4096 vertices, and the writer's bands too where
-    they are larger; optionally read graph text in blocks of about
+    it is for graphs above 4096 vertices, and the bands of the parser, the
+    symmetry check and the writer too where they are larger (a band of rows
+    is at least t / 32 rows); optionally read graph text in blocks of about
     ``text_bytes`` bytes."""
-    saved = graphs._BLOCK_ENTRIES, graphs._TEXT_BLOCK, graphs._SERIALIZE_ENTRIES
+    names = "_BLOCK_ENTRIES", "_BAND_ENTRIES", "_TEXT_BLOCK", "_SERIALIZE_ENTRIES"
+    saved = [getattr(graphs, name) for name in names]
     graphs._BLOCK_ENTRIES = entries
-    graphs._TEXT_BLOCK = text_bytes or saved[1]
-    graphs._SERIALIZE_ENTRIES = min(entries, saved[2])
+    graphs._BAND_ENTRIES = min(entries, saved[1])
+    graphs._TEXT_BLOCK = text_bytes or saved[2]
+    graphs._SERIALIZE_ENTRIES = min(entries, saved[3])
     try:
         yield
     finally:
-        graphs._BLOCK_ENTRIES, graphs._TEXT_BLOCK, graphs._SERIALIZE_ENTRIES = saved
+        for name, value in zip(names, saved):
+            setattr(graphs, name, value)
 
 
 class TestRowBlocks:
@@ -692,6 +702,137 @@ class TestParseBytes:
         assert peak < 10 << 20  # 7.2 MB measured; 25 MB for the text before
 
 
+# Graph files down every branch of the block reader: CRLF, \x0b, non-ASCII
+# and non-UTF-8 bytes, some in a later block than an error; leading blank
+# lines, trailing blanks, no final newline, m 0; lines longer than a block;
+# a duplicate edge across blocks; and a wrong edge count beside a bad line.
+STREAM_CASES = [
+    b"t 3 m 2\r\n0 1\r\n1 2\r\n", b"t 3 m 2\n0 1\n1 2\x0b\n",
+    "t 3 m 2\n0 1\n1 2 \u00e9\n".encode(), "t 3 m 2\n0 1\n\u0661 \u0662\n".encode(),
+    b"t 3 m 2\n0 1\n1 \xff\n",
+    b"t x m 2\n0 1\n1 2\n\xff",  # a header error before bytes that are not UTF-8
+    b"t 3 m 2\n0 x\n1 2\r\n",  # a bad line before a CR
+    b"t 3 m 3\n0 1\n1 2\n\xe2\x80",  # a wrong count before a cut UTF-8 sequence
+    b"\n\n t 3 m 2\n0 1\n1 2\n", b" \t t 3 m 2\n0 1\n1 2\n", b"  \nt 3 m 1\n0 1",
+    b"t 3 m 2\n0 1\n1 2\n \t\n\n   \n", b"t 3 m 2\n0 1\n1 2", b"t 3 m 2\n0 1\n1 2   ",
+    b"t 3 m 0\n", b"t 3 m 0", b"t 3 m 0\n\n  \n", b"t 3 m 0\n0 1\n", b"t 3 m 1\n\n",
+    b"", b" \t ", b"\n\n", b"   \n \t",
+    b"t 5 m 3\n0 1\n" + b"0" * 40 + b"2 " + b"0" * 30 + b"3\n3 4\n",
+    b"t 5 m 3\n0 1\n" + b" " * 50 + b"2 3" + b" " * 50 + b"\n3 4\n",
+    b"t 5 m 3\n0 1\n1 2\n" + b" \n" * 40,
+    b"t 3 m 2\n0 1\n\n1 2\n", b"t 3 m 1\n0 9\n", b"t 99999 m 0\n",
+    b"t 9 m 6\n0 1\n2 3\n4 5\n6 7\n0 8\n2 3\n",  # a duplicate edge across blocks
+    b"t 9 m 6\n0 1\n2 3\n4 5\n6 7\n2 3\n2 x\n",  # a duplicate before a bad line
+    b"t 9 m 7\n0 1\n2 3\n4 5\n6 7\n0 8\n1 x\n",  # a wrong count beats a bad line
+    b"t 9 m 7\n0 x\n2 3\n4 5\n6 7\n0 8\n1 2\n",  # ... in an earlier block too
+    b"t 9 m 5\n0 1\n2 3\n4 5\n6 7\n0 8\n1 2\n",  # more edge lines than m
+    b"t 9 m 1000\n0 1\n",  # more edge lines declared than the file has bytes
+]
+
+
+def graph_of(g):
+    return g.t, g.rows
+
+
+def file_outcome(data):
+    """What ``read_pattern`` makes of a file of ``data``: its graph and its
+    digest, or its error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.graph")
+        with open(path, "wb") as f:
+            f.write(data)
+        try:
+            g, digest = read_pattern(path)
+        except GraphFormatError as e:
+            return ("format", str(e), e.line), None
+    return ("ok", graph_of(g)), digest
+
+
+class TestBlockReader:
+    """``parse_graph`` of bytes and of files, a block of text and a band of
+    rows at a time, against the reader of the whole bytes that it replaced:
+    the same graph, the same digest and the same error on the same line."""
+
+    @pytest.mark.parametrize("text_bytes", [1, 2, 3, 5, 8, 13, 64, None])
+    @pytest.mark.parametrize("data", STREAM_CASES)
+    def test_cases_match_whole_bytes_reader(self, data, text_bytes):
+        want = outcome(lambda: graph_of(reference_parse_graph_bytes(data)))
+        with row_blocks_of(1, text_bytes):  # bands of one row
+            assert outcome(lambda: graph_of(parse_graph(data))) == want
+            assert file_outcome(data) == \
+                (want, hashlib.sha256(data).hexdigest() if want[0] == "ok" else None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph_texts(), st.integers(1, 300), st.integers(1, 64))
+    def test_texts_match_whole_bytes_reader(self, text, entries, text_bytes):
+        data = text.encode()
+        want = outcome(lambda: graph_of(reference_parse_graph_bytes(data)))
+        with row_blocks_of(entries, text_bytes):
+            assert outcome(lambda: graph_of(parse_graph(data))) == want
+            assert file_outcome(data)[0] == want
+
+    def test_default_blocks_and_bands(self):
+        g = sample_gnp(1100, 0.2, 3)  # bands of 953 and 147 rows
+        data = serialize_graph(g).encode()  # 17 blocks of text
+        assert file_outcome(data) == (("ok", graph_of(g)), hashlib.sha256(data).hexdigest())
+        head, first = data.split(b"\n", 2)[:2]  # the first edge line again, at the end
+        dup = data.replace(head, b"t 1100 m %d" % (g.m + 1), 1) + first + b"\n"
+        assert outcome(parse_graph, dup) == outcome(reference_parse_graph_bytes, dup) == \
+            ("format", f"line {g.m + 2}: duplicate edge ({first.replace(b' ', b',').decode()})",
+             g.m + 2)
+
+    @pytest.mark.parametrize("entries", [600, 600 * 97, None])  # bands of 1, 97 and 600 rows
+    def test_edges_in_any_order(self, entries):
+        """Edge lines in row-major order, as ``random gnp`` writes them, give
+        each band its edges as a slice; in any other order they are picked
+        out band by band."""
+        g = sample_gnp(600, 0.1, 4)
+        head, *lines = serialize_graph(g).splitlines()
+        np.random.default_rng(1).shuffle(lines)
+        with row_blocks_of(entries or graphs._BLOCK_ENTRIES):
+            assert parse_graph("\n".join([head] + lines)) == g
+            lines[-1] = lines[0]
+            text = "\n".join([head] + lines)
+            assert outcome(parse_graph, text) == outcome(ref_parse_graph, text)
+
+    def test_pipe_is_read_whole(self, tmp_path):
+        fifo = tmp_path / "g.fifo"
+        os.mkfifo(fifo)
+        data = b"t 3 m 1\n0 2\n"
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            g, digest = read_pattern(str(fifo))
+        finally:
+            if writer.is_alive():  # nothing opened the pipe: let the writer go
+                open(fifo, "rb").close()
+            writer.join()
+        assert (g, digest) == (Graph.from_edges(3, [(0, 2)]), hashlib.sha256(data).hexdigest())
+
+    @pytest.mark.parametrize("v", [952, 953])  # the first band's last row, the next's first
+    @pytest.mark.parametrize("u", [3, 1000])
+    def test_asymmetric_row_at_a_band_edge(self, v, u):
+        """Bit u set in row v alone: the first asymmetric entry is in row v,
+        on either side of the band edge at row 953 of 1100."""
+        rows = list(sample_gnp(1100, 0.02, 7).rows)
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+        rows[v] |= 1 << u
+        message = outcome(ref_validate, 1100, tuple(rows))[1]
+        assert message == f"adjacency not symmetric at {{{u},{v}}}"
+        assert outcome(Graph, 1100, tuple(rows)) == ("value", message)
+
+    def test_validation_peak_memory(self):
+        rows = sample_gnp(4096, 0.2, 1).rows
+        tracemalloc.start()
+        try:
+            Graph(4096, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20  # 2.5 MB measured; 18.0 MB with a 4096 x 4096 bool matrix
+
+
 @contextmanager
 def edge_line_calls(module, calls):
     """Record in ``calls`` the line number of each ``_edge_line`` call made
@@ -709,13 +850,13 @@ def edge_line_calls(module, calls):
         module._edge_line = saved
 
 
-def read_outcome(read, module, text, data, lo, hi, t, us, vs, k):
-    """What ``read`` does with one block: its return value or error, and the
-    edge lines it left to ``_edge_line``."""
+def read_outcome(read, module, text, data, lo, hi, t, arrays, k):
+    """What ``read`` does with one block, reading into ``arrays``: its return
+    value or error, and the edge lines it left to ``_edge_line``."""
     calls = []
     with edge_line_calls(module, calls):
         try:
-            got = ("ok", read(text, data, lo, hi, t, us, vs, k))
+            got = ("ok", read(text, data, lo, hi, t, *arrays, k))
         except GraphFormatError as e:
             got = ("format", str(e), e.line)
     return got, calls
@@ -725,21 +866,21 @@ def read_outcome(read, module, text, data, lo, hi, t, us, vs, k):
 def reader_checked_against_reference():
     """Make ``parse_graph`` read every block of edge lines with both the word
     reader and the reference, and check that they agree: the same return
-    value or error, the same endpoints read so far, and the same lines left
-    to ``_edge_line``."""
+    value or error, the same edges read so far, and the same lines left to
+    ``_edge_line``.  The reference reads endpoints into two arrays, the
+    reader u * t + v into one."""
     reader = graphs._read_edge_lines
 
-    def both(text, data, lo, hi, t, us, vs, k):
-        ref_us, ref_vs = us.copy(), vs.copy()
+    def both(text, data, lo, hi, t, at, k):
+        ref_us, ref_vs = np.divmod(at.astype(np.int64), t)  # the k lines read before
         want = read_outcome(reference_read_edge_lines, references, text, data, lo, hi, t,
-                            ref_us, ref_vs, k)
-        got = read_outcome(reader, graphs, text, data, lo, hi, t, us, vs, k)
+                            (ref_us, ref_vs), k)
+        got = read_outcome(reader, graphs, text, data, lo, hi, t, (at,), k)
         assert got == want
         if got[0][0] == "format":
             raise GraphFormatError(got[0][1].split(": ", 1)[1], got[0][2])
         read = got[0][1]
-        assert us[:read].tolist() == ref_us[:read].tolist()
-        assert vs[:read].tolist() == ref_vs[:read].tolist()
+        assert at[:read].tolist() == (ref_us[:read] * t + ref_vs[:read]).tolist()
         return read
 
     graphs._read_edge_lines = both
@@ -779,14 +920,13 @@ class TestWordReader:
         bytes before ``lo`` are digits, which must not leak into a value."""
         data = b"9" * lo + b"0 1\n2 3\n00000002 13"
         text = data.decode()
-        outs = []
-        for read, module in ((graphs._read_edge_lines, graphs),
-                             (reference_read_edge_lines, references)):
-            us, vs = np.zeros(3, np.int64), np.zeros(3, np.int64)
-            outs.append((read_outcome(read, module, text, data, lo, len(data), 14, us, vs, 0),
-                         us.tolist(), vs.tolist()))
-        assert outs[0] == outs[1]
-        assert outs[0] == ((("ok", 3), []), [0, 2, 2], [1, 3, 13])
+        at, us, vs = np.zeros(3, np.int32), np.zeros(3, np.int64), np.zeros(3, np.int64)
+        got = read_outcome(graphs._read_edge_lines, graphs, text, data, lo, len(data), 14,
+                           (at,), 0)
+        want = read_outcome(reference_read_edge_lines, references, text, data, lo, len(data),
+                            14, (us, vs), 0)
+        assert got == want == (("ok", 3), [])
+        assert at.tolist() == (us * 14 + vs).tolist() == [0 * 14 + 1, 2 * 14 + 3, 2 * 14 + 13]
 
     @pytest.mark.parametrize("text_bytes", range(1, 25))
     def test_runs_ending_at_a_block_cut(self, text_bytes):
@@ -855,14 +995,19 @@ class TestTiles:
 
     @pytest.mark.parametrize("t", TILED_SIZES)
     def test_symmetric_matches_plain_transpose(self, t):
+        """The symmetry check on packed rows, which graphs past one tile
+        take, accepts a symmetric matrix and names the first entry of one
+        with a flipped entry as the plain check does."""
         a = upper_random((t, t), t)
         a |= a.T
-        assert graphs._symmetric(a)
+        assert graphs._check_symmetric(t, pack_rows(a)) is None
         for u, v in {(0, t - 1), (t - 1, 0), (t // 2, t - 1), (0, t // 3)}:
             if u != v:
                 b = a.copy()
                 b[u, v] ^= True
-                assert graphs._symmetric(b) is (b.tobytes() == b.T.tobytes()) is False
+                rows = pack_rows(b)
+                assert outcome(graphs._check_symmetric, t, rows) == outcome(ref_validate, t, rows)
+                assert outcome(ref_validate, t, rows)[0] == "value"
 
     @pytest.mark.parametrize("t", TILED_SIZES)
     @pytest.mark.parametrize("k", [1, 3])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseykit import randomlab
+from ramseykit import graphs, randomlab
 from ramseykit.graphs import Graph, mask_of, serialize_coloring, serialize_graph
 from ramseykit.patterns import named_graph
 from ramseykit.randomlab import SEED_LIMIT
@@ -167,7 +167,7 @@ class TestSamplerMatchesGenerator:
     def test_least_band_is_a_32nd(self, monkeypatch, n):
         """Past 5792 vertices a band of 1 MB is under n / 32 rows, and the
         band is n / 32 rows: here _BAND_ENTRIES is shrunk to show it."""
-        monkeypatch.setattr(randomlab, "_BAND_ENTRIES", 64)
+        monkeypatch.setattr(graphs, "_BAND_ENTRIES", 64)
         assert randomlab._band_entries(n) == n * -(-n // 32)
         got = list(randomlab.sample_red_rows(n, 0.3, range(4, 6)))
         assert got == [reference_red_rows(n, 0.3, s) for s in range(4, 6)]
@@ -259,6 +259,18 @@ class TestRawWordSampler:
         finally:
             tracemalloc.stop()
         assert peak < 6 << 20  # 5.1 MB measured; 11.6 MB drawn as one matrix
+
+    def test_sampling_peak_memory_past_the_validator_tile(self):
+        """At 4096 vertices the validator used to set the peak: it unpacked a
+        4096 x 4096 bool matrix."""
+        randomlab.sample_gnp(64, 0.2, 1)  # the bit generator exists
+        tracemalloc.start()
+        try:
+            randomlab.sample_gnp(4096, 0.2, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20  # 5.3 MB measured; 20.3 MB with the bool matrix
 
 
 def recheck_partition(g: Graph, cert) -> bool:
