@@ -31,6 +31,7 @@ runs of 20,000 calls).  Rows:
   ``verify_degree_spread`` on G(2048, 0.2) as ``dense_sampling`` runs it
   (delta 0.1, eps 0.5, rho 0.2, 50 sampled sets), ``serialize_coloring`` and
   ``parse_coloring`` of the compact form of ``random:512:0.5:1``,
+  ``parse_coloring`` of its long form (130,816 pair lines, read line by line),
   ``Coloring.swapped()`` at n = 400,
   ``Graph`` construction at t = 5 and 9, ``check_bidense_exact`` on the
   hosts of ``BIDENSE_CASES``, each of which certifies (a budget of 10**10
@@ -170,7 +171,8 @@ def _peak_mb(fn) -> float:
 def _read_all_edge_lines(text: str) -> None:
     """``parse_graph``'s byte pass alone over a text it writes: every block of
     edge lines, read into edge arrays (one of u * t + v where the reader
-    takes one, else two of endpoints), and nothing built from them."""
+    takes one, else two of endpoints), and nothing built from them.  The
+    reader is given the text as a str too where it takes one."""
     import inspect
 
     import numpy as np
@@ -181,11 +183,13 @@ def _read_all_edge_lines(text: str) -> None:
     data = body.encode()
     end = data.find(b"\n")
     t, m = map(int, body[:end].split()[1::2])
-    one = "at" in inspect.signature(_read_edge_lines).parameters
-    arrays = [np.empty(m, np.int32)] if one else [np.empty(m, np.int64), np.empty(m, np.int64)]
+    params = inspect.signature(_read_edge_lines).parameters
+    texts = [body, data] if "text" in params else [data]
+    arrays = [np.empty(m, np.int32)] if "at" in params else \
+        [np.empty(m, np.int64), np.empty(m, np.int64)]
     read = 0
     for lo, hi in _text_blocks(data, end + 1):
-        read = _read_edge_lines(body, data, lo, hi, t, *arrays, read)
+        read = _read_edge_lines(*texts, lo, hi, t, *arrays, read)
     if read != m:
         raise SystemExit(f"the byte pass read {read} of {m} edge lines")
 
@@ -246,6 +250,9 @@ def primitives() -> dict:
         lambda: serialize_coloring(c, compact=True), 3)
     text = serialize_coloring(c, compact=True)
     out["parse_coloring(random:512:0.5:1, compact)"] = _median_time(
+        lambda: parse_coloring(text), 3)
+    text = serialize_coloring(c)  # 130,816 pair lines
+    out["parse_coloring(random:512:0.5:1, long form)"] = _median_time(
         lambda: parse_coloring(text), 3)
     c = sample_coloring(400, 0.5, 1)
     out["Coloring.swapped(), n=400"] = _median_time(c.swapped, 9)

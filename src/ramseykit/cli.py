@@ -47,7 +47,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     MAX_VERTICES,
-    decode_text,
     parse_coloring,
     serialize_coloring,
     serialize_graph,
@@ -115,7 +114,7 @@ def _load_coloring(spec: str) -> tuple[Coloring, Optional[str]]:
         raise InputError(f"coloring file not found: {spec}")
     data = path.read_bytes()
     try:
-        return parse_coloring(decode_text(data)), hashlib.sha256(data).hexdigest()
+        return parse_coloring(data), hashlib.sha256(data).hexdigest()
     except GraphFormatError as e:
         raise InputError(f"{spec}: {e}") from None
 

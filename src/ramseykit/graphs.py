@@ -8,19 +8,21 @@ are immutable after construction and safe to share across workers.
 Whole-graph work (parsing, serializing, induced relabelling, the compact
 coloring form) goes through numpy bool matrices of a band of rows at a time:
 ``bit_matrix`` unpacks rows into one and ``pack_rows`` packs one back.
-``parse_graph`` reads a file, or bytes, one ``_TEXT_BLOCK`` at a time, and
-its edge lines with numpy: an endpoint of up to eight digits is converted
-from the one unaligned 64-bit word that ends with it, in three multiplies,
-and a longer one from two or three words.  The symmetry check of a graph
-past one 256 x 256 tile goes on packed rows: each band of rows is compared
-with the same bits of every row, transposed packed, 8 x 8 bits per 64-bit
-word (``_transposed``), as are the columns a band of rows takes from the
-rows before it (``_columns``).  Mirroring the upper triangle onto the lower
-one goes one 256 x 256 tile and its mirror image at a time (``_tiles``), so
-each stays in cache instead of reading a column of the whole matrix per
-row.  That work still takes time quadratic in t, so graphs and colorings
-have at most ``MAX_VERTICES`` vertices, and the parsers check a declared
-vertex count before they build anything.
+Graph and coloring files have one grammar, in ASCII bytes (the "Text
+formats" block below); any other byte is a ``GraphFormatError`` on its
+line.  ``parse_graph`` reads a file, or bytes, once, one ``_TEXT_BLOCK`` at
+a time, and its edge lines with numpy: an endpoint of up to eight digits is
+converted from the one unaligned 64-bit word that ends with it, in three
+multiplies, and a longer one from two or three words.  The symmetry check
+of a graph past one 256 x 256 tile goes on packed rows: each band of rows
+is compared with the same bits of every row, transposed packed, 8 x 8 bits
+per 64-bit word (``_transposed``), as are the columns a band of rows takes
+from the rows before it (``_columns``).  Mirroring the upper triangle onto
+the lower one goes one 256 x 256 tile and its mirror image at a time
+(``_tiles``), so each stays in cache instead of reading a column of the
+whole matrix per row.  That work still takes time quadratic in t, so graphs
+and colorings have at most ``MAX_VERTICES`` vertices, and the parsers check
+a declared vertex count before they build anything.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cached_property
 from itertools import chain, combinations_with_replacement
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -462,47 +464,52 @@ def rows_of(host, color: Optional[str] = None) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Text formats.
+# Text formats, in ASCII bytes.
 #
-# Graph:    header "t <t> m <m>", then m lines "<u> <v>" with 0 <= u < v < t.
-# Coloring: header "n <n>", then C(n,2) lines "<u> <v> <R|B>" in lexicographic
-#           pair order; compact variant "n <n> hex <string>" packs the
-#           upper-triangle bits (1 = Red, lexicographic pair order, first pair
-#           in the most significant bit) into hex.
+# Graph:    line 1 "t <t> m <m>", then m lines "<u> <v>" with 0 <= u < v < t.
+# Coloring: line 1 "n <n>", then C(n,2) lines "<u> <v> <R|B>" in lexicographic
+#           pair order; or line 1 "n <n> hex <h>", <h> the upper-triangle bits
+#           (1 = Red, lexicographic pair order, first pair in the most
+#           significant bit) as exactly max(1, ceil(C(n,2) / 4)) characters of
+#           [0-9a-fA-F], the bits past the last pair zero; no later line is
+#           read.
+# Numbers are unsigned decimal digits [0-9], leading zeros allowed.  Fields
+# are separated by spaces or tabs, which may also begin and end a line, and
+# lines end in LF.  Spaces, tabs and blank lines at the end of a file are
+# ignored.  Any other byte, a blank line before the header included, is a
+# GraphFormatError on its line.  A str is read as its UTF-8 bytes.
 # ---------------------------------------------------------------------------
 
+# Lines of the formats.  A field is a run of bytes other than space and tab,
+# whose own form (digits, say) is checked once its line matches; the hex
+# field's class lists those bytes as ranges, which ``re`` tests by a bitmap
+# ([^ \t] takes three times as long on the 32 KB hex string of a coloring on
+# 512 vertices).  A pair line is matched with digits for endpoints, so one
+# match checks a valid line; ``_PAIR_FIELDS`` tells what is wrong with another.
+_GRAPH_HEADER = re.compile(rb"[ \t]*t[ \t]+([^ \t]+)[ \t]+m[ \t]+([^ \t]+)[ \t]*")
+_EDGE_LINE = re.compile(rb"[ \t]*([^ \t]+)[ \t]+([^ \t]+)[ \t]*")
+_COLORING_HEADER = re.compile(
+    rb"[ \t]*n[ \t]+([^ \t]+)(?:[ \t]+hex[ \t]+([\x00-\x08\n-\x1f!-\xff]+))?[ \t]*")
+_PAIR_LINE = re.compile(rb"[ \t]*([0-9]+)[ \t]+([0-9]+)[ \t]+([RB])[ \t]*")
+_PAIR_FIELDS = re.compile(rb"[ \t]*([^ \t]+)[ \t]+([^ \t]+)[ \t]+[RB][ \t]*")
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
 
-def decode_text(data: bytes) -> str:
-    """The text of a graph or coloring file, or the GraphFormatError of the
-    first line that is not valid UTF-8."""
+
+def _encoded(text: str | bytes | GraphFile) -> bytes | GraphFile:
+    """The bytes of a text: a str's UTF-8 bytes, a lone surrogate included
+    (any non-ASCII byte is refused on its line)."""
+    return text.encode(errors="surrogatepass") if isinstance(text, str) else text
+
+
+def _unsigned(field: bytes) -> Optional[int]:
+    """The value of a field of decimal digits; None for any other field, and
+    for one longer than ``int`` converts (``sys.get_int_max_str_digits``)."""
+    if not field.isdigit():  # ASCII digits alone, for bytes
+        return None
     try:
-        return data.decode()
-    except UnicodeDecodeError as e:
-        raise GraphFormatError("not valid UTF-8", data.count(b"\n", 0, e.start) + 1) from None
-
-
-def _leading_breaks(text: str) -> int:
-    """Line breaks before the first non-blank character of ``text`` (0 when
-    there is none), counted as ``str.splitlines`` counts them."""
-    lead = len(text) - len(text.lstrip())
-    if lead == len(text):
-        return 0
-    return len((text[:lead] + "x").splitlines()) - 1
-
-
-def _physical_lines(parse):
-    """Number a parser's error lines from the start of the text, as
-    ``decode_text`` does, not from the first non-blank line it strips to."""
-    @wraps(parse)
-    def numbered(text: str):
-        try:
-            return parse(text)
-        except GraphFormatError as e:
-            skipped = _leading_breaks(text)
-            if not skipped or e.line is None:
-                raise
-            raise GraphFormatError(e.detail, e.line + skipped) from None
-    return numbered
+        return int(field)
+    except ValueError:
+        return None
 
 
 class GraphFile:
@@ -519,9 +526,7 @@ class GraphFile:
         return self.size
 
     def blocks(self) -> Iterator[bytes]:
-        """The file's bytes from its start, _TEXT_BLOCK at a time."""
-        self.file.seek(0)
-        self.sha256 = hashlib.sha256()
+        """The file's bytes from where it stands, _TEXT_BLOCK at a time."""
         left = self.size
         while left and (block := self.file.read(min(left, _TEXT_BLOCK))):
             self.sha256.update(block)
@@ -533,19 +538,12 @@ def parse_graph(text: str | bytes | GraphFile) -> Graph:
     """The graph a text describes, or the GraphFormatError of its first bad
     line.
 
-    ``text`` may also be the bytes of a graph file, or the file itself.  Its
-    bytes are read _TEXT_BLOCK at a time, and its edge lines by a numpy pass
-    over each block, while they are ASCII, hold none of ``_STR_ONLY`` and
-    have no blank line before the header.  Otherwise the whole file is
-    decoded (``decode_text``) and read as the str, so every graph and error
-    is the one its text gives.
+    ``text`` may be a str, read as its UTF-8 bytes, the bytes of a graph
+    file, or the file itself.  Its bytes are read once, _TEXT_BLOCK at a
+    time, and its edge lines by a numpy pass over each block.
     """
-    if isinstance(text, str):
-        return _parse_text(text)
-    try:
-        return _read_graph(_line_runs(_blocks(text)), len(text))
-    except _ReadAsStr:
-        return _parse_text(decode_text(b"".join(_blocks(text))))
+    data = _encoded(text)
+    return _read_graph(_line_runs(_blocks(data)), len(data))
 
 
 def _blocks(data: bytes | GraphFile) -> Iterator[bytes]:
@@ -555,40 +553,14 @@ def _blocks(data: bytes | GraphFile) -> Iterator[bytes]:
     return (data[i:i + _TEXT_BLOCK] for i in range(0, len(data), _TEXT_BLOCK))
 
 
-class _ReadAsStr(Exception):
-    """Bytes that only their decoded str is read from: not ASCII, holding one
-    of ``_STR_ONLY``, or with a blank line before the header."""
-
-
-# Bytes that ``str.strip`` and ``str.splitlines`` read otherwise than
-# ``bytes.strip`` and a split at b"\n" do: line breaks other than "\n", and
-# the separators \x1c-\x1f, which are blanks to str alone.
-_STR_ONLY = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-_LEADING_BLANKS = re.compile(rb"[ \t\n]*")
-
-
-@_physical_lines
-def _parse_text(text: str) -> Graph:
-    body = text.strip()
-    if not body.isascii() or any(c in body for c in "\r\x0b\x0c\x1c\x1d\x1e"):
-        body = "\n".join(body.splitlines())  # every str.splitlines break becomes "\n"
-    # one byte per character, so offsets agree: "?" stands for any non-ASCII
-    # character and leaves its line to _edge_line
-    data = body.encode("ascii", "replace")
-    return _read_graph(iter([(data, len(data))]), len(data), body)
-
-
 def _line_runs(blocks: Iterable[bytes]) -> Iterator[tuple[bytes, int]]:
     """The text the blocks make up, without the blanks at its end, as runs
     (data, hi) of whole lines data[:hi]: each run but the last ends where a
     newline does, which the next run follows.  A block is joined to the
     ones before it only once a line ends in it, so a line or a run of blanks
-    longer than a block is not copied again with each block.  Raises
-    _ReadAsStr at a block that only the decoded str is read from."""
+    longer than a block is not copied again with each block."""
     held: list[bytes] = []
     for block in blocks:
-        if not block.isascii() or any(c in block for c in _STR_ONLY):
-            raise _ReadAsStr
         held.append(block)
         end = block.rfind(b"\n", 0, len(block.rstrip(b" \t\n")))  # before a non-blank
         if end >= 0:
@@ -600,41 +572,29 @@ def _line_runs(blocks: Iterable[bytes]) -> Iterator[tuple[bytes, int]]:
     yield data, len(data.rstrip(b" \t\n"))
 
 
-def _read_graph(runs: Iterator[tuple[bytes, int]], size: int,
-                text: Optional[str] = None) -> Graph:
+def _read_graph(runs: Iterator[tuple[bytes, int]], size: int) -> Graph:
     """The graph of a text given as runs of whole lines (``_line_runs``) that
     hold ``size`` bytes at most, or the GraphFormatError of its first bad
-    line.  Each run is its own text, or the one run holds one byte per
-    character of ``text``, which has no blanks at either end.
+    line.
 
     The edge lines are read as u * t + v into one int32 array (u * t + v <
-    2**28, as t is at most MAX_VERTICES).  The first bad line's error is
-    raised once every line is counted, as a wrong count of edge lines comes
-    first; any error waits until every block has been seen, which may still
-    hand the whole text to the str reader (_ReadAsStr)."""
+    2**28, as t is at most MAX_VERTICES).  A bad header is refused at once;
+    the first bad edge line's error is raised once every line is counted, as
+    a wrong count of edge lines comes first."""
     data, hi = next(runs)
-    lo = _LEADING_BLANKS.match(data).end()
-    if data.find(b"\n", 0, lo) >= 0:
-        raise _ReadAsStr
-    try:
-        if lo >= hi:  # blanks alone
-            raise GraphFormatError("empty input", 1)
-        end = data.find(b"\n", lo, hi)  # of the header line
-        head = _line(text or data, lo, end if end >= 0 else hi).split()
-        if len(head) != 4 or head[0] != "t" or head[2] != "m":
-            raise GraphFormatError("expected header 't <t> m <m>'", 1)
-        try:
-            t, m = int(head[1]), int(head[3])
-        except ValueError:
-            raise GraphFormatError("non-integer header fields", 1) from None
-        if t < 1 or m < 0:
-            raise GraphFormatError("t must be >= 1 and m >= 0", 1)
-        if t > MAX_VERTICES:
-            raise GraphFormatError(f"t must be at most {MAX_VERTICES}", 1)
-    except GraphFormatError:
-        for _ in runs:  # a later block may be one for the str reader
-            pass
-        raise
+    end = data.find(b"\n", 0, hi)  # of the header line
+    head = _GRAPH_HEADER.fullmatch(data, 0, end if end >= 0 else hi)
+    if head is None:
+        # only the last run may be blank: the others end before a non-blank
+        blank = not data.strip(b" \t\n")
+        raise GraphFormatError("empty input" if blank else "expected header 't <t> m <m>'", 1)
+    t, m = _unsigned(head[1]), _unsigned(head[2])
+    if t is None or m is None:
+        raise GraphFormatError("non-integer header fields", 1)
+    if t < 1:
+        raise GraphFormatError("t must be >= 1", 1)
+    if t > MAX_VERTICES:
+        raise GraphFormatError(f"t must be at most {MAX_VERTICES}", 1)
     # no more edge lines than bytes: a larger m is a wrong count
     at = np.empty(m if m <= size else 0, np.int32)
     found, error = 0, None
@@ -644,7 +604,7 @@ def _read_graph(runs: Iterator[tuple[bytes, int]], size: int,
             n = data.count(b"\n", lo, hi) + 1
             if error is None and found + n <= len(at):
                 try:
-                    _read_edge_lines(text or data, data, lo, hi, t, at, found)
+                    _read_edge_lines(data, lo, hi, t, at, found)
                 except GraphFormatError as e:
                     error = e.with_traceback(None)  # and with it the pass's arrays
             found += n
@@ -652,16 +612,10 @@ def _read_graph(runs: Iterator[tuple[bytes, int]], size: int,
         raise GraphFormatError(f"expected {m} edge lines, found {found}", 1)
     if error is not None:
         raise error
-    del data, text  # free the text before the matrices exist
+    del data  # free the text before the matrices exist
     rows = _edge_rows(t, at)
     del at
     return Graph(t, rows)
-
-
-def _line(text: str | bytes, lo: int, hi: int) -> str:
-    """text[lo:hi] as a str; bytes are ASCII there."""
-    line = text[lo:hi]
-    return line.decode() if isinstance(line, bytes) else line
 
 
 def _edge_rows(t: int, at: np.ndarray) -> tuple[int, ...]:
@@ -762,11 +716,9 @@ def _run_values(words: np.ndarray, ends: np.ndarray, width: np.ndarray) -> np.nd
     return val.view(np.int64)
 
 
-def _read_edge_lines(text: str | bytes, data: bytes, lo: int, hi: int, t: int,
-                     at: np.ndarray, k: int) -> int:
-    """Read the edge lines in text[lo:hi] into at[k:], edge {u, v} as
-    u * t + v; return the number of edge lines read so far.  ``data`` holds
-    one byte per character of ``text``, or is ``text``.
+def _read_edge_lines(data: bytes, lo: int, hi: int, t: int, at: np.ndarray, k: int) -> int:
+    """Read the edge lines in data[lo:hi] into at[k:], edge {u, v} as
+    u * t + v; return the number of edge lines read so far.
 
     One numpy pass over the bytes reads every line made of two digit runs
     separated by blanks.  The runs' boundaries come from the edges of the
@@ -815,7 +767,7 @@ def _read_edge_lines(text: str | bytes, data: bytes, lo: int, hi: int, t: int,
         a = lo + (breaks[j - 1] + 1 if j else 0)
         z = lo + breaks[j] if j < n - 1 else hi
         try:
-            u, v = _edge_line(_line(text, a, z), k + j + 2, t)
+            u, v = _edge_line(data[a:z], k + j + 2, t)
         except GraphFormatError as e:
             # a duplicate on an earlier line is the first error
             raise (_first_duplicate(at[:k + j], t) or e) from None
@@ -823,18 +775,16 @@ def _read_edge_lines(text: str | bytes, data: bytes, lo: int, hi: int, t: int,
     return k + n
 
 
-def _edge_line(line: str, i: int, t: int) -> tuple[int, int]:
+def _edge_line(line: bytes, i: int, t: int) -> tuple[int, int]:
     """Endpoints of edge line ``i``, or its GraphFormatError: the one
     definition of a valid edge line."""
-    try:
-        text_u, text_v = line.split()
-    except ValueError:
-        raise GraphFormatError("expected '<u> <v>'", i) from None
-    try:
-        u, v = int(text_u), int(text_v)
-    except ValueError:
-        raise GraphFormatError("non-integer endpoint", i) from None
-    if not (0 <= u < v < t):
+    match = _EDGE_LINE.fullmatch(line)
+    if match is None:
+        raise GraphFormatError("expected '<u> <v>'", i)
+    u, v = _unsigned(match[1]), _unsigned(match[2])
+    if u is None or v is None:
+        raise GraphFormatError("non-integer endpoint", i)
+    if not u < v < t:
         if u == v:
             raise GraphFormatError(f"self-loop {u}", i)
         raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < t", i)
@@ -893,57 +843,62 @@ def pair_order(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-@_physical_lines
-def parse_coloring(text: str) -> Coloring:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if not lines:
+def parse_coloring(text: str | bytes) -> Coloring:
+    """The coloring a text, or the bytes of a coloring file, describes, or
+    the GraphFormatError of its first bad line."""
+    body = _encoded(text).rstrip(b" \t\n")
+    if not body:
         raise GraphFormatError("empty input", 1)
-    head = lines[0].split()
-    compact = len(head) == 4 and head[0] == "n" and head[2] == "hex"
-    if not compact and (len(head) != 2 or head[0] != "n"):
+    head, *lines = body.split(b"\n")
+    match = _COLORING_HEADER.fullmatch(head)
+    if match is None:
         raise GraphFormatError("expected header 'n <n>' or 'n <n> hex <string>'", 1)
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise GraphFormatError("non-integer vertex count", 1) from None
+    n = _unsigned(match[1])
+    if n is None:
+        raise GraphFormatError("non-integer vertex count", 1)
     if n > MAX_VERTICES:
         raise GraphFormatError(f"n must be at most {MAX_VERTICES}", 1)
-    if compact:
-        return _coloring_from_hex(n, head[3])
-    npairs = max(n, 0) * (max(n, 0) - 1) // 2
-    if len(lines) - 1 != npairs:
-        raise GraphFormatError(f"expected {npairs} pair lines, found {len(lines) - 1}", 1)
+    if match[2] is not None:
+        return _coloring_from_hex(n, match[2])
+    npairs = n * (n - 1) // 2
+    if len(lines) != npairs:
+        raise GraphFormatError(f"expected {npairs} pair lines, found {len(lines)}", 1)
     rows = [0] * n
-    for i, (ln, (pu, pv)) in enumerate(zip(lines[1:], pair_order(n)), start=2):
-        parts = ln.split()
-        if len(parts) != 3 or parts[2] not in (RED, BLUE):
-            raise GraphFormatError("expected '<u> <v> <R|B>'", i)
+    for line, (u, v) in zip(lines, pair_order(n)):
+        match = _PAIR_LINE.fullmatch(line)
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError("non-integer endpoint", i) from None
-        if (u, v) != (pu, pv):
-            raise GraphFormatError(
-                f"pair ({u},{v}) out of order; expected ({pu},{pv})", i
-            )
-        if parts[2] == RED:
+            listed = match is not None and int(match[1]) == u and int(match[2]) == v
+        except ValueError:  # more digits than int() converts
+            listed = False
+        if not listed:
+            raise _pair_error(line, n, u, v)
+        if match[3] == b"R":
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     return Coloring(n, tuple(rows))
 
 
-def _coloring_from_hex(n: int, hexstr: str) -> Coloring:
-    nbits = max(n, 0) * (max(n, 0) - 1) // 2
+def _pair_error(line: bytes, n: int, u: int, v: int) -> GraphFormatError:
+    """The error of the line of a coloring on n vertices that does not list
+    the pair {u, v}, u < v, in its place: line 2 + (the pairs before it)."""
+    i = u * (2 * n - u - 1) // 2 + v - u + 1
+    match = _PAIR_FIELDS.fullmatch(line)
+    if match is None:
+        return GraphFormatError("expected '<u> <v> <R|B>'", i)
+    got = _unsigned(match[1]), _unsigned(match[2])
+    if None in got:
+        return GraphFormatError("non-integer endpoint", i)
+    return GraphFormatError("pair ({},{}) out of order; expected ({},{})".format(*got, u, v), i)
+
+
+def _coloring_from_hex(n: int, hexstr: bytes) -> Coloring:
+    nbits = n * (n - 1) // 2
     width = max(1, (nbits + 3) // 4)
     if len(hexstr) != width:
         raise GraphFormatError(f"hex string must have {width} digits", 1)
-    try:
-        value = int(hexstr, 16)
-    except ValueError:
-        raise GraphFormatError("invalid hex string", 1) from None
-    total = 4 * width
-    if value >> total:
-        raise GraphFormatError("hex string too wide", 1)
+    if hexstr.translate(None, _HEX_DIGITS):  # a byte that is no hex digit
+        raise GraphFormatError("invalid hex string", 1)
+    value, total = int(hexstr, 16), 4 * width  # value < 2**total
     if nbits and value & ((1 << (total - nbits)) - 1):
         raise GraphFormatError("padding bits must be zero", 1)
     value >>= total - nbits  # pair i is bit nbits - 1 - i

@@ -25,13 +25,11 @@ from ramseykit.graphs import (
     MAX_VERTICES,
     GraphFormatError,
     _edge_line,
-    _physical_lines,
     _row_blocks,
     _symmetric_rows,
     bit_matrix,
     bits_of,
     check_vertex_count,
-    decode_text,
     mask_of,
     pair_order,
     rows_of,
@@ -329,14 +327,14 @@ def reference_serialize_graph(g: Graph) -> str:
 
 
 # The graph text reader's byte pass when it converted endpoints one decimal
-# place per step, verbatim but for its name: the reference for
-# ``graphs._read_edge_lines``, which converts eight digits per word.
+# place per step, verbatim but for its name and the str it no longer takes:
+# the reference for ``graphs._read_edge_lines``, which converts eight digits
+# per word.
 
-def reference_read_edge_lines(text: str, data: bytes, lo: int, hi: int, t: int,
-                               us: np.ndarray, vs: np.ndarray, k: int) -> int:
-    """Read the edge lines in text[lo:hi] into us[k:] and vs[k:]; return the
-    number of edge lines read so far.  ``data`` holds one byte per character
-    of ``text``.
+def reference_read_edge_lines(data: bytes, lo: int, hi: int, t: int,
+                              us: np.ndarray, vs: np.ndarray, k: int) -> int:
+    """Read the edge lines in data[lo:hi] into us[k:] and vs[k:]; return the
+    number of edge lines read so far.
 
     One numpy pass over the bytes reads every line made of two digit runs
     separated by blanks.  ``_edge_line`` reads the rest -- a line holding any
@@ -381,7 +379,7 @@ def reference_read_edge_lines(text: str, data: bytes, lo: int, hi: int, t: int,
         a = lo + (breaks[j - 1] + 1 if j else 0)
         z = lo + breaks[j] if j < n - 1 else hi
         try:
-            us[k + j], vs[k + j] = _edge_line(text[a:z], k + j + 2, t)
+            us[k + j], vs[k + j] = _edge_line(data[a:z], k + j + 2, t)
         except GraphFormatError as e:
             # a duplicate on an earlier line is the first error
             raise (_first_duplicate(us[:k + j], vs[:k + j]) or e) from None
@@ -402,42 +400,25 @@ def _first_duplicate(eu: np.ndarray, ev: np.ndarray) -> Optional[GraphFormatErro
 # The graph text reader before it read files a block at a time: the whole
 # bytes at once, every edge line in one pass of the byte reader above, and
 # the rows from one t x t matrix.  The reference for ``parse_graph`` of bytes
-# and of files, its errors included.
+# and of files, its errors included, where the header line holds no byte but
+# letters, digits, spaces and tabs (it reads the header's fields with int(),
+# which takes a sign or an underscore too).
 
 def reference_parse_graph_bytes(data: bytes) -> Graph:
-    lead = len(data) - len(data.lstrip(b" \t\n"))
-    if not data.isascii() or any(c in data for c in _STR_ONLY) \
-            or data.find(b"\n", 0, lead) >= 0:
-        return _reference_parse_text(decode_text(data))
-    return _reference_read_edges(data, data, lead, max(lead, len(data.rstrip(b" \t\n"))))
-
-
-_STR_ONLY = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-
-@_physical_lines
-def _reference_parse_text(text: str) -> Graph:
-    body = text.strip()
-    if not body.isascii() or any(c in body for c in "\r\x0b\x0c\x1c\x1d\x1e"):
-        body = "\n".join(body.splitlines())
-    data = body.encode("ascii", "replace")
-    return _reference_read_edges(body, data, 0, len(data))
-
-
-def _reference_read_edges(text: str | bytes, data: bytes, lo: int, hi: int) -> Graph:
+    lo = len(data) - len(data.lstrip(b" \t"))
+    hi = max(lo, len(data.rstrip(b" \t\n")))
     if lo == hi:
         raise GraphFormatError("empty input", 1)
     end = data.find(b"\n", lo, hi)
-    head = text[lo:end if end >= 0 else hi]
-    head = (head.decode() if isinstance(head, bytes) else head).split()
-    if len(head) != 4 or head[0] != "t" or head[2] != "m":
+    head = data[lo:end if end >= 0 else hi].split()
+    if len(head) != 4 or head[0] != b"t" or head[2] != b"m":
         raise GraphFormatError("expected header 't <t> m <m>'", 1)
     try:
         t, m = int(head[1]), int(head[3])
     except ValueError:
         raise GraphFormatError("non-integer header fields", 1) from None
-    if t < 1 or m < 0:
-        raise GraphFormatError("t must be >= 1 and m >= 0", 1)
+    if t < 1:
+        raise GraphFormatError("t must be >= 1", 1)
     if t > MAX_VERTICES:
         raise GraphFormatError(f"t must be at most {MAX_VERTICES}", 1)
     found = 0 if end < 0 else data.count(b"\n", end + 1, hi) + 1
@@ -445,7 +426,7 @@ def _reference_read_edges(text: str | bytes, data: bytes, lo: int, hi: int) -> G
         raise GraphFormatError(f"expected {m} edge lines, found {found}", 1)
     us, vs = np.empty(m, np.int64), np.empty(m, np.int64)
     if m:
-        reference_read_edge_lines(text, data, end + 1, hi, t, us, vs, 0)
+        reference_read_edge_lines(data, end + 1, hi, t, us, vs, 0)
     adj = np.zeros((t, t), bool)
     adj[us, vs] = True
     if np.count_nonzero(adj) != m:

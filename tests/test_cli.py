@@ -691,15 +691,42 @@ class TestFailuresAreOneLine:
         err = capsys.readouterr().err
         assert err == f"input error: {bad_coloring}: line 3: non-integer endpoint\n"
 
-    @pytest.mark.parametrize("flag, name, line", [
-        ("--pattern", "NON_UTF8_GRAPH", 2),
-        ("--coloring", "NON_UTF8_COLORING", 3),
+    @pytest.mark.parametrize("flag, name, where", [
+        ("--pattern", "NON_UTF8_GRAPH", "line 2: non-integer endpoint"),
+        ("--coloring", "NON_UTF8_COLORING", "line 3: expected '<u> <v> <R|B>'"),
     ])
-    def test_non_utf8_file_names_file_and_line(self, capsys, non_utf8, flag, name, line):
+    def test_non_utf8_file_names_file_and_line(self, capsys, non_utf8, flag, name, where):
         args = {"--coloring": "mono:6:R", "--pattern": "k3", flag: non_utf8[name]}
         assert cli.run(["search", *(a for pair in args.items() for a in pair)]) == 2
         err = capsys.readouterr().err
-        assert err == f"input error: {non_utf8[name]}: line {line}: not valid UTF-8\n"
+        assert err == f"input error: {non_utf8[name]}: {where}\n"
+
+    @pytest.mark.parametrize("flag, data, where", [
+        ("--coloring", b"n -1\n", "line 1: non-integer vertex count"),
+        ("--coloring", b"n 5 hex 0x8\n", "line 1: invalid hex string"),
+        ("--coloring", b"n 5 hex f_f\n", "line 1: invalid hex string"),
+        ("--coloring", b"n 2\r\n0 1 R\r\n", "line 1: non-integer vertex count"),
+        ("--coloring", b"\nn 2\n0 1 R\n",
+         "line 1: expected header 'n <n>' or 'n <n> hex <string>'"),
+        ("--coloring", b"n 3\n0 1 R\n0 +2 B\n1 2 B\n", "line 3: non-integer endpoint"),
+        ("--pattern", b"t 3 m -0\n", "line 1: non-integer header fields"),
+        ("--pattern", b"t 3 m 1\n0 1_0\n", "line 2: non-integer endpoint"),
+        ("--pattern", b"t 3 m 1\n+0 2\n", "line 2: non-integer endpoint"),
+        ("--pattern", "t 3 m 1\n0 \uff12\n".encode(), "line 2: non-integer endpoint"),
+        ("--pattern", b"t 3 m 2\n0 1\x0c1 2\n", "line 1: expected 2 edge lines, found 1"),
+        ("--pattern", b"t 3 m 1\n0\x1f2\n", "line 2: expected '<u> <v>'"),
+        ("--pattern", b"t 3 m 1\r\n0 2\r\n", "line 1: non-integer header fields"),
+        ("--pattern", b"\nt 3 m 1\n0 2\n", "line 1: expected header 't <t> m <m>'"),
+    ])
+    def test_forms_outside_the_grammar_name_file_and_line(self, capsys, tmp_path, flag, data,
+                                                          where):
+        """Files outside the byte grammar: one line on stderr, which names the
+        file and the line at fault."""
+        path = tmp_path / "odd.file"
+        path.write_bytes(data)
+        args = {"--coloring": "mono:6:R", "--pattern": "k3", flag: str(path)}
+        assert cli.run(["search", *(a for pair in args.items() for a in pair)]) == 2
+        assert capsys.readouterr() == ("", f"input error: {path}: {where}\n")
 
 
     @pytest.mark.parametrize("kind", ["missing", "malformed"])

@@ -1,10 +1,12 @@
 import hashlib
 import os
+import re
 import tempfile
 import threading
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from ramseykit.graphs import (
     Graph,
     GraphFormatError,
     bit_matrix,
-    decode_text,
     pack_rows,
     pair_order,
     parse_coloring,
@@ -137,16 +138,28 @@ class TestSerialization:
             parse_graph("t 2 m 1\n0 0")
         assert "line 2" in str(e.value)
 
-    def test_error_lines_count_leading_blank_lines(self):
-        # numbered as decode_text numbers them, from the first line of the text
-        for parse, text in ((parse_graph, "\n\nt 3 m 1\n0 x\n"),
-                            (parse_coloring, "\n \nn 2\n0 1 X\n")):
-            with pytest.raises(GraphFormatError) as e:
-                parse(text)
-            assert e.value.line == 4
+    @pytest.mark.parametrize("parse, text, header", [
+        (parse_graph, "\n\nt 3 m 1\n0 x\n", "'t <t> m <m>'"),
+        (parse_coloring, "\n \nn 2\n0 1 X\n", "'n <n>' or 'n <n> hex <string>'"),
+        (parse_graph, b"\n\nt 3 m 1\n0 \xff\n", "'t <t> m <m>'"),
+    ])
+    def test_blank_lines_before_the_header_refused_on_line_1(self, parse, text, header):
         with pytest.raises(GraphFormatError) as e:
-            decode_text(b"\n\nt 3 m 1\n0 \xff\n")
-        assert e.value.line == 4
+            parse(text)
+        assert (e.value.line, e.value.detail) == (1, f"expected header {header}")
+
+    # 5000 digits: more than int() converts (4300 by default)
+    @pytest.mark.parametrize("parse, text, line, detail", [
+        (parse_graph, b"t %s m 0\n" % (b"1" * 5000), 1, "non-integer header fields"),
+        (parse_graph, b"t 3 m 1\n0 %s\n" % (b"0" * 5000), 2, "non-integer endpoint"),
+        (parse_coloring, b"n %s\n" % (b"0" * 5000), 1, "non-integer vertex count"),
+        (parse_coloring, b"n 3\n0 1 R\n0 %s B\n1 2 R\n" % (b"0" * 4999 + b"2"), 3,
+         "non-integer endpoint"),
+    ])
+    def test_numbers_longer_than_int_converts(self, parse, text, line, detail):
+        with pytest.raises(GraphFormatError) as e:
+            parse(text)
+        assert (e.value.line, e.value.detail) == (line, detail)
 
     def test_duplicate_edge_error(self):
         with pytest.raises(GraphFormatError):
@@ -327,34 +340,51 @@ def ref_validate(t, rows):
                 raise ValueError(f"adjacency not symmetric at {{{u},{v}}}")
 
 
-def ref_parse_graph(text):
-    """(t, rows) of a graph text, or the GraphFormatError it raises.  Lines
-    are numbered from the start of the text, leading blank lines included."""
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if not lines:
+# The file grammar, stated on its own: fields of a line are the runs between
+# spaces and tabs, lines end in LF, blanks at the end of a text are dropped,
+# and a number is a run of ASCII decimal digits.
+REF_BLANKS = re.compile(rb"[ \t]+")
+REF_NUMBER = re.compile(rb"[0-9]+")
+
+
+def ref_lines(text):
+    """The fields of each line of a text's bytes (a str's UTF-8 bytes), or
+    the GraphFormatError of a text of blanks alone."""
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    lines = data.rstrip(b" \t\n").split(b"\n")
+    if lines == [b""]:
         raise GraphFormatError("empty input", 1)
-    first = next(i for i, ln in enumerate(text.splitlines(), 1) if ln.strip())  # the header's
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "t" or head[2] != "m":
-        raise GraphFormatError("expected header 't <t> m <m>'", first)
-    try:
-        t, m = int(head[1]), int(head[3])
-    except ValueError:
-        raise GraphFormatError("non-integer header fields", first) from None
-    if t < 1 or m < 0:
-        raise GraphFormatError("t must be >= 1 and m >= 0", first)
-    if len(lines) - 1 != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}", first)
+    return [REF_BLANKS.split(line.strip(b" \t")) for line in lines]
+
+
+def ref_number(field):
+    return int(field) if REF_NUMBER.fullmatch(field) else None
+
+
+def ref_parse_graph(text):
+    """(t, rows) of a graph text, or the GraphFormatError it raises: line 1
+    is "t <t> m <m>", then m lines "<u> <v>" with 0 <= u < v < t, no edge
+    twice; the first bad line is named."""
+    head, *lines = ref_lines(text)
+    if len(head) != 4 or head[0] != b"t" or head[2] != b"m":
+        raise GraphFormatError("expected header 't <t> m <m>'", 1)
+    t, m = ref_number(head[1]), ref_number(head[3])
+    if t is None or m is None:
+        raise GraphFormatError("non-integer header fields", 1)
+    if t < 1:
+        raise GraphFormatError("t must be >= 1", 1)
+    if t > MAX_VERTICES:
+        raise GraphFormatError(f"t must be at most {MAX_VERTICES}", 1)
+    if len(lines) != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {len(lines)}", 1)
     rows = [0] * t
-    for i, ln in enumerate(lines[1:], start=first + 1):
-        parts = ln.split()
-        if len(parts) != 2:
+    for i, fields in enumerate(lines, start=2):
+        if len(fields) != 2:
             raise GraphFormatError("expected '<u> <v>'", i)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError("non-integer endpoint", i) from None
-        if not (0 <= u < v < t):
+        u, v = map(ref_number, fields)
+        if u is None or v is None:
+            raise GraphFormatError("non-integer endpoint", i)
+        if not u < v < t:
             if u == v:
                 raise GraphFormatError(f"self-loop {u}", i)
             raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < t", i)
@@ -363,6 +393,44 @@ def ref_parse_graph(text):
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return t, tuple(rows)
+
+
+def ref_parse_coloring(text):
+    """(n, red rows) of a coloring text, or the GraphFormatError it raises:
+    line 1 is "n <n>", then a line "<u> <v> <R|B>" per pair in
+    lexicographic order; or line 1 is "n <n> hex <h>", <h> hex digits alone,
+    whose width, value and padding ``reference_coloring_from_hex`` checks
+    (the lines after it are not read)."""
+    head, *lines = ref_lines(text)
+    if head[0] != b"n" or len(head) != 2 and (len(head) != 4 or head[2] != b"hex"):
+        raise GraphFormatError("expected header 'n <n>' or 'n <n> hex <string>'", 1)
+    n = ref_number(head[1])
+    if n is None:
+        raise GraphFormatError("non-integer vertex count", 1)
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"n must be at most {MAX_VERTICES}", 1)
+    if len(head) == 4:
+        width = max(1, (n * (n - 1) // 2 + 3) // 4)
+        if len(head[3]) == width and not re.fullmatch(rb"[0-9a-fA-F]+", head[3]):
+            raise GraphFormatError("invalid hex string", 1)
+        c = reference_coloring_from_hex(n, head[3].decode("latin-1"))  # a char per byte
+        return c.n, c.red_rows
+    pairs = list(combinations(range(n), 2))
+    if len(lines) != len(pairs):
+        raise GraphFormatError(f"expected {len(pairs)} pair lines, found {len(lines)}", 1)
+    rows = [0] * n
+    for i, (fields, (pu, pv)) in enumerate(zip(lines, pairs), start=2):
+        if len(fields) != 3 or fields[2] not in (b"R", b"B"):
+            raise GraphFormatError("expected '<u> <v> <R|B>'", i)
+        u, v = map(ref_number, fields[:2])
+        if u is None or v is None:
+            raise GraphFormatError("non-integer endpoint", i)
+        if (u, v) != (pu, pv):
+            raise GraphFormatError(f"pair ({u},{v}) out of order; expected ({pu},{pv})", i)
+        if fields[2] == b"R":
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return n, tuple(rows)
 
 
 def ref_serialize_graph(t, rows):
@@ -379,6 +447,16 @@ def outcome(fn, *args):
         return ("format", str(e), e.line)
     except ValueError as e:
         return ("value", str(e))
+
+
+def ok(t, *edges):
+    """The outcome of a graph read from a text: t and its rows."""
+    return "ok", (t, Graph.from_edges(t, edges).rows)
+
+
+def refused(line, detail):
+    """The outcome of a text refused on ``line``."""
+    return "format", f"line {line}: {detail}", line
 
 
 def parsed(text):
@@ -422,12 +500,9 @@ ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
                                              "\u0665\u0666\u0667\u0668\u0669")
 
 
-def mutate_line(draw, line, u, v):
-    """A valid edge line written oddly, or a damaged one."""
-    kind = draw(st.sampled_from(
-        ["swap", "loop", "word", "float", "three", "spaces", "plus", "one", "crlf",
-         "zeros", "underscore", "unicode", "wide", "overflow", "negative", "blank",
-         "em_space", "form_feed", "unit_separator", "padded"]))
+def odd_line(kind, line, u, v, widths=(1, 1)):
+    """Edge line ``line`` of edge {u, v}, or of another, written oddly or
+    damaged, as ``kind`` says (the kinds of ODD_LINE_KINDS)."""
     if kind == "swap":
         return f"{v} {u}"
     if kind == "loop":
@@ -461,13 +536,47 @@ def mutate_line(draw, line, u, v):
     if kind == "em_space":
         return f"{u}\u2003{v}"
     if kind == "form_feed":
-        return f"{u}\x0c{v}"  # str.splitlines breaks the line here
+        return f"{u}\x0c{v}"
     if kind == "unit_separator":
-        return f"{u}\x1f{v}"  # whitespace to str.split, not a line break
+        return f"{u}\x1f{v}"
     if kind == "padded":  # one, two or three words of digits; 19 is past int64's reach
-        width = draw(st.sampled_from(PADDED_WIDTHS))
-        return f"{u:0{width}d} {v:0{draw(st.sampled_from(PADDED_WIDTHS))}d}"
+        return f"{u:0{widths[0]}d} {v:0{widths[1]}d}"
     return f"{u}"
+
+
+# Each kind of odd line, and what the reader makes of it as line 3 of
+# "t 9 m 3 / 0 1 / <2 5 written so> / 7 8": None where it reads as edge
+# {2, 5}, else the error on line 3.  The padded line is 19 and 8 digits wide.
+ODD_LINE_KINDS = {
+    "swap": "edge (5,2) violates 0 <= u < v < t",
+    "loop": "self-loop 2",
+    "word": "non-integer endpoint",
+    "float": "non-integer endpoint",
+    "three": "expected '<u> <v>'",
+    "spaces": None,
+    "plus": "non-integer endpoint",
+    "one": "expected '<u> <v>'",
+    "crlf": "non-integer endpoint",  # the field "5\r"
+    "zeros": None,
+    "underscore": "non-integer endpoint",
+    "unicode": "non-integer endpoint",
+    "wide": None,
+    "overflow": f"edge (2,{10 ** 19 + 5}) violates 0 <= u < v < t",
+    "negative": "non-integer endpoint",
+    "blank": "expected '<u> <v>'",
+    "em_space": "expected '<u> <v>'",
+    "form_feed": "expected '<u> <v>'",
+    "unit_separator": "expected '<u> <v>'",
+    "padded": None,
+}
+
+
+def mutate_line(draw, line, u, v):
+    """A valid edge line written oddly, or a damaged one."""
+    kind = draw(st.sampled_from(list(ODD_LINE_KINDS)))
+    widths = (draw(st.sampled_from(PADDED_WIDTHS)), draw(st.sampled_from(PADDED_WIDTHS))) \
+        if kind == "padded" else (1, 1)
+    return odd_line(kind, line, u, v, widths)
 
 
 @st.composite
@@ -527,21 +636,65 @@ class TestBitMatrixDifferential:
         assert parsed(text) == outcome(ref_parse_graph, text)
         assert parsed(text)[2] == 4
 
-    @pytest.mark.parametrize("line", [
-        "0 2\r", "00 002", "0 1_2", "\u0660 \u0662", f"0 {2:020d}", f"0 {10 ** 19}",
-        "-1 2", "", "   ", "0\u20032", "0\x0c2", "0\x1f2", "+0 2", "0 2 0", "0 x", "2 0",
-        "1 1", "0 4", "0 2", "0 1",
+    # Each line, and None where it reads as edge {0, 2}, else the error on it;
+    # a duplicate is named on the later of its line and ``twin``.
+    @pytest.mark.parametrize("line, want", [
+        ("0 2\r", "non-integer endpoint"), ("00 002", None), ("0 1_2", "non-integer endpoint"),
+        ("\u0660 \u0662", "non-integer endpoint"), (f"0 {2:020d}", None),
+        (f"0 {10 ** 19}", f"edge (0,{10 ** 19}) violates 0 <= u < v < t"),
+        ("-1 2", "non-integer endpoint"), ("", "expected '<u> <v>'"),
+        ("   ", "expected '<u> <v>'"), ("0\u20032", "expected '<u> <v>'"),
+        ("0\x0c2", "expected '<u> <v>'"), ("0\x1f2", "expected '<u> <v>'"),
+        ("+0 2", "non-integer endpoint"), ("0 2 0", "expected '<u> <v>'"),
+        ("0 x", "non-integer endpoint"), ("2 0", "edge (2,0) violates 0 <= u < v < t"),
+        ("1 1", "self-loop 1"), ("0 4", "edge (0,4) violates 0 <= u < v < t"), ("0 2", None),
+        ("0 1", ("duplicate edge (0,1)", "0 1")),
         # zero-padded to one, two and three words of digits, and past int64
-        f"{0:08d} {2:08d}", f"{0:09d} {2:016d}", f"{0:017d} {2:018d}", f"0 {2:019d}",
-        f"{1:019d} 2", f"0 {10 ** 17 + 2}", f"0 {10 ** 18 - 1}",
+        (f"{0:08d} {2:08d}", None), (f"{0:09d} {2:016d}", None), (f"{0:017d} {2:018d}", None),
+        (f"0 {2:019d}", None), (f"{1:019d} 2", ("duplicate edge (1,2)", "1 2")),
+        (f"0 {10 ** 17 + 2}", f"edge (0,{10 ** 17 + 2}) violates 0 <= u < v < t"),
+        (f"0 {10 ** 18 - 1}", f"edge (0,{10 ** 18 - 1}) violates 0 <= u < v < t"),
     ])
     @pytest.mark.parametrize("where", [0, 1, 3])  # first, middle and last edge line
-    def test_odd_line_matches_reference(self, line, where):
+    def test_odd_line_matches_reference(self, line, want, where):
         edges = ["0 1", "1 2", "2 3"]
         edges.insert(where, line)
         text = "t 4 m 4\n" + "\n".join(edges) + "\n"
         new = parsed(text)
         assert new == outcome(ref_parse_graph, text)
+        if want is None:
+            assert new == ok(4, (0, 1), (1, 2), (2, 3), (0, 2))
+        elif not edges[-1].strip(" "):  # dropped with the blanks at the end of the text
+            assert new == refused(1, "expected 4 edge lines, found 3")
+        else:
+            detail, twin = want if isinstance(want, tuple) else (want, line)
+            bad = max(i for i, edge in enumerate(edges, 2) if edge in (line, twin))
+            assert new == refused(bad, detail)
+
+    @pytest.mark.parametrize("kind", ODD_LINE_KINDS)
+    def test_each_odd_line_kind(self, kind):
+        text = f"t 9 m 3\n0 1\n{odd_line(kind, '2 5', 2, 5, (19, 8))}\n7 8\n"
+        want = ODD_LINE_KINDS[kind]
+        new = parsed(text)
+        assert new == outcome(ref_parse_graph, text)
+        assert new == (ok(9, (0, 1), (2, 5), (7, 8)) if want is None else refused(3, want))
+
+    # The line ends and leads of ``graph_texts``, and the error on line 1 of
+    # each but the first: a CR ends the header's last field, and a blank
+    # line stands where the header must be.
+    @pytest.mark.parametrize("newline, lead, want", [
+        ("\n", "", None),
+        ("\n", "\n\n", "expected header 't <t> m <m>'"),
+        ("\n", " \t\n  ", "expected header 't <t> m <m>'"),
+        ("\r\n", "", "non-integer header fields"),
+        ("\r\n", "\r\n\r\n", "expected header 't <t> m <m>'"),
+        ("\r\n", " \t\r\n  ", "expected header 't <t> m <m>'"),
+    ])
+    def test_graph_text_line_ends_and_leads(self, newline, lead, want):
+        text = lead + newline.join(["t 3 m 2", "0 1", "1 2"]) + newline
+        new = parsed(text)
+        assert new == outcome(ref_parse_graph, text)
+        assert new == (ok(3, (0, 1), (1, 2)) if want is None else refused(1, want))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 300), st.sampled_from([0.0, 0.05, 0.5, 1.0]),
@@ -648,46 +801,59 @@ class TestRowBlocks:
         assert peak < 40 << 20
 
 
-# The graph texts of the tests above as bytes, and bytes that are read as
-# their str: not ASCII or not UTF-8, with a line break other than "\n", a
-# separator \x1c-\x1f, or blank lines before the header.
+# The graph texts of the tests above as bytes, and bytes outside the grammar:
+# not ASCII or not UTF-8, with a line break other than "\n", a separator
+# \x1c-\x1f, or blank lines before the header; and what each reads as.
 BYTES_CASES = [
-    b"t 3 m 2\n0 1\n1 2", b"t 2 m 1\n0 0", b"t 3 m 2\n0 1\n0 1", b"t 3 m 1\n0 3",
-    b"t 50000 m 0\n", b"t 4096 m 2\n0 4095\n17 18\n", b"", b"  \t ", b"\n \n",
-    b" \t t 3 m 1\n0 1\n  \n", b"t 3 m 1", b"t 3 m 0\n", b"t x m 1\n0 1\n",
-    "t 3 m 1\n\u0660 \u0662\n".encode(), "t 3 m 1\n0\u20032\n".encode(),
-    "t 3 m 1\n0 2 \u00e9\n".encode(), "\u0085t 3 m 1\n0 2\u2028".encode(),
-    b"t 3 m 2\r\n0 1\r\n1 2\r\n", b"t 3 m 2\n0 1\r1 2", b"t 3 m 1\n0\x1f2\n",
-    b"\x1ft 3 m 1\n0 2\x1f", b"t 3 m 2\n0 1\x0b1 2", b"t 3 m 2\n0 1\x0c1 2\n",
-    b"t 3 m 2\n0 1\x1c1 2", b"t 3 m 2\n0 1\x1d1 2\x1e", b"\n\nt 3 m 1\n0 x\n",
-    b"\n\nt 3 m 1\n0 2\n", b"\n\nt 3 m 2\n0 2\n0 2\n", b" \n t 3 m 1\n0 9\n",
-    b"t 3 m 1\n0 \xff\n", b"\n\nt 3 m 1\n0 \xff\n", b"t 3 m 1\n0 2\xe2\x80\n",
+    (b"t 3 m 2\n0 1\n1 2", ok(3, (0, 1), (1, 2))),
+    (b"t 2 m 1\n0 0", refused(2, "self-loop 0")),
+    (b"t 3 m 2\n0 1\n0 1", refused(3, "duplicate edge (0,1)")),
+    (b"t 3 m 1\n0 3", refused(2, "edge (0,3) violates 0 <= u < v < t")),
+    (b"t 50000 m 0\n", refused(1, f"t must be at most {MAX_VERTICES}")),
+    (b"t 4096 m 2\n0 4095\n17 18\n", ok(4096, (0, 4095), (17, 18))),
+    (b"", refused(1, "empty input")),
+    (b"  \t ", refused(1, "empty input")),
+    (b"\n \n", refused(1, "empty input")),
+    (b" \t t 3 m 1\n0 1\n  \n", ok(3, (0, 1))),
+    (b"t 3 m 1", refused(1, "expected 1 edge lines, found 0")),
+    (b"t 3 m 0\n", ok(3)),
+    (b"t x m 1\n0 1\n", refused(1, "non-integer header fields")),
+    ("t 3 m 1\n\u0660 \u0662\n".encode(), refused(2, "non-integer endpoint")),
+    ("t 3 m 1\n0\u20032\n".encode(), refused(2, "expected '<u> <v>'")),
+    ("t 3 m 1\n0 2 \u00e9\n".encode(), refused(2, "expected '<u> <v>'")),
+    ("\u0085t 3 m 1\n0 2\u2028".encode(), refused(1, "expected header 't <t> m <m>'")),
+    (b"t 3 m 2\r\n0 1\r\n1 2\r\n", refused(1, "non-integer header fields")),
+    (b"t 3 m 2\n0 1\r1 2", refused(1, "expected 2 edge lines, found 1")),
+    (b"t 3 m 1\n0\x1f2\n", refused(2, "expected '<u> <v>'")),
+    (b"\x1ft 3 m 1\n0 2\x1f", refused(1, "expected header 't <t> m <m>'")),
+    (b"t 3 m 2\n0 1\x0b1 2", refused(1, "expected 2 edge lines, found 1")),
+    (b"t 3 m 2\n0 1\x0c1 2\n", refused(1, "expected 2 edge lines, found 1")),
+    (b"t 3 m 2\n0 1\x1c1 2", refused(1, "expected 2 edge lines, found 1")),
+    (b"t 3 m 2\n0 1\x1d1 2\x1e", refused(1, "expected 2 edge lines, found 1")),
+    (b"\n\nt 3 m 1\n0 x\n", refused(1, "expected header 't <t> m <m>'")),
+    (b"\n\nt 3 m 1\n0 2\n", refused(1, "expected header 't <t> m <m>'")),
+    (b"\n\nt 3 m 2\n0 2\n0 2\n", refused(1, "expected header 't <t> m <m>'")),
+    (b" \n t 3 m 1\n0 9\n", refused(1, "expected header 't <t> m <m>'")),
+    (b"t 3 m 1\n0 \xff\n", refused(2, "non-integer endpoint")),
+    (b"\n\nt 3 m 1\n0 \xff\n", refused(1, "expected header 't <t> m <m>'")),
+    (b"t 3 m 1\n0 2\xe2\x80\n", refused(2, "non-integer endpoint")),
 ]
 
 
 class TestParseBytes:
-    """``parse_graph`` of a file's bytes against the text they decode to."""
+    """``parse_graph`` of a file's bytes, and of their text where they are
+    UTF-8."""
 
-    @pytest.mark.parametrize("data", BYTES_CASES)
-    def test_bytes_parse_as_their_text(self, data):
+    @pytest.mark.parametrize("data, want", BYTES_CASES)
+    def test_bytes_give_their_outcome(self, data, want):
         def graph(g):
             return g.t, g.rows
-        assert outcome(lambda: graph(parse_graph(data))) == \
-            outcome(lambda: graph(parse_graph(decode_text(data))))
-
-    @pytest.mark.parametrize("data, in_place", [
-        (b"t 3 m 1\n0 2\n", True), (b" \t t 3 m 1\n0 2 \n\n\t", True),
-        (b"t 3 m 1\n0 x\n", True), (b"\nt 3 m 1\n0 2\n", False),
-        (b"t 3 m 1\r\n0 2\r\n", False), ("t 3 m 1\n0 2 \u00e9\n".encode(), False),
-        (b"t 3 m 1\n0\x1f2\n", False), (b"t 3 m 1\n0 2\x0c", False),
-    ])
-    def test_plain_ascii_read_in_place(self, monkeypatch, data, in_place):
-        texts = []
-        parse_text = graphs._parse_text
-        monkeypatch.setattr(graphs, "_parse_text",
-                            lambda text: texts.append(text) or parse_text(text))
-        outcome(parse_graph, data)
-        assert texts == ([] if in_place else [data.decode()])
+        assert outcome(lambda: graph(parse_graph(data))) == want == outcome(ref_parse_graph, data)
+        try:
+            text = data.decode()
+        except UnicodeDecodeError:
+            return
+        assert outcome(lambda: graph(parse_graph(text))) == want
 
     def test_bytes_parse_peak_memory(self):
         g = sample_gnp(2048, 0.2, 1)
@@ -702,18 +868,12 @@ class TestParseBytes:
         assert peak < 10 << 20  # 7.2 MB measured; 25 MB for the text before
 
 
-# Graph files down every branch of the block reader: CRLF, \x0b, non-ASCII
-# and non-UTF-8 bytes, some in a later block than an error; leading blank
-# lines, trailing blanks, no final newline, m 0; lines longer than a block;
-# a duplicate edge across blocks; and a wrong edge count beside a bad line.
+# Graph files down every branch of the block reader: leading blanks on the
+# header line, trailing blanks, no final newline, m 0; lines longer than a
+# block; a duplicate edge across blocks; and a wrong edge count beside a bad
+# line.
 STREAM_CASES = [
-    b"t 3 m 2\r\n0 1\r\n1 2\r\n", b"t 3 m 2\n0 1\n1 2\x0b\n",
-    "t 3 m 2\n0 1\n1 2 \u00e9\n".encode(), "t 3 m 2\n0 1\n\u0661 \u0662\n".encode(),
-    b"t 3 m 2\n0 1\n1 \xff\n",
-    b"t x m 2\n0 1\n1 2\n\xff",  # a header error before bytes that are not UTF-8
-    b"t 3 m 2\n0 x\n1 2\r\n",  # a bad line before a CR
-    b"t 3 m 3\n0 1\n1 2\n\xe2\x80",  # a wrong count before a cut UTF-8 sequence
-    b"\n\n t 3 m 2\n0 1\n1 2\n", b" \t t 3 m 2\n0 1\n1 2\n", b"  \nt 3 m 1\n0 1",
+    b" \t t 3 m 2\n0 1\n1 2\n",
     b"t 3 m 2\n0 1\n1 2\n \t\n\n   \n", b"t 3 m 2\n0 1\n1 2", b"t 3 m 2\n0 1\n1 2   ",
     b"t 3 m 0\n", b"t 3 m 0", b"t 3 m 0\n\n  \n", b"t 3 m 0\n0 1\n", b"t 3 m 1\n\n",
     b"", b" \t ", b"\n\n", b"   \n \t",
@@ -727,6 +887,22 @@ STREAM_CASES = [
     b"t 9 m 7\n0 x\n2 3\n4 5\n6 7\n0 8\n1 2\n",  # ... in an earlier block too
     b"t 9 m 5\n0 1\n2 3\n4 5\n6 7\n0 8\n1 2\n",  # more edge lines than m
     b"t 9 m 1000\n0 1\n",  # more edge lines declared than the file has bytes
+]
+
+# Graph files with bytes outside the grammar -- CRLF, \x0b, non-ASCII and
+# non-UTF-8 bytes, some after an error -- or blank lines before the header,
+# and the error each gets.
+REFUSED_STREAM_CASES = [
+    (b"t 3 m 2\r\n0 1\r\n1 2\r\n", 1, "non-integer header fields"),
+    (b"t 3 m 2\n0 1\n1 2\x0b\n", 3, "non-integer endpoint"),
+    ("t 3 m 2\n0 1\n1 2 \u00e9\n".encode(), 3, "expected '<u> <v>'"),
+    ("t 3 m 2\n0 1\n\u0661 \u0662\n".encode(), 3, "non-integer endpoint"),
+    (b"t 3 m 2\n0 1\n1 \xff\n", 3, "non-integer endpoint"),
+    (b"t x m 2\n0 1\n1 2\n\xff", 1, "non-integer header fields"),  # a header error first
+    (b"t 3 m 2\n0 x\n1 2\r\n", 2, "non-integer endpoint"),  # a bad line before a CR
+    (b"t 3 m 3\n0 1\n1 2\n\xe2\x80", 4, "expected '<u> <v>'"),  # a cut UTF-8 sequence
+    (b"\n\n t 3 m 2\n0 1\n1 2\n", 1, "expected header 't <t> m <m>'"),
+    (b"  \nt 3 m 1\n0 1", 1, "expected header 't <t> m <m>'"),
 ]
 
 
@@ -750,8 +926,9 @@ def file_outcome(data):
 
 class TestBlockReader:
     """``parse_graph`` of bytes and of files, a block of text and a band of
-    rows at a time, against the reader of the whole bytes that it replaced:
-    the same graph, the same digest and the same error on the same line."""
+    rows at a time, against the reader of the whole bytes that it replaced,
+    or the grammar's reference where bytes lie outside the grammar: the same
+    graph, the same digest and the same error on the same line."""
 
     @pytest.mark.parametrize("text_bytes", [1, 2, 3, 5, 8, 13, 64, None])
     @pytest.mark.parametrize("data", STREAM_CASES)
@@ -762,11 +939,20 @@ class TestBlockReader:
             assert file_outcome(data) == \
                 (want, hashlib.sha256(data).hexdigest() if want[0] == "ok" else None)
 
+    @pytest.mark.parametrize("text_bytes", [1, 2, 3, 5, 8, 13, 64, None])
+    @pytest.mark.parametrize("data, line, detail", REFUSED_STREAM_CASES)
+    def test_bytes_outside_the_grammar_refused(self, data, line, detail, text_bytes):
+        want = refused(line, detail)
+        assert outcome(ref_parse_graph, data) == want
+        with row_blocks_of(1, text_bytes):
+            assert outcome(lambda: graph_of(parse_graph(data))) == want
+            assert file_outcome(data) == (want, None)
+
     @settings(max_examples=150, deadline=None)
     @given(graph_texts(), st.integers(1, 300), st.integers(1, 64))
-    def test_texts_match_whole_bytes_reader(self, text, entries, text_bytes):
+    def test_texts_match_reference(self, text, entries, text_bytes):
         data = text.encode()
-        want = outcome(lambda: graph_of(reference_parse_graph_bytes(data)))
+        want = outcome(ref_parse_graph, data)
         with row_blocks_of(entries, text_bytes):
             assert outcome(lambda: graph_of(parse_graph(data))) == want
             assert file_outcome(data)[0] == want
@@ -850,13 +1036,13 @@ def edge_line_calls(module, calls):
         module._edge_line = saved
 
 
-def read_outcome(read, module, text, data, lo, hi, t, arrays, k):
+def read_outcome(read, module, data, lo, hi, t, arrays, k):
     """What ``read`` does with one block, reading into ``arrays``: its return
     value or error, and the edge lines it left to ``_edge_line``."""
     calls = []
     with edge_line_calls(module, calls):
         try:
-            got = ("ok", read(text, data, lo, hi, t, *arrays, k))
+            got = ("ok", read(data, lo, hi, t, *arrays, k))
         except GraphFormatError as e:
             got = ("format", str(e), e.line)
     return got, calls
@@ -871,11 +1057,11 @@ def reader_checked_against_reference():
     reader u * t + v into one."""
     reader = graphs._read_edge_lines
 
-    def both(text, data, lo, hi, t, at, k):
+    def both(data, lo, hi, t, at, k):
         ref_us, ref_vs = np.divmod(at.astype(np.int64), t)  # the k lines read before
-        want = read_outcome(reference_read_edge_lines, references, text, data, lo, hi, t,
+        want = read_outcome(reference_read_edge_lines, references, data, lo, hi, t,
                             (ref_us, ref_vs), k)
-        got = read_outcome(reader, graphs, text, data, lo, hi, t, (at,), k)
+        got = read_outcome(reader, graphs, data, lo, hi, t, (at,), k)
         assert got == want
         if got[0][0] == "format":
             raise GraphFormatError(got[0][1].split(": ", 1)[1], got[0][2])
@@ -919,12 +1105,10 @@ class TestWordReader:
         but for lo = 8: words of their first runs reach before byte 0.  The
         bytes before ``lo`` are digits, which must not leak into a value."""
         data = b"9" * lo + b"0 1\n2 3\n00000002 13"
-        text = data.decode()
         at, us, vs = np.zeros(3, np.int32), np.zeros(3, np.int64), np.zeros(3, np.int64)
-        got = read_outcome(graphs._read_edge_lines, graphs, text, data, lo, len(data), 14,
-                           (at,), 0)
-        want = read_outcome(reference_read_edge_lines, references, text, data, lo, len(data),
-                            14, (us, vs), 0)
+        got = read_outcome(graphs._read_edge_lines, graphs, data, lo, len(data), 14, (at,), 0)
+        want = read_outcome(reference_read_edge_lines, references, data, lo, len(data), 14,
+                            (us, vs), 0)
         assert got == want == (("ok", 3), [])
         assert at.tolist() == (us * 14 + vs).tolist() == [0 * 14 + 1, 2 * 14 + 3, 2 * 14 + 13]
 
@@ -1084,18 +1268,62 @@ class TestCompactColoring:
         width = max(1, (max(n, 0) * (max(n, 0) - 1) // 2 + 3) // 4)
         hexstr = data.draw(st.text("0123456789abcdefABCDEF_+-xX", min_size=max(1, width - 1),
                                    max_size=width + 1))
-        assert outcome(graphs._coloring_from_hex, n, hexstr) == \
-            outcome(reference_coloring_from_hex, n, hexstr)
+        text = f"n {n} hex {hexstr}\n"
+        assert outcome(lambda: colored(parse_coloring(text))) == outcome(ref_parse_coloring, text)
 
-    @pytest.mark.parametrize("n, hexstr", [
-        (5, "f_c"), (5, "0x4"), (5, "0xf"), (4, "+c"), (4, "-1"), (4, "0x"), (4, "_f"),
-        (0, "1"), (1, "f"), (-2, "0"), (3, "9"), (3, "g"), (4, "fc"), (4, "fd"),
+    @pytest.mark.parametrize("n, hexstr, want", [
+        (5, "f_c", "invalid hex string"), (5, "f_f", "invalid hex string"),
+        (5, "0x4", "invalid hex string"), (5, "0x8", "invalid hex string"),
+        (5, "0xf", "invalid hex string"), (4, "+c", "invalid hex string"),
+        (4, "-1", "invalid hex string"), (4, "0x", "invalid hex string"),
+        (4, "_f", "invalid hex string"), (0, "1", None), (1, "f", None),
+        (-2, "0", "non-integer vertex count"), (3, "9", "padding bits must be zero"),
+        (3, "g", "invalid hex string"), (4, "fc", None), (4, "fd", "padding bits must be zero"),
     ])
-    def test_int_spellings_match_reference(self, n, hexstr):
-        """Whatever ``int(s, 16)`` reads -- a sign, a 0x prefix, underscores --
-        is read as it was, and refused with the message it was."""
-        assert outcome(graphs._coloring_from_hex, n, hexstr) == \
-            outcome(reference_coloring_from_hex, n, hexstr)
+    def test_int_spellings_refused(self, n, hexstr, want):
+        """A sign, a 0x prefix or an underscore, which ``int(s, 16)`` reads,
+        is no hex digit: ``width`` characters of [0-9a-fA-F] alone are read."""
+        text = f"n {n} hex {hexstr}\n"
+        got = outcome(lambda: colored(parse_coloring(text)))
+        assert got == outcome(ref_parse_coloring, text)
+        if want is None:
+            c = reference_coloring_from_hex(n, hexstr)
+            assert got == ("ok", (c.n, c.red_rows))
+        else:
+            assert got == refused(1, want)
+
+
+def colored(c):
+    return c.n, c.red_rows
+
+
+def substitutions(data):
+    """``data`` with each of its bytes in turn replaced by each byte value."""
+    for i in range(len(data)):
+        for b in range(256):
+            yield data[:i] + bytes([b]) + data[i + 1:]
+
+
+class TestByteGrammar:
+    """Every file one byte away from a valid one reads as the grammar's
+    reference reads it: the same graph or coloring, or the same error on the
+    same line, and never an error of another kind."""
+
+    @pytest.mark.parametrize("text_bytes", [None, 4])
+    def test_graph_byte_substitutions(self, text_bytes):
+        data = b"t 5 m 3 \n0 1\n1\t04\n 2 3\n"
+        assert parse_graph(data) == Graph.from_edges(5, [(0, 1), (1, 4), (2, 3)])
+        with row_blocks_of(graphs._BLOCK_ENTRIES, text_bytes):
+            for mutated in substitutions(data):
+                assert outcome(lambda: graph_of(parse_graph(mutated))) == \
+                    outcome(ref_parse_graph, mutated), mutated
+
+    @pytest.mark.parametrize("data", [b"n 3\n0 1 R\n 0 2 B\t\n1\t2 R\n", b"n 5\thex 3fC \n"])
+    def test_coloring_byte_substitutions(self, data):
+        assert outcome(parse_coloring, data)[0] == "ok"
+        for mutated in substitutions(data):
+            assert outcome(lambda: colored(parse_coloring(mutated))) == \
+                outcome(ref_parse_coloring, mutated), mutated
 
 
 class TestVertexLimit:
