@@ -17,7 +17,9 @@ runs of 20,000 calls).  Rows:
 * primitives: ``sample_gnp`` at t = 2048 and 4096 (rho 0.2, seed 1) and at
   t = 16384 (seed 5),
   ``sample_coloring`` at n = 20, 80 and 320 (p 1/2, the ``search_sweep``
-  sizes; the median of 21 calls), ``Graph``
+  sizes; the median of 21 calls) and at n = 1024 (past one tile, a stack of
+  one), ``sample_red_rows`` of 2000 seeds at n = 20 (p 1/2, stacks of seed
+  blocks), ``Graph``
   validation at t = 256 and 320 (one 256 x 256 tile, compared whole, and
   past it; the median of 21 calls) and at 1024, 2048, 4096 and 8192,
   ``Graph.complete(16384)`` (the K_s ``search --mode vs-clique`` builds for
@@ -57,10 +59,11 @@ runs of 20,000 calls).  Rows:
   of ``sample_gnp`` and of reading and parsing a G(t, 0.2) file
   (``read_pattern``, as every ``--graph`` is read) at t = 2048 and 4096, of
   ``serialize_graph``, of the text ``random gnp`` writes and of
-  ``parse_graph`` on the text's bytes at t = 2048, of ``Graph`` validation
-  at t = 4096 (the rows made before), of ``Graph.complete(16384)`` and of
-  the ``verify_degree_spread`` row.  These tracemalloc peaks do not depend on
-  the process's memory layout, as ``peak_rss_mb`` does;
+  ``parse_graph`` on the text's bytes at t = 2048, of ``sample_gnp`` at
+  t = 16384 (seed 5; its packed upper matrix alone is 32 MB), of ``Graph``
+  validation at t = 4096 (the rows made before), of ``Graph.complete(16384)``
+  and of the ``verify_degree_spread`` row.  These tracemalloc peaks do not
+  depend on the process's memory layout, as ``peak_rss_mb`` does;
 * ``ramsey_number_exact`` on each ``exact_oracle`` anchor of
   ``perfbench/workloads.py``, on R(3,4) at n_max = 10, on R(3,5) at
   n_max = guard = 14, and on (K3, C6) at 11, (K3, C7) at 13 and (C5, K4) at
@@ -216,7 +219,8 @@ def primitives() -> dict:
                                   serialize_graph)
     from ramseykit.oracle import find_mono_subgraph_exact, lower_bound_certificate_random
     from ramseykit.patterns import load_pattern, read_pattern
-    from ramseykit.randomlab import sample_coloring, sample_gnp, verify_degree_spread
+    from ramseykit.randomlab import (sample_coloring, sample_gnp, sample_red_rows,
+                                     verify_degree_spread)
     from ramseykit.search import SearchConfig, find_red_H_or_blue_clique, neighborhood_chase
 
     out = {f"sample_gnp({t}, 0.2)": _median_time(lambda: sample_gnp(t, 0.2, 1), 3)
@@ -224,6 +228,9 @@ def primitives() -> dict:
     out["sample_gnp(16384, 0.2, 5)"] = _median_time(lambda: sample_gnp(16384, 0.2, 5), 3)
     for n in (20, 80, 320):
         out[f"sample_coloring({n}, 0.5)"] = _median_time(lambda: sample_coloring(n, 0.5, 1), 21)
+    out["sample_coloring(1024, 0.5)"] = _median_time(lambda: sample_coloring(1024, 0.5, 1), 5)
+    out["sample_red_rows(20, 0.5, 2000 seeds)"] = _median_time(
+        lambda: list(sample_red_rows(20, 0.5, range(1, 2001))), 5)
     for t in (256, 320):  # one tile, compared whole, and past it
         rows = sample_gnp(t, 0.2, 1).rows
         out[f"Graph validation, t={t}"] = _median_time(lambda: Graph(t, rows), 21)
@@ -314,6 +321,7 @@ def primitives() -> dict:
     out["peak of serialize_graph, t=2048"] = _peak_mb(lambda: serialize_graph(g))
     out["peak of random gnp text, t=2048"] = _peak_mb(lambda: _gnp_text(g))
     out["peak of parse_graph(bytes), t=2048"] = _peak_mb(lambda: parse_graph(data))
+    out["peak of sample_gnp(16384, 0.2, 5)"] = _peak_mb(lambda: sample_gnp(16384, 0.2, 5))
     rows = sample_gnp(4096, 0.2, 1).rows
     out["peak of Graph validation, t=4096"] = _peak_mb(lambda: Graph(4096, rows))
     out["peak of Graph.complete(16384)"] = _peak_mb(lambda: Graph.complete(16384))

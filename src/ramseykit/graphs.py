@@ -16,13 +16,12 @@ converted from the one unaligned 64-bit word that ends with it, in three
 multiplies, and a longer one from two or three words.  The symmetry check
 of a graph past one 256 x 256 tile goes on packed rows: each band of rows
 is compared with the same bits of every row, transposed packed, 8 x 8 bits
-per 64-bit word (``_transposed``), as are the columns a band of rows takes
-from the rows before it (``_columns``).  Mirroring the upper triangle onto
-the lower one goes one 256 x 256 tile and its mirror image at a time
-(``_tiles``), so each stays in cache instead of reading a column of the
-whole matrix per row.  That work still takes time quadratic in t, so graphs
-and colorings have at most ``MAX_VERTICES`` vertices, and the parsers check
-a declared vertex count before they build anything.
+per 64-bit word (``_transposed``).  Sampled, parsed and compact rows are
+built from the entries above the diagonal with the same transpose past one
+tile: each band of rows is ORed with the same band of the transposed upper
+matrix (``_symmetric``).  That work still takes time quadratic in t, so
+graphs and colorings have at most ``MAX_VERTICES`` vertices, and the
+parsers check a declared vertex count before they build anything.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations_with_replacement
-from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, TextIO
+from itertools import chain
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -87,10 +86,10 @@ def check_vertex_count(t: int) -> None:
 _BLOCK_ENTRIES = 1 << 24
 # Entries of one band of rows that the sampler draws, the parser fills and
 # the symmetry check compares (1 MB as bools), or of t / _MAX_BANDS rows
-# where they are more.  Each band reads every earlier row again
-# (``_columns``), so bands no lower than t / 32 rows keep that cost in check:
-# 1024 rows at 1024 vertices, 512 at 2048, 256 at 4096 and 8192, and 512 at
-# 16384.
+# where they are more.  The parser fills each band of a file whose edges are
+# out of order through a mask over all its edges, so bands no lower than
+# t / 32 rows keep that cost in check: 1024 rows at 1024 vertices, 512 at
+# 2048, 256 at 4096 and 8192, and 512 at 16384.
 _BAND_ENTRIES = 1 << 20
 _MAX_BANDS = 32
 
@@ -108,24 +107,9 @@ def _row_blocks(t: int, entries: Optional[int] = None) -> Iterator[tuple[int, in
         yield lo, min(lo + step, t)
 
 
-# Side of the square tiles that transposes go through: a 256 x 256 bool tile
-# is 64 KB, so a tile and its mirror image stay in cache together.
+# Side of one square tile: a 256 x 256 bool matrix is 64 KB, so it and its
+# transpose stay in cache together.  Larger matrices are mirrored and checked packed.
 _TILE = 256
-
-
-def _tiles(t: int) -> Iterator[tuple[slice, slice]]:
-    """Rows and columns (r, c) of the tiles on and above the diagonal of a
-    t x t matrix, _TILE x _TILE each (less at the edges), row by row."""
-    bands = [slice(i, i + _TILE) for i in range(0, t, _TILE)]
-    return combinations_with_replacement(bands, 2)
-
-
-def _mirror(b: np.ndarray) -> None:
-    """OR each square bool matrix of a stack with its transpose, one tile of
-    every matrix at a time.  Entries below the diagonal must be unset: the
-    tiles below the diagonal ones are written, not read."""
-    for r, c in _tiles(b.shape[-1]):
-        b[:, c, r] |= b[:, r, c].transpose(0, 2, 1)
 
 
 def _upper(lo: int, hi: int, n: int) -> np.ndarray:
@@ -134,62 +118,80 @@ def _upper(lo: int, hi: int, n: int) -> np.ndarray:
     return np.arange(lo, hi)[:, None] < np.arange(n)
 
 
-def _pair_rows(red: np.ndarray, n: int, lo: int, hi: int,
-               earlier: Sequence[int]) -> tuple[int, ...]:
-    """Rows lo..hi-1 of each coloring of a stack, one coloring after another.
+def _pair_bits(red: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
+    """Bool k x (hi - lo) x n band of rows lo..hi-1 of each coloring of a
+    stack, its entries above the diagonal alone set (``_symmetric``).
 
     ``red[k]`` holds the colours of the pairs {u, v}, lo <= u < hi and u < v,
-    of the k-th coloring, in lexicographic order.  When lo > 0 the stack holds
-    one coloring, and ``earlier`` are its rows 0..lo-1.  The pairs are placed
-    by one boolean-mask assignment.  A stack of one, which may be a whole
+    of the k-th coloring, in lexicographic order.  The pairs are placed by
+    one boolean-mask assignment.  A stack of one, which may be a whole
     graph, takes the mask as a view; a larger stack, of matrices of at most
     half a block, takes it tiled, as numpy assigns through a contiguous mask
     faster than through a broadcast view (2.0 against 5.5 ms for two
     matrices of 1400 x 1400).
     """
-    k, rows = len(red), hi - lo
-    a = np.zeros((k, rows, n), dtype=bool)
+    k = len(red)
+    a = np.zeros((k, hi - lo, n), dtype=bool)
     upper = _upper(lo, hi, n)
     a[upper[None] if k == 1 else np.tile(upper, (k, 1, 1))] = red.ravel()
-    return _symmetric_rows(a, lo, earlier)
+    return a
 
 
-def _symmetric_rows(a: np.ndarray, lo: int, earlier: Sequence[int]) -> tuple[int, ...]:
-    """Rows lo..lo + r - 1 of each symmetric matrix of a k x r x n stack,
-    one matrix after another, of which ``a`` holds the entries above the
-    diagonal and no others.  The square on the diagonal is mirrored; when
-    lo > 0 the stack holds one matrix, and its columns 0..lo-1 come from
-    ``earlier``, its rows 0..lo-1."""
-    k, r, n = a.shape
-    _mirror(a[:, :, lo:lo + r])
-    if lo:
-        a[0, :, :lo] = _columns(earlier, lo, lo + r)
-    return pack_rows(a.reshape(k * r, n))
+def _pair_bands(n: int, pairs: Callable[[int, int], np.ndarray],
+                entries: Optional[int] = None) -> Iterator[np.ndarray]:
+    """The bands of rows of a coloring on n vertices, of ``_row_blocks(n,
+    entries)``, as ``_pair_bits`` makes them: ``pairs(start, count)`` gives
+    the colours of pairs start..start + count - 1 in lexicographic order."""
+    for lo, hi in _row_blocks(n, entries):
+        start = lo * (2 * n - lo - 1) // 2  # pairs {u, v} with u < lo
+        yield _pair_bits(pairs(start, (hi - lo) * (2 * n - lo - hi - 1) // 2)[None], n, lo, hi)
 
 
-def _columns(rows: Sequence[int], lo: int, hi: int) -> np.ndarray:
-    """Bool (hi - lo) x len(rows) matrix whose entry [i, u] is bit lo + i of
-    rows[u]: bits lo..hi-1 of the rows as columns.
+def _symmetric(n: int, bands: Iterable[np.ndarray]) -> tuple[int, ...]:
+    """The rows of each symmetric n x n matrix of a stack, one matrix after
+    another, from bool k x r x n bands of its rows, in order, that hold the
+    entries above the diagonal and no others.  Up to one tile a side, the
+    bands are joined and ORed with their transpose.  Larger matrices are
+    packed into one upper matrix a band at a time (a band that only
+    ``bands`` holds is freed once packed); then each band of rows is ORed
+    with the same band of the packed transpose (``_transposed``)."""
+    if not n:
+        return ()
+    if n <= _TILE:
+        bands = list(bands)
+        a = bands[0] if len(bands) == 1 else np.concatenate(bands, axis=1)
+        a |= a.transpose(0, 2, 1)
+        return pack_rows(a.reshape(-1, n))
+    upper, lo = None, 0
+    for band in bands:
+        if upper is None:
+            upper = np.zeros((len(band), n + -n % 8, (n + 7) // 8), np.uint8)
+        upper[:, lo:lo + band.shape[1]] = np.packbits(band, axis=2, bitorder="little")
+        lo += band.shape[1]
+        del band  # before the next band is built
+    rows: list[list[int]] = [[] for _ in upper]
+    for lo, hi in _row_blocks(n, _band_entries(n)):
+        band = _transposed(upper, lo, hi)
+        band |= upper[:, lo:hi]
+        for matrix, part in zip(rows, band):
+            matrix.extend(_int_rows(part))
+    return tuple(chain.from_iterable(rows))
 
-    The band of bits is transposed packed (``_transposed``): a bool
-    transpose would read a column of len(rows) bytes per row of the result,
-    one byte at a time."""
-    n, cut = len(rows), (1 << (hi - lo)) - 1
-    band = _packed_rows(hi - lo, [row >> lo & cut for row in rows] + [0] * (-n % 8))
-    return np.unpackbits(_transposed(band)[:hi - lo], 1, n, "little").view(bool)
 
-
-def _transposed(band: np.ndarray) -> np.ndarray:
-    """The transpose of a packed bit matrix, packed.  ``band`` is a uint8
-    n x nb matrix, n a multiple of 8, whose row u holds bit i of a row in bit
-    i % 8 of its byte i // 8; row i of the 8nb x n/8 result holds bit i of
-    every row u so, in bit u % 8 of its byte u // 8.  Eight rows by eight
-    bits go in each 64-bit word (``_transpose8``)."""
-    nb = band.shape[1]
-    # words[I, U]: byte k is byte I of row 8U + k
-    words = band.reshape(-1, 8, nb).transpose(2, 0, 1).copy().view("<u8")[..., 0]
+def _transposed(packed: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Bits lo..hi-1 of every row of each packed bit matrix of a stack, as
+    rows, packed.  ``packed`` is a uint8 k x N x nb stack, N a multiple of 8,
+    whose row u holds bit i of a row in bit i % 8 of its byte i // 8; row i
+    of each k x (hi - lo) x N/8 result matrix holds bit lo + i of every row
+    u so, in bit u % 8 of its byte u // 8.  Eight rows by eight bits go in
+    each 64-bit word (``_transpose8``)."""
+    band = packed[..., lo // 8:(hi + 7) // 8]  # its first byte may begin below lo
+    k, _, nb = band.shape
+    # words[., I, U]: byte j is byte I of row 8U + j
+    words = band.reshape(k, -1, 8, nb).transpose(0, 3, 1, 2).copy().view("<u8")[..., 0]
     _transpose8(words)  # now byte j has bit k = bit 8I + j of row 8U + k
-    return words.view(np.uint8).reshape(nb, -1, 8).transpose(0, 2, 1).reshape(8 * nb, -1)
+    bits = words.view(np.uint8).reshape(k, nb, -1, 8).transpose(0, 1, 3, 2)
+    return bits.reshape(k, 8 * nb, -1)[:, lo % 8:lo % 8 + hi - lo]
 
 
 def _transpose8(words: np.ndarray) -> None:
@@ -224,12 +226,14 @@ def _packed_rows(t: int, rows: Sequence[int]) -> np.ndarray:
 
 
 def pack_rows(adj: np.ndarray) -> tuple[int, ...]:
-    """Per-vertex bit rows of a bool matrix: bit u of row v is ``adj[v, u]``.
+    """Per-vertex bit rows of a bool matrix: bit u of row v is ``adj[v, u]``."""
+    return _int_rows(np.packbits(adj, axis=1, bitorder="little"))
 
-    Rows of at most 64 columns are read as one zero-padded little-endian
-    word each, with no Python step per row; wider ones byte string by byte
-    string."""
-    packed = np.packbits(adj, axis=1, bitorder="little")
+
+def _int_rows(packed: np.ndarray) -> tuple[int, ...]:
+    """The int of each row of bytes of a uint8 matrix, least significant
+    first.  Rows of at most 8 bytes are read as one zero-padded word each,
+    with no Python step per row; wider ones byte string by byte string."""
     width = packed.shape[1]
     if width <= 8:
         words = np.zeros((len(packed), 8), np.uint8)
@@ -373,8 +377,7 @@ def _check_symmetric(t: int, rows: Sequence[int]) -> None:
     for lo, hi in bands:
         packed[lo:hi] = _packed_rows(t, rows[lo:hi])
     for lo, hi in bands:
-        # bits lo..hi-1 of every row, as rows; the first byte may begin below lo
-        bad = _transposed(packed[:, lo // 8:(hi + 7) // 8])[lo % 8:lo % 8 + hi - lo]
+        bad = _transposed(packed[None], lo, hi)[0]  # bits lo..hi-1 of every row
         np.invert(bad, out=bad)
         bad &= packed[lo:hi]  # row v has u, row u lacks v
         if bad.any():
@@ -471,8 +474,8 @@ def rows_of(host, color: Optional[str] = None) -> tuple[int, ...]:
 #           pair order; or line 1 "n <n> hex <h>", <h> the upper-triangle bits
 #           (1 = Red, lexicographic pair order, first pair in the most
 #           significant bit) as exactly max(1, ceil(C(n,2) / 4)) characters of
-#           [0-9a-fA-F], the bits past the last pair zero; no later line is
-#           read.
+#           [0-9a-fA-F], the bits past the last pair zero (every bit, on
+#           at most one vertex); no line follows it.
 # Numbers are unsigned decimal digits [0-9], leading zeros allowed.  Fields
 # are separated by spaces or tabs, which may also begin and end a line, and
 # lines end in LF.  Spaces, tabs and blank lines at the end of a file are
@@ -613,33 +616,30 @@ def _read_graph(runs: Iterator[tuple[bytes, int]], size: int) -> Graph:
     if error is not None:
         raise error
     del data  # free the text before the matrices exist
-    rows = _edge_rows(t, at)
-    del at
-    return Graph(t, rows)
+    bands = _edge_bands(t, at)
+    del at  # the bands free it once the last one is built
+    return Graph(t, _symmetric(t, bands))
 
 
-def _edge_rows(t: int, at: np.ndarray) -> tuple[int, ...]:
-    """Rows of the graph on t vertices whose edges {u, v}, u < v, are
-    u * t + v = at[i], or the GraphFormatError of the first edge line that
-    repeats an earlier one.  The rows are filled a band of at most
-    ``_band_entries(t)`` entries at a time."""
-    rows: list[int] = []
+def _edge_bands(t: int, at: np.ndarray) -> Iterator[np.ndarray]:
+    """Bool 1 x r x t bands of the rows of the graph on t vertices whose
+    edges {u, v}, u < v, are at[i] = u * t + v, set above the diagonal, of at
+    most ``_band_entries(t)`` entries each, each dropped before the next is
+    built; then the GraphFormatError of the first repeated edge line, if any."""
     distinct = 0
     ordered = bool((at[:-1] < at[1:]).all())  # in row-major order, as the writer gives them
     for lo, hi in _row_blocks(t, _band_entries(t)):
-        a = np.zeros((1, hi - lo, t), dtype=bool)  # rows lo..hi-1
-        if ordered:  # the edges in them are a slice (found in int32: no cast of at)
+        a = np.zeros((1, hi - lo, t), dtype=bool)
+        if ordered:  # the edges in rows lo..hi-1 are a slice (found in int32: no cast of at)
             i, j = np.searchsorted(at, np.array([lo, hi], np.int32) * t)
-            band = at[i:j] - lo * t
+            a.ravel()[at[i:j] - lo * t] = True
         else:
-            band = at[(lo * t <= at) & (at < hi * t)] - lo * t
-        a.ravel()[band] = True  # the edges, above the diagonal
+            a.ravel()[at[(lo * t <= at) & (at < hi * t)] - lo * t] = True
         distinct += np.count_nonzero(a)
-        rows.extend(_symmetric_rows(a, lo, rows))
-        del a, band  # the next band builds its own
+        yield a
+        del a
     if distinct != len(at):
         raise _first_duplicate(at, t)
-    return tuple(rows)
 
 
 # Bytes of a file read, and of text read in one pass, at once: bounds the
@@ -859,7 +859,10 @@ def parse_coloring(text: str | bytes) -> Coloring:
     if n > MAX_VERTICES:
         raise GraphFormatError(f"n must be at most {MAX_VERTICES}", 1)
     if match[2] is not None:
-        return _coloring_from_hex(n, match[2])
+        c = _coloring_from_hex(n, match[2])
+        if lines:
+            raise GraphFormatError("expected no line after 'n <n> hex <string>'", 2)
+        return c
     npairs = n * (n - 1) // 2
     if len(lines) != npairs:
         raise GraphFormatError(f"expected {npairs} pair lines, found {len(lines)}", 1)
@@ -899,16 +902,12 @@ def _coloring_from_hex(n: int, hexstr: bytes) -> Coloring:
     if hexstr.translate(None, _HEX_DIGITS):  # a byte that is no hex digit
         raise GraphFormatError("invalid hex string", 1)
     value, total = int(hexstr, 16), 4 * width  # value < 2**total
-    if nbits and value & ((1 << (total - nbits)) - 1):
+    if value & ((1 << (total - nbits)) - 1):
         raise GraphFormatError("padding bits must be zero", 1)
-    value >>= total - nbits  # pair i is bit nbits - 1 - i
-    rows: list[int] = []
-    for lo, hi in _row_blocks(n):
-        end = hi * (2 * n - hi - 1) // 2  # pairs {u, v} with u < hi
-        count = (hi - lo) * (2 * n - lo - hi - 1) // 2
-        bits = _int_bits(value >> (nbits - end) & ((1 << count) - 1), count)
-        rows.extend(_pair_rows(bits[None], n, lo, hi, rows))
-    return Coloring(n, tuple(rows))
+    def pairs(start: int, count: int) -> np.ndarray:  # pair i is bit total - 1 - i
+        return _int_bits(value >> (total - start - count) & ((1 << count) - 1), count)
+
+    return Coloring(n, _symmetric(n, _pair_bands(n, pairs)))
 
 
 def _int_bits(value: int, count: int) -> np.ndarray:

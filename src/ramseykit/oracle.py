@@ -59,7 +59,8 @@ from .graphs import (
     Coloring,
     Embedding,
     Graph,
-    _pair_rows,
+    _pair_bits,
+    _symmetric,
     bits_of,
     mask_of,
     rows_of,
@@ -701,7 +702,7 @@ def lower_bound_certificate_random(pattern: Graph, n: int, tries: int,
             packed[:, :(red.shape[1] + 7) // 8] = np.packbits(red, axis=1, bitorder="little")
             live = _undecided(packed.view("<u8").T, table)
             if len(live):
-                witness = Coloring(n, _pair_rows(red[live[:1]], n, 0, n, ()))
+                witness = Coloring(n, _symmetric(n, [_pair_bits(red[live[:1]], n, 0, n)]))
                 break
     else:
         plan = _embed_plan(pattern)

@@ -29,8 +29,9 @@ from .graphs import (
     Graph,
     _band_entries,
     _packed_rows,
-    _pair_rows,
-    _row_blocks,
+    _pair_bands,
+    _pair_bits,
+    _symmetric,
     bits_of,
     check_vertex_count,
 )
@@ -104,17 +105,19 @@ def _red_cut(p: float) -> int:
     return math.ceil(p * 2 ** 53) << 11
 
 
-def _draw_red(bitgen: np.random.Philox, cut: int, red: np.ndarray) -> None:
+def _draw_red(bitgen: np.random.Philox, cut: int, red: np.ndarray) -> np.ndarray:
     """Fill the bool array ``red`` with the colours of the next len(red)
-    pairs of ``bitgen``'s stream: a pair is red iff its raw word is below
-    ``cut``.  The words are drawn _WORD_CHUNK at a time, straight into ``red``."""
+    pairs of ``bitgen``'s stream, and return it: a pair is red iff its raw
+    word is below ``cut``.  The words are drawn _WORD_CHUNK at a time,
+    straight into ``red``."""
     if cut >> 64:  # every word is below 2**64
         red.fill(True)
-        return
+        return red
     below = np.uint64(cut)
     for lo in range(0, len(red), _WORD_CHUNK):
         part = red[lo:lo + _WORD_CHUNK]
         np.less(bitgen.random_raw(len(part)), below, out=part)
+    return red
 
 
 def _draw_seeds(seeds: range, cut: int, red: np.ndarray) -> None:
@@ -194,14 +197,14 @@ def sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]
     stopping after the i-th seed costs O(i) draws.  A seed whose n x n matrix
     fits one band of rows, of ``_band_entries(n)`` entries, is drawn whole,
     with the others of its block (``red_pair_blocks``).  A larger seed is
-    drawn alone, a band at a time, and rows drawn earlier supply the pairs
-    of a band's rows with theirs.  Every seed must be a Philox key, which
+    drawn alone, a band at a time, each band packed before the next one is
+    drawn (``graphs._symmetric``).  Every seed must be a Philox key, which
     is checked before anything is drawn.
     """
     entries = _band_entries(n)
     if n * n <= entries:
         for red in red_pair_blocks(n, p, seeds):
-            rows = _pair_rows(red, n, 0, n, ())
+            rows = _symmetric(n, iter([_pair_bits(red, n, 0, n)]))  # freed once packed
             for k in range(len(red)):
                 yield rows[k * n:(k + 1) * n]
         return
@@ -210,13 +213,8 @@ def sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]
         for seed in block:
             bitgen = _philox()
             _rekey(bitgen, seed)
-            rows: list[int] = []
-            for lo, hi in _row_blocks(n, entries):
-                # pairs {u, v}, lo <= u < hi, u < v
-                red = np.empty((1, (hi - lo) * (2 * n - lo - hi - 1) // 2), bool)
-                _draw_red(bitgen, cut, red[0])
-                rows.extend(_pair_rows(red, n, lo, hi, rows))
-            yield tuple(rows)
+            yield _symmetric(n, _pair_bands(
+                n, lambda _, count: _draw_red(bitgen, cut, np.empty(count, bool)), entries))
 
 
 def sample_gnp(t: int, rho: float, seed: int) -> Graph:

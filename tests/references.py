@@ -26,7 +26,6 @@ from ramseykit.graphs import (
     GraphFormatError,
     _edge_line,
     _row_blocks,
-    _symmetric_rows,
     bit_matrix,
     bits_of,
     check_vertex_count,
@@ -114,9 +113,10 @@ def reference_red_rows(n: int, p: float, seed: int) -> tuple[int, ...]:
                  for row in adj)
 
 
-# The sampler before it drew raw words, verbatim but for the names and the
-# docstrings: one float64 drawn per pair and compared with p, and each block's
-# pairs placed through a tiled mask.  The reference for
+# The sampler before it drew raw words, verbatim but for the names, the
+# docstrings and the mirror: one float64 drawn per pair and compared with p,
+# and each block's pairs placed through a tiled mask; each whole bool matrix
+# is then ORed with its transpose.  The reference for
 # ``randomlab.sample_red_rows``.
 
 def _reference_upper(lo: int, hi: int, n: int) -> np.ndarray:
@@ -125,18 +125,22 @@ def _reference_upper(lo: int, hi: int, n: int) -> np.ndarray:
     return np.arange(lo, hi)[:, None] < np.arange(n)
 
 
-def reference_pair_rows(red: np.ndarray, n: int, lo: int, hi: int,
-                        earlier: Sequence[int]) -> tuple[int, ...]:
-    """Rows lo..hi-1 of each coloring of a stack, one coloring after another.
-
-    ``red[k]`` holds the colours of the pairs {u, v}, lo <= u < hi and u < v,
-    of the k-th coloring, in lexicographic order.  When lo > 0 the stack holds
-    one coloring, and ``earlier`` are its rows 0..lo-1.
-    """
+def reference_pair_bits(red: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
+    """Bool k x (hi - lo) x n rows lo..hi-1 of each coloring of a stack,
+    their entries above the diagonal alone set: ``red[k]`` holds the colours
+    of the pairs {u, v}, lo <= u < hi and u < v, of the k-th coloring, in
+    lexicographic order."""
     k, rows = len(red), hi - lo
     a = np.zeros((k * rows, n), dtype=bool)
     a[np.tile(_reference_upper(lo, hi, n), (k, 1))] = red.ravel()
-    return _symmetric_rows(a.reshape(k, rows, n), lo, earlier)
+    return a.reshape(k, rows, n)
+
+
+def reference_symmetric_rows(a: np.ndarray) -> tuple[int, ...]:
+    """The rows of each matrix of a bool k x n x n stack ORed with its
+    transpose, one matrix after another."""
+    k, n, _ = a.shape
+    return reference_pack_rows((a | a.transpose(0, 2, 1)).reshape(k * n, n))
 
 
 def reference_sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]:
@@ -156,13 +160,13 @@ def reference_sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[
     while i < len(seeds):
         if not fit:
             _rekey(bitgen, seeds[i])
-            rows: list[int] = []
+            bands = []
             step = _SAMPLE_ENTRIES // (2 * n)
             for lo in range(0, n, step):
                 hi = min(lo + step, n)
                 count = (hi - lo) * (2 * n - lo - hi - 1) // 2  # pairs {u, v}, lo <= u < hi, u < v
-                rows.extend(reference_pair_rows((gen.random(count) < p)[None], n, lo, hi, rows))
-            yield tuple(rows)
+                bands.append(reference_pair_bits((gen.random(count) < p)[None], n, lo, hi))
+            yield reference_symmetric_rows(np.concatenate(bands, axis=1))
             i += 1
             continue
         block = seeds[i:i + min(size, fit)]
@@ -170,7 +174,7 @@ def reference_sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[
         for k, seed in enumerate(block):
             _rekey(bitgen, seed)
             gen.random(out=draws[k])
-        rows = reference_pair_rows(draws < p, n, 0, n, ())
+        rows = reference_symmetric_rows(reference_pair_bits(draws < p, n, 0, n))
         for k in range(len(block)):
             yield rows[k * n:(k + 1) * n]
         i += len(block)
@@ -451,7 +455,7 @@ def reference_coloring_from_hex(n: int, hexstr: str) -> Coloring:
     total = 4 * width
     if value >> total:
         raise GraphFormatError("hex string too wide", 1)
-    if nbits and value & ((1 << (total - nbits)) - 1):
+    if value & ((1 << (total - nbits)) - 1):
         raise GraphFormatError("padding bits must be zero", 1)
     rows = [0] * n
     for i, (u, v) in enumerate(pair_order(n)):

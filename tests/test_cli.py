@@ -705,6 +705,10 @@ class TestFailuresAreOneLine:
         ("--coloring", b"n -1\n", "line 1: non-integer vertex count"),
         ("--coloring", b"n 5 hex 0x8\n", "line 1: invalid hex string"),
         ("--coloring", b"n 5 hex f_f\n", "line 1: invalid hex string"),
+        ("--coloring", b"n 3 hex 8\n0 1 R\njunk\n",
+         "line 2: expected no line after 'n <n> hex <string>'"),
+        ("--coloring", b"n 1 hex f\n", "line 1: padding bits must be zero"),
+        ("--coloring", b"n 0 hex 1\n", "line 1: padding bits must be zero"),
         ("--coloring", b"n 2\r\n0 1 R\r\n", "line 1: non-integer vertex count"),
         ("--coloring", b"\nn 2\n0 1 R\n",
          "line 1: expected header 'n <n>' or 'n <n> hex <string>'"),

@@ -399,8 +399,8 @@ def ref_parse_coloring(text):
     """(n, red rows) of a coloring text, or the GraphFormatError it raises:
     line 1 is "n <n>", then a line "<u> <v> <R|B>" per pair in
     lexicographic order; or line 1 is "n <n> hex <h>", <h> hex digits alone,
-    whose width, value and padding ``reference_coloring_from_hex`` checks
-    (the lines after it are not read)."""
+    whose width, value and padding ``reference_coloring_from_hex`` checks,
+    and no line after it."""
     head, *lines = ref_lines(text)
     if head[0] != b"n" or len(head) != 2 and (len(head) != 4 or head[2] != b"hex"):
         raise GraphFormatError("expected header 'n <n>' or 'n <n> hex <string>'", 1)
@@ -414,6 +414,8 @@ def ref_parse_coloring(text):
         if len(head[3]) == width and not re.fullmatch(rb"[0-9a-fA-F]+", head[3]):
             raise GraphFormatError("invalid hex string", 1)
         c = reference_coloring_from_hex(n, head[3].decode("latin-1"))  # a char per byte
+        if lines:
+            raise GraphFormatError("expected no line after 'n <n> hex <string>'", 2)
         return c.n, c.red_rows
     pairs = list(combinations(range(n), 2))
     if len(lines) != len(pairs):
@@ -1167,15 +1169,8 @@ def upper_random(shape, seed, p=0.3):
 
 
 class TestTiles:
-    """The tiled symmetry check and mirror against the plain transpose."""
-
-    @pytest.mark.parametrize("t", TILED_SIZES)
-    def test_tiles_cover_the_upper_band_once(self, t):
-        covered = np.zeros((t, t), int)
-        for r, c in graphs._tiles(t):
-            covered[r, c] += 1
-        band = np.arange(t) // graphs._TILE
-        assert (covered == (band[:, None] <= band)).all()
+    """The symmetry check and the symmetric build, up to one tile and past
+    it, against the plain transpose."""
 
     @pytest.mark.parametrize("t", TILED_SIZES)
     def test_symmetric_matches_plain_transpose(self, t):
@@ -1193,13 +1188,22 @@ class TestTiles:
                 assert outcome(graphs._check_symmetric, t, rows) == outcome(ref_validate, t, rows)
                 assert outcome(ref_validate, t, rows)[0] == "value"
 
-    @pytest.mark.parametrize("t", TILED_SIZES)
+    @pytest.mark.parametrize("t", [0, *TILED_SIZES])
     @pytest.mark.parametrize("k", [1, 3])
-    def test_mirror_matches_plain_transpose(self, t, k):
-        b = upper_random((k, t, t), t + k)
-        want = b | b.transpose(0, 2, 1)
-        graphs._mirror(b)
-        assert (b == want).all()
+    @pytest.mark.parametrize("entries", [None, 1])
+    def test_symmetric_build_matches_plain_transpose(self, t, k, entries):
+        """The rows ``_symmetric`` builds from the entries above the diagonal
+        of a stack are those of a | a.T, given as one band, or as the bands
+        of about t / 32 rows that the smallest bands cut."""
+        a = upper_random((k, t, t), t + k)
+        want = reference_pack_rows((a | a.transpose(0, 2, 1)).reshape(k * t, t))
+        spans = [(0, t)]
+        if entries is not None:
+            with row_blocks_of(entries):
+                spans = list(graphs._row_blocks(t, graphs._band_entries(t)))
+            assert len(spans) > 1 or t < 2
+        bands = (a[:, lo:hi].copy() for lo, hi in spans)
+        assert graphs._symmetric(t, bands) == want
 
     @pytest.mark.parametrize("t", [257, 513, 1100])
     @pytest.mark.parametrize("u, v", [(3, -1), (-1, 3), (300, -1)])
@@ -1210,14 +1214,6 @@ class TestTiles:
         message = outcome(ref_validate, t, tuple(rows))[1]
         assert message.startswith("adjacency not symmetric at {")
         assert outcome(Graph, t, tuple(rows)) == ("value", message)
-
-
-    @pytest.mark.parametrize("t, lo, hi", [(1, 0, 1), (257, 0, 1), (257, 0, 257), (257, 256, 257),
-                                           (257, 1, 256), (600, 0, 300), (600, 300, 600),
-                                           (1100, 513, 1100)])
-    def test_columns_match_plain_transpose(self, t, lo, hi):
-        rows = sample_gnp(t, 0.3, t).rows
-        assert (graphs._columns(rows, lo, hi) == bit_matrix(t, rows)[:, lo:hi].T).all()
 
     @pytest.mark.parametrize("u, v", [(100, 580), (290, 599), (5, 310), (580, 100)])
     @pytest.mark.parametrize("kind", ["set", "cleared"])
@@ -1262,6 +1258,19 @@ class TestCompactColoring:
         assert text == reference_serialize_coloring_compact(c)
         assert parse_coloring(text) == c == reference_coloring_from_hex(n, text.split()[3])
 
+    @pytest.mark.parametrize("text, want", [
+        (b"n 3 hex 8\n0 1 R\njunk\n", refused(2, "expected no line after 'n <n> hex <string>'")),
+        (b"n 3 hex 8\n\n0 1 R\n", refused(2, "expected no line after 'n <n> hex <string>'")),
+        (b"n 0 hex 0\n0 1 R\n", refused(2, "expected no line after 'n <n> hex <string>'")),
+        (b"n 3 hex 9\njunk\n", refused(1, "padding bits must be zero")),
+        (b"n 3 hex 8\n \t\n\n", ("ok", (3, (2, 1, 0)))),
+    ])
+    def test_no_line_follows_the_hex_string(self, text, want):
+        """The compact form is one line: a later line is refused, after any
+        error of line 1; blanks at the end of the file are not lines."""
+        assert outcome(lambda: colored(parse_coloring(text))) == want
+        assert outcome(ref_parse_coloring, text) == want
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-2, 12), st.data())
     def test_odd_hex_strings_match_reference(self, n, data):
@@ -1276,9 +1285,13 @@ class TestCompactColoring:
         (5, "0x4", "invalid hex string"), (5, "0x8", "invalid hex string"),
         (5, "0xf", "invalid hex string"), (4, "+c", "invalid hex string"),
         (4, "-1", "invalid hex string"), (4, "0x", "invalid hex string"),
-        (4, "_f", "invalid hex string"), (0, "1", None), (1, "f", None),
-        (-2, "0", "non-integer vertex count"), (3, "9", "padding bits must be zero"),
-        (3, "g", "invalid hex string"), (4, "fc", None), (4, "fd", "padding bits must be zero"),
+        (4, "_f", "invalid hex string"), (-2, "0", "non-integer vertex count"),
+        (3, "9", "padding bits must be zero"), (3, "g", "invalid hex string"),
+        (4, "fc", None), (4, "fd", "padding bits must be zero"),
+        # no pairs: the one digit is all padding
+        (0, "0", None), (1, "0", None), (0, "1", "padding bits must be zero"),
+        (0, "f", "padding bits must be zero"), (1, "7", "padding bits must be zero"),
+        (1, "f", "padding bits must be zero"), (1, "00", "hex string must have 1 digits"),
     ])
     def test_int_spellings_refused(self, n, hexstr, want):
         """A sign, a 0x prefix or an underscore, which ``int(s, 16)`` reads,
