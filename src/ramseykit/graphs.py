@@ -171,8 +171,9 @@ def _symmetric(n: int, bands: Iterable[np.ndarray]) -> tuple[int, ...]:
         del band  # before the next band is built
     rows: list[list[int]] = [[] for _ in upper]
     for lo, hi in _row_blocks(n, _band_entries(n)):
-        band = _transposed(upper, lo, hi)
-        band |= upper[:, lo:hi]
+        band = upper[:, lo:hi].copy()
+        below = _transposed(upper[:, :hi + -hi % 8], lo, hi)  # later rows have no bits below hi
+        band[..., :below.shape[2]] |= below
         for matrix, part in zip(rows, band):
             matrix.extend(_int_rows(part))
     return tuple(chain.from_iterable(rows))
@@ -622,10 +623,9 @@ def _read_graph(runs: Iterator[tuple[bytes, int]], size: int) -> Graph:
 
 
 def _edge_bands(t: int, at: np.ndarray) -> Iterator[np.ndarray]:
-    """Bool 1 x r x t bands of the rows of the graph on t vertices whose
-    edges {u, v}, u < v, are at[i] = u * t + v, set above the diagonal, of at
-    most ``_band_entries(t)`` entries each, each dropped before the next is
-    built; then the GraphFormatError of the first repeated edge line, if any."""
+    """Bool 1 x r x t bands of rows, of ``_band_entries(t)`` entries at most,
+    with the edges at[i] = u * t + v, u < v, set above the diagonal; then the
+    GraphFormatError of the first repeated edge line, if any."""
     distinct = 0
     ordered = bool((at[:-1] < at[1:]).all())  # in row-major order, as the writer gives them
     for lo, hi in _row_blocks(t, _band_entries(t)):
@@ -637,7 +637,7 @@ def _edge_bands(t: int, at: np.ndarray) -> Iterator[np.ndarray]:
             a.ravel()[at[(lo * t <= at) & (at < hi * t)] - lo * t] = True
         distinct += np.count_nonzero(a)
         yield a
-        del a
+        del a  # before the next band is built
     if distinct != len(at):
         raise _first_duplicate(at, t)
 
