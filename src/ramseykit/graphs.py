@@ -171,8 +171,10 @@ def _symmetric(n: int, bands: Iterable[np.ndarray]) -> tuple[int, ...]:
         del band  # before the next band is built
     rows: list[list[int]] = [[] for _ in upper]
     for lo, hi in _row_blocks(n, _band_entries(n)):
-        band = upper[:, lo:hi].copy()
-        below = _transposed(upper[:, :hi + -hi % 8], lo, hi)  # later rows have no bits below hi
+        # rows from hi on have no bits below hi, and later bands read only
+        # the bits from their start on, so the band is ORed in place
+        below = _transposed(upper[:, :hi + -hi % 8], lo, hi)
+        band = upper[:, lo:hi]
         band[..., :below.shape[2]] |= below
         for matrix, part in zip(rows, band):
             matrix.extend(_int_rows(part))
