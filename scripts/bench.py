@@ -60,7 +60,8 @@ runs of 20,000 calls).  Rows:
   (``read_pattern``, as every ``--graph`` is read) at t = 2048 and 4096, of
   ``serialize_graph``, of the text ``random gnp`` writes and of
   ``parse_graph`` on the text's bytes at t = 2048, of ``sample_gnp`` at
-  t = 16384 (seed 5; its packed upper matrix alone is 32 MB), of ``Graph``
+  t = 16384 (seed 5; its packed upper matrix alone is 32 MB), of
+  ``parse_coloring`` on the compact form of ``random:4096:0.5:1``, of ``Graph``
   validation at t = 4096 (the rows made before), of ``Graph.complete(16384)``
   and of the ``verify_degree_spread`` row.  These tracemalloc peaks do not
   depend on the process's memory layout, as ``peak_rss_mb`` does;
@@ -322,6 +323,9 @@ def primitives() -> dict:
     out["peak of random gnp text, t=2048"] = _peak_mb(lambda: _gnp_text(g))
     out["peak of parse_graph(bytes), t=2048"] = _peak_mb(lambda: parse_graph(data))
     out["peak of sample_gnp(16384, 0.2, 5)"] = _peak_mb(lambda: sample_gnp(16384, 0.2, 5))
+    hex_text = serialize_coloring(sample_coloring(4096, 0.5, 1), compact=True)
+    out["peak of parse_coloring(random:4096:0.5:1, compact)"] = \
+        _peak_mb(lambda: parse_coloring(hex_text))
     rows = sample_gnp(4096, 0.2, 1).rows
     out["peak of Graph validation, t=4096"] = _peak_mb(lambda: Graph(4096, rows))
     out["peak of Graph.complete(16384)"] = _peak_mb(lambda: Graph.complete(16384))

@@ -81,10 +81,10 @@ def check_vertex_count(t: int) -> None:
 
 
 # Entries of the largest bool matrix that relabelling and the compact
-# coloring form build at once (16 MB): graphs on up to 4096 vertices are one
+# coloring writer build at once (16 MB): graphs on up to 4096 vertices are one
 # t x t block, larger ones are cut into blocks of rows.
 _BLOCK_ENTRIES = 1 << 24
-# Entries of one band of rows that the sampler draws, the parser fills and
+# Entries of one band of rows that the sampler draws, the parsers fill and
 # the symmetry check compares (1 MB as bools), or of t / _MAX_BANDS rows
 # where they are more.  The parser fills each band of a file whose edges are
 # out of order through a mask over all its edges, so bands no lower than
@@ -137,12 +137,11 @@ def _pair_bits(red: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
     return a
 
 
-def _pair_bands(n: int, pairs: Callable[[int, int], np.ndarray],
-                entries: Optional[int] = None) -> Iterator[np.ndarray]:
-    """The bands of rows of a coloring on n vertices, of ``_row_blocks(n,
-    entries)``, as ``_pair_bits`` makes them: ``pairs(start, count)`` gives
-    the colours of pairs start..start + count - 1 in lexicographic order."""
-    for lo, hi in _row_blocks(n, entries):
+def _pair_bands(n: int, pairs: Callable[[int, int], np.ndarray]) -> Iterator[np.ndarray]:
+    """The bands of rows of a coloring on n vertices, of ``_band_entries(n)``
+    entries at most, as ``_pair_bits`` makes them: ``pairs(start, count)``
+    gives the colours of pairs start..start + count - 1 in lexicographic order."""
+    for lo, hi in _row_blocks(n, _band_entries(n)):
         start = lo * (2 * n - lo - 1) // 2  # pairs {u, v} with u < lo
         yield _pair_bits(pairs(start, (hi - lo) * (2 * n - lo - hi - 1) // 2)[None], n, lo, hi)
 
@@ -174,9 +173,8 @@ def _symmetric(n: int, bands: Iterable[np.ndarray]) -> tuple[int, ...]:
         # rows from hi on have no bits below hi, and later bands read only
         # the bits from their start on, so the band is ORed in place
         below = _transposed(upper[:, :hi + -hi % 8], lo, hi)
-        band = upper[:, lo:hi]
-        band[..., :below.shape[2]] |= below
-        for matrix, part in zip(rows, band):
+        upper[:, lo:hi, :below.shape[2]] |= below
+        for matrix, part in zip(rows, upper[:, lo:hi]):
             matrix.extend(_int_rows(part))
     return tuple(chain.from_iterable(rows))
 

@@ -201,8 +201,7 @@ def sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]
     drawn (``graphs._symmetric``).  Every seed must be a Philox key, which
     is checked before anything is drawn.
     """
-    entries = _band_entries(n)
-    if n * n <= entries:
+    if n * n <= _band_entries(n):
         for red in red_pair_blocks(n, p, seeds):
             rows = _symmetric(n, iter([_pair_bits(red, n, 0, n)]))  # freed once packed
             for k in range(len(red)):
@@ -214,7 +213,7 @@ def sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]
             bitgen = _philox()
             _rekey(bitgen, seed)
             yield _symmetric(n, _pair_bands(
-                n, lambda _, count: _draw_red(bitgen, cut, np.empty(count, bool)), entries))
+                n, lambda _, count: _draw_red(bitgen, cut, np.empty(count, bool))))
 
 
 def sample_gnp(t: int, rho: float, seed: int) -> Graph:
