@@ -61,9 +61,10 @@ runs of 20,000 calls).  Rows:
   ``serialize_graph``, of the text ``random gnp`` writes and of
   ``parse_graph`` on the text's bytes at t = 2048, of ``sample_gnp`` at
   t = 16384 (seed 5; its packed upper matrix alone is 32 MB), of
-  ``parse_coloring`` on the compact form of ``random:4096:0.5:1``, of ``Graph``
-  validation at t = 4096 (the rows made before), of ``Graph.complete(16384)``
-  and of the ``verify_degree_spread`` row.  These tracemalloc peaks do not
+  ``parse_coloring`` and ``serialize_coloring`` of the compact form of
+  ``random:4096:0.5:1``, of its ``Coloring.induced`` on the even vertices,
+  of ``Graph`` validation at t = 4096 (the rows made before), of
+  ``Graph.complete(16384)`` and of the ``verify_degree_spread`` row.  These tracemalloc peaks do not
   depend on the process's memory layout, as ``peak_rss_mb`` does;
 * ``ramsey_number_exact`` on each ``exact_oracle`` anchor of
   ``perfbench/workloads.py``, on R(3,4) at n_max = 10, on R(3,5) at
@@ -323,9 +324,14 @@ def primitives() -> dict:
     out["peak of random gnp text, t=2048"] = _peak_mb(lambda: _gnp_text(g))
     out["peak of parse_graph(bytes), t=2048"] = _peak_mb(lambda: parse_graph(data))
     out["peak of sample_gnp(16384, 0.2, 5)"] = _peak_mb(lambda: sample_gnp(16384, 0.2, 5))
-    hex_text = serialize_coloring(sample_coloring(4096, 0.5, 1), compact=True)
+    c, even = sample_coloring(4096, 0.5, 1), list(range(0, 4096, 2))
+    hex_text = serialize_coloring(c, compact=True)
     out["peak of parse_coloring(random:4096:0.5:1, compact)"] = \
         _peak_mb(lambda: parse_coloring(hex_text))
+    out["peak of serialize_coloring(random:4096:0.5:1, compact)"] = \
+        _peak_mb(lambda: serialize_coloring(c, compact=True))
+    out["peak of Coloring.induced(random:4096:0.5:1, even vertices)"] = \
+        _peak_mb(lambda: c.induced(even))
     rows = sample_gnp(4096, 0.2, 1).rows
     out["peak of Graph validation, t=4096"] = _peak_mb(lambda: Graph(4096, rows))
     out["peak of Graph.complete(16384)"] = _peak_mb(lambda: Graph.complete(16384))

@@ -5,9 +5,10 @@ packed bit rows (one Python int per vertex).  Two-colorings of complete
 graphs store the Red class as bit rows; Blue is the complement.  All types
 are immutable after construction and safe to share across workers.
 
-Whole-graph work (parsing, serializing, induced relabelling, the compact
-coloring form) goes through numpy bool matrices of a band of rows at a time:
-``bit_matrix`` unpacks rows into one and ``pack_rows`` packs one back.
+Whole-graph work (sampling, parsing, serializing, relabelling, the symmetry
+check) goes through numpy bool matrices of one band of rows at a time
+(``_row_blocks``): ``bit_matrix`` unpacks rows into one and ``pack_rows``
+packs one back.
 Graph and coloring files have one grammar, in ASCII bytes (the "Text
 formats" block below); any other byte is a ``GraphFormatError`` on its
 line.  ``parse_graph`` reads a file, or bytes, once, one ``_TEXT_BLOCK`` at
@@ -43,8 +44,8 @@ BLUE = "B"
 # Most vertices of a graph or coloring.  Validating G(16384, 0.2) at the limit
 # takes about 0.4 s of CPU and peaks at 36 MB, 32 MB of it its packed rows
 # (tracemalloc; one core of a 2-vCPU x86-64 host).  Drawing it takes about
-# 1.9 s, and its 272 MB of text are made in 1.8 s at a peak of 4.3 MB when
-# written to a stream as they are made (``serialize_graph``).
+# 1.9 s, and its 272 MB of text are made in 1.6 s at a peak of 20.2 MB (two
+# 8 MB bands) when written to a stream as they are made (``serialize_graph``).
 MAX_VERTICES = 1 << 14
 
 
@@ -80,29 +81,26 @@ def check_vertex_count(t: int) -> None:
         raise ValueError(f"{t} vertices exceed the limit of {MAX_VERTICES}")
 
 
-# Entries of the largest bool matrix that relabelling and the compact
-# coloring writer build at once (16 MB): graphs on up to 4096 vertices are one
-# t x t block, larger ones are cut into blocks of rows.
-_BLOCK_ENTRIES = 1 << 24
-# Entries of one band of rows that the sampler draws, the parsers fill and
-# the symmetry check compares (1 MB as bools), or of t / _MAX_BANDS rows
-# where they are more.  The parser fills each band of a file whose edges are
-# out of order through a mask over all its edges, so bands no lower than
+# Entries of the band of rows that every pass over a whole graph or coloring
+# holds at once (1 MB as bools), or t / _MAX_BANDS rows where they are more:
+# the sampler, the parsers, the symmetry check, relabelling, the writers and
+# the degree-spread count.  The parser fills each band of a file whose edges
+# are out of order through a mask over all its edges, so bands no lower than
 # t / 32 rows keep that cost in check: 1024 rows at 1024 vertices, 512 at
 # 2048, 256 at 4096 and 8192, and 512 at 16384.
 _BAND_ENTRIES = 1 << 20
 _MAX_BANDS = 32
 
 
-def _band_entries(t: int) -> int:
-    """Entries of a band of rows of a graph or coloring on t vertices."""
-    return max(_BAND_ENTRIES, t * -(-t // _MAX_BANDS))
+def _band_rows(t: int) -> int:
+    """Rows of a band of a graph or coloring on t vertices; one at least."""
+    return max(1, _BAND_ENTRIES // max(t, 1), -(-t // _MAX_BANDS))
 
 
-def _row_blocks(t: int, entries: Optional[int] = None) -> Iterator[tuple[int, int]]:
-    """Row ranges lo..hi-1 that cover 0..t-1, each of at most ``entries``
-    entries (_BLOCK_ENTRIES by default), and of one row at least."""
-    step = max(1, (_BLOCK_ENTRIES if entries is None else entries) // max(t, 1))
+def _row_blocks(t: int) -> Iterator[tuple[int, int]]:
+    """The bands of rows lo..hi-1 that cover 0..t-1, of _band_rows(t) rows
+    each but the last."""
+    step = _band_rows(t)
     for lo in range(0, t, step):
         yield lo, min(lo + step, t)
 
@@ -125,8 +123,8 @@ def _pair_bits(red: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
     ``red[k]`` holds the colours of the pairs {u, v}, lo <= u < hi and u < v,
     of the k-th coloring, in lexicographic order.  The pairs are placed by
     one boolean-mask assignment.  A stack of one, which may be a whole
-    graph, takes the mask as a view; a larger stack, of matrices of at most
-    half a block, takes it tiled, as numpy assigns through a contiguous mask
+    graph, takes the mask as a view; a larger stack, of matrices of one band
+    at most, takes it tiled, as numpy assigns through a contiguous mask
     faster than through a broadcast view (2.0 against 5.5 ms for two
     matrices of 1400 x 1400).
     """
@@ -138,10 +136,10 @@ def _pair_bits(red: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _pair_bands(n: int, pairs: Callable[[int, int], np.ndarray]) -> Iterator[np.ndarray]:
-    """The bands of rows of a coloring on n vertices, of ``_band_entries(n)``
-    entries at most, as ``_pair_bits`` makes them: ``pairs(start, count)``
-    gives the colours of pairs start..start + count - 1 in lexicographic order."""
-    for lo, hi in _row_blocks(n, _band_entries(n)):
+    """The bands of rows of a coloring on n vertices (``_row_blocks``), as
+    ``_pair_bits`` makes them: ``pairs(start, count)`` gives the colours of
+    pairs start..start + count - 1 in lexicographic order."""
+    for lo, hi in _row_blocks(n):
         start = lo * (2 * n - lo - 1) // 2  # pairs {u, v} with u < lo
         yield _pair_bits(pairs(start, (hi - lo) * (2 * n - lo - hi - 1) // 2)[None], n, lo, hi)
 
@@ -169,7 +167,7 @@ def _symmetric(n: int, bands: Iterable[np.ndarray]) -> tuple[int, ...]:
         lo += band.shape[1]
         del band  # before the next band is built
     rows: list[list[int]] = [[] for _ in upper]
-    for lo, hi in _row_blocks(n, _band_entries(n)):
+    for lo, hi in _row_blocks(n):
         # rows from hi on have no bits below hi, and later bands read only
         # the bits from their start on, so the band is ORed in place
         below = _transposed(upper[:, :hi + -hi % 8], lo, hi)
@@ -349,8 +347,8 @@ def _induced_rows(rows: Sequence[int], vertices: Sequence[int]) -> tuple[int, ..
 
     One numpy relabel: the kept vertices' rows are unpacked with
     ``bit_matrix``, the kept columns are gathered in the given order, and the
-    result is packed back with ``pack_rows``.  It goes one block of kept rows
-    at a time, so no bool matrix has more than _BLOCK_ENTRIES entries (16 MB).
+    result is packed back with ``pack_rows``.  It goes one band of kept rows
+    at a time (``_band_rows``), so no bool matrix is larger than a band.
     The vertices must be distinct and lie in 0..len(rows)-1; that is checked
     before any work.
     """
@@ -360,7 +358,7 @@ def _induced_rows(rows: Sequence[int], vertices: Sequence[int]) -> tuple[int, ..
     if len(set(vertices)) != k:
         raise ValueError("induced vertices must be distinct")
     cols = np.array(vertices, dtype=np.intp)
-    step = max(1, _BLOCK_ENTRIES // max(n, 1))
+    step = _band_rows(n)
     out: list[int] = []
     for lo in range(0, k, step):
         block = bit_matrix(n, [rows[v] for v in cols[lo:lo + step].tolist()])
@@ -373,7 +371,7 @@ def _check_symmetric(t: int, rows: Sequence[int]) -> None:
     u lacks v.  The rows are packed once, a band at a time; then each band
     of rows is compared with the same bits of every row, transposed packed,
     so no bool matrix is built."""
-    bands = list(_row_blocks(t, _band_entries(t)))
+    bands = list(_row_blocks(t))
     packed = np.zeros((t + -t % 8, (t + 7) // 8), np.uint8)
     for lo, hi in bands:
         packed[lo:hi] = _packed_rows(t, rows[lo:hi])
@@ -623,12 +621,12 @@ def _read_graph(runs: Iterator[tuple[bytes, int]], size: int) -> Graph:
 
 
 def _edge_bands(t: int, at: np.ndarray) -> Iterator[np.ndarray]:
-    """Bool 1 x r x t bands of rows, of ``_band_entries(t)`` entries at most,
-    with the edges at[i] = u * t + v, u < v, set above the diagonal; then the
+    """Bool 1 x r x t bands of rows (``_row_blocks``), with the edges
+    at[i] = u * t + v, u < v, set above the diagonal; then the
     GraphFormatError of the first repeated edge line, if any."""
     distinct = 0
     ordered = bool((at[:-1] < at[1:]).all())  # in row-major order, as the writer gives them
-    for lo, hi in _row_blocks(t, _band_entries(t)):
+    for lo, hi in _row_blocks(t):
         a = np.zeros((1, hi - lo, t), dtype=bool)
         if ordered:  # the edges in rows lo..hi-1 are a slice (found in int32: no cast of at)
             i, j = np.searchsorted(at, np.array([lo, hi], np.int32) * t)
@@ -803,28 +801,28 @@ def _first_duplicate(at: np.ndarray, t: int) -> Optional[GraphFormatError]:
     return GraphFormatError("duplicate edge ({},{})".format(*divmod(int(at[j]), t)), j + 2)
 
 
-# The text of a graph is made a band of rows at a time, each band of at most
-# _SERIALIZE_ENTRIES entries (a 256 KB bool matrix), and its edges formatted
-# _SERIALIZE_CHUNK at a time: a chunk is about 150 KB of text at t = 2048,
-# and no more than one band and one chunk are alive at once.
-_SERIALIZE_ENTRIES = 1 << 18
+# The text of a graph is made a band of rows at a time (``_row_blocks``), and
+# the edges among each _SERIALIZE_CHUNK entries of a band are listed and
+# formatted at once, at most 16K edges (about 150 KB of text at t = 2048):
+# no index array of a whole band is built.
 _SERIALIZE_CHUNK = 1 << 14
 
 
 def _text_chunks(g: Graph) -> Iterator[str]:
-    """The text of ``g`` in pieces: the header line, then the lines of at
-    most _SERIALIZE_CHUNK edges each, in row-major order."""
+    """The text of ``g`` in pieces: the header line, then the lines of the
+    edges among each _SERIALIZE_CHUNK entries of a band, in row-major order."""
     heads = np.array([f"{u} " for u in range(g.t)], dtype=object)
     tails = np.array([f"{v}\n" for v in range(g.t)], dtype=object)
     yield f"t {g.t} m {g.m}\n"
-    for lo, hi in _row_blocks(g.t, _SERIALIZE_ENTRIES):
-        # edges {u, v}, u < v, with u in lo..hi-1, in row-major order
-        above = [row >> (u + 1) << (u + 1) for u, row in enumerate(g.rows[lo:hi], lo)]
-        us, vs = np.divmod(np.flatnonzero(bit_matrix(g.t, above)), g.t)
-        us += lo
-        for i in range(0, len(us), _SERIALIZE_CHUNK):
-            part = slice(i, i + _SERIALIZE_CHUNK)
-            lines = np.stack((heads[us[part]], tails[vs[part]]), axis=1)
+    for lo, hi in _row_blocks(g.t):
+        # entries {u, v}, u < v, with u in lo..hi-1, in row-major order
+        entries = bit_matrix(g.t, [row >> (u + 1) << (u + 1)
+                                   for u, row in enumerate(g.rows[lo:hi], lo)]).ravel()
+        for i in range(0, len(entries), _SERIALIZE_CHUNK):
+            found = np.flatnonzero(entries[i:i + _SERIALIZE_CHUNK])
+            found += lo * g.t + i
+            us, vs = np.divmod(found, g.t)
+            lines = np.stack((heads[us], tails[vs]), axis=1)
             yield "".join(lines.ravel().tolist())
 
 

@@ -24,10 +24,9 @@ from typing import Iterator
 import numpy as np
 
 from .graphs import (
-    _BLOCK_ENTRIES,
     Coloring,
     Graph,
-    _band_entries,
+    _band_rows,
     _packed_rows,
     _pair_bands,
     _pair_bits,
@@ -62,9 +61,9 @@ SEED_LIMIT = 1 << 128
 # Entries of the bool matrices of one block of seeds drawn whole (4 MB).  A
 # block's pairs are drawn into a bool array of at most _SAMPLE_ENTRIES / 2
 # entries.  Only seeds whose matrix fits one band of rows
-# (``graphs._band_entries``), those of at most 1024 vertices, are drawn
-# whole; a larger seed is drawn alone, a band at a time.
-_SAMPLE_ENTRIES = _BLOCK_ENTRIES // 4
+# (``graphs._band_rows``), those of at most 1024 vertices, are drawn whole;
+# a larger seed is drawn alone, a band at a time.
+_SAMPLE_ENTRIES = 1 << 22
 # Raw words drawn at once: 2**16 words are 512 KB.
 _WORD_CHUNK = 1 << 16
 _ZEROS = (0, 0, 0, 0)
@@ -195,13 +194,13 @@ def sample_red_rows(n: int, p: float, seeds: range) -> Iterator[tuple[int, ...]]
 
     Seeds are drawn in blocks of 1, 2, 4, ... seeds (``_seed_blocks``), so
     stopping after the i-th seed costs O(i) draws.  A seed whose n x n matrix
-    fits one band of rows, of ``_band_entries(n)`` entries, is drawn whole,
-    with the others of its block (``red_pair_blocks``).  A larger seed is
-    drawn alone, a band at a time, each band packed before the next one is
-    drawn (``graphs._symmetric``).  Every seed must be a Philox key, which
-    is checked before anything is drawn.
+    fits one band of rows (``graphs._band_rows``) is drawn whole, with the
+    others of its block (``red_pair_blocks``).  A larger seed is drawn alone,
+    a band at a time, each band packed before the next one is drawn
+    (``graphs._symmetric``).  Every seed must be a Philox key, which is
+    checked before anything is drawn.
     """
-    if n * n <= _band_entries(n):
+    if n <= _band_rows(n):
         for red in red_pair_blocks(n, p, seeds):
             rows = _symmetric(n, iter([_pair_bits(red, n, 0, n)]))  # freed once packed
             for k in range(len(red)):
@@ -372,11 +371,11 @@ def verify_degree_spread(g: Graph, delta: float, eps: float, rho: float,
     threshold = 12 * math.log(math.e / delta) / (rho * eps ** 2)
 
     packed = _packed_rows(t, g.rows)  # every row's bytes, once
-    step = max(1, _BLOCK_ENTRIES // max(t, 1))
+    step = _band_rows(t)
 
     def count_over(vset: tuple[int, ...]) -> int:
         # deg_V(u) of every u at once: u is adjacent to v iff row v has bit u.
-        # Only the rows of V are unpacked, _BLOCK_ENTRIES bits at a time, and
+        # Only the rows of V are unpacked, a band of rows at a time, and
         # a uint16 sum cannot overflow: |V| <= t <= MAX_VERTICES < 2**16.
         vs = np.array(vset, np.intp)
         degrees = np.zeros(t, np.uint16)

@@ -182,12 +182,13 @@ class TestRandomCmd:
         written, printed, want = self.gnp_bytes(capsys, tmp_path, t, rho, 1)
         assert written == printed == want
 
-    # Bands of 4 rows.  At t = 8 and rho 1 the first band has 7 + 6 + 5 + 4 =
-    # 22 edges, so chunks of 21, 22 and 23 edges end one edge before it, at
-    # its end and one edge past it; t = 3, 4, 5, 8 and 9 end the rows inside,
-    # at and one row past a band.
+    # Bands of 4 rows, 4t entries, listed a chunk of entries at a time.  At
+    # t = 8 a band is 32 entries, so chunks of 31 and 32 entries end one entry
+    # before its end (between the edges (3, 6) and (3, 7) at rho 1) and at
+    # it, and one of 33 runs past it, where it is cut short; t = 3, 4, 5, 8
+    # and 9 end the rows inside, at and one row past a band.
     @pytest.mark.parametrize("t", [3, 4, 5, 8, 9])
-    @pytest.mark.parametrize("chunk", [1, 21, 22, 23])
+    @pytest.mark.parametrize("chunk", [1, 31, 32, 33])
     @pytest.mark.parametrize("rho", ["1", "0.5"])
     def test_gnp_bytes_across_band_and_chunk_edges(self, capsys, tmp_path, monkeypatch,
                                                    t, chunk, rho):

@@ -246,7 +246,7 @@ class TestColoring:
         g = sample_gnp(t, rho, seed)
         vertices = rnd.sample(range(g.t), rnd.randint(0, g.t))
         expect = induced_reference(g.rows, vertices)
-        with row_blocks_of(entries or graphs._BLOCK_ENTRIES):
+        with row_blocks_of(entries):
             assert g.induced(vertices).rows == expect
             assert Coloring.from_red_graph(g).induced(vertices).red_rows == expect
 
@@ -295,7 +295,7 @@ class TestInduced:
             tracemalloc.stop()
         assert all(sub.color_of(i, j) == c.color_of(2 * i, 2 * j)
                    for i, j in [(0, 1), (5, 2047), (1000, 17), (2046, 2047)])
-        assert peak < 48 << 20  # one 4096 x 4096 bool matrix alone is 16 MB
+        assert peak < 8 << 20  # 2.7 MB measured; 13.6 MB in blocks of 16 MB
 
 
 def induced_reference(rows, vertices):
@@ -712,7 +712,7 @@ class TestBitMatrixDifferential:
         """The edge list of ``flatnonzero`` on pre-masked rows is the one
         ``np.nonzero(np.triu(...))`` gave, in one block or in row blocks."""
         g = sample_gnp(t, rho, seed)
-        with row_blocks_of(entries or graphs._BLOCK_ENTRIES):
+        with row_blocks_of(entries):
             assert serialize_graph(g) == reference_serialize_graph(g)
 
     @given(st.composite(random_graph)(max_t=70))
@@ -734,18 +734,17 @@ class TestBitMatrixDifferential:
 
 
 @contextmanager
-def row_blocks_of(entries, text_bytes=None):
-    """Cut whole-graph work into row blocks of at most ``entries`` entries, as
-    it is for graphs above 4096 vertices, and the bands of the parser, the
-    symmetry check and the writer too where they are larger (a band of rows
-    is at least t / 32 rows); optionally read graph text in blocks of about
-    ``text_bytes`` bytes."""
-    names = "_BLOCK_ENTRIES", "_BAND_ENTRIES", "_TEXT_BLOCK", "_SERIALIZE_ENTRIES"
+def row_blocks_of(entries=None, text_bytes=None):
+    """Cut every whole-matrix pass into bands of ``entries`` // t rows, one
+    row at least, where ``entries`` is given (by default a band is 1 MB, or
+    t / 32 rows where they are more); optionally read graph text in blocks
+    of about ``text_bytes`` bytes."""
+    names = "_BAND_ENTRIES", "_MAX_BANDS", "_TEXT_BLOCK"
     saved = [getattr(graphs, name) for name in names]
-    graphs._BLOCK_ENTRIES = entries
-    graphs._BAND_ENTRIES = min(entries, saved[1])
+    if entries is not None:
+        graphs._BAND_ENTRIES = entries
+        graphs._MAX_BANDS = MAX_VERTICES  # no floor of t / 32 rows
     graphs._TEXT_BLOCK = text_bytes or saved[2]
-    graphs._SERIALIZE_ENTRIES = min(entries, saved[3])
     try:
         yield
     finally:
@@ -801,6 +800,23 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert rows == g.rows
         assert peak < 40 << 20
+
+    def test_writer_peak_memory(self):
+        """Edges are listed a chunk of a band's entries at a time, with no
+        index array of a whole band: writing G(2048, 0.2) to a stream peaks
+        below drawing it."""
+        g = sample_gnp(2048, 0.2, 1)  # the bit generator exists
+        with open(os.devnull, "w") as sink:
+            peaks = []
+            for work in (lambda: sample_gnp(2048, 0.2, 1), lambda: serialize_graph(g, sink)):
+                tracemalloc.start()
+                try:
+                    work()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        drawn, written = peaks
+        assert written <= drawn  # 2.6 and 3.3 MB measured; 7.1 MB listing whole bands at once
 
 
 # The graph texts of the tests above as bytes, and bytes outside the grammar:
@@ -977,7 +993,7 @@ class TestBlockReader:
         g = sample_gnp(600, 0.1, 4)
         head, *lines = serialize_graph(g).splitlines()
         np.random.default_rng(1).shuffle(lines)
-        with row_blocks_of(entries or graphs._BLOCK_ENTRIES):
+        with row_blocks_of(entries):
             assert parse_graph("\n".join([head] + lines)) == g
             lines[-1] = lines[0]
             text = "\n".join([head] + lines)
@@ -993,7 +1009,9 @@ class TestBlockReader:
             g, digest = read_pattern(str(fifo))
         finally:
             if writer.is_alive():  # nothing opened the pipe: let the writer go
-                open(fifo, "rb").close()
+                # without blocking, as a writer that has just closed the pipe
+                # is still alive and no other will open it
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
             writer.join()
         assert (g, digest) == (Graph.from_edges(3, [(0, 2)]), hashlib.sha256(data).hexdigest())
 
@@ -1086,7 +1104,7 @@ class TestWordReader:
     @given(graph_texts(), st.one_of(st.none(), st.integers(1, 64)))
     def test_blocks_match_reference(self, text, text_bytes):
         """At the default block size, or blocks of about ``text_bytes`` bytes."""
-        with row_blocks_of(graphs._BLOCK_ENTRIES, text_bytes), \
+        with row_blocks_of(text_bytes=text_bytes), \
                 reader_checked_against_reference():
             new = parsed(text)
         assert new == outcome(ref_parse_graph, text)
@@ -1122,7 +1140,7 @@ class TestWordReader:
         lines = ["0 1", "12 345", f"{7:09d} 8", "0 00000000000000000999", "3 9", "1000 1001"]
         text = "t 1002 m 6\n" + "\n".join(lines)
         for form in (text, text.encode()):
-            with row_blocks_of(graphs._BLOCK_ENTRIES, text_bytes), \
+            with row_blocks_of(text_bytes=text_bytes), \
                     reader_checked_against_reference():
                 g = parse_graph(form)
             assert g == Graph.from_edges(1002, [(0, 1), (12, 345), (7, 8), (0, 999), (3, 9),
@@ -1193,14 +1211,14 @@ class TestTiles:
     @pytest.mark.parametrize("entries", [None, 1])
     def test_symmetric_build_matches_plain_transpose(self, t, k, entries):
         """The rows ``_symmetric`` builds from the entries above the diagonal
-        of a stack are those of a | a.T, given as one band, or as the bands
-        of about t / 32 rows that the smallest bands cut."""
+        of a stack are those of a | a.T, given as one band, or as bands of
+        one row."""
         a = upper_random((k, t, t), t + k)
         want = reference_pack_rows((a | a.transpose(0, 2, 1)).reshape(k * t, t))
         spans = [(0, t)]
         if entries is not None:
             with row_blocks_of(entries):
-                spans = list(graphs._row_blocks(t, graphs._band_entries(t)))
+                spans = list(graphs._row_blocks(t))
             assert len(spans) > 1 or t < 2
         bands = (a[:, lo:hi].copy() for lo, hi in spans)
         assert graphs._symmetric(t, bands) == want
@@ -1246,9 +1264,20 @@ class TestCompactColoring:
         """In one block, or with ``entries`` given, in row blocks."""
         c = sample_coloring(n, p, seed)
         text = reference_serialize_coloring_compact(c)
-        with row_blocks_of(entries or graphs._BLOCK_ENTRIES):
+        with row_blocks_of(entries):
             assert serialize_coloring(c, compact=True) == text
             assert parse_coloring(text) == c
+
+    def test_writer_peak_memory(self):
+        c = sample_coloring(4096, 0.5, 1)
+        tracemalloc.start()
+        try:
+            text = serialize_coloring(c, compact=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == len("n 4096 hex \n") + 4096 * 4095 // 8
+        assert peak < 8 << 20  # 5.1 MB measured; 40.0 MB in blocks of 16 MB
 
     @pytest.mark.parametrize("n", [0, 1, 2, 9, 64, 65, 512])
     @pytest.mark.parametrize("p", [0, 0.5, 1])
@@ -1326,7 +1355,7 @@ class TestByteGrammar:
     def test_graph_byte_substitutions(self, text_bytes):
         data = b"t 5 m 3 \n0 1\n1\t04\n 2 3\n"
         assert parse_graph(data) == Graph.from_edges(5, [(0, 1), (1, 4), (2, 3)])
-        with row_blocks_of(graphs._BLOCK_ENTRIES, text_bytes):
+        with row_blocks_of(text_bytes=text_bytes):
             for mutated in substitutions(data):
                 assert outcome(lambda: graph_of(parse_graph(mutated))) == \
                     outcome(ref_parse_graph, mutated), mutated

@@ -20,6 +20,7 @@ from references import (
     reference_sample_red_rows,
     reference_verify_degree_spread,
 )
+from test_graphs import row_blocks_of
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -168,7 +169,7 @@ class TestSamplerMatchesGenerator:
         """Past 5792 vertices a band of 1 MB is under n / 32 rows, and the
         band is n / 32 rows: here _BAND_ENTRIES is shrunk to show it."""
         monkeypatch.setattr(graphs, "_BAND_ENTRIES", 64)
-        assert randomlab._band_entries(n) == n * -(-n // 32)
+        assert randomlab._band_rows(n) == -(-n // 32)
         got = list(randomlab.sample_red_rows(n, 0.3, range(4, 6)))
         assert got == [reference_red_rows(n, 0.3, s) for s in range(4, 6)]
 
@@ -377,13 +378,14 @@ class TestDegreeSpreadMatchesReference:
         assert randomlab.verify_degree_spread(*args) == reference_verify_degree_spread(*args)
 
     @pytest.mark.parametrize("entries", [1, 100, 1000])
-    def test_sets_unpacked_in_blocks_of_rows(self, monkeypatch, entries):
+    def test_sets_unpacked_in_blocks_of_rows(self, entries):
         """A set's rows unpacked one row, or a few rows, at a time."""
-        monkeypatch.setattr(randomlab, "_BLOCK_ENTRIES", entries)
         g = randomlab.sample_gnp(150, 0.3, 4)
         for delta in (0.05, 0.5, 1.0):
             args = (g, delta, 0.5, 0.3, "sampled", 20, 9)
-            assert randomlab.verify_degree_spread(*args) == reference_verify_degree_spread(*args)
+            with row_blocks_of(entries):
+                got = randomlab.verify_degree_spread(*args)
+            assert got == reference_verify_degree_spread(*args)
 
     @pytest.mark.parametrize("mode, t, budget", [("sampled", 32, 40), ("exhaustive", 8, 28)])
     def test_degree_at_the_cutoff_is_not_over(self, mode, t, budget):
